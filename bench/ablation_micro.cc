@@ -1,10 +1,14 @@
 // Ablation micro-benchmarks (google-benchmark) for the Section 6 design
 // choices: hashmap vs vertex-priority butterfly counting, Algorithm 5 vs
 // full BFS distance maintenance, Algorithm 7 vs full recount, and bulk vs
-// single-vertex deletion.
+// single-vertex deletion; plus the query-distance repair kernel alone.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "bcc/candidate.h"
+#include "bcc/find_g0.h"
 #include "bcc/local_search.h"
 #include "bcc/online_search.h"
 #include "bcc/query_distance.h"
@@ -107,6 +111,73 @@ void BM_SearchFastDistances(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchFastDistances);
+
+// One LP-shaped peel of PeelFixture's query, recorded once: every step
+// deletes the farthest query-distance level plus its core cascade
+// (GroupedCandidate::RemoveAndMaintain), as PeelToBcc does when no
+// butterfly check stops it early. `alive[i]` is the candidate after step i
+// (`alive[0]` is G0), `removed[i]` the vertices step i deleted.
+struct RepairReplay {
+  PeelFixture f;
+  std::vector<std::vector<char>> alive;
+  std::vector<std::vector<VertexId>> removed;
+
+  RepairReplay() {
+    const LabeledGraph& g = f.pg.graph;
+    G0Result g0 = FindG0(g, f.q, BccParams{}, nullptr);
+    GroupedCandidate cand(g, {g0.left, g0.right}, {g0.k1, g0.k2});
+    alive.push_back(cand.alive());
+    DistanceMap dl, dr;
+    std::vector<VertexId> changed;
+    BfsDistances(g, cand.alive(), f.q.ql, &dl);
+    BfsDistances(g, cand.alive(), f.q.qr, &dr);
+    while (cand.IsAlive(f.q.ql) && cand.IsAlive(f.q.qr) && dl.Get(f.q.qr) != kInfDistance) {
+      std::vector<VertexId> batch;
+      std::uint32_t far = 0;
+      for (VertexId v : cand.AliveVertices()) {
+        if (v == f.q.ql || v == f.q.qr) continue;
+        const std::uint32_t qd = std::max(dl.Get(v), dr.Get(v));  // kInfDistance is the max
+        if (qd > far) {
+          batch.clear();
+          far = qd;
+        }
+        if (qd == far) batch.push_back(v);
+      }
+      if (batch.empty()) break;
+      removed.push_back(cand.RemoveAndMaintain(batch, [](VertexId) {}));
+      alive.push_back(cand.alive());
+      UpdateDistancesAfterDeletion(g, cand.alive(), removed.back(), &dl, &changed);
+      UpdateDistancesAfterDeletion(g, cand.alive(), removed.back(), &dr, &changed);
+    }
+  }
+};
+
+// The "BFS and the Algorithm 5 repair" kernel: replays RepairReplay's
+// batches against both query distances, timing only the repairs (the
+// initial BFS per iteration is paused). `adjacency_reads` is the repair's
+// own work count per replay.
+void BM_QueryDistanceRepair(benchmark::State& state) {
+  RepairReplay r;
+  const LabeledGraph& g = r.f.pg.graph;
+  DistanceMap dl, dr;
+  std::vector<VertexId> changed;
+  std::uint64_t reads = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    BfsDistances(g, r.alive[0], r.f.q.ql, &dl);
+    BfsDistances(g, r.alive[0], r.f.q.qr, &dr);
+    reads = 0;
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < r.removed.size(); ++i) {
+      reads += UpdateDistancesAfterDeletion(g, r.alive[i + 1], r.removed[i], &dl, &changed);
+      reads += UpdateDistancesAfterDeletion(g, r.alive[i + 1], r.removed[i], &dr, &changed);
+    }
+    benchmark::DoNotOptimize(reads);
+  }
+  state.counters["batches"] = static_cast<double>(r.removed.size());
+  state.counters["adjacency_reads"] = static_cast<double>(reads);
+}
+BENCHMARK(BM_QueryDistanceRepair);
 
 void BM_SearchSingleDeletion(benchmark::State& state) {
   PeelFixture f;

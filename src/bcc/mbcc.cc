@@ -458,6 +458,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       if (opts.fast_query_distance) {
         for (std::size_t i = 0; i < m; ++i) {
           UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist[i], &changed);
+#if BCCS_DCHECK_IS_ON
+          // Debug-level audit (DESIGN.md contract 9).
+          AuditDistanceMap(g, cand.alive(), q.vertices[i], *dist[i]);
+#endif
           for (VertexId v : changed) {
             if (cand.IsAlive(v)) queue.Update(v, query_distance(v));
           }

@@ -326,6 +326,12 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
       if (opts.fast_query_distance) {
         UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist_l, &changed_l);
         UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist_r, &changed_r);
+#if BCCS_DCHECK_IS_ON
+        // Debug-level audit (DESIGN.md contract 9): repaired distances and
+        // support counts must match a fresh BFS after every round.
+        AuditDistanceMap(g, cand.alive(), q.ql, *dist_l);
+        AuditDistanceMap(g, cand.alive(), q.qr, *dist_r);
+#endif
         for (VertexId v : changed_l) {
           if (cand.IsAlive(v)) queue.Update(v, QueryDistance(dist_l->Get(v), dist_r->Get(v)));
         }

@@ -16,9 +16,9 @@ namespace bccs {
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                   std::vector<std::uint32_t>* dist);
 
-/// Workspace variant: starts a fresh epoch on `dm` (O(touched) of the
-/// previous use) and fills it with the same distances, maintaining the
-/// per-level buckets the incremental repair and the peel queue consume.
+/// Workspace variant: starts a fresh epoch on `dm` (O(1)) and fills it with
+/// the same distances plus each reached vertex's support count (alive
+/// neighbours one level closer), which the repair below maintains.
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                   DistanceMap* dm);
 
@@ -29,20 +29,34 @@ void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexI
 ///
 /// Only vertices with dist > d_min can change, and they can only move
 /// farther; they are re-reached by a multi-source BFS from the unchanged
-/// d_min level set. Unreached vertices become kInfDistance.
+/// d_min level set. Unreached vertices become kInfDistance. This is the
+/// paper-literal reference the DistanceMap repair is tested against.
 void UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vector<char>& alive,
                                   std::span<const VertexId> removed,
                                   std::vector<std::uint32_t>* dist);
 
-/// Bucketed workspace variant: finds the stale set {v alive : dist(v) >
-/// d_min} by walking the distance buckets above d_min instead of scanning
-/// all n vertices, so a repair costs O(vertices at distance > d_min + edges
-/// re-traversed). Every vertex whose distance may have changed (the stale
-/// set) is appended to `changed` (cleared first); the removed vertices
-/// themselves are not reported. Values are identical to the legacy variant.
-void UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vector<char>& alive,
-                                  std::span<const VertexId> removed, DistanceMap* dm,
-                                  std::vector<VertexId>* changed);
+/// Support-counted decremental BFS (Even–Shiloach; Ramalingam–Reps): same
+/// distances as Algorithm 5, different work bound. Each removed vertex
+/// debits its children's support; a vertex left with none is orphaned and
+/// debits its own children. Only the orphans are re-reached, in level order
+/// from their non-orphaned neighbours, and their support is recounted. Cost
+/// O(Σdeg(removed) + Σdeg(orphans) + orphans·log orphans), independent of
+/// how much of the graph lies beyond d_min.
+///
+/// `changed` (cleared first) receives exactly the alive vertices whose
+/// distance changed (grew, possibly to kInfDistance); the removed vertices
+/// themselves are not reported. Returns the number of adjacency entries
+/// read, the repair's work measure.
+std::uint64_t UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vector<char>& alive,
+                                           std::span<const VertexId> removed, DistanceMap* dm,
+                                           std::vector<VertexId>* changed);
+
+/// Debug audit (DESIGN.md contract 9): `dm` must equal a fresh BFS from
+/// `source` over `alive`, and every reachable non-source vertex's support
+/// must equal its number of alive neighbours one level closer. Fails a
+/// BCCS_DCHECK otherwise; a no-op when DCHECKs are compiled out.
+void AuditDistanceMap(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
+                      const DistanceMap& dm);
 
 }  // namespace bccs
 

@@ -122,30 +122,28 @@ class ScratchPool {
   std::uint64_t acquires_ = 0;
 };
 
-/// Epoch-stamped single-source distance array with per-level buckets.
+/// Epoch-stamped single-source BFS state: per vertex, its distance and its
+/// *support*, the number of alive neighbours exactly one level closer to the
+/// source. The source counts one virtual parent, so during a repair support
+/// 0 means "no shortest path left".
 ///
-/// Reset() starts a new epoch in O(1) on the stamp array (plus clearing the
-/// buckets used by the previous query, O(entries pushed)); entries whose
-/// stamp is stale read as kInfDistance. Every finite Set(v, d) also queues v
-/// in bucket d, which is what lets the Algorithm 5 repair find the stale set
-/// {v : dist(v) > d_min} in time proportional to its size instead of
-/// scanning all n vertices.
+/// Reset() starts a new epoch in O(1); entries whose stamp is stale read as
+/// kInfDistance with support 0. The support counts are what let the
+/// decremental repair (UpdateDistancesAfterDeletion) find exactly the
+/// vertices whose distance changed without revisiting the others.
 class DistanceMap {
  public:
   void Reset(std::size_t n) {
-    if (dist_.size() < n) {
+    if (slots_.size() < n) {
       ++bulk_inits_;
-      dist_.resize(n, 0);
-      stamp_.resize(n, 0);
+      slots_.resize(n);
     }
-    for (std::uint32_t d = 0; d < buckets_.size() && d <= max_level_; ++d) buckets_[d].clear();
-    max_level_ = 0;
     if (++epoch_ == 0) {
       // Stamp wrap-around: without this bulk re-init, entries stamped in the
       // old epoch 0 would read as fresh again. The O(n) fill is counted as a
       // bulk init (it happens once per 2^32 resets).
       ++bulk_inits_;
-      std::fill(stamp_.begin(), stamp_.end(), 0);
+      for (Slot& s : slots_) s.stamp = 0;
       epoch_ = 1;
     }
     ++resets_;
@@ -155,43 +153,48 @@ class DistanceMap {
   /// the uint32 wrap path.
   void ForceEpochWrapForTest() { epoch_ = std::numeric_limits<std::uint32_t>::max(); }
 
-  std::uint32_t Get(VertexId v) const { return stamp_[v] == epoch_ ? dist_[v] : kInfDistance; }
-
-  void Set(VertexId v, std::uint32_t d) {
-    stamp_[v] = epoch_;
-    dist_[v] = d;
-    if (d == kInfDistance) return;
-    if (d >= buckets_.size()) buckets_.resize(d + 1);
-    buckets_[d].push_back(v);
-    if (d > max_level_) max_level_ = d;
+  std::uint32_t Get(VertexId v) const {
+    const Slot& s = slots_[v];
+    return s.stamp == epoch_ ? s.dist : kInfDistance;
+  }
+  std::uint32_t Support(VertexId v) const {
+    const Slot& s = slots_[v];
+    return s.stamp == epoch_ ? s.support : 0;
   }
 
-  void SetUnreachable(VertexId v) {
-    stamp_[v] = epoch_;
-    dist_[v] = kInfDistance;
+  void Set(VertexId v, std::uint32_t d, std::uint32_t support) {
+    slots_[v] = Slot{epoch_, d, support};
+  }
+  void SetUnreachable(VertexId v) { Set(v, kInfDistance, 0); }
+
+  void AddSupport(VertexId v) {
+    BCCS_DCHECK_EQ(slots_[v].stamp, epoch_);
+    ++slots_[v].support;
+  }
+  /// Debits one parent; true when v has none left (v is orphaned).
+  bool DropSupport(VertexId v) {
+    BCCS_DCHECK_EQ(slots_[v].stamp, epoch_);
+    BCCS_DCHECK_GT(slots_[v].support, 0u) << "support underflow at vertex " << v;
+    return --slots_[v].support == 0;
   }
 
-  /// Highest bucket index that may hold live entries this epoch.
-  std::uint32_t max_level() const { return max_level_; }
-  /// Shrinks the live-level bound after a repair emptied the upper levels.
-  void set_max_level(std::uint32_t d) { max_level_ = d; }
-
-  /// Vertices ever assigned distance `d` this epoch (may contain stale
-  /// entries for vertices that have since moved; validate with Get).
-  std::vector<VertexId>& bucket(std::uint32_t d) {
-    if (d >= buckets_.size()) buckets_.resize(d + 1);
-    return buckets_[d];
-  }
+  /// BFS queue scratch (capacity persists across epochs).
+  std::vector<VertexId>& queue() { return queue_; }
 
   std::uint64_t bulk_inits() const { return bulk_inits_; }
   std::uint64_t resets() const { return resets_; }
 
  private:
+  // One record per vertex so a BFS probe touches one cache line.
+  struct Slot {
+    std::uint32_t stamp = 0;
+    std::uint32_t dist = 0;
+    std::uint32_t support = 0;
+  };
+
   std::uint32_t epoch_ = 0;
-  std::uint32_t max_level_ = 0;
-  std::vector<std::uint32_t> dist_;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::vector<VertexId>> buckets_;
+  std::vector<Slot> slots_;
+  std::vector<VertexId> queue_;
   std::uint64_t bulk_inits_ = 0;
   std::uint64_t resets_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "bcc/query_distance.h"
 
+#include <algorithm>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -75,6 +76,25 @@ TEST(FastQueryDistanceTest, PaperTable2) {
   for (VertexId v : {f.v1, f.v3, f.u5}) EXPECT_EQ(dr[v], 2u);
   for (VertexId v : {f.ql, f.v2, f.u6, f.u4, f.u7}) EXPECT_EQ(dr[v], 3u);
   EXPECT_EQ(dr[f.u9], kInfDistance);
+
+  // The support-counted DistanceMap repair gives the same rows and reports
+  // exactly the moved vertices: u4 and u7 for q_r, none for q_l.
+  const std::vector<char> all_alive(g.NumVertices(), 1);
+  DistanceMap ml, mr;
+  BfsDistances(g, all_alive, f.ql, &ml);
+  BfsDistances(g, all_alive, f.qr, &mr);
+  std::vector<VertexId> changed_l, changed_r;
+  UpdateDistancesAfterDeletion(g, alive, removed, &ml, &changed_l);
+  UpdateDistancesAfterDeletion(g, alive, removed, &mr, &changed_r);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    EXPECT_EQ(ml.Get(v), dl[v]) << "q_l row, vertex " << v;
+    EXPECT_EQ(mr.Get(v), dr[v]) << "q_r row, vertex " << v;
+  }
+  EXPECT_TRUE(changed_l.empty());
+  std::vector<VertexId> expected_r = {f.u4, f.u7};
+  std::sort(expected_r.begin(), expected_r.end());
+  std::sort(changed_r.begin(), changed_r.end());
+  EXPECT_EQ(changed_r, expected_r);
 }
 
 class FastQueryDistancePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -16,7 +16,7 @@
 namespace bccs {
 namespace {
 
-using testing::MakePath;
+using testing::MakeCycle;
 using testing::MakeRandomGraph;
 
 std::vector<std::uint32_t> Materialize(const DistanceMap& dm, std::size_t n) {
@@ -42,8 +42,21 @@ TEST(ScratchPoolTest, ReusesBuffersWithoutBulkInits) {
   pool.ReleaseClean(std::move(c));
 }
 
+// Support(v) must count v's alive neighbours exactly one level closer to
+// the source, for every reachable non-source vertex.
+void ExpectSupportCounts(const LabeledGraph& g, const std::vector<char>& alive,
+                         VertexId source, const DistanceMap& dm) {
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const std::uint32_t d = dm.Get(v);
+    if (!alive[v] || v == source || d == kInfDistance) continue;
+    std::uint32_t parents = 0;
+    for (VertexId u : g.Neighbors(v)) parents += alive[u] && dm.Get(u) + 1 == d;
+    EXPECT_EQ(dm.Support(v), parents) << "vertex " << v;
+  }
+}
+
 TEST(DistanceMapTest, MatchesLegacyBfs) {
-  LabeledGraph g = MakePath(6);
+  LabeledGraph g = MakeCycle(6);
   std::vector<char> alive(6, 1);
   alive[4] = 0;
   std::vector<std::uint32_t> legacy;
@@ -51,41 +64,107 @@ TEST(DistanceMapTest, MatchesLegacyBfs) {
   DistanceMap dm;
   BfsDistances(g, alive, 1, &dm);
   EXPECT_EQ(Materialize(dm, 6), legacy);
-  // Bucket sanity: level sets match the distances.
-  for (std::uint32_t d = 0; d <= dm.max_level(); ++d) {
-    for (VertexId v : dm.bucket(d)) EXPECT_EQ(dm.Get(v), d);
+  ExpectSupportCounts(g, alive, 1, dm);
+  EXPECT_EQ(dm.Support(1), 1u);  // the source's virtual parent
+
+  // A vertex with two shortest-path parents: on the full 6-cycle, 4 is
+  // reached from 1 through both 3 and 5.
+  alive[4] = 1;
+  BfsDistances(g, alive, 1, &dm);
+  EXPECT_EQ(dm.Get(4), 3u);
+  EXPECT_EQ(dm.Support(4), 2u);
+  ExpectSupportCounts(g, alive, 1, dm);
+}
+
+// Random G(60, 0.08) with a 12-vertex tree hanging off vertex `hinge`, so
+// cut vertices (whose removal strands a subtree) always exist.
+LabeledGraph MakeRandomGraphWithPendantTree(std::uint64_t seed, VertexId hinge) {
+  constexpr std::size_t kCore = 60, kTree = 12;
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution coin(0.08);
+  std::vector<Edge> edges;
+  for (VertexId i = 0; i < kCore; ++i) {
+    for (VertexId j = i + 1; j < kCore; ++j) {
+      if (coin(rng)) edges.push_back({i, j});
+    }
   }
+  for (VertexId i = 0; i < kTree; ++i) {
+    const VertexId parent = i == 0 ? hinge : static_cast<VertexId>(kCore + rng() % i);
+    edges.push_back({parent, static_cast<VertexId>(kCore + i)});
+  }
+  std::vector<Label> labels(kCore + kTree);
+  for (VertexId v = 0; v < labels.size(); ++v) labels[v] = static_cast<Label>(v % 2);
+  return LabeledGraph::FromEdges(kCore + kTree, std::move(edges), std::move(labels));
 }
 
 TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
-  // The issue's equivalence requirement: after every deletion batch, the
-  // bucketed incremental repair must equal both the legacy repair and a
-  // fresh BFS over the surviving subgraph.
+  // After every deletion batch, the support-counted repair must equal both
+  // the paper-literal Algorithm 5 repair and a fresh BFS over the surviving
+  // subgraph, report exactly the vertices whose distance moved, and leave
+  // every support count exact. Rounds cycle through three batch shapes:
+  // random vertices, a parent-child pair on consecutive levels, and a cut
+  // vertex whose removal sends a subtree to kInfDistance.
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    LabeledGraph g = MakeRandomGraph(60, 0.08, 2, seed);
-    const std::size_t n = g.NumVertices();
     std::mt19937_64 rng(seed * 97 + 13);
+    LabeledGraph g = MakeRandomGraphWithPendantTree(seed, static_cast<VertexId>(rng() % 60));
+    const std::size_t n = g.NumVertices();
     std::vector<char> alive(n, 1);
-    VertexId source = static_cast<VertexId>(rng() % n);
+    VertexId source = 0;
+    do {
+      source = static_cast<VertexId>(rng() % 60);
+    } while (g.Neighbors(source).empty());
 
     std::vector<std::uint32_t> legacy;
     BfsDistances(g, alive, source, &legacy);
     DistanceMap dm;
     BfsDistances(g, alive, source, &dm);
     ASSERT_EQ(Materialize(dm, n), legacy);
+    ExpectSupportCounts(g, alive, source, dm);
+
+    auto strands_someone = [&](VertexId c) {
+      alive[c] = 0;
+      std::vector<std::uint32_t> without;
+      BfsDistances(g, alive, source, &without);
+      alive[c] = 1;
+      for (VertexId v = 0; v < n; ++v) {
+        if (v != c && legacy[v] != kInfDistance && without[v] == kInfDistance) return true;
+      }
+      return false;
+    };
 
     std::vector<VertexId> changed;
+    int cut_batches = 0, chain_batches = 0;
     for (int round = 0; round < 12; ++round) {
-      // Random non-source deletion batch of 1-4 alive vertices.
       std::vector<VertexId> batch;
-      for (int t = 0; t < 8 && batch.size() < 4; ++t) {
+      const VertexId start = static_cast<VertexId>(rng() % n);
+      for (VertexId i = 0; i < n && batch.empty(); ++i) {
+        const VertexId v = static_cast<VertexId>((start + i) % n);
+        if (v == source || !alive[v] || legacy[v] == kInfDistance) continue;
+        if (round % 3 == 1) {
+          for (VertexId w : g.Neighbors(v)) {
+            if (w != source && alive[w] && legacy[w] == legacy[v] + 1) {
+              batch = {v, w};
+              ++chain_batches;
+              break;
+            }
+          }
+        } else if (round % 3 == 2 && strands_someone(v)) {
+          batch = {v};
+          ++cut_batches;
+        }
+      }
+      // Random non-source vertices: the whole batch in round-shape 0, one
+      // extra vertex on top of the shaped batches otherwise.
+      for (int t = 0; t < 8 && batch.size() < (round % 3 == 0 ? 4u : 3u); ++t) {
         VertexId v = static_cast<VertexId>(rng() % n);
         if (v == source || !alive[v]) continue;
         if (std::find(batch.begin(), batch.end(), v) == batch.end()) batch.push_back(v);
+        if (round % 3 != 0) break;
       }
       if (batch.empty()) break;
       for (VertexId v : batch) alive[v] = 0;
 
+      const std::vector<std::uint32_t> before = legacy;
       UpdateDistancesAfterDeletion(g, alive, batch, &legacy);
       UpdateDistancesAfterDeletion(g, alive, batch, &dm, &changed);
       ASSERT_EQ(Materialize(dm, n), legacy) << "seed " << seed << " round " << round;
@@ -93,15 +172,18 @@ TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
       std::vector<std::uint32_t> fresh;
       BfsDistances(g, alive, source, &fresh);
       ASSERT_EQ(Materialize(dm, n), fresh) << "seed " << seed << " round " << round;
+      ExpectSupportCounts(g, alive, source, dm);
 
-      // The changed list must cover every vertex whose value differs from
-      // the previous round (the engine relies on this for queue updates).
-      // It may conservatively include vertices repaired back to the same
-      // value; both are fine — verified implicitly by the engine tests.
-      for (VertexId v : changed) {
-        EXPECT_TRUE(alive[v]);
+      // `changed` is exactly the alive vertices whose distance moved.
+      std::vector<VertexId> moved;
+      for (VertexId v = 0; v < n; ++v) {
+        if (alive[v] && before[v] != legacy[v]) moved.push_back(v);
       }
+      std::sort(changed.begin(), changed.end());
+      EXPECT_EQ(changed, moved) << "seed " << seed << " round " << round;
     }
+    EXPECT_GT(chain_batches, 0) << "seed " << seed;
+    EXPECT_GT(cut_batches, 0) << "seed " << seed;
   }
 }
 
@@ -151,7 +233,7 @@ TEST(PeelQueueTest, PopsFarthestAndKeepsQueries) {
 TEST(DistanceMapTest, EpochWrapDoesNotResurrectStaleEntries) {
   DistanceMap dm;
   dm.Reset(8);  // epoch 1
-  dm.Set(5, 3);
+  dm.Set(5, 3, 1);
   dm.SetUnreachable(6);
   ASSERT_EQ(dm.Get(5), 3u);
 
@@ -159,17 +241,19 @@ TEST(DistanceMapTest, EpochWrapDoesNotResurrectStaleEntries) {
   // wrap re-init, vertex 5's stamp (from the early epoch 1) would collide
   // with the post-wrap epoch and its stale distance would read as fresh.
   dm.ForceEpochWrapForTest();
-  dm.Set(2, 7);  // stamped at the maximum epoch value
+  dm.Set(2, 7, 1);  // stamped at the maximum epoch value
   const std::uint64_t inits_before = dm.bulk_inits();
   dm.Reset(8);  // wraps: must bulk re-init the stamps
   EXPECT_EQ(dm.bulk_inits(), inits_before + 1);
   EXPECT_EQ(dm.Get(2), kInfDistance);
   EXPECT_EQ(dm.Get(5), kInfDistance);
   EXPECT_EQ(dm.Get(6), kInfDistance);
+  EXPECT_EQ(dm.Support(5), 0u);
 
   // The wrapped epoch works like any other.
-  dm.Set(5, 1);
+  dm.Set(5, 1, 1);
   EXPECT_EQ(dm.Get(5), 1u);
+  EXPECT_EQ(dm.Support(5), 1u);
   EXPECT_EQ(dm.Get(2), kInfDistance);
   dm.Reset(8);
   EXPECT_EQ(dm.Get(5), kInfDistance);

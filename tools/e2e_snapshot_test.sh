@@ -140,9 +140,9 @@ printf '%s %s interactive\n%s %s bulk\n%s %s\n' \
   "$q1" "$q2" "$q2" "$q1" "$q1" "$q2" > "$tmp/lanes.txt"
 lanes_out="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
   --threads 2 --deadline-ms 10000 --lane bulk)"
-echo "$lanes_out" | grep -q "lane interactive" || fail "no interactive lane summary"
-echo "$lanes_out" | grep -q "lane bulk" || fail "no bulk lane summary"
-echo "$lanes_out" | grep -q "0 timed out" || fail "generous deadline timed out"
+grep -q "lane interactive" <<< "$lanes_out" || fail "no interactive lane summary"
+grep -q "lane bulk" <<< "$lanes_out" || fail "no bulk lane summary"
+grep -q "0 timed out" <<< "$lanes_out" || fail "generous deadline timed out"
 
 # Approx batches: same seed => identical answers across thread counts.
 approx_1="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
@@ -192,8 +192,9 @@ approx_rec="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.tx
 
 # The batch summary carries the per-phase breakdown including the delta
 # counter's time and round counters.
-"$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" --threads 1 \
-  | grep -q '^phases: .*delta=' || fail "no per-phase breakdown in batch output"
+phases_out="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
+  --threads 1)"
+grep -q '^phases: .*delta=' <<< "$phases_out" || fail "no per-phase breakdown in batch output"
 
 # --- Dynamic graphs: delta log + --updates-file -----------------------------
 
@@ -285,16 +286,16 @@ fi
 
 ac1_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
   --auto-compact 1)" || fail "first --auto-compact update failed"
-echo "$ac1_out" | grep -q "compacted" && fail "auto-compact fired below the threshold"
+grep -q "compacted" <<< "$ac1_out" && fail "auto-compact fired below the threshold"
 ac2_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac2.txt" \
   --auto-compact 1)" || fail "second --auto-compact update failed"
-echo "$ac2_out" | grep -q "compacted snapshot (auto)" \
+grep -q "compacted snapshot (auto)" <<< "$ac2_out" \
   || fail "auto-compact did not fire above the threshold"
 # The folded snapshot has an empty log chain and serves the delete+insert
 # round trip (== g2) correctly.
 ac3_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
   --auto-compact 8)" || fail "post-compaction update failed"
-echo "$ac3_out" | grep -q "0 delta blocks" \
+grep -q "0 delta blocks" <<< "$ac3_out" \
   || fail "auto-compacted snapshot still reports delta blocks"
 
 # --- Streaming serve loop: bccs_serve ---------------------------------------
@@ -306,11 +307,11 @@ printf 'q %s %s interactive\nu - %s %s\nq %s %s bulk\nq %s %s\n' \
   "$q1" "$q2" "$eu" "$ev" "$q1" "$q2" "$q2" "$q1" > "$tmp/stream.txt"
 serve_out="$("$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" \
   --threads 2 --bulk-cap 1)" || fail "bccs_serve failed"
-echo "$serve_out" | grep -q '^\[0\] epoch=1 query' || fail "pre-update query not in epoch 1"
-echo "$serve_out" | grep -q '^\[1\] epoch=2 update -' || fail "update did not publish epoch 2"
-echo "$serve_out" | grep -q '^\[2\] epoch=2 query' || fail "post-update query not in epoch 2"
-echo "$serve_out" | grep -q 'final epoch 2' || fail "final epoch wrong"
-echo "$serve_out" | grep -q 'lane interactive' || fail "no interactive lane summary"
+grep -q '^\[0\] epoch=1 query' <<< "$serve_out" || fail "pre-update query not in epoch 1"
+grep -q '^\[1\] epoch=2 update -' <<< "$serve_out" || fail "update did not publish epoch 2"
+grep -q '^\[2\] epoch=2 query' <<< "$serve_out" || fail "post-update query not in epoch 2"
+grep -q 'final epoch 2' <<< "$serve_out" || fail "final epoch wrong"
+grep -q 'lane interactive' <<< "$serve_out" || fail "no interactive lane summary"
 
 # The post-update answer equals serving the updated text graph directly.
 serve_members="$(echo "$serve_out" | sed -n 's/^\[2\].*-> \([0-9]*\) members.*/\1/p')"
@@ -347,7 +348,7 @@ cached_members="$(printf '%s\n' "$cached_out" \
   | sed -n 's/^\[2\].*-> \([0-9]*\) members.*/\1/p')"
 [ "$cached_members" = "$serve_members" ] \
   || fail "cached streamed answer differs: $cached_members vs $serve_members"
-printf '%s\n' "$cached_out" | grep -q "^cache: result " \
+grep -q "^cache: result " <<< "$cached_out" \
   || fail "cached bccs_serve printed no cache summary"
 
 # bccs_serve takes the flag matrix too: a per-round-recount serve run must
@@ -395,10 +396,10 @@ printf 'ping\nq %s %s interactive id=1\nu - %s %s id=2\nq %s %s id=3\nquit\n' \
   "$q1" "$q2" "$eu" "$ev" "$q1" "$q2" >&9
 net_resp="$(timeout 60 cat <&9)" || fail "no response from the socket server"
 exec 9<&- 9>&- || true
-echo "$net_resp" | grep -q '^pong$' || fail "no pong: $net_resp"
-echo "$net_resp" | grep -q '^ok 1 q epoch=1 ' || fail "pre-update query wrong: $net_resp"
-echo "$net_resp" | grep -q '^ok 2 u epoch=2 +0 -1$' || fail "update ack wrong: $net_resp"
-echo "$net_resp" | grep -q '^ok 3 q epoch=2 ' || fail "post-update query wrong: $net_resp"
+grep -q '^pong$' <<< "$net_resp" || fail "no pong: $net_resp"
+grep -q '^ok 1 q epoch=1 ' <<< "$net_resp" || fail "pre-update query wrong: $net_resp"
+grep -q '^ok 2 u epoch=2 +0 -1$' <<< "$net_resp" || fail "update ack wrong: $net_resp"
+grep -q '^ok 3 q epoch=2 ' <<< "$net_resp" || fail "post-update query wrong: $net_resp"
 # The post-update community size equals querying the updated text graph.
 net_members="$(echo "$net_resp" | sed -n 's/^ok 3 q epoch=2 n=\([0-9]*\) .*/\1/p')"
 [ "$net_members" = "$graph_members" ] \
@@ -411,7 +412,7 @@ exec 9<>"/dev/tcp/127.0.0.1/$net_port" || fail "cannot reconnect"
 printf 'u - %s %s id=2\nquit\n' "$eu" "$ev" >&9
 retry_resp="$(timeout 60 cat <&9)" || fail "no response to the retried update"
 exec 9<&- 9>&- || true
-echo "$retry_resp" | grep -q '^ok 2 u epoch=2 +0 -1$' \
+grep -q '^ok 2 u epoch=2 +0 -1$' <<< "$retry_resp" \
   || fail "retried update id was not replayed: $retry_resp"
 
 # SIGTERM: drain admitted items, flush tails, exit 0 with the summaries.
@@ -438,14 +439,14 @@ printf 'u - %s %s\nq %s %s\n' "$eu" "$ev" "$q1" "$q2" > "$tmp/dstream.txt"
 dur_out="$("$bin/bccs_serve" --index-file "$tmp/g4.snap" --stream "$tmp/dstream.txt" \
   --fsync every-append --segment-blocks 1 --threads 2)" \
   || fail "durable bccs_serve failed"
-echo "$dur_out" | grep -q 'durable: 1 updates appended' \
+grep -q 'durable: 1 updates appended' <<< "$dur_out" \
   || fail "durable serve summary missing"
 ls "$tmp"/g4.snap.log.* >/dev/null 2>&1 || fail "no changelog segment written"
 
 printf 'q %s %s\n' "$q1" "$q2" > "$tmp/dstream2.txt"
 re_out="$("$bin/bccs_serve" --index-file "$tmp/g4.snap" --stream "$tmp/dstream2.txt" \
   --threads 1)" || fail "restart bccs_serve failed"
-echo "$re_out" | grep -q 'recovery: 1 updates replayed' \
+grep -q 'recovery: 1 updates replayed' <<< "$re_out" \
   || fail "restart did not replay the changelog"
 re_members="$(echo "$re_out" | sed -n 's/^\[0\].*-> \([0-9]*\) members.*/\1/p')"
 [ "$re_members" = "$graph_members" ] \
