@@ -723,18 +723,6 @@ std::optional<RecoveredSnapshot> OpenSnapshotWithChangelog(
   auto bundle = LoadSnapshot(path, error, load_opts);
   if (!bundle) return std::nullopt;
 
-  // Repair the in-file delta chain's torn tail physically — appends (and
-  // offline tools) must find the file ending at the last durable block.
-  if (bundle->delta_log_torn_bytes > 0) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, bundle->delta_log_valid_bytes, ec);
-    if (ec) {
-      if (error != nullptr) *error = "cannot truncate torn snapshot delta tail of " + path;
-      return std::nullopt;
-    }
-    if (!FsyncFile(path, error)) return std::nullopt;
-  }
-
   RecoveredSnapshot out;
   out.log = Changelog::Open(path, bundle->base_changelog_seq, opts, &out.status, error);
   if (out.log == nullptr) return std::nullopt;

@@ -26,7 +26,7 @@ namespace bccs {
 /// the offending update's index) and normalizes it into the *net* toggle
 /// set: each edge appears at most once, as an insert of an edge absent from
 /// the base or a delete of an edge present in it. Downstream consumers
-/// (BcIndex::ApplyUpdates, the snapshot delta-log replay) therefore never
+/// (BcIndex::ApplyUpdates, the snapshot changelog replay) therefore never
 /// see the same edge twice in one batch.
 ///
 /// Edge updates never change the vertex set or the labeling, so

@@ -7,13 +7,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "graph/changelog.h"
 #include "graph/fnv1a64.h"
+#include "graph/graph_delta.h"
 #include "graph/posix_io.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -118,29 +119,9 @@ struct SnapshotPairEntry {
 };
 static_assert(sizeof(SnapshotPairEntry) == 48, "pair entry layout drifted");
 
-// --- Delta log (appended after the payload; see the header layout note in
-// snapshot.h). Blocks are 8-byte aligned: the payload ends on an 8-byte
-// boundary and both records are multiples of 8 bytes.
-
-constexpr char kDeltaMagicBytes[8] = {'B', 'C', 'C', 'S', 'D', 'L', 'T', '1'};
-
-struct DeltaBlockHeader {
-  char magic[8];
-  std::uint32_t count;     // entries in this block
-  std::uint32_t reserved;  // zero
-  std::uint64_t source_graph_size;      // effective source identity once this
-  std::uint64_t source_graph_mtime_ns;  // block is replayed; 0/0 = unknown
-  std::uint64_t entries_checksum;       // FNV-1a64 of the entry bytes
-};
-static_assert(sizeof(DeltaBlockHeader) == 40, "delta block header layout drifted");
-
-struct DeltaEntry {
-  std::uint32_t kind;  // 0 = insert, 1 = delete
-  std::uint32_t u;
-  std::uint32_t v;
-  std::uint32_t reserved;  // zero
-};
-static_assert(sizeof(DeltaEntry) == 16, "delta entry layout drifted");
+// Magic of the in-file delta chain older writers appended after the
+// payload. Only recognized, to name the remedy when such a file is loaded.
+constexpr char kLegacyDeltaMagic[8] = {'B', 'C', 'C', 'S', 'D', 'L', 'T', '1'};
 
 constexpr std::size_t Align(std::size_t offset) {
   return (offset + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
@@ -549,68 +530,31 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
                 " bytes, file has " + std::to_string(file->size));
   }
 
-  // Bytes past the payload must form a valid delta-log chain (see
-  // snapshot.h). A torn TAIL — a crash mid-append left a prefix of a block
-  // at end-of-file — is tolerated: the complete blocks before it replay,
-  // and the torn byte count is reported in the bundle. Trailing bytes that
-  // are not even a prefix of a block (wrong magic, a checksum mismatch on a
-  // block that is NOT the last) are foreign corruption and still rejected.
-  // The chain is parsed before the payload work so the staleness check
-  // below can compare against the file's EFFECTIVE stamp (last block wins).
-  std::vector<EdgeUpdate> replay;
-  std::size_t delta_blocks = 0;
-  SourceGraphInfo effective{header.source_graph_size, header.source_graph_mtime_ns};
-  std::size_t valid_end = expected_size;
-  for (std::size_t off = expected_size; off < file->size;) {
-    const std::size_t remaining = file->size - off;
-    const std::size_t magic_prefix = std::min(remaining, sizeof(kDeltaMagicBytes));
-    if (std::memcmp(file->data + off, kDeltaMagicBytes, magic_prefix) != 0) {
-      return fail("trailing bytes are not a snapshot delta log");
+  // The file ends where the payload does: updates live in the changelog
+  // beside it. Older writers appended a delta-block chain here; name it so
+  // the operator knows how to migrate rather than suspecting corruption.
+  if (file->size > expected_size) {
+    const std::size_t trailing = file->size - expected_size;
+    if (trailing >= sizeof(kLegacyDeltaMagic) &&
+        std::memcmp(file->data + expected_size, kLegacyDeltaMagic,
+                    sizeof(kLegacyDeltaMagic)) == 0) {
+      return fail("legacy in-file delta chain after the snapshot payload (no longer "
+                  "read): rebuild the snapshot with bccs_build from the text graph, or "
+                  "fold it with a bccs_update --compact from a release that still reads "
+                  "delta chains");
     }
-    if (remaining < sizeof(DeltaBlockHeader)) break;  // torn mid-header
-    DeltaBlockHeader block;
-    std::memcpy(&block, file->data + off, sizeof(block));
-    const std::size_t body_off = off + sizeof(block);
-    if (block.count > (file->size - body_off) / sizeof(DeltaEntry)) {
-      break;  // torn mid-entries
-    }
-    const auto entries = SectionView<DeltaEntry>(*file, body_off, block.count);
-    const std::size_t block_end = body_off + block.count * sizeof(DeltaEntry);
-    if (opts.verify_checksum) {
-      Fnv1a64 checksum;
-      checksum.Update(entries.data(), entries.size_bytes());
-      if (checksum.Digest() != block.entries_checksum) {
-        // A corrupt LAST block is indistinguishable from a torn append that
-        // stopped inside the entries of a block whose header claimed more:
-        // recoverable. Anywhere else it is corruption of settled data.
-        if (block_end >= file->size) break;
-        return fail("snapshot delta block checksum mismatch");
-      }
-    }
-    for (const DeltaEntry& e : entries) {
-      if (e.kind > 1) return fail("corrupt snapshot delta entry: unknown kind");
-      EdgeUpdate u;
-      u.kind = e.kind == 0 ? EdgeUpdateKind::kInsert : EdgeUpdateKind::kDelete;
-      u.edge = {e.u, e.v};
-      replay.push_back(u);
-    }
-    effective = SourceGraphInfo{block.source_graph_size, block.source_graph_mtime_ns};
-    ++delta_blocks;
-    off = block_end;
-    valid_end = off;
+    return fail("trailing bytes after the snapshot payload (" + std::to_string(trailing) +
+                " bytes past offset " + std::to_string(expected_size) + ")");
   }
-  const std::size_t delta_log_valid_bytes = valid_end;
-  const std::uint64_t delta_log_torn_bytes = file->size - valid_end;
 
-  // Rotated changelog segments replay after the in-file chain (they are
-  // strictly newer: an append path never mixes the two forms — bccs_update
-  // switches to the changelog once segments exist).
+  // The changelog is scanned before the payload work so the staleness
+  // check below can compare against the EFFECTIVE stamp (last record wins).
+  SourceGraphInfo effective{header.source_graph_size, header.source_graph_mtime_ns};
   ChangelogReplay clog;
   if (opts.replay_changelog) {
     if (!ScanChangelog(path, header.base_changelog_seq, &clog, error)) {
       return std::nullopt;
     }
-    replay.insert(replay.end(), clog.updates.begin(), clog.updates.end());
     if (clog.has_stamp) effective = clog.effective;
   }
 
@@ -688,12 +632,8 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
   bundle.loaded_from_snapshot = true;
   bundle.mapped = file->mapped;
   bundle.snapshot_bytes = file->size;
-  bundle.delta_blocks = delta_blocks;
   bundle.base_changelog_seq = header.base_changelog_seq;
-  bundle.delta_log_valid_bytes = delta_log_valid_bytes;
-  bundle.delta_log_torn_bytes = delta_log_torn_bytes;
   bundle.changelog_segments = clog.segments;
-  bundle.changelog_updates = clog.updates.size();
   bundle.changelog_torn_bytes = clog.torn_tail_bytes;
   bundle.graph = SnapshotAccess::MakeGraph(offsets, adjacency, labels, label_offsets,
                                            label_members, header.max_degree, file);
@@ -738,120 +678,23 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
       bundle.graph.get(), SectionView<std::uint32_t>(*file, layout.coreness, n),
       SectionView<std::uint32_t>(*file, layout.max_core, num_labels), std::move(pairs));
 
-  // Replay the delta log onto the mapped state through the dynamic-graph
+  // Replay the changelog onto the mapped state through the dynamic-graph
   // layer. The updated graph shares the mapped label arrays (and keeps the
   // mapping alive); the index repair touches only the affected labels and
   // cached pairs.
-  if (!replay.empty()) {
+  if (!clog.updates.empty()) {
     std::string delta_err;
-    const auto delta = BuildGraphDelta(*bundle.graph, replay, &delta_err);
+    const auto delta = BuildGraphDelta(*bundle.graph, clog.updates, &delta_err);
     if (!delta) {
-      return fail("snapshot delta log does not apply to the stored graph: " + delta_err);
+      return fail("changelog replay does not apply to the stored graph: " + delta_err);
     }
     auto updated = std::make_shared<const LabeledGraph>(ApplyGraphDelta(*bundle.graph, *delta));
     auto repaired = bundle.index->ApplyUpdates(*updated, *delta);
     bundle.index = std::move(repaired);
     bundle.graph = std::move(updated);
-    bundle.replayed_updates = replay.size();
+    bundle.replayed_updates = clog.updates.size();
   }
   return bundle;
-}
-
-namespace internal {
-std::size_t g_append_fail_after_bytes_for_test = std::numeric_limits<std::size_t>::max();
-}  // namespace internal
-
-bool AppendDeltaBlock(const std::string& path, std::span<const EdgeUpdate> updates,
-                      const SourceGraphInfo& source, std::string* error, bool durable) {
-  if (updates.size() > std::numeric_limits<std::uint32_t>::max()) {
-    return IoFail(error, "delta block cannot hold more than 2^32-1 updates");
-  }
-  std::error_code ec;
-  const auto prior_size = std::filesystem::file_size(path, ec);
-  if (ec) return IoFail(error, "cannot stat " + path);
-  if (prior_size < sizeof(SnapshotHeader)) {
-    return IoFail(error, path + " is not a snapshot (smaller than the header)");
-  }
-  {
-    std::ifstream in(path, std::ios::binary);
-    char magic[8] = {};
-    if (!in.read(magic, sizeof(magic)) ||
-        std::memcmp(magic, kMagicBytes, sizeof(magic)) != 0) {
-      return IoFail(error, path + " is not a bccs snapshot");
-    }
-  }
-
-  std::vector<DeltaEntry> entries;
-  entries.reserve(updates.size());
-  for (const EdgeUpdate& u : updates) {
-    DeltaEntry e = {};
-    e.kind = u.kind == EdgeUpdateKind::kInsert ? 0 : 1;
-    e.u = u.edge.u;
-    e.v = u.edge.v;
-    entries.push_back(e);
-  }
-  Fnv1a64 checksum;
-  checksum.Update(entries.data(), entries.size() * sizeof(DeltaEntry));
-
-  DeltaBlockHeader block = {};
-  std::memcpy(block.magic, kDeltaMagicBytes, sizeof(block.magic));
-  block.count = static_cast<std::uint32_t>(entries.size());
-  block.source_graph_size = source.size_bytes;
-  block.source_graph_mtime_ns = source.mtime_ns;
-  block.entries_checksum = checksum.Digest();
-
-  // One contiguous buffer so the write is a single (interposable,
-  // injectable) syscall on the happy path.
-  std::vector<unsigned char> buf(sizeof(block) + entries.size() * sizeof(DeltaEntry));
-  std::memcpy(buf.data(), &block, sizeof(block));
-  if (!entries.empty()) {
-    std::memcpy(buf.data() + sizeof(block), entries.data(),
-                entries.size() * sizeof(DeltaEntry));
-  }
-
-  auto rollback = [&](const char* what) {
-    std::error_code rb_ec;
-    std::filesystem::resize_file(path, prior_size, rb_ec);
-    return IoFail(error, std::string(what) + " for " + path +
-                             (rb_ec ? " (and rollback failed: the file is now corrupt)"
-                                    : " (rolled back to the prior size)"));
-  };
-
-#if BCCS_HAVE_POSIX_IO
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) return IoFail(error, "cannot open " + path + " for appending");
-  const std::size_t inject = internal::g_append_fail_after_bytes_for_test;
-  if (inject < buf.size()) {
-    // Test seam: emulate a crash/ENOSPC after `inject` bytes of the block.
-    internal::FullWrite(fd, buf.data(), inject);
-    ::close(fd);
-    return rollback("append failed (injected write failure)");
-  }
-  bool ok = internal::FullWrite(fd, buf.data(), buf.size());
-  if (ok && durable) ok = ::fdatasync(fd) == 0;
-  if (::close(fd) != 0) ok = false;
-  if (!ok) return rollback("append failed");
-#else
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) return IoFail(error, "cannot open " + path + " for appending");
-  const std::size_t inject = internal::g_append_fail_after_bytes_for_test;
-  if (inject < buf.size()) {
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(inject));
-    out.flush();
-    out.close();
-    return rollback("append failed (injected write failure)");
-  }
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-  out.flush();
-  if (!out) {
-    out.close();
-    return rollback("append failed");
-  }
-  (void)durable;  // no fd to sync through on this fallback
-#endif
-  return true;
 }
 
 SnapshotBundle BuildSnapshotBundle(const LabeledGraph& g, const std::string& path,

@@ -5,20 +5,19 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "bcc/bc_index.h"
-#include "graph/graph_delta.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs {
 
-/// Persistent binary snapshots of a labeled graph plus its BcIndex, with an
-/// appendable edge-update delta log for dynamic graphs.
+/// Persistent binary snapshots of a labeled graph plus its BcIndex. Edge
+/// updates to a snapshot live beside it, in the rotated changelog
+/// (graph/changelog.h).
 ///
-/// A snapshot file is the version-3 payload followed by zero or more
-/// appended delta blocks:
+/// A snapshot file is the version-3 header followed by its payload, and
+/// nothing else:
 ///
 ///   [88-byte header]  magic "BCCSNAP1", format version (3), endian tag,
 ///                     array sizes, number of materialized pairs, max
@@ -35,13 +34,6 @@ namespace bccs {
 ///                     (one 48-byte entry per materialized butterfly pair),
 ///                     then each pair's chi values back to back, compacted
 ///                     over the two label groups
-///   [delta blocks]*   appended by AppendDeltaBlock (tools/bccs_update),
-///                     each: a 40-byte block header — magic "BCCSDLT1",
-///                     entry count, the source graph identity the snapshot
-///                     REPRESENTS once the block is replayed (the
-///                     "re-stamp"; the last block's stamp wins), FNV-1a64
-///                     checksum of the entries — followed by count 16-byte
-///                     entries {kind (0 insert / 1 delete), u, v, reserved}
 ///
 /// Every payload section starts on a 64-byte boundary, so after mmap() each
 /// array is cache-line aligned and can be used in place: LoadSnapshot
@@ -49,37 +41,27 @@ namespace bccs {
 /// (the only copied data are the per-pair chi arrays, which are
 /// re-scattered into dense vectors). On platforms without mmap — or with
 /// allow_mmap = false — the loader falls back to one read() of the file
-/// into an owned buffer and builds the same views over it. Delta blocks are
-/// 8-byte aligned (the payload ends on an 8-byte boundary and both delta
-/// records are multiples of 8), so the chain is parsed in place too.
+/// into an owned buffer and builds the same views over it.
 ///
-/// When delta blocks are present the loader replays them onto the mapped
-/// state through the dynamic-graph layer (BuildGraphDelta → ApplyGraphDelta
-/// → BcIndex::ApplyUpdates), so the bundle it returns is the *updated*
-/// graph and index: the label arrays stay zero-copy views over the mapping,
-/// the adjacency and the repaired index arrays are rebuilt in memory. The
-/// staleness check compares `expected_source` against the file's EFFECTIVE
-/// stamp — the last delta block's stamp when any block exists, the header's
-/// otherwise — which is what lets a snapshot whose base payload is stale
-/// keep serving after bccs_update appended the matching deltas.
-///
-/// Next to the in-file delta chain, a snapshot may be accompanied by
-/// rotated changelog segment files (`<path>.log.NNNNNN`, graph/changelog.h)
-/// — the crash-safe durability layer. LoadSnapshot replays them (read-only,
-/// after the in-file chain) with the same torn-tail tolerance recovery
-/// uses, so every consumer of a snapshot observes the durable state.
-///
-/// Torn tails are RECOVERED, not rejected: a crash mid-append leaves a
-/// prefix of a valid delta block at the end of the file, and the loader
-/// replays the complete blocks before it, reporting the torn byte count in
-/// the bundle (write-mode recovery — OpenSnapshotWithChangelog — truncates
-/// them physically). Trailing bytes that are NOT a prefix of a delta block
-/// are foreign garbage and still rejected.
+/// A snapshot may be accompanied by rotated changelog segment files
+/// (`<path>.log.NNNNNN`, graph/changelog.h) — the one update log.
+/// LoadSnapshot replays them read-only, with the same torn-tail tolerance
+/// recovery uses, through the dynamic-graph layer (BuildGraphDelta →
+/// ApplyGraphDelta → BcIndex::ApplyUpdates), so every consumer of a
+/// snapshot observes the durable state and the bundle it returns is the
+/// *updated* graph and index: the label arrays stay zero-copy views over
+/// the mapping, the adjacency and the repaired index arrays are rebuilt in
+/// memory. The staleness check compares `expected_source` against the
+/// EFFECTIVE stamp — the last replayed changelog record's stamp, else the
+/// header's — which is what lets a snapshot whose base payload is stale
+/// keep serving after bccs_update appended the matching records.
 ///
 /// Rejected inputs (truncated file, bad magic, wrong version or
-/// endianness, checksum mismatch in the payload or a non-tail block, stale
-/// effective source stamp, a delta log that does not apply to the stored
-/// graph) return std::nullopt with a human-readable reason.
+/// endianness, payload checksum mismatch, any bytes after the payload,
+/// stale effective source stamp, a changelog that is corrupt or does not
+/// apply to the stored graph) return std::nullopt with a human-readable
+/// reason. Trailing bytes that start with "BCCSDLT1" are an in-file delta
+/// chain from an older format; the reason says so and names the remedy.
 
 /// Bump when the on-disk layout changes; loaders reject other versions.
 /// v3 added the base-changelog-sequence watermark to the header (88 bytes,
@@ -117,32 +99,21 @@ struct SnapshotBundle {
   /// True when the bundle came from a snapshot file rather than a build.
   bool loaded_from_snapshot = false;
   /// True when the arrays are zero-copy views over an mmap'ed file (false
-  /// for the read() fallback and for built bundles). With a replayed delta
-  /// log, the label arrays remain mapped views; adjacency and index arrays
-  /// are rebuilt in memory.
+  /// for the read() fallback and for built bundles). With a replayed
+  /// changelog, the label arrays remain mapped views; adjacency and index
+  /// arrays are rebuilt in memory.
   bool mapped = false;
   /// Snapshot file size in bytes (0 for built bundles that failed to save).
   std::size_t snapshot_bytes = 0;
-  /// Delta-log updates replayed onto the loaded state (0 for a bare
+  /// Changelog updates replayed onto the loaded state (0 for a bare
   /// snapshot or a built bundle).
   std::size_t replayed_updates = 0;
-  /// Delta blocks in the file's log chain (what bccs_update --auto-compact
-  /// compares against its threshold).
-  std::size_t delta_blocks = 0;
   /// The header's changelog watermark: rotated segments with seq <= this
   /// are already folded into the payload (graph/changelog.h).
   std::uint64_t base_changelog_seq = 0;
-  /// Where the valid in-file delta chain ends, and how many torn bytes
-  /// follow it (0 = clean tail). The loader never mutates the file; a tool
-  /// that will append must truncate to delta_log_valid_bytes first (what
-  /// OpenSnapshotWithChangelog does).
-  std::size_t delta_log_valid_bytes = 0;
-  std::uint64_t delta_log_torn_bytes = 0;
-  /// Rotated-changelog replay: live segments scanned / updates replayed
-  /// from them (already included in replayed_updates), and tail bytes a
+  /// Rotated-changelog replay: live segments scanned, and tail bytes a
   /// crash tore off (tolerated, not replayed).
   std::size_t changelog_segments = 0;
-  std::size_t changelog_updates = 0;
   std::uint64_t changelog_torn_bytes = 0;
 };
 
@@ -155,12 +126,12 @@ struct SnapshotLoadOptions {
   bool allow_mmap = true;
   /// When Known(), reject snapshots whose stamped source-graph identity is
   /// also known and differs ("stale snapshot"). Snapshots stamped as
-  /// unknown skip the check. The comparison uses the file's EFFECTIVE
-  /// stamp: the last replayed delta block / changelog record wins.
+  /// unknown skip the check. The comparison uses the EFFECTIVE stamp: the
+  /// last replayed changelog record's, else the header's.
   SourceGraphInfo expected_source;
   /// Replay rotated changelog segments (`<path>.log.NNNNNN`) on top of the
-  /// payload + in-file chain. Disable only to inspect the bare base state
-  /// (the recovery-time bench does, to separate base load from replay).
+  /// payload. Disable only to inspect the bare base state (the
+  /// recovery-time bench does, to separate base load from replay).
   bool replay_changelog = true;
 };
 
@@ -175,34 +146,12 @@ bool SaveSnapshot(const BcIndex& index, const std::string& path,
                   std::string* error = nullptr, const SourceGraphInfo& source = {},
                   std::uint64_t base_changelog_seq = 0);
 
-/// Loads a snapshot written by SaveSnapshot, replaying any appended delta
-/// blocks (see the format above). On failure returns std::nullopt and sets
-/// `error` to the rejection reason.
+/// Loads a snapshot written by SaveSnapshot, replaying its changelog (see
+/// the format above). On failure returns std::nullopt and sets `error` to
+/// the rejection reason.
 std::optional<SnapshotBundle> LoadSnapshot(const std::string& path,
                                            std::string* error = nullptr,
                                            const SnapshotLoadOptions& opts = {});
-
-/// Appends one delta block holding `updates` (in order) to the snapshot at
-/// `path` and stamps it with `source` — the identity of the graph file the
-/// snapshot corresponds to once the block is replayed ({0, 0} = unknown,
-/// disabling the staleness check). The base payload is not rewritten; a
-/// failed append truncates the file back to its prior size so the snapshot
-/// stays loadable. The updates are NOT validated here — validate against
-/// the loaded (replayed) graph first (BuildGraphDelta), as tools/bccs_update
-/// does, or the next load will reject the file. With `durable` the block is
-/// fdatasync'd before the call returns (the in-file analogue of the
-/// changelog's every-append policy).
-bool AppendDeltaBlock(const std::string& path, std::span<const EdgeUpdate> updates,
-                      const SourceGraphInfo& source, std::string* error = nullptr,
-                      bool durable = false);
-
-namespace internal {
-/// Test seam: force AppendDeltaBlock to fail after writing this many bytes
-/// of the block (simulating a crash / full disk mid-append), so the
-/// partial-append rollback path is testable without fault injection.
-/// SIZE_MAX (the default) disables the seam.
-extern std::size_t g_append_fail_after_bytes_for_test;
-}  // namespace internal
 
 /// Builds a fresh index from `g` (materializing every cross-label pair) and
 /// best-effort saves it to `path` stamped with `source`; `error` reports a

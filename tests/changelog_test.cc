@@ -1,14 +1,16 @@
 // Rotated-changelog durability tests: append/rotate/scan round trips,
-// per-byte torn-tail recovery, hard rejection of non-tail corruption,
-// compaction folds (including crash idempotency via leftover stale
-// segments and temp files), and the serve engine's durable-ack contract
-// through AttachDurability.
+// replay exactness against a fresh build, the effective source stamp,
+// per-byte torn-tail recovery, hard rejection of non-tail corruption and
+// of records that do not apply, compaction folds (including crash
+// idempotency via leftover stale segments and temp files), and the serve
+// engine's durable-ack contract through AttachDurability.
 
 #include "graph/changelog.h"
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,9 @@ namespace bccs {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::ExpectIndexMatchesFreshBuild;
 using testing::MakeRandomGraph;
+using testing::RandomDelta;
 
 // Changelog's mutators and counters REQUIRE the commit lock; these helpers
 // take it around the single-threaded test call sites.
@@ -178,7 +182,6 @@ TEST_F(ChangelogTest, AppendRotateScanRoundTrip) {
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->replayed_updates, 5u);
   EXPECT_EQ(loaded->changelog_segments, 3u);
-  EXPECT_EQ(loaded->changelog_updates, 5u);
   ExpectSameGraph(*loaded->graph, ApplyPrefix(g, batches, 5));
 
   // Reopening (clean shutdown) recovers every record and keeps appending
@@ -450,6 +453,95 @@ TEST_F(ChangelogTest, CompactionFoldsAndStaysIdempotentAcrossCrashes) {
   ASSERT_TRUE(after.has_value()) << error;
   EXPECT_EQ(after->replayed_updates, 1u);
   ExpectSameGraph(*after->graph, ApplyPrefix(folded_graph, more, 1));
+}
+
+// Replay is exact: after each appended mixed insert/delete record, the
+// loaded graph and index equal a fresh build of the updated graph.
+TEST_F(ChangelogTest, ReplayMatchesAFreshBuildOfTheUpdatedGraph) {
+  std::mt19937_64 rng(51);
+  LabeledGraph g = MakeRandomGraph(36, 0.15, 3, 700);
+  BcIndex index(g);
+  index.MaterializeAllPairs();
+  ASSERT_TRUE(SaveSnapshot(index, path_));
+  std::string error;
+  auto log = Changelog::Open(path_, 0, {}, nullptr, &error);
+  ASSERT_NE(log, nullptr) << error;
+
+  LabeledGraph want = g;
+  std::size_t appended = 0;
+  for (const char* note : {"after one record", "after two records"}) {
+    const std::vector<EdgeUpdate> updates = RandomDelta(want, rng, 3, 3);
+    ASSERT_TRUE(LockedAppend(*log, updates, &error)) << error;
+    auto delta = BuildGraphDelta(want, updates);
+    ASSERT_TRUE(delta.has_value());
+    want = ApplyGraphDelta(want, *delta);
+    appended += updates.size();
+
+    auto loaded = LoadSnapshot(path_, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(loaded->replayed_updates, appended) << note;
+    ExpectSameGraph(*loaded->graph, want);
+    ExpectIndexMatchesFreshBuild(*loaded->index, want, note);
+  }
+}
+
+// The staleness check compares against the EFFECTIVE stamp: the last
+// record's once records exist, so a base payload stamped with an older
+// graph identity keeps loading under the identity the record carries.
+TEST_F(ChangelogTest, EffectiveStampIsTheLastRecord) {
+  LabeledGraph g = MakeRandomGraph(24, 0.2, 2, 800);
+  BcIndex index(g);
+  index.MaterializeAllPairs();
+  const SourceGraphInfo base_stamp{100, 200};
+  ASSERT_TRUE(SaveSnapshot(index, path_, nullptr, base_stamp));
+  std::string error;
+  auto log = Changelog::Open(path_, 0, {}, nullptr, &error);
+  ASSERT_NE(log, nullptr) << error;
+
+  std::mt19937_64 rng(61);
+  const std::vector<EdgeUpdate> updates = RandomDelta(g, rng, 2, 2);
+  const SourceGraphInfo new_stamp{300, 400};
+  {
+    MutexLock commit(log->commit_mutex());
+    ASSERT_TRUE(log->Append(updates, new_stamp, &error)) << error;
+  }
+
+  SnapshotLoadOptions opts;
+  opts.expected_source = new_stamp;
+  auto loaded = LoadSnapshot(path_, &error, opts);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->replayed_updates, updates.size());
+
+  // The base stamp no longer matches the effective one.
+  opts.expected_source = base_stamp;
+  EXPECT_FALSE(LoadSnapshot(path_, &error, opts));
+  EXPECT_NE(error.find("stale"), std::string::npos) << error;
+
+  // An unknown expectation skips the check.
+  opts.expected_source = {};
+  EXPECT_TRUE(LoadSnapshot(path_, &error, opts)) << error;
+}
+
+// The changelog checks integrity, not graph validity: a record that does
+// not apply to the stored graph is durable, and its replay fails the load.
+TEST_F(ChangelogTest, RecordThatDoesNotApplyFailsTheLoad) {
+  LabeledGraph g = MakeRandomGraph(24, 0.2, 2, 900);
+  BcIndex index(g);
+  index.MaterializeAllPairs();
+  ASSERT_TRUE(SaveSnapshot(index, path_));
+  std::string error;
+  auto log = Changelog::Open(path_, 0, {}, nullptr, &error);
+  ASSERT_NE(log, nullptr) << error;
+
+  std::vector<EdgeUpdate> bogus = {{EdgeUpdateKind::kDelete, {0, 1}}};
+  if (g.HasEdge(0, 1)) bogus[0].kind = EdgeUpdateKind::kInsert;
+  ASSERT_TRUE(LockedAppend(*log, bogus, &error)) << error;
+  log.reset();
+
+  EXPECT_FALSE(LoadSnapshot(path_, &error));
+  EXPECT_NE(error.find("does not apply"), std::string::npos) << error;
+  EXPECT_FALSE(OpenSnapshotWithChangelog(path_, {}, {}, &error));
+  EXPECT_NE(error.find("does not apply"), std::string::npos) << error;
 }
 
 // --------------------------------------------------------------------------

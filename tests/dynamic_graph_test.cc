@@ -1,13 +1,11 @@
 // Dynamic-graph layer tests: delta validation and application, incremental
 // BcIndex repair vs full rebuild (bit-identical), epoch semantics in the
-// serving engine, and snapshot delta-log round trips.
+// serving engine. (Changelog replay of updates onto a snapshot is covered
+// in changelog_test.)
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <random>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "eval/serve_engine.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
-#include "graph/snapshot.h"
 #include "test_util.h"
 #include "truss/truss_decomposition.h"
 #include "truss/truss_maintenance.h"
@@ -25,7 +22,9 @@
 namespace bccs {
 namespace {
 
+using testing::ExpectIndexMatchesFreshBuild;
 using testing::MakeRandomGraph;
+using testing::RandomDelta;
 
 // ---------------------------------------------------------------------------
 // Helpers.
@@ -40,31 +39,6 @@ std::vector<EdgeUpdate> MakeInsert(std::initializer_list<Edge> edges) {
 std::vector<EdgeUpdate> MakeDelete(std::initializer_list<Edge> edges) {
   std::vector<EdgeUpdate> out;
   for (const Edge& e : edges) out.push_back({EdgeUpdateKind::kDelete, e});
-  return out;
-}
-
-/// Random batch: `deletes` existing edges and `inserts` absent edges, each
-/// edge touched at most once.
-std::vector<EdgeUpdate> RandomDelta(const LabeledGraph& g, std::mt19937_64& rng,
-                                    std::size_t inserts, std::size_t deletes) {
-  std::vector<EdgeUpdate> out;
-  std::vector<Edge> edges = g.AllEdges();
-  std::shuffle(edges.begin(), edges.end(), rng);
-  for (std::size_t i = 0; i < deletes && i < edges.size(); ++i) {
-    out.push_back({EdgeUpdateKind::kDelete, edges[i]});
-  }
-  const auto n = static_cast<VertexId>(g.NumVertices());
-  std::uniform_int_distribution<VertexId> pick(0, n - 1);
-  std::set<std::pair<VertexId, VertexId>> used;
-  std::size_t guard = 0;
-  while (used.size() < inserts && ++guard < 100000) {
-    VertexId u = pick(rng), v = pick(rng);
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (g.HasEdge(u, v)) continue;
-    if (!used.insert({u, v}).second) continue;
-    out.push_back({EdgeUpdateKind::kInsert, {u, v}});
-  }
   return out;
 }
 
@@ -86,34 +60,6 @@ void ExpectSameGraph(const LabeledGraph& a, const LabeledGraph& b, const char* n
     ASSERT_EQ(ga.size(), gb.size()) << note << " label " << l;
     EXPECT_TRUE(std::equal(ga.begin(), ga.end(), gb.begin())) << note << " label " << l;
   }
-}
-
-/// The acceptance check: the repaired index must be bit-identical to a
-/// freshly built index of the updated graph — coreness, per-label maxima,
-/// and every cached pair entry (chi, total, max, argmax on both sides).
-void ExpectIndexMatchesFreshBuild(const BcIndex& repaired, const LabeledGraph& updated,
-                                  const char* note) {
-  BcIndex fresh(updated);
-  for (VertexId v = 0; v < updated.NumVertices(); ++v) {
-    ASSERT_EQ(repaired.Coreness(v), fresh.Coreness(v)) << note << " coreness of " << v;
-  }
-  for (Label l = 0; l < updated.NumLabels(); ++l) {
-    EXPECT_EQ(repaired.MaxCoreness(l), fresh.MaxCoreness(l)) << note << " label " << l;
-  }
-  repaired.ForEachCachedPair([&](Label a, Label b, const ButterflyCounts& counts) {
-    const auto want_pin = fresh.PairButterflies(a, b);
-    const ButterflyCounts& want = *want_pin;
-    EXPECT_EQ(counts.total, want.total) << note << " pair " << a << "," << b;
-    EXPECT_EQ(counts.max_left, want.max_left) << note << " pair " << a << "," << b;
-    EXPECT_EQ(counts.max_right, want.max_right) << note << " pair " << a << "," << b;
-    EXPECT_EQ(counts.argmax_left, want.argmax_left) << note << " pair " << a << "," << b;
-    EXPECT_EQ(counts.argmax_right, want.argmax_right) << note << " pair " << a << "," << b;
-    ASSERT_EQ(counts.chi.size(), want.chi.size()) << note;
-    for (VertexId v = 0; v < counts.chi.size(); ++v) {
-      ASSERT_EQ(counts.chi[v], want.chi[v])
-          << note << " chi of " << v << " in pair " << a << "," << b;
-    }
-  });
 }
 
 PlantedGraph SmallPlanted(std::uint64_t seed, std::size_t labels = 3) {
@@ -507,250 +453,6 @@ TEST(ServeUpdateTest, L2pServesRepairedIndexAcrossEpochs) {
   for (std::size_t i = 0; i < ref_queries.size(); ++i) {
     EXPECT_EQ(served.communities[1 + i].vertices, want.communities[i].vertices)
         << "query " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot delta log.
-// ---------------------------------------------------------------------------
-
-class SnapshotDeltaTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "dynamic_snapshot_test.snap";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  std::string ReadFile() {
-    std::ifstream in(path_, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }
-  void WriteFile(const std::string& bytes) {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  std::string path_;
-};
-
-TEST_F(SnapshotDeltaTest, RoundTripReplaysUpdates) {
-  std::mt19937_64 rng(51);
-  LabeledGraph g = MakeRandomGraph(36, 0.15, 3, 700);
-  BcIndex index(g);
-  index.MaterializeAllPairs();
-  ASSERT_TRUE(SaveSnapshot(index, path_));
-
-  const std::vector<EdgeUpdate> first = RandomDelta(g, rng, 3, 3);
-  ASSERT_TRUE(AppendDeltaBlock(path_, first, {}));
-
-  std::string error;
-  auto loaded = LoadSnapshot(path_, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->replayed_updates, first.size());
-
-  auto delta = BuildGraphDelta(g, first);
-  ASSERT_TRUE(delta.has_value());
-  const LabeledGraph updated = ApplyGraphDelta(g, *delta);
-  ExpectSameGraph(*loaded->graph, updated, "after one block");
-  ExpectIndexMatchesFreshBuild(*loaded->index, updated, "after one block");
-
-  // A second block chains on top of the replayed state.
-  const std::vector<EdgeUpdate> second = RandomDelta(updated, rng, 2, 2);
-  ASSERT_TRUE(AppendDeltaBlock(path_, second, {}));
-  loaded = LoadSnapshot(path_, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->replayed_updates, first.size() + second.size());
-
-  auto delta2 = BuildGraphDelta(updated, second);
-  ASSERT_TRUE(delta2.has_value());
-  const LabeledGraph updated2 = ApplyGraphDelta(updated, *delta2);
-  ExpectSameGraph(*loaded->graph, updated2, "after two blocks");
-  ExpectIndexMatchesFreshBuild(*loaded->index, updated2, "after two blocks");
-}
-
-TEST_F(SnapshotDeltaTest, EffectiveStampIsLastBlock) {
-  LabeledGraph g = MakeRandomGraph(24, 0.2, 2, 800);
-  BcIndex index(g);
-  index.MaterializeAllPairs();
-  const SourceGraphInfo base_stamp{100, 200};
-  ASSERT_TRUE(SaveSnapshot(index, path_, nullptr, base_stamp));
-
-  std::mt19937_64 rng(61);
-  const std::vector<EdgeUpdate> updates = RandomDelta(g, rng, 2, 2);
-  const SourceGraphInfo new_stamp{300, 400};
-  ASSERT_TRUE(AppendDeltaBlock(path_, updates, new_stamp));
-
-  std::string error;
-  SnapshotLoadOptions opts;
-
-  // The base payload is stale relative to new_stamp, but the delta block
-  // re-stamped the file: the effective stamp matches, so the load succeeds
-  // and replays.
-  opts.expected_source = new_stamp;
-  auto loaded = LoadSnapshot(path_, &error, opts);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->replayed_updates, updates.size());
-
-  // The OLD stamp no longer matches the effective one.
-  opts.expected_source = base_stamp;
-  EXPECT_FALSE(LoadSnapshot(path_, &error, opts));
-  EXPECT_NE(error.find("stale"), std::string::npos) << error;
-
-  // Unknown expectation skips the check.
-  opts.expected_source = {};
-  EXPECT_TRUE(LoadSnapshot(path_, &error, opts));
-}
-
-TEST_F(SnapshotDeltaTest, CorruptDeltaLogRejected) {
-  LabeledGraph g = MakeRandomGraph(24, 0.2, 2, 900);
-  BcIndex index(g);
-  index.MaterializeAllPairs();
-  ASSERT_TRUE(SaveSnapshot(index, path_));
-  const std::string base = ReadFile();
-
-  std::mt19937_64 rng(71);
-  const std::vector<EdgeUpdate> updates = RandomDelta(g, rng, 2, 2);
-  ASSERT_TRUE(AppendDeltaBlock(path_, updates, {}));
-  const std::string with_block = ReadFile();
-  ASSERT_GT(with_block.size(), base.size());
-
-  std::string error;
-
-  // Arbitrary trailing bytes are not a delta log.
-  WriteFile(base + "garbage!");
-  EXPECT_FALSE(LoadSnapshot(path_, &error));
-  EXPECT_NE(error.find("delta"), std::string::npos) << error;
-
-  // A truncated block header is a torn tail: RECOVERED, not rejected — the
-  // loader replays the (empty) valid prefix and reports the torn bytes.
-  WriteFile(with_block.substr(0, base.size() + 16));
-  {
-    auto torn = LoadSnapshot(path_, &error);
-    ASSERT_TRUE(torn.has_value()) << error;
-    EXPECT_EQ(torn->replayed_updates, 0u);
-    EXPECT_EQ(torn->delta_log_valid_bytes, base.size());
-    EXPECT_EQ(torn->delta_log_torn_bytes, 16u);
-  }
-
-  // Entries cut short: same recovery.
-  WriteFile(with_block.substr(0, with_block.size() - 8));
-  {
-    auto torn = LoadSnapshot(path_, &error);
-    ASSERT_TRUE(torn.has_value()) << error;
-    EXPECT_EQ(torn->replayed_updates, 0u);
-    EXPECT_EQ(torn->delta_log_torn_bytes, with_block.size() - 8 - base.size());
-  }
-
-  // A flipped entry byte fails the block checksum. As the LAST block it is
-  // indistinguishable from a torn append and recovers to the prefix...
-  std::string corrupt = with_block;
-  corrupt[base.size() + 44] ^= 0x5a;  // inside the first entry
-  WriteFile(corrupt);
-  {
-    auto torn = LoadSnapshot(path_, &error);
-    ASSERT_TRUE(torn.has_value()) << error;
-    EXPECT_EQ(torn->replayed_updates, 0u);
-    EXPECT_GT(torn->delta_log_torn_bytes, 0u);
-  }
-  // ...but with a valid block AFTER it, the flipped byte is settled-data
-  // corruption and the load is rejected.
-  {
-    std::mt19937_64 rng2(73);
-    WriteFile(with_block);
-    auto clean = LoadSnapshot(path_, &error);
-    ASSERT_TRUE(clean.has_value()) << error;
-    const std::vector<EdgeUpdate> more = RandomDelta(*clean->graph, rng2, 1, 1);
-    ASSERT_TRUE(AppendDeltaBlock(path_, more, {}));
-    std::string two_blocks = ReadFile();
-    two_blocks[base.size() + 44] ^= 0x5a;  // first block's entries again
-    WriteFile(two_blocks);
-    EXPECT_FALSE(LoadSnapshot(path_, &error));
-    EXPECT_NE(error.find("checksum"), std::string::npos) << error;
-  }
-
-  // Updates that do not apply to the stored graph are rejected on replay:
-  // append a block deleting an absent edge.
-  WriteFile(base);
-  std::vector<EdgeUpdate> bogus = MakeDelete({{0, 1}});
-  if (g.HasEdge(0, 1)) bogus = MakeInsert({{0, 1}});
-  ASSERT_TRUE(AppendDeltaBlock(path_, bogus, {}));
-  EXPECT_FALSE(LoadSnapshot(path_, &error));
-  EXPECT_NE(error.find("does not apply"), std::string::npos) << error;
-
-  // The intact block still loads.
-  WriteFile(with_block);
-  EXPECT_TRUE(LoadSnapshot(path_, &error)) << error;
-}
-
-// A crash (or full disk) partway through AppendDeltaBlock must leave the
-// file exactly as it was: the injected failure trips after every possible
-// byte count of the block, and each time the rollback restores the prior
-// size and the snapshot replays the prior state.
-TEST_F(SnapshotDeltaTest, PartialAppendRollsBackAtEverySeamByte) {
-  LabeledGraph g = MakeRandomGraph(24, 0.2, 2, 910);
-  BcIndex index(g);
-  index.MaterializeAllPairs();
-  ASSERT_TRUE(SaveSnapshot(index, path_));
-  const std::string base = ReadFile();
-
-  std::mt19937_64 rng(75);
-  const std::vector<EdgeUpdate> first = RandomDelta(g, rng, 2, 2);
-  ASSERT_TRUE(AppendDeltaBlock(path_, first, {}));
-  const std::size_t block_bytes = ReadFile().size() - base.size();
-  WriteFile(base);
-
-  std::string error;
-  for (std::size_t inject = 0; inject < block_bytes; ++inject) {
-    internal::g_append_fail_after_bytes_for_test = inject;
-    EXPECT_FALSE(AppendDeltaBlock(path_, first, {}, &error)) << "inject " << inject;
-    internal::g_append_fail_after_bytes_for_test = SIZE_MAX;
-    EXPECT_NE(error.find("rolled back"), std::string::npos) << error;
-    EXPECT_EQ(ReadFile(), base) << "inject " << inject;
-    auto loaded = LoadSnapshot(path_, &error);
-    ASSERT_TRUE(loaded.has_value()) << "inject " << inject << ": " << error;
-    EXPECT_EQ(loaded->replayed_updates, 0u);
-  }
-
-  // The seam disabled, the very same append succeeds and replays.
-  ASSERT_TRUE(AppendDeltaBlock(path_, first, {}, &error)) << error;
-  auto loaded = LoadSnapshot(path_, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->replayed_updates, first.size());
-}
-
-// Torn-tail recovery of the in-file delta chain at EVERY byte offset of the
-// last block: one complete block followed by a cut anywhere inside the
-// second block always recovers the first block exactly.
-TEST_F(SnapshotDeltaTest, TornTailRecoversAtEveryByteOfTheLastBlock) {
-  LabeledGraph g = MakeRandomGraph(24, 0.2, 2, 911);
-  BcIndex index(g);
-  index.MaterializeAllPairs();
-  ASSERT_TRUE(SaveSnapshot(index, path_));
-  const std::string base = ReadFile();
-
-  std::mt19937_64 rng(77);
-  const std::vector<EdgeUpdate> first = RandomDelta(g, rng, 2, 2);
-  ASSERT_TRUE(AppendDeltaBlock(path_, first, {}));
-  const std::string one_block = ReadFile();
-
-  std::string error;
-  auto replayed = LoadSnapshot(path_, &error);
-  ASSERT_TRUE(replayed.has_value()) << error;
-  const std::vector<EdgeUpdate> second = RandomDelta(*replayed->graph, rng, 2, 2);
-  ASSERT_TRUE(AppendDeltaBlock(path_, second, {}));
-  const std::string two_blocks = ReadFile();
-
-  for (std::size_t cut = one_block.size(); cut < two_blocks.size(); ++cut) {
-    WriteFile(two_blocks.substr(0, cut));
-    auto torn = LoadSnapshot(path_, &error);
-    ASSERT_TRUE(torn.has_value()) << "cut at " << cut << ": " << error;
-    EXPECT_EQ(torn->replayed_updates, first.size()) << "cut at " << cut;
-    EXPECT_EQ(torn->delta_log_valid_bytes, one_block.size()) << "cut at " << cut;
-    EXPECT_EQ(torn->delta_log_torn_bytes, cut - one_block.size()) << "cut at " << cut;
-    ExpectSameGraph(*torn->graph, *replayed->graph, "torn tail");
   }
 }
 

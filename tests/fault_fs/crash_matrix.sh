@@ -38,7 +38,7 @@ cd "$tmp"
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
-UPDATE_FLAGS=(--changelog --fsync every-append --segment-blocks 1)
+UPDATE_FLAGS=(--fsync every-append --segment-blocks 1)
 
 "$bin/bccs_generate" --communities 4 --group-size 8 --labels 2 --seed 7 \
   --out g.txt >/dev/null || fail "bccs_generate"

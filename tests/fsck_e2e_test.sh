@@ -44,7 +44,7 @@ expect_fsck() {
 for i in 1 2 3; do
   echo "+ 0 $((97 + i))" > "$tmp/u.txt"
   "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/u.txt" \
-    --changelog --segment-blocks 1 --validate >/dev/null \
+    --segment-blocks 1 --validate >/dev/null \
     || fail "bccs_update batch $i failed"
 done
 for i in 1 2 3; do
@@ -77,7 +77,7 @@ expect_fsck 0 "" --snapshot "$tmp/g.snap"
 # drops the segments), then resurrect a folded segment from the backup.
 echo "+ 1 98" > "$tmp/u.txt"
 "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/u.txt" \
-  --changelog --compact >/dev/null || fail "compacting update failed"
+  --compact >/dev/null || fail "compacting update failed"
 expect_fsck 0 "" --snapshot "$tmp/g.snap"
 cp "$tmp/seg1.bak" "$tmp/g.snap.log.000001"
 expect_fsck 6 "stale changelog segment" --snapshot "$tmp/g.snap"
@@ -87,7 +87,7 @@ rm "$tmp/g.snap.log.000001"
 cp "$tmp/seg1.bak" "$tmp/g.snap.log.000001"
 echo "+ 2 97" > "$tmp/u.txt"
 if "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/u.txt" \
-     --changelog --validate >/dev/null 2>"$tmp/err.txt"; then
+     --validate >/dev/null 2>"$tmp/err.txt"; then
   # Recovery legitimately deletes stale segments at open, so a zero exit is
   # fine as long as the audit then passes on the cleaned layout.
   expect_fsck 0 "" --snapshot "$tmp/g.snap"

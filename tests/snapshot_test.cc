@@ -310,10 +310,20 @@ TEST_F(SnapshotRejectionTest, TruncatedPayload) {
 }
 
 TEST_F(SnapshotRejectionTest, TrailingGarbage) {
-  // Bytes past the payload must be a valid delta log (PR 4); arbitrary
-  // trailing garbage is rejected as neither.
+  // The file ends where the payload does; updates live in the changelog.
   WriteBytes(bytes_ + "extra");
-  ExpectRejected("delta log");
+  ExpectRejected("trailing bytes");
+}
+
+TEST_F(SnapshotRejectionTest, LegacyDeltaChainNamesTheRemedy) {
+  // An older writer's in-file delta chain: one 40-byte block header with
+  // magic "BCCSDLT1" and zero entries. It is rejected by name, with the
+  // rebuild remedy, rather than as anonymous garbage.
+  std::string block(40, '\0');
+  block.replace(0, 8, "BCCSDLT1");
+  WriteBytes(bytes_ + block);
+  ExpectRejected("legacy in-file delta chain");
+  ExpectRejected("bccs_build");
 }
 
 TEST_F(SnapshotRejectionTest, BadMagic) {

@@ -5,11 +5,46 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "bcc/bc_index.h"
+#include "graph/graph_delta.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs::testing {
+
+/// The acceptance check for incremental repair and replay: `repaired` must
+/// be bit-identical to a freshly built index of `updated` — coreness,
+/// per-label maxima, and every cached pair entry (chi, total, max, argmax
+/// on both sides).
+inline void ExpectIndexMatchesFreshBuild(const BcIndex& repaired, const LabeledGraph& updated,
+                                         const char* note) {
+  BcIndex fresh(updated);
+  for (VertexId v = 0; v < updated.NumVertices(); ++v) {
+    ASSERT_EQ(repaired.Coreness(v), fresh.Coreness(v)) << note << " coreness of " << v;
+  }
+  for (Label l = 0; l < updated.NumLabels(); ++l) {
+    EXPECT_EQ(repaired.MaxCoreness(l), fresh.MaxCoreness(l)) << note << " label " << l;
+  }
+  repaired.ForEachCachedPair([&](Label a, Label b, const ButterflyCounts& counts) {
+    const auto want_pin = fresh.PairButterflies(a, b);
+    const ButterflyCounts& want = *want_pin;
+    EXPECT_EQ(counts.total, want.total) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.max_left, want.max_left) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.max_right, want.max_right) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.argmax_left, want.argmax_left) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.argmax_right, want.argmax_right) << note << " pair " << a << "," << b;
+    ASSERT_EQ(counts.chi.size(), want.chi.size()) << note;
+    for (VertexId v = 0; v < counts.chi.size(); ++v) {
+      ASSERT_EQ(counts.chi[v], want.chi[v])
+          << note << " chi of " << v << " in pair " << a << "," << b;
+    }
+  });
+}
 
 /// Complete graph K_n, single label.
 inline LabeledGraph MakeClique(std::size_t n, Label label = 0) {
@@ -50,6 +85,31 @@ inline LabeledGraph MakeRandomGraph(std::size_t n, double p, std::size_t num_lab
   std::vector<Label> labels(n);
   for (VertexId v = 0; v < n; ++v) labels[v] = static_cast<Label>(v % num_labels);
   return LabeledGraph::FromEdges(n, std::move(edges), std::move(labels));
+}
+
+/// Random update batch over `g`: `deletes` existing edges and `inserts`
+/// absent edges, each edge touched at most once.
+inline std::vector<EdgeUpdate> RandomDelta(const LabeledGraph& g, std::mt19937_64& rng,
+                                           std::size_t inserts, std::size_t deletes) {
+  std::vector<EdgeUpdate> out;
+  std::vector<Edge> edges = g.AllEdges();
+  std::shuffle(edges.begin(), edges.end(), rng);
+  for (std::size_t i = 0; i < deletes && i < edges.size(); ++i) {
+    out.push_back({EdgeUpdateKind::kDelete, edges[i]});
+  }
+  const auto n = static_cast<VertexId>(g.NumVertices());
+  std::uniform_int_distribution<VertexId> pick(0, n - 1);
+  std::set<std::pair<VertexId, VertexId>> used;
+  std::size_t guard = 0;
+  while (used.size() < inserts && ++guard < 100000) {
+    VertexId u = pick(rng), v = pick(rng);
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    if (g.HasEdge(u, v)) continue;
+    if (!used.insert({u, v}).second) continue;
+    out.push_back({EdgeUpdateKind::kInsert, {u, v}});
+  }
+  return out;
 }
 
 /// Membership mask over graph vertices.

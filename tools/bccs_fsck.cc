@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   Reporter report{args.Has("quiet")};
 
   // Section 1: load. verify_checksum walks the whole payload; the load also
-  // replays the delta chain and the changelog segments, so a corrupt sealed
+  // replays the changelog segments, so a corrupt sealed
   // segment or a sequence gap already fails here (reported as the changelog
   // section, which is what actually broke).
   bccs::Timer load_timer;
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
     return report.Fail("changelog", r.reason, kExitChangelog);
   }
   std::snprintf(detail, sizeof(detail), "%zu live segments, %zu replayed changelog updates",
-                bundle->changelog_segments, bundle->changelog_updates);
+                bundle->changelog_segments, bundle->replayed_updates);
   report.Section("changelog", detail, chain_timer.Seconds());
 
   if (!report.quiet) std::printf("clean: %s\n", snapshot_path->c_str());

@@ -35,8 +35,8 @@
 // Index snapshots (see tools/bccs_build and graph/snapshot.h):
 //   bccs_query --index-file g.snap ...
 //     serves straight from the snapshot (mmap cold start; --graph not
-//     needed); a snapshot with an appended delta log (tools/bccs_update) is
-//     replayed on load. With both --graph and --index-file, the snapshot is
+//     needed); the snapshot's changelog (tools/bccs_update) is replayed on
+//     load. With both --graph and --index-file, the snapshot is
 //     loaded when valid AND its effective source stamp matches the graph
 //     file's current size/mtime; otherwise (corrupt, stale, absent) the
 //     index is rebuilt from the graph and saved to the snapshot path

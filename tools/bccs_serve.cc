@@ -331,15 +331,14 @@ int main(int argc, char** argv) {
     const bccs::SnapshotBundle& bundle = recovered->bundle;
     const bccs::ChangelogStatus& st = recovered->status;
     if (bundle.replayed_updates > 0 || st.segments > 0 || st.stale_segments_removed > 0 ||
-        st.truncated_bytes > 0 || bundle.delta_log_torn_bytes > 0) {
-      std::printf("recovery: %zu updates replayed (%zu delta blocks + %zu changelog "
-                  "records in %zu segments), %zu stale segments removed, %llu torn "
-                  "changelog bytes truncated%s, %llu torn delta-tail bytes truncated\n",
-                  bundle.replayed_updates, bundle.delta_blocks, st.records, st.segments,
+        st.truncated_bytes > 0) {
+      std::printf("recovery: %zu updates replayed (%zu changelog records in %zu "
+                  "segments), %zu stale segments removed, %llu torn changelog bytes "
+                  "truncated%s\n",
+                  bundle.replayed_updates, st.records, st.segments,
                   st.stale_segments_removed,
                   static_cast<unsigned long long>(st.truncated_bytes),
-                  st.dropped_tail_segment ? " (tail segment dropped)" : "",
-                  static_cast<unsigned long long>(bundle.delta_log_torn_bytes));
+                  st.dropped_tail_segment ? " (tail segment dropped)" : "");
     }
     graph = bundle.graph;
     index = std::shared_ptr<const bccs::BcIndex>(std::move(recovered->bundle.index));

@@ -1,54 +1,42 @@
 // bccs_update: apply an edge-update batch to a persisted snapshot.
 //
 //   bccs_update --snapshot g.snap --updates u.txt [--graph g.txt]
-//               [--compact] [--auto-compact N] [--write-graph out.txt]
-//               [--no-verify]
-//               [--changelog] [--fsync none|on-rotation|every-append]
-//               [--segment-blocks N] [--compact-threshold N]
+//               [--write-graph out.txt] [--no-verify]
+//               [--fsync none|on-rotation|every-append]
+//               [--segment-blocks N] [--compact] [--compact-threshold N]
 //               [--recover-only] [--ack-file FILE] [--validate]
 //
 // Loads the snapshot — recovering it first: a leftover compaction temp file
-// is removed, a torn in-file delta tail is truncated to the last complete
-// block, stale (already-folded) changelog segments are deleted, and a torn
-// changelog tail is truncated to the last complete record — replays the
-// delta log AND the rotated changelog segments, validates the update batch
-// against that state, and persists the batch:
+// is removed, stale (already-folded) changelog segments are deleted, and a
+// torn changelog tail is truncated to the last complete record — replays
+// the rotated changelog segments, validates the update batch against that
+// state, and appends it as one record to the changelog next to the
+// snapshot (graph/changelog.h). The base payload is not rewritten; the next
+// load replays the record through the dynamic-graph layer
+// (graph/graph_delta.h, BcIndex::ApplyUpdates). The append is crash-safe
+// per --fsync and rotates into sealed segments every --segment-blocks
+// records. A zero exit IS the durable acknowledgment (durable per the
+// policy).
 //
-//   default          appends one delta block to the snapshot file — the
-//                    base payload is not rewritten; the next load replays
-//                    the log through the dynamic-graph layer
-//                    (graph/graph_delta.h, BcIndex::ApplyUpdates).
-//   --changelog      appends one record to the rotated changelog next to
-//                    the snapshot (graph/changelog.h) instead: crash-safe
-//                    per --fsync, rotated into sealed segments every
-//                    --segment-blocks records. A zero exit IS the durable
-//                    acknowledgment (durable per the policy). This mode is
-//                    also selected automatically once segments exist —
-//                    mixing in-file appends after segments would replay
-//                    out of order.
-//   --compact        folds everything into a new base payload via fsync'd
-//                    tmp + rename + directory fsync (in changelog mode:
-//                    seal + fold + drop segments, advancing the watermark;
-//                    idempotent across crashes).
-//   --auto-compact N legacy-chain compaction policy: append as usual, but
-//                    once the in-file chain exceeds N blocks fold it.
-//                    (Changelog mode: use --compact-threshold instead.)
+//   --compact        after the append, folds every segment into a new base
+//                    payload (graph/compactor.h: seal, fsync'd tmp +
+//                    rename + directory fsync, drop the folded segments,
+//                    advancing the watermark; idempotent across crashes).
 //   --compact-threshold N
-//                    changelog compaction policy: fold once N sealed
-//                    segments have accumulated.
+//                    fold only once N sealed segments have accumulated.
 //
 // --recover-only performs the recovery + replay and exits without reading
-// updates (what bccs_serve does at startup, as a standalone step). After a
-// durable changelog append, --ack-file FILE appends one fsync'd
-// "acked <count>" line there — the fault-injection harness reads it back
-// to know how many updates were acknowledged before a crash.
+// updates (what bccs_serve does at startup, as a standalone step). After the
+// append, --ack-file FILE appends one fsync'd "acked <count>" line there —
+// the fault-injection harness reads it back to know how many updates were
+// acknowledged before a crash.
 //
 // Re-stamping: --graph names the text graph file that reflects the
-// POST-update graph; its size/mtime is stamped so bccs_query --graph
-// accepts the snapshot as fresh. --write-graph FILE writes the updated
-// graph there as text (and stamps it when --graph is absent). Without
-// either, the snapshot is stamped "unknown source" (staleness checking
-// disabled).
+// POST-update graph; its size/mtime is stamped into the record so
+// bccs_query --graph accepts the snapshot as fresh. --write-graph FILE
+// writes the updated graph there as text (and stamps it when --graph is
+// absent). Without either, the record is stamped "unknown source"
+// (staleness checking disabled).
 //
 // Unless --no-verify is given, the tool re-loads the snapshot and checks
 // the replayed state against the in-memory updated index. --validate runs
@@ -76,10 +64,9 @@ namespace {
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: bccs_update --snapshot FILE --updates FILE [--graph FILE]\n"
-               "                   [--compact] [--auto-compact N] [--write-graph FILE]\n"
-               "                   [--no-verify] [--changelog]\n"
+               "                   [--write-graph FILE] [--no-verify]\n"
                "                   [--fsync none|on-rotation|every-append]\n"
-               "                   [--segment-blocks N] [--compact-threshold N]\n"
+               "                   [--segment-blocks N] [--compact] [--compact-threshold N]\n"
                "                   [--recover-only] [--ack-file FILE] [--validate]\n");
 }
 
@@ -139,24 +126,23 @@ bool AppendAckLine(const std::string& path, std::size_t count) {
 #endif
 }
 
+// The "snapshot: N vertices, E edges" prefix is parsed by
+// tests/fault_fs/crash_matrix.sh; keep it stable.
 void PrintRecovery(const bccs::SnapshotBundle& bundle, const bccs::ChangelogStatus& st,
                    double seconds) {
   std::printf("snapshot: %zu vertices, %zu edges, %zu cached pairs, %zu replayed updates "
-              "(%zu delta blocks + %zu changelog records) in %.4fs\n",
+              "(%zu changelog records in %zu live segments) in %.4fs\n",
               bundle.graph->NumVertices(), bundle.graph->NumEdges(),
-              bundle.index->CachedPairCount(), bundle.replayed_updates,
-              bundle.delta_blocks, st.records, seconds);
-  if (st.segments > 0 || st.stale_segments_removed > 0 || st.truncated_bytes > 0 ||
-      bundle.delta_log_torn_bytes > 0) {
+              bundle.index->CachedPairCount(), bundle.replayed_updates, st.records,
+              st.segments, seconds);
+  if (st.segments > 0 || st.stale_segments_removed > 0 || st.truncated_bytes > 0) {
     std::printf("recovery: %zu live segments (%zu sealed, watermark %llu), "
-                "%zu stale removed, %llu torn changelog bytes truncated%s, "
-                "%llu torn delta-tail bytes truncated\n",
+                "%zu stale removed, %llu torn changelog bytes truncated%s\n",
                 st.segments, st.sealed_segments,
                 static_cast<unsigned long long>(bundle.base_changelog_seq),
                 st.stale_segments_removed,
                 static_cast<unsigned long long>(st.truncated_bytes),
-                st.dropped_tail_segment ? " (tail segment dropped)" : "",
-                static_cast<unsigned long long>(bundle.delta_log_torn_bytes));
+                st.dropped_tail_segment ? " (tail segment dropped)" : "");
   }
 }
 
@@ -164,10 +150,10 @@ void PrintRecovery(const bccs::SnapshotBundle& bundle, const bccs::ChangelogStat
 
 int main(int argc, char** argv) {
   bccs::ArgParser args = bccs::ArgParser::Parse(argc, argv);
-  auto unknown = args.UnknownFlags({"snapshot", "updates", "graph", "compact", "auto-compact",
-                                    "write-graph", "no-verify", "changelog", "fsync",
-                                    "segment-blocks", "compact-threshold", "recover-only",
-                                    "ack-file", "validate", "help"});
+  auto unknown = args.UnknownFlags({"snapshot", "updates", "graph", "compact", "write-graph",
+                                    "no-verify", "fsync", "segment-blocks",
+                                    "compact-threshold", "recover-only", "ack-file",
+                                    "validate", "help"});
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
@@ -179,18 +165,6 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  bool flags_valid = true;
-  const std::int64_t auto_compact = args.GetPositiveIntOr("auto-compact", 0, &flags_valid);
-  if (!flags_valid) {
-    std::fprintf(stderr, "--auto-compact must be a positive integer (block count)\n");
-    PrintUsage();
-    return 2;
-  }
-  if (args.Has("compact") && args.Has("auto-compact")) {
-    std::fprintf(stderr, "--compact and --auto-compact are mutually exclusive\n");
-    PrintUsage();
-    return 2;
-  }
 
   bccs::ChangelogOptions copts;
   if (auto fsync_text = args.GetString("fsync")) {
@@ -199,6 +173,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  bool flags_valid = true;
   const std::int64_t segment_blocks =
       args.GetPositiveIntOr("segment-blocks", 0, &flags_valid);
   const std::int64_t compact_threshold =
@@ -221,23 +196,8 @@ int main(int argc, char** argv) {
   bccs::SnapshotBundle& bundle = recovered->bundle;
   PrintRecovery(bundle, recovered->status, load_timer.Seconds());
 
-  // Once segments exist the changelog is the only valid append path: an
-  // in-file delta block would replay BEFORE the segments on the next load,
-  // reordering history.
-  const bool changelog_mode = args.Has("changelog") || args.Has("fsync") ||
-                              args.Has("segment-blocks") ||
-                              args.Has("compact-threshold") ||
-                              recovered->status.segments > 0 ||
-                              recovered->log->base_seq() > 0;
-  if (changelog_mode && args.Has("auto-compact")) {
-    std::fprintf(stderr, "--auto-compact is the legacy-chain policy; use "
-                         "--compact-threshold with the changelog\n");
-    return 2;
-  }
-
   if (args.Has("recover-only")) {
-    std::printf("recover-only: snapshot is consistent (mode: %s, fsync %s)\n",
-                changelog_mode ? "changelog" : "delta-chain", Name(copts.fsync));
+    std::printf("recover-only: snapshot is consistent (fsync %s)\n", Name(copts.fsync));
     return 0;
   }
 
@@ -253,7 +213,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Apply in memory: needed for --compact / --write-graph / verify, and it
+  // Apply in memory: needed for the fold / --write-graph / verify, and it
   // reports what the incremental repair did.
   bccs::Timer apply_timer;
   auto updated = std::make_shared<const bccs::LabeledGraph>(
@@ -285,119 +245,52 @@ int main(int argc, char** argv) {
     source = bccs::StatSourceGraph(*write_graph);
   }
 
-  if (changelog_mode) {
-    // The durable append: Changelog::Append returning true IS the
-    // acknowledgment, durable per --fsync.
-    bccs::Timer append_timer;
-    std::uint64_t appended_seq = 0;
-    {
-      // The tool is single-threaded, but Append requires the commit lock.
-      bccs::MutexLock commit(recovered->log->commit_mutex());
-      if (!recovered->log->Append(*updates, source, &error)) {
-        std::fprintf(stderr, "cannot append to changelog: %s\n", error.c_str());
-        return 1;
-      }
-      appended_seq = recovered->log->last_seq();
+  // The durable append: Changelog::Append returning true IS the
+  // acknowledgment, durable per --fsync.
+  bccs::Timer append_timer;
+  std::uint64_t appended_seq = 0;
+  {
+    // The tool is single-threaded, but Append requires the commit lock.
+    bccs::MutexLock commit(recovered->log->commit_mutex());
+    if (!recovered->log->Append(*updates, source, &error)) {
+      std::fprintf(stderr, "cannot append to changelog: %s\n", error.c_str());
+      return 1;
     }
-    std::printf("changelog: %zu updates acknowledged (policy %s) into segment %llu "
-                "in %.4fs\n",
-                updates->size(), Name(copts.fsync),
-                static_cast<unsigned long long>(appended_seq), append_timer.Seconds());
-    if (auto ack_file = args.GetString("ack-file")) {
-      if (!AppendAckLine(*ack_file, updates->size())) {
-        std::fprintf(stderr, "cannot record ack in %s\n", ack_file->c_str());
-        return 1;
-      }
+    appended_seq = recovered->log->last_seq();
+  }
+  std::printf("changelog: %zu updates acknowledged (policy %s) into segment %llu "
+              "in %.4fs\n",
+              updates->size(), Name(copts.fsync),
+              static_cast<unsigned long long>(appended_seq), append_timer.Seconds());
+  if (auto ack_file = args.GetString("ack-file")) {
+    if (!AppendAckLine(*ack_file, updates->size())) {
+      std::fprintf(stderr, "cannot record ack in %s\n", ack_file->c_str());
+      return 1;
     }
+  }
 
-    if (args.Has("compact") || compact_threshold > 0) {
-      bccs::CompactorOptions copt;
-      if (compact_threshold > 0) {
-        copt.threshold_segments = static_cast<std::size_t>(compact_threshold);
-      }
-      bccs::Compactor::State cstate{updated, repaired, source};
-      bccs::Compactor compactor(*recovered->log, [&cstate] { return cstate; }, copt);
-      bccs::Timer fold_timer;
-      bool folded = false;
-      if (!compactor.RunOnce(args.Has("compact"), &error, &folded)) {
-        std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
-        return 1;
-      }
-      if (folded) {
-        std::uint64_t folded_seq = 0;
-        {
-          bccs::MutexLock commit(recovered->log->commit_mutex());
-          folded_seq = recovered->log->sealed_seq();
-        }
-        std::printf("compacted: folded segments through %llu into %s in %.4fs\n",
-                    static_cast<unsigned long long>(folded_seq), snapshot_path->c_str(),
-                    fold_timer.Seconds());
-      }
+  if (args.Has("compact") || compact_threshold > 0) {
+    bccs::CompactorOptions copt;
+    if (compact_threshold > 0) {
+      copt.threshold_segments = static_cast<std::size_t>(compact_threshold);
     }
-  } else if (args.Has("compact")) {
-    // Write-then-rename: the loaded bundle's arrays may be zero-copy views
-    // over the snapshot file itself (mmap), so rewriting it in place would
-    // overwrite the data being serialized. fsync file + rename + fsync dir
-    // makes the publication atomic AND durable — without the syncs a crash
-    // shortly after could surface a zero-length or half-written base.
-    bccs::Timer save_timer;
-    const std::string tmp_path = bccs::CompactionTempPath(*snapshot_path);
-    if (!bccs::SaveSnapshot(*repaired, tmp_path, &error, source)) {
-      std::fprintf(stderr, "cannot rewrite snapshot: %s\n", error.c_str());
+    bccs::Compactor::State cstate{updated, repaired, source};
+    bccs::Compactor compactor(*recovered->log, [&cstate] { return cstate; }, copt);
+    bccs::Timer fold_timer;
+    bool folded = false;
+    if (!compactor.RunOnce(args.Has("compact"), &error, &folded)) {
+      std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
       return 1;
     }
-    if (!bccs::FsyncFile(tmp_path, &error)) {
-      std::fprintf(stderr, "cannot fsync compacted snapshot: %s\n", error.c_str());
-      std::remove(tmp_path.c_str());
-      return 1;
-    }
-    if (std::rename(tmp_path.c_str(), snapshot_path->c_str()) != 0) {
-      std::fprintf(stderr, "cannot replace %s with the compacted snapshot\n",
-                   snapshot_path->c_str());
-      std::remove(tmp_path.c_str());
-      return 1;
-    }
-    if (!bccs::FsyncParentDir(*snapshot_path, &error)) {
-      std::fprintf(stderr, "cannot fsync snapshot directory: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("compacted snapshot rewritten to %s in %.4fs\n", snapshot_path->c_str(),
-                save_timer.Seconds());
-  } else {
-    bccs::Timer append_timer;
-    if (!bccs::AppendDeltaBlock(*snapshot_path, *updates, source, &error)) {
-      std::fprintf(stderr, "cannot append delta block: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("delta block (%zu updates) appended to %s in %.4fs\n", updates->size(),
-                snapshot_path->c_str(), append_timer.Seconds());
-    // Legacy-chain compaction policy: once the log chain exceeds the
-    // threshold, fold it into the base payload — the repaired in-memory
-    // state is exactly the replayed state the next loader would build.
-    const std::size_t blocks_now = bundle.delta_blocks + 1;
-    if (auto_compact > 0 && blocks_now > static_cast<std::size_t>(auto_compact)) {
-      std::printf("delta log at %zu blocks exceeds --auto-compact %lld\n", blocks_now,
-                  static_cast<long long>(auto_compact));
-      bccs::Timer save_timer;
-      const std::string tmp_path = bccs::CompactionTempPath(*snapshot_path);
-      if (!bccs::SaveSnapshot(*repaired, tmp_path, &error, source) ||
-          !bccs::FsyncFile(tmp_path, &error)) {
-        std::fprintf(stderr, "cannot rewrite snapshot: %s\n", error.c_str());
-        std::remove(tmp_path.c_str());
-        return 1;
+    if (folded) {
+      std::uint64_t folded_seq = 0;
+      {
+        bccs::MutexLock commit(recovered->log->commit_mutex());
+        folded_seq = recovered->log->sealed_seq();
       }
-      if (std::rename(tmp_path.c_str(), snapshot_path->c_str()) != 0) {
-        std::fprintf(stderr, "cannot replace %s with the compacted snapshot\n",
-                     snapshot_path->c_str());
-        std::remove(tmp_path.c_str());
-        return 1;
-      }
-      if (!bccs::FsyncParentDir(*snapshot_path, &error)) {
-        std::fprintf(stderr, "cannot fsync snapshot directory: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("compacted snapshot (auto) rewritten to %s in %.4fs\n",
-                  snapshot_path->c_str(), save_timer.Seconds());
+      std::printf("compacted: folded segments through %llu into %s in %.4fs\n",
+                  static_cast<unsigned long long>(folded_seq), snapshot_path->c_str(),
+                  fold_timer.Seconds());
     }
   }
 

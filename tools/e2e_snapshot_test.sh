@@ -9,10 +9,12 @@
 # --no-incremental-butterflies answers bit-identically to the default
 # incremental-counter runs across methods and thread counts), and that the
 # dynamic
-# update flow works: bccs_update appends a delta log that bccs_query
+# update flow works: bccs_update appends changelog records that bccs_query
 # replays (build -> update -> query-from-replayed-snapshot ==
-# query-from-updated-text-graph), --updates-file applies a batch in-process,
-# and invalid update batches are rejected. The bccs_serve socket front-end
+# query-from-updated-text-graph), --compact-threshold folds them,
+# --updates-file applies a batch in-process, invalid update batches are
+# rejected, and a legacy in-file delta chain is refused by name. The
+# bccs_serve socket front-end
 # (--listen) is driven over a real loopback connection: pipelined
 # query/update/query with request ids answer with per-connection epoch
 # views matching bccs_query on the equivalent graphs, a reconnect resending
@@ -196,10 +198,11 @@ phases_out="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.tx
   --threads 1)"
 grep -q '^phases: .*delta=' <<< "$phases_out" || fail "no per-phase breakdown in batch output"
 
-# --- Dynamic graphs: delta log + --updates-file -----------------------------
+# --- Dynamic graphs: changelog + --updates-file -----------------------------
 
-# Delete one existing edge through bccs_update: the delta block is appended
-# to the snapshot (no payload rewrite) and the updated graph written as text.
+# Delete one existing edge through bccs_update: one changelog record is
+# appended next to the snapshot (no payload rewrite) and the updated graph
+# written as text.
 eu="$(awk '$1=="e" {print $2; exit}' "$tmp/g.txt")"
 ev="$(awk '$1=="e" {print $3; exit}' "$tmp/g.txt")"
 [ -n "$eu" ] && [ -n "$ev" ] || fail "could not pick an edge to delete"
@@ -215,7 +218,7 @@ upd_graph="$(run_query --graph "$tmp/g2.txt")"
 [ "$upd_snap" = "$upd_graph" ] \
   || fail "replayed snapshot answers differ: '$upd_snap' vs '$upd_graph'"
 
-# The delta block re-stamped the snapshot with g2.txt's identity, so the
+# The record re-stamped the snapshot with g2.txt's identity, so the
 # combined path accepts it without a rebuild.
 "$bin/bccs_query" --graph "$tmp/g2.txt" --index-file "$tmp/g.snap" \
   --ql "$q1" --qr "$q2" --method l2p >/dev/null 2>"$tmp/upd_stamp.err" \
@@ -234,7 +237,7 @@ upd_graph_lp="$("$bin/bccs_query" --graph "$tmp/g2.txt" --ql "$q1" --qr "$q2" \
 [ "$upd_flag" = "$upd_graph_lp" ] \
   || fail "--updates-file answers differ: '$upd_flag' vs '$upd_graph_lp'"
 
-# Re-inserting the deleted edge chains a second delta block; the replayed
+# Re-inserting the deleted edge appends a second record; the replayed
 # state is back to the original graph and answers match the very first run.
 printf -- '+ %s %s\n' "$eu" "$ev" > "$tmp/updates2.txt"
 "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/updates2.txt" \
@@ -255,20 +258,21 @@ if "$bin/bccs_query" --graph "$tmp/g.txt" --updates-file "$tmp/bad_updates.txt" 
   fail "invalid update batch was accepted by bccs_query"
 fi
 
-# --compact collapses the delta log into a rewritten payload; answers hold.
+# --compact folds the changelog into a rewritten payload; answers hold.
 "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/updates.txt" \
   --compact >/dev/null || fail "bccs_update --compact failed"
 compacted="$(run_query --index-file "$tmp/g.snap")"
 [ "$compacted" = "$upd_graph" ] \
   || fail "compacted snapshot answers differ: '$compacted' vs '$upd_graph'"
 
-# --- Background compaction: --auto-compact ----------------------------------
+# --- Compaction policy: --compact-threshold ---------------------------------
 
-# A fresh snapshot of the updated graph; two appends with --auto-compact 1:
-# the first leaves one block, the second (now over the threshold) folds the
-# log automatically via the same tmp+rename rewrite as --compact.
+# A fresh snapshot of the updated graph; two single-edge appends, each in
+# its own sealed segment (--segment-blocks 1), under --compact-threshold 2:
+# the first leaves one sealed segment, the second reaches the threshold and
+# folds both through the compactor.
 "$bin/bccs_build" --graph "$tmp/g2.txt" --out "$tmp/g3.snap" >/dev/null \
-  || fail "bccs_build for auto-compact failed"
+  || fail "bccs_build for the compaction policy failed"
 e2u="$(awk '$1=="e" {print $2}' "$tmp/g2.txt" | sed -n 2p)"
 e2v="$(awk '$1=="e" {print $3}' "$tmp/g2.txt" | sed -n 2p)"
 [ -n "$e2u" ] && [ -n "$e2v" ] || fail "could not pick a second edge"
@@ -276,27 +280,47 @@ printf -- '- %s %s\n' "$e2u" "$e2v" > "$tmp/ac1.txt"
 printf -- '+ %s %s\n' "$e2u" "$e2v" > "$tmp/ac2.txt"
 
 if "$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-    --auto-compact 0 >/dev/null 2>&1; then
-  fail "--auto-compact 0 was accepted"
-fi
-if "$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-    --compact --auto-compact 2 >/dev/null 2>&1; then
-  fail "--compact with --auto-compact was accepted"
+    --compact-threshold 0 >/dev/null 2>&1; then
+  fail "--compact-threshold 0 was accepted"
 fi
 
 ac1_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-  --auto-compact 1)" || fail "first --auto-compact update failed"
-grep -q "compacted" <<< "$ac1_out" && fail "auto-compact fired below the threshold"
+  --segment-blocks 1 --compact-threshold 2)" || fail "first threshold update failed"
+grep -q "compacted" <<< "$ac1_out" && fail "compaction fired below the threshold"
 ac2_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac2.txt" \
-  --auto-compact 1)" || fail "second --auto-compact update failed"
-grep -q "compacted snapshot (auto)" <<< "$ac2_out" \
-  || fail "auto-compact did not fire above the threshold"
-# The folded snapshot has an empty log chain and serves the delete+insert
-# round trip (== g2) correctly.
-ac3_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-  --auto-compact 8)" || fail "post-compaction update failed"
-grep -q "0 delta blocks" <<< "$ac3_out" \
-  || fail "auto-compacted snapshot still reports delta blocks"
+  --segment-blocks 1 --compact-threshold 2)" || fail "second threshold update failed"
+grep -q "^compacted: folded segments through 2 " <<< "$ac2_out" \
+  || fail "compaction did not fire at the threshold: $ac2_out"
+ls "$tmp"/g3.snap.log.* >/dev/null 2>&1 && fail "folded segments left behind"
+# The folded snapshot replays nothing and serves the delete+insert round
+# trip (== g2) exactly like the text graph.
+ac3_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --recover-only)" \
+  || fail "recover-only after the fold failed"
+grep -q "0 replayed updates (0 changelog records in 0 live segments)" <<< "$ac3_out" \
+  || fail "folded snapshot still replays updates: $ac3_out"
+folded="$(run_query --index-file "$tmp/g3.snap")"
+[ "$folded" = "$upd_graph" ] \
+  || fail "folded snapshot answers differ: '$folded' vs '$upd_graph'"
+
+# The removed chain-era flags are unknown now (usage error, exit 2).
+for gone in "--auto-compact 1" "--changelog"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" $gone \
+    >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || fail "bccs_update $gone exited $rc, want 2"
+done
+
+# A snapshot carrying a legacy in-file delta chain (one empty 40-byte
+# "BCCSDLT1" block after the payload) is refused by name, with the remedy.
+cp "$tmp/g3.snap" "$tmp/legacy.snap"
+{ printf 'BCCSDLT1'; head -c 32 /dev/zero; } >> "$tmp/legacy.snap"
+rc=0
+"$bin/bccs_update" --snapshot "$tmp/legacy.snap" --recover-only \
+  >/dev/null 2>"$tmp/legacy.err" || rc=$?
+[ "$rc" -eq 1 ] || fail "legacy chain --recover-only exited $rc, want 1"
+grep -q "legacy in-file delta chain.*bccs_build" "$tmp/legacy.err" \
+  || fail "legacy chain not named: $(cat "$tmp/legacy.err")"
 
 # --- Streaming serve loop: bccs_serve ---------------------------------------
 
