@@ -823,7 +823,6 @@ ApproxRow MeasureApprox(const PlantedGraph& pg, std::span<const BccQuery> querie
   ApproxRow row;
   row.queries = queries.size();
   ApproxOptions approx;
-  approx.enabled = true;
   approx.samples = 256;
   approx.threshold = 64;
   approx.seed = 7;

@@ -96,74 +96,24 @@ struct SearchStats {
 /// Approximate-butterfly fast path for the per-round validity check (the
 /// Sanei-Mehri et al. KDD'18 sampling family, see butterfly/approx_counting).
 ///
-/// When enabled and the alive candidate exceeds `threshold`, the per-round
-/// "does a side still reach chi >= b" check is replaced by the necessary
-/// condition "estimated total butterflies >= b" (every butterfly contributes
-/// to two vertices per side, so max chi >= b requires total >= b). Rounds
-/// validated this way are tracked, and the final answer is re-checked with
-/// an exact CountButterflies pass — falling back to the best exactly-
+/// With `samples > 0` and an alive candidate larger than `threshold`, the
+/// per-round "does a side still reach chi >= b" check is replaced by the
+/// necessary condition "estimated total butterflies >= b" (every butterfly
+/// contributes to two vertices per side, so max chi >= b requires total >= b).
+/// Rounds validated this way are tracked, and the final answer is re-checked
+/// with an exact CountButterflies pass — falling back to the best exactly-
 /// validated round on failure — so returned communities are never
 /// approximate-only (see DESIGN.md).
 struct ApproxOptions {
-  bool enabled = false;
-  /// Sampled same-side vertex pairs per estimate. With `adaptive` set this
-  /// is the ceiling, not the fixed count.
-  std::size_t samples = 2048;
+  /// Sampled same-side vertex pairs per estimate; 0 turns sampling off.
+  std::size_t samples = 0;
   /// Alive-candidate size above which sampling replaces the exact recount.
   std::size_t threshold = 4096;
   /// Base RNG seed. The serving engine derives the effective per-query seed
   /// as `seed ^ request_id`, so batch answers are bit-identical regardless
   /// of which worker thread claims the query.
   std::uint64_t seed = 1;
-  /// Adaptive sampling: scale each estimate's sample count with the alive
-  /// candidate size (see EffectiveSampleCount) instead of spending the full
-  /// `samples` budget on every round. The count is a pure function of the
-  /// candidate size — itself deterministic per query — so the
-  /// `seed ^ request_id` reproducibility guarantee is unchanged.
-  bool adaptive = false;
-  /// Adaptive floor: estimates never use fewer samples than this (capped by
-  /// `samples` when the ceiling is smaller).
-  std::size_t min_samples = 64;
-  /// Variance-adaptive refinement of `adaptive`: additionally scale each
-  /// round's sample count by the previous round's observed relative estimate
-  /// variance (see the three-argument EffectiveSampleCount). Low-variance
-  /// rounds spend less of the budget, noisy rounds spend more. The scale is
-  /// a pure function of the query's own estimate history — itself fully
-  /// determined by (options, query, graph) — so answers stay bit-identical
-  /// across thread counts. No effect unless `adaptive` is also set.
-  bool variance_adaptive = false;
 };
-
-/// Per-estimate sample count: the fixed `samples` budget, or — with
-/// `adaptive` — one sampled pair per four alive candidate vertices, clamped
-/// to [min_samples, samples]. Late peeling rounds on a shrinking candidate
-/// therefore stop paying the full budget while large early rounds keep it.
-/// Deterministic in (options, alive): the sampling schedule of a query never
-/// depends on thread count or claim order.
-inline std::size_t EffectiveSampleCount(const ApproxOptions& o, std::size_t alive) {
-  if (!o.adaptive) return o.samples;
-  const std::size_t floor_samples = std::min(o.min_samples, o.samples);
-  return std::clamp(alive / 4, floor_samples, o.samples);
-}
-
-/// Variance-adaptive sample count: the size-based count above, additionally
-/// scaled by the previous estimate's observed relative variance
-/// (Var[sample] / E[sample]^2, as reported by EstimateTotalButterflies).
-/// The multiplier is clamped to [1/4, 4] so one degenerate round can never
-/// collapse or explode the schedule, and the result is clamped back to
-/// [min_samples, samples]. Callers seed the history with 1.0 (neutral).
-/// Pure function of (options, alive, last_rel_variance) — the variance fed
-/// back is a deterministic product of the query's own seeded estimates, so
-/// the 1-vs-N-thread reproducibility guarantee is unchanged.
-inline std::size_t EffectiveSampleCount(const ApproxOptions& o, std::size_t alive,
-                                        double last_rel_variance) {
-  const std::size_t base = EffectiveSampleCount(o, alive);
-  if (!o.adaptive || !o.variance_adaptive) return base;
-  const double scale = std::clamp(last_rel_variance, 0.25, 4.0);
-  const auto scaled = static_cast<std::size_t>(static_cast<double>(base) * scale);
-  const std::size_t floor_samples = std::min(o.min_samples, o.samples);
-  return std::clamp(scaled, floor_samples, o.samples);
-}
 
 /// Strategy switches of Section 6. Online-BCC = defaults with both
 /// accelerations off; LP-BCC = both on.

@@ -30,11 +30,6 @@ struct PairState {
   /// (SearchOptions::incremental_butterflies). Owned by the workspace pool;
   /// null when the flag is off or the pair started inactive.
   PeelButterflyCounter* pc = nullptr;
-  /// Relative variance of this pair's previous sampled estimate, fed back
-  /// into the next round's EffectiveSampleCount when variance_adaptive is
-  /// set. Per-pair state: pairs with noisy estimates re-sample harder
-  /// without inflating the budget of the quiet ones.
-  double last_rel_var = 1.0;
 };
 
 }  // namespace
@@ -246,7 +241,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
 
   const ApproxOptions& approx = opts.approx;
   std::vector<VertexId>* estimate_scratch =
-      approx.enabled ? ws->AcquireIdVec() : nullptr;
+      approx.samples > 0 ? ws->AcquireIdVec() : nullptr;
 
   PeelQueue& queue = ws->peel_queue();
   queue.Reset(n);
@@ -288,7 +283,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     // sampled-estimate path below: approx_this_round is decided on the
     // post-removal alive count, which never exceeds the pre-removal count, so
     // a counter that is still fresh here implies the round is exact.
-    const bool approx_possible = approx.enabled && cand.NumAlive() > approx.threshold;
+    const bool approx_possible = approx.samples > 0 && cand.NumAlive() > approx.threshold;
     bool any_live = false;
     for (PairState& ps : pairs) {
       if (ps.pc == nullptr) continue;
@@ -363,7 +358,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     // this path next round); see PeelToBcc for the validity contract.
     next_round_exact = true;
     const bool approx_this_round =
-        approx.enabled && cand.NumAlive() > approx.threshold;
+        approx.samples > 0 && cand.NumAlive() > approx.threshold;
     // Exact per-pair counts for this round's validity check: served from the
     // pair's fresh delta counter when possible, otherwise a full recount
     // (refreshing the counter in passing so later rounds go back to deltas).
@@ -412,11 +407,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
         {
           ScopedAccumulator t(&stats->butterfly_seconds);
           ApproxButterflyOptions aopts;
-          aopts.samples = EffectiveSampleCount(approx, cand.NumAlive(), ps.last_rel_var);
+          aopts.samples = approx.samples;
           aopts.seed = DeriveEstimateSeed(approx.seed, round_idx, pi);
           est = EstimateTotalButterflies(g, groups[ps.i], groups[ps.j], cand.GroupMask(ps.i),
-                                         cand.GroupMask(ps.j), aopts, estimate_scratch,
-                                         &ps.last_rel_var);
+                                         cand.GroupMask(ps.j), aopts, estimate_scratch);
         }
         ++stats->approx_checks;
         used_approx = true;

@@ -103,21 +103,16 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
   const Deadline* cascade_deadline = deadline.unlimited() ? nullptr : &deadline;
   const ApproxOptions& approx = opts.approx;
   std::vector<VertexId>* estimate_scratch =
-      approx.enabled ? ws->AcquireIdVec() : nullptr;
+      approx.samples > 0 ? ws->AcquireIdVec() : nullptr;
   // Sampled validity check (necessary condition: estimated total >= b; every
   // butterfly gives two vertices per side, so max chi >= b needs total >= b).
-  // `last_rel_var` threads each round's observed relative variance into the
-  // next round's sample count (variance_adaptive); it is a pure function of
-  // the query's own seeded estimates, so determinism is preserved.
-  double last_rel_var = 1.0;
   auto estimate_valid = [&](std::uint32_t round_idx) {
     ScopedAccumulator t(&stats->butterfly_seconds);
     ApproxButterflyOptions aopts;
-    aopts.samples = EffectiveSampleCount(approx, cand.NumAlive(), last_rel_var);
+    aopts.samples = approx.samples;
     aopts.seed = DeriveEstimateSeed(approx.seed, round_idx);
     double est = EstimateTotalButterflies(g, g0.left, g0.right, cand.GroupMask(0),
-                                          cand.GroupMask(1), aopts, estimate_scratch,
-                                          &last_rel_var);
+                                          cand.GroupMask(1), aopts, estimate_scratch);
     ++stats->approx_checks;
     used_approx = true;
     next_round_exact = false;
@@ -167,7 +162,7 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     // needed); the candidate only shrinks during the cascade, so the
     // pre-removal size check can never under-predict the approx path.
     if (pc != nullptr) {
-      if (approx.enabled && cand.NumAlive() > approx.threshold) pc->MarkStale();
+      if (approx.samples > 0 && cand.NumAlive() > approx.threshold) pc->MarkStale();
       pc->BeginRound();
     }
     bool counter_live = pc != nullptr && !pc->stale();
@@ -242,7 +237,7 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     // leaders are left unset so the next round re-enters this path until the
     // candidate shrinks below the threshold (or the estimate fails).
     const bool approx_this_round =
-        approx.enabled && cand.NumAlive() > approx.threshold;
+        approx.samples > 0 && cand.NumAlive() > approx.threshold;
     // Exact per-round counts: the maintained delta-chi while the counter is
     // fresh (recount avoided, SearchStats::delta_rounds), a counter-refilling
     // full recount after staleness (delta_fallbacks), or the legacy recount

@@ -1,6 +1,5 @@
 #include "butterfly/approx_counting.h"
 
-#include <algorithm>
 #include <random>
 
 namespace bccs {
@@ -23,10 +22,8 @@ double EstimateTotalButterflies(const LabeledGraph& g, std::span<const VertexId>
                                 const std::vector<char>& in_left,
                                 const std::vector<char>& in_right,
                                 const ApproxButterflyOptions& opts,
-                                std::vector<VertexId>* alive_scratch,
-                                double* rel_variance) {
+                                std::vector<VertexId>* alive_scratch) {
   (void)right;
-  if (rel_variance != nullptr) *rel_variance = 0.0;
   std::vector<VertexId> local_alive;
   std::vector<VertexId>& alive = alive_scratch != nullptr ? *alive_scratch : local_alive;
   alive.clear();
@@ -40,46 +37,15 @@ double EstimateTotalButterflies(const LabeledGraph& g, std::span<const VertexId>
   std::uniform_int_distribution<std::size_t> pick(0, alive.size() - 1);
 
   double sum = 0;
-  double sum_sq = 0;
   for (std::size_t s = 0; s < opts.samples; ++s) {
     std::size_t i = pick(rng);
     std::size_t j = pick(rng);
     if (j == i) j = (i + 1) % alive.size();
     auto common =
         static_cast<double>(CommonCrossNeighbors(g, alive[i], alive[j], in_right));
-    const double value = Choose2(common);
-    sum += value;
-    sum_sq += value * value;
-  }
-  const auto n = static_cast<double>(opts.samples);
-  if (rel_variance != nullptr && sum > 0) {
-    const double mean = sum / n;
-    const double variance = std::max(0.0, sum_sq / n - mean * mean);
-    *rel_variance = variance / (mean * mean);
-  }
-  return num_pairs * sum / n;
-}
-
-double EstimateVertexButterflies(const LabeledGraph& g, VertexId v,
-                                 std::span<const VertexId> same_side,
-                                 const std::vector<char>& side_mask,
-                                 const std::vector<char>& other_mask,
-                                 const ApproxButterflyOptions& opts) {
-  std::vector<VertexId> partners;
-  for (VertexId w : same_side) {
-    if (w != v && side_mask[w]) partners.push_back(w);
-  }
-  if (partners.empty() || !side_mask[v]) return 0.0;
-
-  std::mt19937_64 rng(opts.seed);
-  std::uniform_int_distribution<std::size_t> pick(0, partners.size() - 1);
-  double sum = 0;
-  for (std::size_t s = 0; s < opts.samples; ++s) {
-    auto common = static_cast<double>(
-        CommonCrossNeighbors(g, v, partners[pick(rng)], other_mask));
     sum += Choose2(common);
   }
-  return static_cast<double>(partners.size()) * sum / static_cast<double>(opts.samples);
+  return num_pairs * sum / static_cast<double>(opts.samples);
 }
 
 }  // namespace bccs

@@ -37,29 +37,12 @@ inline std::uint64_t DeriveEstimateSeed(std::uint64_t seed, std::uint64_t round,
 /// A non-null `alive_scratch` supplies the buffer for the alive-vertex list
 /// (cleared and refilled each call), so per-round estimates in the peeling
 /// engines allocate nothing; with nullptr a local vector is used.
-///
-/// A non-null `rel_variance` receives the relative variance of the
-/// per-sample values, Var[C(common, 2)] / E[C(common, 2)]^2 (0 when the
-/// mean is zero or the side degenerates to an exact count). The
-/// variance-adaptive sampling schedule (ApproxOptions::variance_adaptive)
-/// feeds this back into the next round's EffectiveSampleCount.
 double EstimateTotalButterflies(const LabeledGraph& g, std::span<const VertexId> left,
                                 std::span<const VertexId> right,
                                 const std::vector<char>& in_left,
                                 const std::vector<char>& in_right,
                                 const ApproxButterflyOptions& opts = {},
-                                std::vector<VertexId>* alive_scratch = nullptr,
-                                double* rel_variance = nullptr);
-
-/// Unbiased estimate of one vertex's butterfly degree via sampled same-side
-/// partners:
-///   chi(v) = (|side| - 1) * E[ C(|N(v) n N(w)|, 2) ] over uniform w != v.
-/// Used to probe for leader candidates without a full Algorithm 3 pass.
-double EstimateVertexButterflies(const LabeledGraph& g, VertexId v,
-                                 std::span<const VertexId> same_side,
-                                 const std::vector<char>& side_mask,
-                                 const std::vector<char>& other_mask,
-                                 const ApproxButterflyOptions& opts = {});
+                                std::vector<VertexId>* alive_scratch = nullptr);
 
 }  // namespace bccs
 

@@ -26,8 +26,7 @@ struct AdmissionCaps {
 /// queue that accepts items while workers are already draining.
 ///
 /// Producers admit *tickets* (queries tagged with a lane, updates) in
-/// stream order; workers Pop() them under the dequeue policy that replaces
-/// the old per-batch compiled claim order (BuildLaneOrder):
+/// stream order; workers Pop() them under this dequeue policy:
 ///
 ///   1. **Updates first, one at a time.** The oldest unresolved update is
 ///      handed out as soon as the previous one has been published — updates
@@ -37,8 +36,8 @@ struct AdmissionCaps {
 ///   2. **Interactive over bulk, with aging.** Among runnable queries,
 ///      interactive is dequeued first; every (aging_period + 1)-th query
 ///      dequeue goes to the oldest waiting bulk query even while
-///      interactive queries remain (0 disables aging), exactly the
-///      BuildLaneOrder policy expressed dynamically.
+///      interactive queries remain (0 disables aging), so a saturated
+///      interactive lane cannot starve bulk indefinitely.
 ///   3. **Per-lane concurrency caps.** A lane at its in-flight cap is not
 ///      runnable; the worker takes the other lane or blocks until a
 ///      CompleteQuery frees a slot.

@@ -61,7 +61,6 @@ void BatchRunner::WorkerLoop(std::size_t tid) {
   std::uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(std::size_t, QueryWorkspace&)>* job;
-    const std::uint32_t* order;
     std::size_t count;
     {
       MutexLock lock(mutex_);
@@ -69,23 +68,19 @@ void BatchRunner::WorkerLoop(std::size_t tid) {
       if (stop_) return;
       seen_generation = generation_;
       job = job_;
-      order = order_;
       count = job_count_;
     }
     QueryWorkspace& ws = *workspaces_[tid];
     for (;;) {
       // Generation-checked claim: a straggler from an older batch sees the
       // generation mismatch and backs off without consuming an index of the
-      // new batch. Claims are FIFO over *slots*; the optional order array
-      // maps a slot to its query index (the lane scheduler's policy).
+      // new batch.
       std::uint64_t cur = cursor_.load(std::memory_order_acquire);
       if ((cur >> 32) != (seen_generation & 0xffffffff)) break;
       std::uint64_t i = cur & 0xffffffff;
       if (i >= count) break;
       if (!cursor_.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel)) continue;
-      const std::size_t index =
-          order != nullptr ? order[i] : static_cast<std::size_t>(i);
-      (*job)(index, ws);
+      (*job)(static_cast<std::size_t>(i), ws);
       if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         MutexLock lock(mutex_);
         done_cv_.NotifyAll();
@@ -113,7 +108,6 @@ void BatchRunner::Run(std::size_t count,
   AcquireBusy();
   MutexLock lock(mutex_);
   job_ = &fn;
-  order_ = nullptr;
   job_count_ = count;
   pending_.store(count, std::memory_order_relaxed);
   ++generation_;
@@ -124,24 +118,6 @@ void BatchRunner::Run(std::size_t count,
   // Workers are parked and the pool is still ours: the one point where the
   // workspace stats are safe to read on a shared runner.
   if (stats_after != nullptr) *stats_after = AggregateWorkspaceStats();
-  busy_.store(false, std::memory_order_release);
-}
-
-void BatchRunner::RunOrdered(std::span<const std::uint32_t> order,
-                             const std::function<void(std::size_t, QueryWorkspace&)>& fn) {
-  if (order.empty()) return;
-  AcquireBusy();
-  MutexLock lock(mutex_);
-  job_ = &fn;
-  order_ = order.data();
-  job_count_ = order.size();
-  pending_.store(order.size(), std::memory_order_relaxed);
-  ++generation_;
-  cursor_.store((generation_ & 0xffffffff) << 32, std::memory_order_release);
-  work_cv_.NotifyAll();
-  while (pending_.load(std::memory_order_acquire) != 0) done_cv_.Wait(mutex_);
-  job_ = nullptr;
-  order_ = nullptr;
   busy_.store(false, std::memory_order_release);
 }
 
@@ -172,29 +148,5 @@ BatchResult BatchRunner::RunCustomBatch(std::size_t count, const RunTimedFn& que
 
 // BatchRunner::RunBccBatch / RunL2pBatch / RunMbccBatch are compatibility
 // shims over ServeEngine and live in serve_engine.cc.
-
-std::vector<std::uint32_t> BuildLaneOrder(std::span<const Lane> lanes,
-                                          std::size_t aging_period) {
-  std::vector<std::uint32_t> interactive, bulk;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    (lanes[i] == Lane::kInteractive ? interactive : bulk)
-        .push_back(static_cast<std::uint32_t>(i));
-  }
-  std::vector<std::uint32_t> order;
-  order.reserve(lanes.size());
-  std::size_t ii = 0, bi = 0, since_bulk = 0;
-  while (ii < interactive.size() || bi < bulk.size()) {
-    const bool bulk_left = bi < bulk.size();
-    const bool age_out = aging_period > 0 && since_bulk >= aging_period;
-    if (ii < interactive.size() && (!bulk_left || !age_out)) {
-      order.push_back(interactive[ii++]);
-      ++since_bulk;
-    } else {
-      order.push_back(bulk[bi++]);
-      since_bulk = 0;
-    }
-  }
-  return order;
-}
 
 }  // namespace bccs

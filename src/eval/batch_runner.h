@@ -23,7 +23,7 @@
 namespace bccs {
 
 /// Scheduling lane of a serving request. Interactive queries are claimed
-/// ahead of bulk ones (with anti-starvation aging, see BuildLaneOrder).
+/// ahead of bulk ones (with anti-starvation aging, see AdmissionQueue).
 enum class Lane : std::uint8_t { kInteractive = 0, kBulk = 1 };
 
 inline const char* Name(Lane lane) {
@@ -124,17 +124,6 @@ class BatchRunner {
   void Run(std::size_t count, const std::function<void(std::size_t, QueryWorkspace&)>& fn,
            WorkspaceStats* stats_after = nullptr);
 
-  /// Scheduled fan-out: workers claim the *slots* of `order` FIFO and invoke
-  /// fn(order[slot], workspace) — the claim loop stays a single atomic
-  /// cursor with the policy compiled into the order array. This was the
-  /// serving engine's scheduler through PR 4; serving now dequeues
-  /// dynamically from an AdmissionQueue (eval/admission_queue.h), so this
-  /// entry point remains for callers that want a precomputed order (e.g. a
-  /// BuildLaneOrder oracle in tests). `order` must stay alive until the
-  /// call returns and hold each index at most once.
-  void RunOrdered(std::span<const std::uint32_t> order,
-                  const std::function<void(std::size_t, QueryWorkspace&)>& fn);
-
   /// Aggregated workspace stats over all workers (for allocation tests).
   WorkspaceStats AggregateWorkspaceStats() const;
 
@@ -179,8 +168,6 @@ class BatchRunner {
   CondVar work_cv_;
   CondVar done_cv_;
   const std::function<void(std::size_t, QueryWorkspace&)>* job_ GUARDED_BY(mutex_) = nullptr;
-  // Slot -> index map; null = identity.
-  const std::uint32_t* order_ GUARDED_BY(mutex_) = nullptr;
   std::size_t job_count_ GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
   // (generation & 0xffffffff) << 32 | next_index; see WorkerLoop. Atomics
@@ -195,15 +182,6 @@ class BatchRunner {
 /// When the wall clock reads zero (sub-tick batches), qps falls back to the
 /// sum of per-query seconds instead of silently reporting 0.
 BatchLatency SummarizeLatency(std::span<const double> seconds, double wall_seconds);
-
-/// Compiles the two-lane policy into a claim order over [0, lanes.size()):
-/// interactive indices first (arrival order preserved within a lane), bulk
-/// after — except that every (aging_period + 1)-th claim slot is given to
-/// the oldest waiting bulk query, so a saturated interactive lane cannot
-/// starve bulk indefinitely. aging_period == 0 disables aging (bulk runs
-/// strictly after interactive).
-std::vector<std::uint32_t> BuildLaneOrder(std::span<const Lane> lanes,
-                                          std::size_t aging_period);
 
 }  // namespace bccs
 

@@ -40,7 +40,7 @@ std::shared_ptr<const T> Unowned(const T* p) {
 // sampled query's whole schedule is independent of which worker claims it.
 SearchOptions SeededOptions(const SearchOptions& base, std::uint64_t request_id) {
   SearchOptions o = base;
-  if (o.approx.enabled) o.approx.seed ^= request_id;
+  if (o.approx.samples > 0) o.approx.seed ^= request_id;
   return o;
 }
 
@@ -226,15 +226,16 @@ bool ServeEngine::CacheableRequest(const QueryRequest& req, bool has_index) cons
   if (req.deadline_seconds > 0) return false;
   switch (req.method) {
     case QueryMethod::kOnlineBcc:
-      return !opts_.online.approx.enabled;
+      return opts_.online.approx.samples == 0;
     case QueryMethod::kLpBcc:
-      return !opts_.lp.approx.enabled;
+      return opts_.lp.approx.samples == 0;
     case QueryMethod::kL2pBcc:
       // Matches Dispatch: without an index, l2p degrades to LP and runs
       // under the LP options' approx setting.
-      return has_index ? !opts_.l2p.search.approx.enabled : !opts_.lp.approx.enabled;
+      return has_index ? opts_.l2p.search.approx.samples == 0
+                       : opts_.lp.approx.samples == 0;
     case QueryMethod::kMbcc:
-      return !opts_.mbcc.approx.enabled;
+      return opts_.mbcc.approx.samples == 0;
   }
   return false;
 }

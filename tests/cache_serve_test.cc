@@ -393,7 +393,7 @@ TEST(CacheServeTest, HitsCarryForwardAcrossUnrelatedUpdates) {
   EXPECT_EQ(s.stale_drops, 0u);
 }
 
-// Approx-enabled and deadline-bearing requests bypass the cache entirely
+// Sampled (approx) and deadline-bearing requests bypass the cache entirely
 // (per-query seeds and timing-dependent partial answers are not reusable).
 TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
   PlantedGraph pg = MakeGraph();
@@ -404,7 +404,6 @@ TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
   ServeOptions opts;
   opts.result_cache_entries = 16;
   ApproxOptions approx;
-  approx.enabled = true;
   approx.samples = 64;
   approx.threshold = 1;  // force the sampled path
   opts.online.approx = approx;
@@ -414,7 +413,7 @@ TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
   for (int rep = 0; rep < 2; ++rep) {
     QueryRequest sampled;
     sampled.query = queries[0];
-    sampled.method = QueryMethod::kOnlineBcc;  // approx-enabled → uncacheable
+    sampled.method = QueryMethod::kOnlineBcc;  // sampled → uncacheable
     items.emplace_back(sampled);
     QueryRequest deadline;
     deadline.query = queries[0];
@@ -427,81 +426,6 @@ TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.insertions, 0u);
-}
-
-// --------------------------------------------------------------------------
-// Variance-adaptive approx sampling.
-// --------------------------------------------------------------------------
-
-TEST(VarianceAdaptiveTest, EffectiveSampleCountScalesWithVariance) {
-  ApproxOptions o;
-  o.enabled = true;
-  o.adaptive = true;
-  o.variance_adaptive = true;
-  o.samples = 1024;
-  o.min_samples = 64;
-
-  const std::size_t base = EffectiveSampleCount(o, /*alive=*/1024);
-  // Neutral history reproduces the size-based schedule.
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 1.0), base);
-  // Low variance shrinks (floored), high variance grows (ceilinged).
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 0.0), base / 4);
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 100.0), o.samples);
-  // Never below the floor or above the ceiling.
-  EXPECT_GE(EffectiveSampleCount(o, 16, 0.0), std::min(o.min_samples, o.samples));
-  EXPECT_LE(EffectiveSampleCount(o, 1 << 20, 100.0), o.samples);
-
-  // Without the flag the history is ignored.
-  o.variance_adaptive = false;
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 100.0), base);
-  // Without `adaptive`, fixed budget regardless.
-  o.adaptive = false;
-  o.variance_adaptive = true;
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 0.0), o.samples);
-}
-
-// The variance feedback is a pure function of the query's own seeded
-// estimates: answers stay bit-identical between 1 worker and many.
-TEST(VarianceAdaptiveTest, DeterministicAcrossThreadCounts) {
-  PlantedGraph pg = MakeGraph(6, 91);
-  std::vector<BccQuery> queries = SampleQueries(pg, 12);
-  ASSERT_FALSE(queries.empty());
-
-  ApproxOptions approx;
-  approx.enabled = true;
-  approx.samples = 128;
-  approx.min_samples = 16;
-  approx.threshold = 32;
-  approx.adaptive = true;
-  approx.variance_adaptive = true;
-  approx.seed = 13;
-  SearchOptions opts = OnlineBccOptions();
-  opts.approx = approx;
-
-  BccParams params;
-  BatchRunner seq(1);
-  BatchRunner par(4);
-  BatchResult s = seq.RunBccBatch(pg.graph, queries, params, opts);
-  BatchResult p = par.RunBccBatch(pg.graph, queries, params, opts);
-  ASSERT_EQ(s.communities.size(), p.communities.size());
-  for (std::size_t i = 0; i < s.communities.size(); ++i) {
-    EXPECT_EQ(s.communities[i].vertices, p.communities[i].vertices) << "query " << i;
-  }
-
-  // mBCC threads the per-pair variance history the same way.
-  std::vector<MbccGroundTruthQuery> mgt = SampleMbccGroundTruthQueries(pg, 3, 6, 17);
-  std::vector<MbccQuery> mqueries;
-  for (const auto& g : mgt) mqueries.push_back(g.query);
-  ASSERT_FALSE(mqueries.empty());
-  MbccParams mparams;
-  SearchOptions mopts = LpBccOptions();
-  mopts.approx = approx;
-  BatchResult ms = seq.RunMbccBatch(pg.graph, mqueries, mparams, mopts);
-  BatchResult mp = par.RunMbccBatch(pg.graph, mqueries, mparams, mopts);
-  ASSERT_EQ(ms.communities.size(), mp.communities.size());
-  for (std::size_t i = 0; i < ms.communities.size(); ++i) {
-    EXPECT_EQ(ms.communities[i].vertices, mp.communities[i].vertices) << "query " << i;
-  }
 }
 
 }  // namespace

@@ -315,7 +315,6 @@ TEST_P(PeelCounterSearchTest, ApproxRoundsForceFallbackThenResync) {
   const std::size_t step = std::max<std::size_t>(1, probe.g0_size / 48);
   for (std::size_t threshold = 4; threshold < probe.g0_size; threshold += step) {
     SearchOptions opts;  // online mode: every round needs an exact or sampled check
-    opts.approx.enabled = true;
     opts.approx.samples = 256;
     opts.approx.threshold = threshold;
     opts.approx.seed = 5;

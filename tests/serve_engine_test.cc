@@ -1,7 +1,6 @@
 #include "eval/serve_engine.h"
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,63 +39,6 @@ BccViolation VerifyResolved(const LabeledGraph& g, const Community& c, const Bcc
   p.k1 = g0.k1;
   p.k2 = g0.k2;
   return VerifyBcc(g, c, q, p);
-}
-
-// --------------------------------------------------------------------------
-// Scheduler: lane order compilation and ordered claiming.
-// --------------------------------------------------------------------------
-
-TEST(LaneOrderTest, InteractiveDrainsFirstWithoutAging) {
-  std::vector<Lane> lanes = {Lane::kBulk, Lane::kInteractive, Lane::kBulk,
-                             Lane::kInteractive};
-  EXPECT_EQ(BuildLaneOrder(lanes, 0), (std::vector<std::uint32_t>{1, 3, 0, 2}));
-}
-
-TEST(LaneOrderTest, AgingGivesEveryNthSlotToBulk) {
-  // 6 interactive (0..5), 3 bulk (6..8), one bulk claim after every 2
-  // interactive claims.
-  std::vector<Lane> lanes(9, Lane::kInteractive);
-  lanes[6] = lanes[7] = lanes[8] = Lane::kBulk;
-  EXPECT_EQ(BuildLaneOrder(lanes, 2),
-            (std::vector<std::uint32_t>{0, 1, 6, 2, 3, 7, 4, 5, 8}));
-  // Aging disabled: bulk strictly after interactive.
-  EXPECT_EQ(BuildLaneOrder(lanes, 0),
-            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
-}
-
-TEST(LaneOrderTest, BulkOnlyAndInteractiveOnly) {
-  std::vector<Lane> bulk(4, Lane::kBulk);
-  EXPECT_EQ(BuildLaneOrder(bulk, 2), (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  std::vector<Lane> inter(3, Lane::kInteractive);
-  EXPECT_EQ(BuildLaneOrder(inter, 2), (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_TRUE(BuildLaneOrder({}, 2).empty());
-}
-
-TEST(BatchRunnerOrderedTest, SingleWorkerExecutesInScheduleOrder) {
-  BatchRunner runner(1);
-  std::vector<std::uint32_t> order = {3, 1, 2, 0, 4};
-  std::vector<std::size_t> executed;
-  std::mutex mu;
-  runner.RunOrdered(order, [&](std::size_t i, QueryWorkspace&) {
-    std::lock_guard<std::mutex> lock(mu);
-    executed.push_back(i);
-  });
-  EXPECT_EQ(executed, (std::vector<std::size_t>{3, 1, 2, 0, 4}));
-}
-
-TEST(BatchRunnerOrderedTest, MultiWorkerCoversEveryIndexOnce) {
-  BatchRunner runner(3);
-  std::vector<std::uint32_t> order(101);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<std::uint32_t>(order.size() - 1 - i);
-  }
-  std::vector<int> hits(order.size(), 0);
-  std::mutex mu;
-  runner.RunOrdered(order, [&](std::size_t i, QueryWorkspace&) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++hits[i];
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
 // --------------------------------------------------------------------------
@@ -296,7 +238,6 @@ TEST(ServeEngineTest, MbccDeadlineExpiryIsFlaggedAndValid) {
 
 ApproxOptions ForcedApprox(std::size_t samples = 64) {
   ApproxOptions a;
-  a.enabled = true;
   a.samples = samples;
   a.threshold = 1;  // every round of every query takes the sampled check
   a.seed = 42;

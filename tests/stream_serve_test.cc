@@ -43,22 +43,39 @@ std::vector<BccQuery> SampleQueries(const PlantedGraph& pg, std::size_t count) {
 }
 
 // --------------------------------------------------------------------------
-// AdmissionQueue: the dequeue policy replaces BuildLaneOrder.
+// AdmissionQueue: the dequeue policy.
 // --------------------------------------------------------------------------
 
-// A single consumer must see exactly the order BuildLaneOrder would have
-// compiled for the same lane sequence: interactive first, bulk aged in
-// every (aging_period + 1)-th slot.
+// A single consumer pops a lane sequence in the policy's order: interactive
+// first (arrival order within a lane), bulk aged into every
+// (aging_period + 1)-th slot; aging_period 0 runs bulk strictly after
+// interactive.
 TEST(AdmissionQueueTest, SingleConsumerMatchesCompiledLaneOrder) {
-  const std::vector<Lane> lanes = {Lane::kBulk,        Lane::kInteractive, Lane::kBulk,
-                                   Lane::kInteractive, Lane::kInteractive, Lane::kBulk,
-                                   Lane::kInteractive, Lane::kBulk};
-  for (std::size_t aging : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
-    AdmissionQueue queue(aging, {});
-    for (Lane lane : lanes) queue.AdmitQuery(lane);
+  constexpr Lane I = Lane::kInteractive;
+  constexpr Lane B = Lane::kBulk;
+  struct Case {
+    std::vector<Lane> lanes;
+    std::size_t aging;
+    std::vector<std::uint32_t> want;
+  };
+  const std::vector<Lane> nine = {I, I, I, I, I, I, B, B, B};
+  const std::vector<Lane> eight = {B, I, B, I, I, B, I, B};
+  const std::vector<Case> cases = {
+      {{B, I, B, I}, 0, {1, 3, 0, 2}},
+      {nine, 2, {0, 1, 6, 2, 3, 7, 4, 5, 8}},
+      {nine, 0, {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {eight, 0, {1, 3, 4, 6, 0, 2, 5, 7}},
+      {eight, 1, {1, 0, 3, 2, 4, 5, 6, 7}},
+      {eight, 2, {1, 3, 0, 4, 6, 2, 5, 7}},
+      {{B, B, B, B}, 2, {0, 1, 2, 3}},
+      {{I, I, I}, 2, {0, 1, 2}},
+      {{}, 2, {}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    AdmissionQueue queue(cases[c].aging, {});
+    for (Lane lane : cases[c].lanes) queue.AdmitQuery(lane);
     queue.Close();
 
-    const std::vector<std::uint32_t> want = BuildLaneOrder(lanes, aging);
     std::vector<std::uint32_t> got;
     AdmissionQueue::Ticket t;
     while (queue.Pop(&t)) {
@@ -66,7 +83,7 @@ TEST(AdmissionQueueTest, SingleConsumerMatchesCompiledLaneOrder) {
       got.push_back(static_cast<std::uint32_t>(t.index));
       queue.CompleteQuery(t.lane);
     }
-    EXPECT_EQ(got, want) << "aging_period=" << aging;
+    EXPECT_EQ(got, cases[c].want) << "case " << c;
   }
 }
 
@@ -462,68 +479,44 @@ TEST(StreamServeTest, RejectedUpdatePublishesUnchangedEpoch) {
 
 // Approx sampling through the stream: explicit request ids make the sampled
 // schedule a pure function of the admission order, so a 1-worker and a
-// 4-worker stream agree bit for bit — including with adaptive sample
-// counts, whose per-round budget depends only on the (deterministic)
-// candidate size.
-TEST(StreamServeTest, AdaptiveApproxStreamsAreBitIdenticalAcrossThreadCounts) {
+// 4-worker stream agree bit for bit.
+TEST(StreamServeTest, ApproxStreamsAreBitIdenticalAcrossThreadCounts) {
   PlantedGraph pg = MakeGraph(8, 21);
   std::vector<BccQuery> queries = SampleQueries(pg, 8);
   ASSERT_GE(queries.size(), 4u);
 
-  for (bool adaptive : {false, true}) {
-    ApproxOptions approx;
-    approx.enabled = true;
-    approx.samples = 128;
-    approx.threshold = 1;  // force the sampled path on every round
-    approx.seed = 9;
-    approx.adaptive = adaptive;
-    approx.min_samples = 16;
-    ServeOptions opts;
-    opts.online.approx = approx;
+  ApproxOptions approx;
+  approx.samples = 128;
+  approx.threshold = 1;  // force the sampled path on every round
+  approx.seed = 9;
+  ServeOptions opts;
+  opts.online.approx = approx;
 
-    std::vector<ServeItem> items;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      QueryRequest req;
-      req.query = queries[i];
-      req.method = QueryMethod::kOnlineBcc;
-      req.request_id = i + 1;
-      req.lane = i % 2 == 0 ? Lane::kInteractive : Lane::kBulk;
-      items.emplace_back(req);
-    }
-
-    BatchRunner seq(1);
-    ServeEngine seq_engine(seq, pg.graph, nullptr, opts);
-    BatchResult a = seq_engine.RunStream(items);
-
-    BatchRunner par(4);
-    ServeEngine par_engine(par, pg.graph, nullptr, opts);
-    BatchResult b = par_engine.RunStream(items);
-
-    std::size_t checks = 0;
-    for (const SearchStats& s : a.stats) checks += s.approx_checks;
-    EXPECT_GT(checks, 0u) << "adaptive=" << adaptive;
-    ASSERT_EQ(a.communities.size(), b.communities.size());
-    for (std::size_t i = 0; i < a.communities.size(); ++i) {
-      EXPECT_EQ(a.communities[i].vertices, b.communities[i].vertices)
-          << "adaptive=" << adaptive << " item " << i;
-    }
+  std::vector<ServeItem> items;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    QueryRequest req;
+    req.query = queries[i];
+    req.method = QueryMethod::kOnlineBcc;
+    req.request_id = i + 1;
+    req.lane = i % 2 == 0 ? Lane::kInteractive : Lane::kBulk;
+    items.emplace_back(req);
   }
-}
 
-// EffectiveSampleCount: fixed mode ignores the candidate size; adaptive
-// mode scales with it inside [min_samples, samples].
-TEST(StreamServeTest, EffectiveSampleCountContract) {
-  ApproxOptions o;
-  o.samples = 1000;
-  o.min_samples = 50;
-  EXPECT_EQ(EffectiveSampleCount(o, 10), 1000u);
-  EXPECT_EQ(EffectiveSampleCount(o, 1u << 20), 1000u);
-  o.adaptive = true;
-  EXPECT_EQ(EffectiveSampleCount(o, 10), 50u);       // floor
-  EXPECT_EQ(EffectiveSampleCount(o, 400), 100u);     // alive / 4
-  EXPECT_EQ(EffectiveSampleCount(o, 1u << 20), 1000u);  // ceiling
-  o.min_samples = 4000;  // floor above ceiling: ceiling wins
-  EXPECT_EQ(EffectiveSampleCount(o, 10), 1000u);
+  BatchRunner seq(1);
+  ServeEngine seq_engine(seq, pg.graph, nullptr, opts);
+  BatchResult a = seq_engine.RunStream(items);
+
+  BatchRunner par(4);
+  ServeEngine par_engine(par, pg.graph, nullptr, opts);
+  BatchResult b = par_engine.RunStream(items);
+
+  std::size_t checks = 0;
+  for (const SearchStats& s : a.stats) checks += s.approx_checks;
+  EXPECT_GT(checks, 0u);
+  ASSERT_EQ(a.communities.size(), b.communities.size());
+  for (std::size_t i = 0; i < a.communities.size(); ++i) {
+    EXPECT_EQ(a.communities[i].vertices, b.communities[i].vertices) << "item " << i;
+  }
 }
 
 // Move-assignment over an unfinished stream must finish it (join the pump,

@@ -21,10 +21,6 @@
 //                             deterministic in the seed and thread count).
 //   --approx-threshold N      candidate size above which sampling kicks in
 //                             (default 4096).
-//   --approx-adaptive         scale each estimate's sample count with the
-//                             alive candidate size (--approx-samples becomes
-//                             the ceiling); answers stay deterministic in
-//                             the seed and thread count.
 //   --no-incremental-butterflies
 //                             disable the incremental per-round butterfly
 //                             maintenance (PeelButterflyCounter) and recount
@@ -103,7 +99,7 @@ void PrintUsage() {
                "                  [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p]\n"
                "                  [--lane interactive|bulk] [--deadline-ms N]\n"
                "                  [--approx-samples N] [--approx-threshold N]\n"
-               "                  [--approx-adaptive] [--updates-file FILE] [--verify]\n"
+               "                  [--updates-file FILE] [--verify]\n"
                "                  [--result-cache N] [--cache-bytes N]\n"
                "                  [--no-incremental-butterflies]\n"
                "       bccs_query ... --batch-file FILE [--threads N] [--repeat N]\n"
@@ -275,7 +271,7 @@ int main(int argc, char** argv) {
   auto unknown = args.UnknownFlags({"graph", "index-file", "ql", "qr", "queries", "k1", "k2",
                                     "b", "method", "verify", "help", "batch-file", "threads",
                                     "repeat", "lane", "deadline-ms", "approx-samples",
-                                    "approx-threshold", "approx-adaptive", "updates-file",
+                                    "approx-threshold", "updates-file",
                                     "result-cache", "cache-bytes",
                                     "no-incremental-butterflies"});
   if (!unknown.empty() || args.Has("help")) {
@@ -345,14 +341,12 @@ int main(int argc, char** argv) {
   }
   cfg.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
   if (approx_samples > 0) {
-    cfg.approx.enabled = true;
     cfg.approx.samples = static_cast<std::size_t>(approx_samples);
     cfg.approx.threshold = static_cast<std::size_t>(approx_threshold);
-    cfg.approx.adaptive = args.Has("approx-adaptive");
-  } else if (args.Has("approx-threshold") || args.Has("approx-adaptive")) {
+  } else if (args.Has("approx-threshold")) {
     std::fprintf(stderr,
-                 "warning: --approx-threshold/--approx-adaptive have no effect without "
-                 "--approx-samples; approximate counting stays disabled\n");
+                 "warning: --approx-threshold has no effect without --approx-samples; "
+                 "approximate counting stays disabled\n");
   }
   cfg.incremental_butterflies = !args.Has("no-incremental-butterflies");
 

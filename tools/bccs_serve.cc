@@ -8,7 +8,7 @@
 //              [--threads N] [--bulk-cap K] [--interactive-cap K]
 //              [--aging N] [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]
 //              [--deadline-ms N] [--approx-samples N] [--approx-threshold N]
-//              [--approx-adaptive] [--quiet]
+//              [--quiet]
 //              [--fsync none|on-rotation|every-append] [--segment-blocks N]
 //              [--compact-threshold N]
 //
@@ -92,7 +92,7 @@ void PrintUsage() {
                "                  [--interactive-cap K] [--aging N]\n"
                "                  [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]\n"
                "                  [--deadline-ms N] [--approx-samples N]\n"
-               "                  [--approx-threshold N] [--approx-adaptive] [--quiet]\n"
+               "                  [--approx-threshold N] [--quiet]\n"
                "                  [--no-incremental-butterflies]\n"
                "                  [--fsync none|on-rotation|every-append]\n"
                "                  [--segment-blocks N] [--compact-threshold N]\n"
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
   auto unknown = args.UnknownFlags({"graph", "index-file", "stream", "threads", "bulk-cap",
                                     "interactive-cap", "aging", "method", "k1", "k2", "b",
                                     "deadline-ms", "approx-samples", "approx-threshold",
-                                    "approx-adaptive", "quiet", "fsync", "segment-blocks",
+                                    "quiet", "fsync", "segment-blocks",
                                     "compact-threshold", "result-cache", "cache-bytes",
                                     "listen", "max-connections", "help",
                                     "no-incremental-butterflies"});
@@ -375,14 +375,16 @@ int main(int argc, char** argv) {
   so.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
   if (approx_samples > 0) {
     bccs::ApproxOptions approx;
-    approx.enabled = true;
     approx.samples = static_cast<std::size_t>(approx_samples);
     approx.threshold = static_cast<std::size_t>(approx_threshold);
-    approx.adaptive = args.Has("approx-adaptive");
     so.online.approx = approx;
     so.lp.approx = approx;
     so.mbcc.approx = approx;
     so.l2p.search.approx = approx;
+  } else if (args.Has("approx-threshold")) {
+    std::fprintf(stderr,
+                 "warning: --approx-threshold has no effect without --approx-samples; "
+                 "approximate counting stays disabled\n");
   }
   if (args.Has("no-incremental-butterflies")) {
     so.online.incremental_butterflies = false;

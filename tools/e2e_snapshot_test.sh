@@ -154,16 +154,25 @@ approx_2="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt"
 [ -n "$approx_1" ] || fail "no approx batch output"
 [ "$approx_1" = "$approx_2" ] || fail "approx answers differ across thread counts"
 
-# Adaptive sampling keeps the same determinism guarantee: the per-round
-# sample count is a pure function of the candidate size.
-adaptive_1="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 1 --approx-samples 64 --approx-threshold 1 --approx-adaptive \
-  | grep -E '^  \[')"
-adaptive_2="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 --approx-adaptive \
-  | grep -E '^  \[')"
-[ -n "$adaptive_1" ] || fail "no adaptive approx batch output"
-[ "$adaptive_1" = "$adaptive_2" ] || fail "adaptive approx answers differ across threads"
+# Both tools reject --approx-adaptive as an unknown flag (exit 2): every
+# estimate takes exactly --approx-samples pairs. bccs_serve, like
+# bccs_query, warns that --approx-threshold alone has no effect.
+rc=0
+"$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --approx-samples 64 \
+  --approx-adaptive >/dev/null 2>"$tmp/adaptive.err" || rc=$?
+[ "$rc" -eq 2 ] || fail "bccs_query --approx-adaptive exited $rc, want 2"
+grep -q "unknown flag: --approx-adaptive" "$tmp/adaptive.err" \
+  || fail "bccs_query did not name --approx-adaptive as unknown"
+rc=0
+"$bin/bccs_serve" --graph "$tmp/g.txt" --approx-samples 64 --approx-adaptive \
+  </dev/null >/dev/null 2>"$tmp/adaptive.err" || rc=$?
+[ "$rc" -eq 2 ] || fail "bccs_serve --approx-adaptive exited $rc, want 2"
+grep -q "unknown flag: --approx-adaptive" "$tmp/adaptive.err" \
+  || fail "bccs_serve did not name --approx-adaptive as unknown"
+"$bin/bccs_serve" --graph "$tmp/g.txt" --approx-threshold 8 </dev/null \
+  >/dev/null 2>"$tmp/threshold.err" || fail "bccs_serve --approx-threshold alone failed"
+grep -q "warning: --approx-threshold has no effect without --approx-samples" \
+  "$tmp/threshold.err" || fail "bccs_serve did not warn about --approx-threshold alone"
 
 # --- Incremental butterfly maintenance: --no-incremental-butterflies --------
 
