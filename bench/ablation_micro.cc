@@ -12,7 +12,6 @@
 #include "bcc/local_search.h"
 #include "bcc/online_search.h"
 #include "bcc/query_distance.h"
-#include "butterfly/approx_counting.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
 #include "graph/generators.h"
@@ -199,18 +198,6 @@ void BM_SearchBulkDeletion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchBulkDeletion);
-
-void BM_ApproxButterflySampling(benchmark::State& state) {
-  BipartiteFixture f(800, 0.05);
-  ApproxButterflyOptions opts;
-  opts.samples = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    double estimate =
-        EstimateTotalButterflies(f.g, f.left, f.right, f.in_left, f.in_right, opts);
-    benchmark::DoNotOptimize(estimate);
-  }
-}
-BENCHMARK(BM_ApproxButterflySampling)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_L2pEtaSweep(benchmark::State& state) {
   PeelFixture f;

@@ -8,8 +8,7 @@
 // unified serving engine (mixed interactive/bulk lanes with per-lane
 // percentiles, the streaming serve loop under a saturating mixed stream —
 // interactive p95 with/without the bulk in-flight cap and update publish
-// latency vs the old barrier flush — and the approximate-butterfly fast
-// path vs the exact recount on the large generated graph), measures
+// latency vs the old barrier flush), measures
 // dynamic edge-update batches (incremental BcIndex::ApplyUpdates vs full
 // rebuild seconds, with a bit-identical check), measures crash-recovery
 // cost (bare base load vs a rotated-changelog replay vs the load after a
@@ -42,8 +41,6 @@
 #include <variant>
 #include <vector>
 
-#include "bcc/find_g0.h"
-#include "bcc/verify.h"
 #include "bench_common.h"
 #include "eval/serve_engine.h"
 #include "eval/timer.h"
@@ -122,16 +119,6 @@ struct UpdateBatchRow {
   double speedup = 0;
   UpdateRepairStats repair;
   bool identical = false;  // repaired index == rebuilt index, bit for bit
-};
-
-/// Approx-vs-exact serving measurements on the large generated graph.
-struct ApproxRow {
-  std::size_t queries = 0;
-  std::size_t samples = 0, threshold = 0;
-  std::size_t approx_checks = 0;
-  double exact_wall_seconds = 0, approx_wall_seconds = 0, speedup = 0;
-  bool identical_across_threads = false;  // same seed, 1 thread vs all cores
-  bool exact_verified = false;            // sampled answers pass VerifyBcc
 };
 
 /// Caching-layer measurements: a seeded open-loop Zipfian trace replayed
@@ -246,7 +233,7 @@ SearchStats SumStats(const BatchResult& r) {
 
 void PrintJson(std::FILE* f, const std::vector<MethodRow>& rows, const IndexRow& index,
                const ServingRow& serving, const StreamingRow& streaming,
-               const ApproxRow& approx, const CachingRow& caching,
+               const CachingRow& caching,
                const NetworkRow& network, const std::vector<UpdateBatchRow>& updates,
                const RecoveryRow& recovery, const PeelingRow& peeling, std::size_t n,
                std::size_t edges, std::size_t par_threads) {
@@ -291,18 +278,6 @@ void PrintJson(std::FILE* f, const std::vector<MethodRow>& rows, const IndexRow&
   std::fprintf(f, "    \"wall_seconds\": %.6f,\n", serving.wall_seconds);
   std::fprintf(f, "    \"interactive_p99_below_bulk_p99\": %s\n",
                serving.interactive_ahead ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"approx\": {\n");
-  std::fprintf(f, "    \"queries\": %zu,\n", approx.queries);
-  std::fprintf(f, "    \"samples\": %zu,\n", approx.samples);
-  std::fprintf(f, "    \"threshold\": %zu,\n", approx.threshold);
-  std::fprintf(f, "    \"approx_checks\": %zu,\n", approx.approx_checks);
-  std::fprintf(f, "    \"exact_wall_seconds\": %.6f,\n", approx.exact_wall_seconds);
-  std::fprintf(f, "    \"approx_wall_seconds\": %.6f,\n", approx.approx_wall_seconds);
-  std::fprintf(f, "    \"speedup\": %.3f,\n", approx.speedup);
-  std::fprintf(f, "    \"identical_across_threads\": %s,\n",
-               approx.identical_across_threads ? "true" : "false");
-  std::fprintf(f, "    \"exact_verified\": %s\n", approx.exact_verified ? "true" : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"caching\": {\n");
   std::fprintf(f, "    \"trace_requests\": %zu,\n", caching.trace_requests);
@@ -812,69 +787,6 @@ ServingRow MeasureServing(const PlantedGraph& pg, std::span<const BccQuery> quer
     }
   }
   row.interactive_ahead = row.interactive_p99 < row.bulk_p99;
-  return row;
-}
-
-/// Approx-vs-exact wall time on the large generated graph (Online-BCC, the
-/// recount-heavy variant), plus the determinism and exact-validity checks
-/// the fast path promises.
-ApproxRow MeasureApprox(const PlantedGraph& pg, std::span<const BccQuery> queries,
-                        std::size_t par_threads) {
-  ApproxRow row;
-  row.queries = queries.size();
-  ApproxOptions approx;
-  approx.samples = 256;
-  approx.threshold = 64;
-  approx.seed = 7;
-  row.samples = approx.samples;
-  row.threshold = approx.threshold;
-
-  // Explicit request ids keep the per-query seed derivation independent of
-  // warm-up runs and engine instances.
-  std::vector<QueryRequest> requests(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    requests[i].query = queries[i];
-    requests[i].method = QueryMethod::kOnlineBcc;
-    requests[i].request_id = i + 1;
-  }
-
-  BatchRunner par(par_threads);
-  ServeEngine exact_engine(par, pg.graph);
-  exact_engine.Serve(requests);  // warm-up
-  Timer exact_timer;
-  exact_engine.Serve(requests);
-  row.exact_wall_seconds = exact_timer.Seconds();
-
-  ServeOptions approx_opts;
-  approx_opts.online.approx = approx;
-  ServeEngine approx_engine(par, pg.graph, nullptr, approx_opts);
-  approx_engine.Serve(requests);  // warm-up
-  Timer approx_timer;
-  BatchResult sampled = approx_engine.Serve(requests);
-  row.approx_wall_seconds = approx_timer.Seconds();
-  row.speedup =
-      row.approx_wall_seconds > 0 ? row.exact_wall_seconds / row.approx_wall_seconds : 0;
-  for (const SearchStats& s : sampled.stats) row.approx_checks += s.approx_checks;
-
-  BatchRunner seq(1);
-  ServeEngine seq_engine(seq, pg.graph, nullptr, approx_opts);
-  BatchResult sampled_seq = seq_engine.Serve(requests);
-  row.identical_across_threads = SameCommunities(sampled, sampled_seq);
-
-  row.exact_verified = true;
-  std::size_t checked = 0;
-  for (std::size_t i = 0; i < queries.size() && checked < 8; ++i) {
-    if (sampled.communities[i].Empty()) continue;
-    ++checked;
-    BccParams p;
-    SearchStats tmp;
-    G0Result g0 = FindG0(pg.graph, queries[i], p, &tmp);
-    p.k1 = g0.k1;
-    p.k2 = g0.k2;
-    row.exact_verified =
-        row.exact_verified &&
-        VerifyBcc(pg.graph, sampled.communities[i], queries[i], p) == BccViolation::kNone;
-  }
   return row;
 }
 
@@ -1416,14 +1328,6 @@ int main(int argc, char** argv) {
       100.0 * index.load_over_build, index.pairs, index.snapshot_bytes,
       index.mapped ? "yes" : "no", index.identical ? "yes" : "NO");
 
-  ApproxRow approx = MeasureApprox(big_graph, big_queries, par.NumThreads());
-  std::printf(
-      "approx      exact=%.4fs sampled=%.4fs speedup=%.2fx checks=%zu  "
-      "identical_across_threads=%s exact_verified=%s\n",
-      approx.exact_wall_seconds, approx.approx_wall_seconds, approx.speedup,
-      approx.approx_checks, approx.identical_across_threads ? "yes" : "NO",
-      approx.exact_verified ? "yes" : "NO");
-
   // The incremental peel counter under a long butterfly-driven cascade
   // (candidate = the whole bipartite component, peeled down round by round).
   PeelingRow peeling =
@@ -1471,8 +1375,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  PrintJson(f, rows, index, serving, streaming, approx, caching, network, update_rows,
-            recovery, peeling, n, pg.graph.NumEdges(), par.NumThreads());
+  PrintJson(f, rows, index, serving, streaming, caching, network, update_rows, recovery,
+            peeling, n, pg.graph.NumEdges(), par.NumThreads());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -1482,8 +1386,7 @@ int main(int argc, char** argv) {
   // of the batch is in flight at once, so on very wide pools it is
   // reported in the JSON without gating the exit code.
   const bool gate_serving = par.NumThreads() <= 8;
-  bool ok = index.identical && (serving.interactive_ahead || !gate_serving) &&
-            approx.identical_across_threads && approx.exact_verified;
+  bool ok = index.identical && (serving.interactive_ahead || !gate_serving);
   // Streaming: answers must be execution-mode independent; the p95 and
   // publish-latency claims are scheduling properties, gated with the same
   // noise tolerance as interactive_ahead.

@@ -41,14 +41,11 @@ struct Community {
 
 /// Per-query instrumentation. The Table-4 experiment reads the time splits
 /// and the butterfly-counting call counter; the serving engine reads
-/// `timed_out` and `approx_checks`.
+/// `timed_out`.
 struct SearchStats {
   std::size_t rounds = 0;
   /// Calls to the full butterfly-counting procedure (paper's Algorithm 3).
   std::size_t butterfly_counting_calls = 0;
-  /// Sampled validity checks that replaced a full per-round recount
-  /// (SearchOptions::approx fast path).
-  std::size_t approx_checks = 0;
   /// Leader re-identifications triggered by a leader dying or dropping
   /// below b.
   std::size_t leader_rebuilds = 0;
@@ -56,7 +53,7 @@ struct SearchStats {
   /// chi (PeelButterflyCounter) instead of a full Algorithm 3 recount.
   std::size_t delta_rounds = 0;
   /// Full recounts forced by counter staleness (per-round debit work over
-  /// the wedge budget, approx rounds, deadline mid-cascade).
+  /// the wedge budget, deadline mid-cascade).
   std::size_t delta_fallbacks = 0;
   std::size_t vertices_removed = 0;
   std::size_t g0_size = 0;
@@ -76,7 +73,6 @@ struct SearchStats {
   SearchStats& operator+=(const SearchStats& o) {
     rounds += o.rounds;
     butterfly_counting_calls += o.butterfly_counting_calls;
-    approx_checks += o.approx_checks;
     leader_rebuilds += o.leader_rebuilds;
     delta_rounds += o.delta_rounds;
     delta_fallbacks += o.delta_fallbacks;
@@ -91,28 +87,6 @@ struct SearchStats {
     total_seconds += o.total_seconds;
     return *this;
   }
-};
-
-/// Approximate-butterfly fast path for the per-round validity check (the
-/// Sanei-Mehri et al. KDD'18 sampling family, see butterfly/approx_counting).
-///
-/// With `samples > 0` and an alive candidate larger than `threshold`, the
-/// per-round "does a side still reach chi >= b" check is replaced by the
-/// necessary condition "estimated total butterflies >= b" (every butterfly
-/// contributes to two vertices per side, so max chi >= b requires total >= b).
-/// Rounds validated this way are tracked, and the final answer is re-checked
-/// with an exact CountButterflies pass — falling back to the best exactly-
-/// validated round on failure — so returned communities are never
-/// approximate-only (see DESIGN.md).
-struct ApproxOptions {
-  /// Sampled same-side vertex pairs per estimate; 0 turns sampling off.
-  std::size_t samples = 0;
-  /// Alive-candidate size above which sampling replaces the exact recount.
-  std::size_t threshold = 4096;
-  /// Base RNG seed. The serving engine derives the effective per-query seed
-  /// as `seed ^ request_id`, so batch answers are bit-identical regardless
-  /// of which worker thread claims the query.
-  std::uint64_t seed = 1;
 };
 
 /// Strategy switches of Section 6. Online-BCC = defaults with both
@@ -135,8 +109,6 @@ struct SearchOptions {
   /// exists for benchmarking and as an operational escape hatch
   /// (`--no-incremental-butterflies`).
   bool incremental_butterflies = true;
-  /// Sampled validity checks on huge candidates (off by default).
-  ApproxOptions approx;
 };
 
 inline SearchOptions OnlineBccOptions() { return SearchOptions{}; }

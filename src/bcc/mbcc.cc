@@ -6,7 +6,6 @@
 #include "bcc/candidate.h"
 #include "bcc/leader_pair.h"
 #include "bcc/query_distance.h"
-#include "butterfly/approx_counting.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
 #include "butterfly/peel_counter.h"
@@ -234,14 +233,6 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   // removal_round defaults to 0xffffffff = "never removed" (the pool default).
   std::vector<std::uint32_t> removal_round = ws->U32InfPool().Acquire(n);
   std::vector<std::uint32_t> round_qd;
-  // round_exact[i]: round i's state was validated exactly (see PeelToBcc).
-  std::vector<char> round_exact;
-  bool next_round_exact = true;
-  bool used_approx = false;
-
-  const ApproxOptions& approx = opts.approx;
-  std::vector<VertexId>* estimate_scratch =
-      approx.samples > 0 ? ws->AcquireIdVec() : nullptr;
 
   PeelQueue& queue = ws->peel_queue();
   queue.Reset(n);
@@ -261,7 +252,6 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     std::uint32_t qd = 0;
     if (!queue.PopFarthest(cand.alive(), is_query, &batch, &qd)) break;
     round_qd.push_back(qd);
-    round_exact.push_back(next_round_exact ? 1 : 0);
     ++stats->rounds;
     if (batch.empty()) break;
     if (!opts.bulk_delete) {
@@ -278,16 +268,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     bool cascade_expired = false;
     std::vector<VertexId> removed;
 
-    // Pre-round counter upkeep. The per-round debit budget resets here, and
-    // any counter is invalidated up front if this round *could* take the
-    // sampled-estimate path below: approx_this_round is decided on the
-    // post-removal alive count, which never exceeds the pre-removal count, so
-    // a counter that is still fresh here implies the round is exact.
-    const bool approx_possible = approx.samples > 0 && cand.NumAlive() > approx.threshold;
+    // Pre-round counter upkeep: the per-round debit budget resets here.
     bool any_live = false;
     for (PairState& ps : pairs) {
       if (ps.pc == nullptr) continue;
-      if (approx_possible) ps.pc->MarkStale();
       ps.pc->BeginRound();
       any_live = any_live || (ps.active && !ps.pc->stale());
     }
@@ -295,13 +279,11 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     auto pair_loss = [&](PairState& ps, VertexId v) {
       const auto& mask_i = cand.GroupMask(ps.i);
       const auto& mask_j = cand.GroupMask(ps.j);
-      if (ps.leader_i.leader != kInvalidVertex && v != ps.leader_i.leader &&
-          cand.IsAlive(ps.leader_i.leader)) {
+      if (v != ps.leader_i.leader && cand.IsAlive(ps.leader_i.leader)) {
         std::uint64_t loss = updater.LossOnDeletion(mask_i, mask_j, ps.leader_i.leader, v);
         ps.leader_i.chi = loss > ps.leader_i.chi ? 0 : ps.leader_i.chi - loss;
       }
-      if (ps.leader_j.leader != kInvalidVertex && v != ps.leader_j.leader &&
-          cand.IsAlive(ps.leader_j.leader)) {
+      if (v != ps.leader_j.leader && cand.IsAlive(ps.leader_j.leader)) {
         std::uint64_t loss = updater.LossOnDeletion(mask_i, mask_j, ps.leader_j.leader, v);
         ps.leader_j.chi = loss > ps.leader_j.chi ? 0 : ps.leader_j.chi - loss;
       }
@@ -352,15 +334,9 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     for (VertexId v : q.vertices) query_dead |= !cand.IsAlive(v);
     if (query_dead) break;
 
-    // Butterfly / cross-group-connectivity maintenance. With the approx
-    // fast path and a still-huge candidate, a per-pair sampled estimate
-    // replaces the full recount (leaders left unset so the pair re-enters
-    // this path next round); see PeelToBcc for the validity contract.
-    next_round_exact = true;
-    const bool approx_this_round =
-        approx.samples > 0 && cand.NumAlive() > approx.threshold;
-    // Exact per-pair counts for this round's validity check: served from the
-    // pair's fresh delta counter when possible, otherwise a full recount
+    // Butterfly / cross-group-connectivity maintenance, validated exactly
+    // every round (see PeelToBcc). Per-pair counts are served from the pair's
+    // fresh delta counter when possible, otherwise by a full recount
     // (refreshing the counter in passing so later rounds go back to deltas).
     auto exact_pair = [&](PairState& ps) -> const ButterflyCounts& {
       if (ps.pc != nullptr && !ps.pc->stale()) {
@@ -379,50 +355,25 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       count_pair(ps.i, ps.j);
       return counts;
     };
-    for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-      PairState& ps = pairs[pi];
+    for (PairState& ps : pairs) {
       if (!ps.active) continue;
       bool need_recount = !opts.use_leader_pair;
       if (opts.use_leader_pair) {
         if (ps.pc != nullptr && !ps.pc->stale()) {
           // Cascades with a fresh counter skipped the per-leader debits;
           // read the maintained (exact) chi back before checking validity.
-          if (ps.leader_i.leader != kInvalidVertex && cand.IsAlive(ps.leader_i.leader)) {
+          if (cand.IsAlive(ps.leader_i.leader)) {
             ps.leader_i.chi = ps.pc->Chi(ps.leader_i.leader);
           }
-          if (ps.leader_j.leader != kInvalidVertex && cand.IsAlive(ps.leader_j.leader)) {
+          if (cand.IsAlive(ps.leader_j.leader)) {
             ps.leader_j.chi = ps.pc->Chi(ps.leader_j.leader);
           }
         }
-        // Leaders may be unset (kInvalidVertex) after an approx round.
-        bool i_ok = ps.leader_i.leader != kInvalidVertex &&
-                    cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= p.b;
-        bool j_ok = ps.leader_j.leader != kInvalidVertex &&
-                    cand.IsAlive(ps.leader_j.leader) && ps.leader_j.chi >= p.b;
+        bool i_ok = cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= p.b;
+        bool j_ok = cand.IsAlive(ps.leader_j.leader) && ps.leader_j.chi >= p.b;
         need_recount = !i_ok || !j_ok;
       }
       if (!need_recount) continue;
-      if (approx_this_round) {
-        double est = 0;
-        {
-          ScopedAccumulator t(&stats->butterfly_seconds);
-          ApproxButterflyOptions aopts;
-          aopts.samples = approx.samples;
-          aopts.seed = DeriveEstimateSeed(approx.seed, round_idx, pi);
-          est = EstimateTotalButterflies(g, groups[ps.i], groups[ps.j], cand.GroupMask(ps.i),
-                                         cand.GroupMask(ps.j), aopts, estimate_scratch);
-        }
-        ++stats->approx_checks;
-        used_approx = true;
-        next_round_exact = false;
-        if (est < static_cast<double>(p.b)) {
-          ps.active = false;
-        } else {
-          ps.leader_i = LeaderState{};
-          ps.leader_j = LeaderState{};
-        }
-        continue;
-      }
       if (opts.use_leader_pair) ++stats->leader_rebuilds;
       const ButterflyCounts& rc = exact_pair(ps);
       if (rc.max_left < p.b || rc.max_right < p.b) {
@@ -477,55 +428,6 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     for (std::size_t i = 1; i < round_qd.size(); ++i) {
       if (round_qd[i] <= round_qd[best]) best = i;
     }
-    if (used_approx && !round_exact[best]) {
-      // Exact re-check of the chosen round: recount every label pair over
-      // exactly the round's members and require Definition 7 cross-group
-      // connectivity. On failure fall back to the best exactly-validated
-      // round (round 0 — G0 — always qualifies), so an approximate-only
-      // answer is never returned.
-      bool ok;
-      {
-        std::vector<std::vector<char>> masks(m);
-        std::vector<std::vector<VertexId>*> lists(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          masks[i] = ws->CharPool().Acquire(n);
-          lists[i] = ws->AcquireIdVec();
-          for (VertexId v : groups[i]) {
-            if (removal_round[v] < best) continue;
-            masks[i][v] = 1;
-            lists[i]->push_back(v);
-          }
-        }
-        UnionFind uf(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = i + 1; j < m; ++j) {
-            {
-              ScopedAccumulator t(&stats->butterfly_seconds);
-              CountButterfliesInto(g, *lists[i], *lists[j], masks[i], masks[j], ws, &counts);
-            }
-            ++stats->butterfly_counting_calls;
-            if (counts.max_left >= p.b && counts.max_right >= p.b) {
-              uf.Union(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
-            }
-          }
-        }
-        ok = true;
-        for (std::size_t i = 1; i < m; ++i) {
-          ok = ok && uf.Connected(0, static_cast<std::uint32_t>(i));
-        }
-        for (std::size_t i = 0; i < m; ++i) {
-          ws->CharPool().Release(std::move(masks[i]), *lists[i]);
-          ws->ReleaseIdVec(lists[i]);
-        }
-      }
-      if (!ok) {
-        std::size_t fallback = 0;
-        for (std::size_t i = 1; i < round_qd.size(); ++i) {
-          if (round_exact[i] && round_qd[i] <= round_qd[fallback]) fallback = i;
-        }
-        best = fallback;
-      }
-    }
     for (VertexId v : members) {
       if (removal_round[v] >= best) out.vertices.push_back(v);
     }
@@ -535,7 +437,6 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   release_buffers();
   ws->U32InfPool().Release(std::move(removal_round), members);
   for (std::size_t i = 0; i < m; ++i) ws->ReleaseDistance(dist[i]);
-  if (estimate_scratch != nullptr) ws->ReleaseIdVec(estimate_scratch);
   stats->total_seconds += total.Seconds();
   return out;
 }

@@ -6,7 +6,6 @@
 #include "bcc/candidate.h"
 #include "bcc/leader_pair.h"
 #include "bcc/query_distance.h"
-#include "butterfly/approx_counting.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
 #include "butterfly/peel_counter.h"
@@ -92,32 +91,9 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
   // removal_round defaults to 0xffffffff = "never removed" (the pool default).
   std::vector<std::uint32_t> removal_round = ws->U32InfPool().Acquire(n);
   std::vector<std::uint32_t> round_qd;
-  // round_exact[i]: the check that validated round i's state was exact
-  // (Algorithm 3 or leader-chi maintenance), not a sampled estimate. Round 0
-  // is G0, exactly validated by Find-G0.
-  std::vector<char> round_exact;
-  bool next_round_exact = true;
-  bool used_approx = false;
 
   const Deadline& deadline = ws->deadline();
   const Deadline* cascade_deadline = deadline.unlimited() ? nullptr : &deadline;
-  const ApproxOptions& approx = opts.approx;
-  std::vector<VertexId>* estimate_scratch =
-      approx.samples > 0 ? ws->AcquireIdVec() : nullptr;
-  // Sampled validity check (necessary condition: estimated total >= b; every
-  // butterfly gives two vertices per side, so max chi >= b needs total >= b).
-  auto estimate_valid = [&](std::uint32_t round_idx) {
-    ScopedAccumulator t(&stats->butterfly_seconds);
-    ApproxButterflyOptions aopts;
-    aopts.samples = approx.samples;
-    aopts.seed = DeriveEstimateSeed(approx.seed, round_idx);
-    double est = EstimateTotalButterflies(g, g0.left, g0.right, cand.GroupMask(0),
-                                          cand.GroupMask(1), aopts, estimate_scratch);
-    ++stats->approx_checks;
-    used_approx = true;
-    next_round_exact = false;
-    return est >= static_cast<double>(b);
-  };
 
   // Bucketed farthest-vertex selection: every alive member is queued at its
   // query distance; each round pops the maximum level.
@@ -139,7 +115,6 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     std::uint32_t qd = 0;
     if (!queue.PopFarthest(cand.alive(), is_query, &batch, &qd)) break;
     round_qd.push_back(qd);
-    round_exact.push_back(next_round_exact ? 1 : 0);
     ++stats->rounds;
     if (batch.empty()) break;  // only the queries remain at max distance
     if (!opts.bulk_delete) {
@@ -156,15 +131,7 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
 
     const auto round_idx = static_cast<std::uint32_t>(round_qd.size() - 1);
 
-    // Incremental maintenance bookkeeping. A round that will be validated by
-    // a sampled estimate skips the debits entirely (chi goes stale by
-    // design and resyncs via a full recount when exact values are next
-    // needed); the candidate only shrinks during the cascade, so the
-    // pre-removal size check can never under-predict the approx path.
-    if (pc != nullptr) {
-      if (approx.samples > 0 && cand.NumAlive() > approx.threshold) pc->MarkStale();
-      pc->BeginRound();
-    }
+    if (pc != nullptr) pc->BeginRound();
     bool counter_live = pc != nullptr && !pc->stale();
 
     // Delete + core maintenance (Algorithm 4); incremental chi debits or
@@ -173,14 +140,12 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     bool cascade_expired = false;
     std::vector<VertexId> removed;
     auto leader_loss = [&](VertexId v) {
-      if (lead_l.leader != kInvalidVertex && v != lead_l.leader &&
-          cand.IsAlive(lead_l.leader)) {
+      if (v != lead_l.leader && cand.IsAlive(lead_l.leader)) {
         std::uint64_t loss =
             updater.LossOnDeletion(cand.GroupMask(0), cand.GroupMask(1), lead_l.leader, v);
         lead_l.chi = loss > lead_l.chi ? 0 : lead_l.chi - loss;
       }
-      if (lead_r.leader != kInvalidVertex && v != lead_r.leader &&
-          cand.IsAlive(lead_r.leader)) {
+      if (v != lead_r.leader && cand.IsAlive(lead_r.leader)) {
         std::uint64_t loss =
             updater.LossOnDeletion(cand.GroupMask(0), cand.GroupMask(1), lead_r.leader, v);
         lead_r.chi = loss > lead_r.chi ? 0 : lead_r.chi - loss;
@@ -201,12 +166,8 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
               if (pc->OnRemove(v)) return;
               counter_live = false;
               if (opts.use_leader_pair) {
-                if (lead_l.leader != kInvalidVertex && cand.IsAlive(lead_l.leader)) {
-                  lead_l.chi = pc->Chi(lead_l.leader);
-                }
-                if (lead_r.leader != kInvalidVertex && cand.IsAlive(lead_r.leader)) {
-                  lead_r.chi = pc->Chi(lead_r.leader);
-                }
+                if (cand.IsAlive(lead_l.leader)) lead_l.chi = pc->Chi(lead_l.leader);
+                if (cand.IsAlive(lead_r.leader)) lead_r.chi = pc->Chi(lead_r.leader);
               }
             }
             if (opts.use_leader_pair) leader_loss(v);
@@ -232,15 +193,10 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
 
     if (!cand.IsAlive(q.ql) || !cand.IsAlive(q.qr)) break;
 
-    // Butterfly condition maintenance. With the approx fast path active and
-    // a still-huge candidate, a sampled estimate replaces the full recount;
-    // leaders are left unset so the next round re-enters this path until the
-    // candidate shrinks below the threshold (or the estimate fails).
-    const bool approx_this_round =
-        approx.samples > 0 && cand.NumAlive() > approx.threshold;
-    // Exact per-round counts: the maintained delta-chi while the counter is
-    // fresh (recount avoided, SearchStats::delta_rounds), a counter-refilling
-    // full recount after staleness (delta_fallbacks), or the legacy recount
+    // Butterfly condition maintenance, validated exactly every round. Counts
+    // come from the maintained delta-chi while the counter is fresh
+    // (recount avoided, SearchStats::delta_rounds), a counter-refilling full
+    // recount after staleness (delta_fallbacks), or the legacy recount
     // buffer with the counter off. Identical values in every case.
     auto exact_counts = [&]() -> const ButterflyCounts& {
       if (counter_live) {
@@ -268,28 +224,16 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
       // the validity shortcut. Both maintenance paths are exact, so the
       // decision below is the same either way.
       if (counter_live) {
-        if (lead_l.leader != kInvalidVertex && cand.IsAlive(lead_l.leader)) {
-          lead_l.chi = pc->Chi(lead_l.leader);
-        }
-        if (lead_r.leader != kInvalidVertex && cand.IsAlive(lead_r.leader)) {
-          lead_r.chi = pc->Chi(lead_r.leader);
-        }
+        if (cand.IsAlive(lead_l.leader)) lead_l.chi = pc->Chi(lead_l.leader);
+        if (cand.IsAlive(lead_r.leader)) lead_r.chi = pc->Chi(lead_r.leader);
       }
-      // Leaders may be unset (kInvalidVertex) after an approx round.
-      bool left_ok = lead_l.leader != kInvalidVertex && cand.IsAlive(lead_l.leader) &&
-                     lead_l.chi >= b;
-      bool right_ok = lead_r.leader != kInvalidVertex && cand.IsAlive(lead_r.leader) &&
-                      lead_r.chi >= b;
-      if (left_ok && right_ok) {
-        next_round_exact = true;  // leader chi is maintained exactly
-      } else if (approx_this_round) {
-        valid = estimate_valid(round_idx);
-        lead_l = LeaderState{};
-        lead_r = LeaderState{};
-      } else {
+      // Leader chi is maintained exactly, so two live leaders at chi >= b
+      // validate the round without a recount.
+      bool left_ok = cand.IsAlive(lead_l.leader) && lead_l.chi >= b;
+      bool right_ok = cand.IsAlive(lead_r.leader) && lead_r.chi >= b;
+      if (!left_ok || !right_ok) {
         const ButterflyCounts& rc = exact_counts();
         ++stats->leader_rebuilds;
-        next_round_exact = true;
         if (rc.max_left < b || rc.max_right < b) {
           valid = false;
         } else {
@@ -300,16 +244,13 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
                                   rc.max_right, rc.argmax_right, ws);
         }
       }
-    } else if (approx_this_round) {
-      valid = estimate_valid(round_idx);
     } else {
       const ButterflyCounts& rc = exact_counts();
-      next_round_exact = true;
       if (rc.max_left < b || rc.max_right < b) valid = false;
     }
 #if BCCS_DCHECK_IS_ON
     // Debug-level equivalence audit (DESIGN.md contract 8): maintained chi
-    // must match a from-scratch recount after every exactly-validated round.
+    // must match a from-scratch recount after every round it stays fresh.
     if (pc != nullptr && !pc->stale()) pc->AuditAgainstRecount();
 #endif
     if (!valid) break;
@@ -351,49 +292,6 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     for (std::size_t i = 1; i < round_qd.size(); ++i) {
       if (round_qd[i] <= round_qd[best]) best = i;
     }
-    if (used_approx && !round_exact[best]) {
-      // Exact re-check of the chosen answer (Algorithm 3 over exactly its
-      // members). A sampled round may have validated an invalid state, so an
-      // approximate-only answer is never returned: on failure, fall back to
-      // the best exactly-validated round (round 0 — G0 — always qualifies).
-      auto exact_round_valid = [&](std::size_t r) {
-        std::vector<char> ml = ws->CharPool().Acquire(n);
-        std::vector<char> mr = ws->CharPool().Acquire(n);
-        std::vector<VertexId>* ll = ws->AcquireIdVec();
-        std::vector<VertexId>* rl = ws->AcquireIdVec();
-        // `members` is g0.left followed by g0.right, so the position tells
-        // the side.
-        for (std::size_t i = 0; i < members.size(); ++i) {
-          VertexId v = members[i];
-          if (removal_round[v] < r) continue;
-          if (i < g0.left.size()) {
-            ml[v] = 1;
-            ll->push_back(v);
-          } else {
-            mr[v] = 1;
-            rl->push_back(v);
-          }
-        }
-        {
-          ScopedAccumulator t(&stats->butterfly_seconds);
-          CountButterfliesInto(g, *ll, *rl, ml, mr, ws, &recount);
-        }
-        ++stats->butterfly_counting_calls;
-        bool ok = recount.max_left >= b && recount.max_right >= b;
-        ws->CharPool().Release(std::move(ml), *ll);
-        ws->CharPool().Release(std::move(mr), *rl);
-        ws->ReleaseIdVec(ll);
-        ws->ReleaseIdVec(rl);
-        return ok;
-      };
-      if (!exact_round_valid(best)) {
-        std::size_t fallback = 0;
-        for (std::size_t i = 1; i < round_qd.size(); ++i) {
-          if (round_exact[i] && round_qd[i] <= round_qd[fallback]) fallback = i;
-        }
-        best = fallback;
-      }
-    }
     for (VertexId v : members) {
       if (removal_round[v] >= best) out.vertices.push_back(v);  // alive = never removed
     }
@@ -405,7 +303,6 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
   ws->U64ZeroPool().Release(std::move(recount.chi), members);
   ws->ReleaseDistance(dist_l);
   ws->ReleaseDistance(dist_r);
-  if (estimate_scratch != nullptr) ws->ReleaseIdVec(estimate_scratch);
   return out;
 }
 

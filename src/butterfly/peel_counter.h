@@ -34,11 +34,10 @@ class QueryWorkspace;
 /// Staleness and fallback. The counter goes stale (and OnRemove refuses to
 /// debit) when a round's debit work exceeds the wedge cost of the last full
 /// count (the incremental-vs-rebuild cap, mirroring ApplyUpdates), and
-/// callers mark it stale before approx-validated rounds (no point paying
-/// exact maintenance for a sampled check) and after a deadline cuts a
-/// cascade short. A stale counter must Recount() — a full
-/// CountButterfliesInto — before its chi is read again; the search engines
-/// count those as SearchStats::delta_fallbacks.
+/// callers mark it stale after a deadline cuts a cascade short. A stale
+/// counter must Recount() — a full CountButterfliesInto — before its chi is
+/// read again; the search engines count those as
+/// SearchStats::delta_fallbacks.
 ///
 /// chi is exact integer arithmetic both ways, so with the counter on or off
 /// every per-round validity decision — and therefore every answer — is
@@ -89,8 +88,8 @@ class PeelButterflyCounter {
   /// then on.
   bool OnRemove(VertexId v);
 
-  /// Marks chi stale (approx round, deadline mid-cascade). OnRemove refuses
-  /// until Recount().
+  /// Marks chi stale (deadline mid-cascade, deactivated mBCC pair). OnRemove
+  /// refuses until Recount().
   void MarkStale() { stale_ = true; }
   bool stale() const { return stale_; }
 

@@ -138,7 +138,7 @@ class BatchRunner {
   // QueryRequest per query (bulk lane, no deadline) and routes it through
   // ServeEngine — the single dispatch path for all four methods. Defined in
   // serve_engine.cc; prefer ServeEngine directly for new code (lanes,
-  // deadlines, approx, mixed-method batches).
+  // deadlines, mixed-method batches).
 
   /// Batch Online-BCC / LP-BCC (per `opts`) over one graph.
   BatchResult RunBccBatch(const LabeledGraph& g, std::span<const BccQuery> queries,

@@ -36,14 +36,6 @@ std::shared_ptr<const T> Unowned(const T* p) {
   return std::shared_ptr<const T>(p, [](const T*) {});
 }
 
-// Per-query approx seed derivation: deterministic in the request id, so a
-// sampled query's whole schedule is independent of which worker claims it.
-SearchOptions SeededOptions(const SearchOptions& base, std::uint64_t request_id) {
-  SearchOptions o = base;
-  if (o.approx.samples > 0) o.approx.seed ^= request_id;
-  return o;
-}
-
 /// Canonical cache identity of a cacheable request, plus the label set its
 /// answer depends on (a BCC answer is a function of the induced subgraph of
 /// its query labels — the structural fact the result cache's invalidation
@@ -222,54 +214,30 @@ BlockCacheStats ServeEngine::pair_cache_stats() const {
   return index != nullptr ? index->PairCacheStats() : BlockCacheStats{};
 }
 
-bool ServeEngine::CacheableRequest(const QueryRequest& req, bool has_index) const {
-  if (req.deadline_seconds > 0) return false;
-  switch (req.method) {
-    case QueryMethod::kOnlineBcc:
-      return opts_.online.approx.samples == 0;
-    case QueryMethod::kLpBcc:
-      return opts_.lp.approx.samples == 0;
-    case QueryMethod::kL2pBcc:
-      // Matches Dispatch: without an index, l2p degrades to LP and runs
-      // under the LP options' approx setting.
-      return has_index ? opts_.l2p.search.approx.samples == 0
-                       : opts_.lp.approx.samples == 0;
-    case QueryMethod::kMbcc:
-      return opts_.mbcc.approx.samples == 0;
-  }
-  return false;
-}
-
-void ServeEngine::Dispatch(const QueryRequest& req, std::uint64_t request_id,
-                           const LabeledGraph& g, const BcIndex* index, QueryWorkspace& ws,
-                           Community* community, SearchStats* stats) const {
+void ServeEngine::Dispatch(const QueryRequest& req, const LabeledGraph& g,
+                           const BcIndex* index, QueryWorkspace& ws, Community* community,
+                           SearchStats* stats) const {
   if (req.method == QueryMethod::kMbcc) {
     const auto* q = std::get_if<MbccQuery>(&req.query);
     if (q == nullptr) return;  // variant/method mismatch: empty answer
-    *community = MbccSearch(g, *q, req.mbcc_params, SeededOptions(opts_.mbcc, request_id),
-                            stats, nullptr, &ws);
+    *community = MbccSearch(g, *q, req.mbcc_params, opts_.mbcc, stats, nullptr, &ws);
     return;
   }
   const auto* q = std::get_if<BccQuery>(&req.query);
   if (q == nullptr) return;
   switch (req.method) {
     case QueryMethod::kOnlineBcc:
-      *community =
-          BccSearch(g, *q, req.params, SeededOptions(opts_.online, request_id), stats, &ws);
+      *community = BccSearch(g, *q, req.params, opts_.online, stats, &ws);
       break;
     case QueryMethod::kLpBcc:
-      *community =
-          BccSearch(g, *q, req.params, SeededOptions(opts_.lp, request_id), stats, &ws);
+      *community = BccSearch(g, *q, req.params, opts_.lp, stats, &ws);
       break;
     case QueryMethod::kL2pBcc:
       if (index != nullptr) {
-        L2pOptions o = opts_.l2p;
-        o.search = SeededOptions(o.search, request_id);
-        *community = L2pBcc(g, *index, *q, req.params, o, stats, &ws);
+        *community = L2pBcc(g, *index, *q, req.params, opts_.l2p, stats, &ws);
       } else {
         // Planned degradation: no index in this process, serve via LP.
-        *community =
-            BccSearch(g, *q, req.params, SeededOptions(opts_.lp, request_id), stats, &ws);
+        *community = BccSearch(g, *q, req.params, opts_.lp, stats, &ws);
       }
       break;
     case QueryMethod::kMbcc:
@@ -439,8 +407,9 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     const QueryRequest& req = std::get<QueryRequest>(*item);
     ResultCacheKey cache_key;
     std::vector<Label> cache_labels;
-    const bool cacheable = result_cache_ != nullptr &&
-                           CacheableRequest(req, pinned.index != nullptr) &&
+    // Deadline-bearing requests bypass the cache: a timed-out partial answer
+    // is timing-dependent.
+    const bool cacheable = result_cache_ != nullptr && req.deadline_seconds <= 0 &&
                            BuildCacheKey(req, *pinned.graph, &cache_key, &cache_labels);
     const auto lane_idx = static_cast<std::size_t>(req.lane);
     Timer exec;
@@ -449,7 +418,7 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         result_cache_->Lookup(cache_key, pinned.epoch, lane_idx, community, stats);
     if (!cache_hit) {
       if (req.deadline_seconds > 0) ws.SetDeadline(Deadline::After(req.deadline_seconds));
-      Dispatch(req, request_id, *pinned.graph, pinned.index.get(), ws, community, stats);
+      Dispatch(req, *pinned.graph, pinned.index.get(), ws, community, stats);
       ws.SetDeadline(Deadline{});
       // Timed-out partial answers are timing-dependent, never cached (the
       // deadline gate above already excludes them; keep the belt with the
@@ -530,8 +499,8 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
     MutexLock lock(s.mutex);
     // Every item consumes one request id (updates too), drawn under the
     // stream lock so ids follow the admission order even with racing
-    // producers — a query's id, and with it its approx seed, depends only
-    // on its admission position, exactly as in a serialized replay.
+    // producers — a query's id depends only on its admission position,
+    // exactly as in a serialized replay.
     id = s.engine->next_request_id_.fetch_add(1);
     s.items.push_back(std::move(item));
     StreamState::Slot slot;

@@ -48,9 +48,7 @@ class Changelog;
 ///      caps.bulk workers, so interactive tail latency stays bounded.
 ///   4. **Planning.** Each claimed query is planned onto its method —
 ///      online / lp / l2p / mbcc. kL2pBcc without an index degrades to
-///      LP-BCC (same model, no index). The per-query approx seed is derived
-///      as `seed ^ request_id`, so sampled answers are bit-identical across
-///      thread counts and claim orders.
+///      LP-BCC (same model, no index).
 ///   5. **Execution.** The worker pins its epoch slot's state (a shared_ptr
 ///      copy — the state outlives any concurrent update publish), stamps
 ///      its QueryWorkspace with the request's deadline and runs the search;
@@ -93,9 +91,9 @@ struct QueryRequest {
   /// community (possibly empty) with SearchStats::timed_out set.
   double deadline_seconds = 0;
   /// 0 = assigned by the engine (stable per engine instance: the i-th
-  /// request of the first stream gets id 1 + i). Feeds the per-query
-  /// approx seed derivation `seed ^ request_id`, so sampled answers are
-  /// bit-identical across thread counts and claim orders.
+  /// request of the first stream gets id 1 + i). Reported back in the
+  /// item's ItemCompletion; the socket layer sets it to the client's `id=`
+  /// and echoes it as the response's wire id.
   std::uint64_t request_id = 0;
   /// Two-label parameters (ignored by kMbcc).
   BccParams params;
@@ -166,10 +164,9 @@ struct ServeOptions {
   /// bounds interactive tail latency under a saturating bulk backlog: bulk
   /// occupies at most K workers no matter how deep its queue grows.
   AdmissionCaps caps;
-  /// Result-cache entry budget (0 = caching off). When on, cacheable
-  /// queries — no deadline, effective approx disabled for their method —
-  /// consult the epoch-keyed ResultCache before planning; a hit is
-  /// bit-identical to re-executing at the query's pinned epoch (DESIGN.md
+  /// Result-cache entry budget (0 = caching off). When on, queries without
+  /// a deadline consult the epoch-keyed ResultCache before planning; a hit
+  /// is bit-identical to re-executing at the query's pinned epoch (DESIGN.md
   /// serving contract 6).
   std::size_t result_cache_entries = 0;
   /// Byte budget for the index's lazily faulted pair-butterfly blocks
@@ -317,14 +314,8 @@ class ServeEngine {
   };
 
   std::unique_ptr<struct StreamState> MakeStreamState();
-  void Dispatch(const QueryRequest& req, std::uint64_t request_id, const LabeledGraph& g,
-                const BcIndex* index, QueryWorkspace& ws, Community* community,
-                SearchStats* stats) const;
-  /// True when the request may consult/populate the result cache: variant
-  /// matches method, no deadline (a timed-out partial answer is
-  /// timing-dependent), and the method's effective approx sampling is off
-  /// (per-query seeds make sampled answers request-id-dependent).
-  bool CacheableRequest(const QueryRequest& req, bool has_index) const;
+  void Dispatch(const QueryRequest& req, const LabeledGraph& g, const BcIndex* index,
+                QueryWorkspace& ws, Community* community, SearchStats* stats) const;
   /// Validates and prepares `req` against `base` (off-thread safe: touches
   /// no engine state) and returns the successor state — `base` itself when
   /// the batch is rejected. `touch`, when non-null, receives the repaired

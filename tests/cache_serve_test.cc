@@ -393,9 +393,9 @@ TEST(CacheServeTest, HitsCarryForwardAcrossUnrelatedUpdates) {
   EXPECT_EQ(s.stale_drops, 0u);
 }
 
-// Sampled (approx) and deadline-bearing requests bypass the cache entirely
-// (per-query seeds and timing-dependent partial answers are not reusable).
-TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
+// Deadline-bearing requests bypass the cache entirely (timing-dependent
+// partial answers are not reusable).
+TEST(CacheServeTest, DeadlineRequestsNotCached) {
   PlantedGraph pg = MakeGraph();
   std::vector<BccQuery> queries = SampleQueries(pg, 4);
   ASSERT_FALSE(queries.empty());
@@ -403,18 +403,10 @@ TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
   BatchRunner runner(1);
   ServeOptions opts;
   opts.result_cache_entries = 16;
-  ApproxOptions approx;
-  approx.samples = 64;
-  approx.threshold = 1;  // force the sampled path
-  opts.online.approx = approx;
   ServeEngine engine(runner, pg.graph, nullptr, opts);
 
   std::vector<ServeItem> items;
   for (int rep = 0; rep < 2; ++rep) {
-    QueryRequest sampled;
-    sampled.query = queries[0];
-    sampled.method = QueryMethod::kOnlineBcc;  // sampled → uncacheable
-    items.emplace_back(sampled);
     QueryRequest deadline;
     deadline.query = queries[0];
     deadline.method = QueryMethod::kLpBcc;

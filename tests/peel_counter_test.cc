@@ -2,8 +2,7 @@
 // recounting. The unit tests drive the counter directly against a reference
 // recount after every single removal; the search-level tests assert the
 // bit-identity contract — same communities with the flag on or off, across
-// methods, thread counts, deadlines, and approx fallbacks (DESIGN.md,
-// contract 8).
+// methods, thread counts and deadlines (DESIGN.md, contract 8).
 
 #include "butterfly/peel_counter.h"
 
@@ -284,51 +283,6 @@ TEST_P(PeelCounterSearchTest, MbccFlagOnOffBitIdentical) {
     EXPECT_EQ(on.vertices, off.vertices) << "leader=" << leader;
     EXPECT_EQ(son.rounds, soff.rounds);
   }
-}
-
-TEST_P(PeelCounterSearchTest, ApproxRoundsForceFallbackThenResync) {
-  // Sweep the approx threshold across the peel trajectory: whenever it lands
-  // between two checked rounds' alive counts, early rounds take the sampled
-  // path (counter marked stale) and a later exact round must resync with a
-  // staleness-forced recount (delta_fallbacks). Bit-identity with the
-  // flag-off run is required at every threshold; at least one threshold in
-  // the sweep must exhibit the approx -> exact resync.
-  PlantedConfig cfg;
-  cfg.num_communities = 8;
-  cfg.min_group_size = 10;
-  cfg.max_group_size = 18;
-  cfg.intra_edge_prob = 0.4;
-  cfg.background_vertices = 120;
-  cfg.seed = GetParam() + 77;
-  PlantedGraph pg = GeneratePlanted(cfg);
-  const auto& comm = pg.communities[0];
-  BccQuery q{comm.groups[0][0], comm.groups[1][0]};
-  BccParams p{2, 2, 1};
-
-  // Probe the query once to size the sweep to its actual G0.
-  SearchStats probe;
-  BccSearch(pg.graph, q, p, WithFlag(OnlineBccOptions(), true), &probe);
-  ASSERT_GT(probe.g0_size, 8u);
-
-  std::size_t total_fallbacks = 0;
-  std::size_t total_approx = 0;
-  const std::size_t step = std::max<std::size_t>(1, probe.g0_size / 48);
-  for (std::size_t threshold = 4; threshold < probe.g0_size; threshold += step) {
-    SearchOptions opts;  // online mode: every round needs an exact or sampled check
-    opts.approx.samples = 256;
-    opts.approx.threshold = threshold;
-    opts.approx.seed = 5;
-
-    SearchStats son, soff;
-    Community on = BccSearch(pg.graph, q, p, WithFlag(opts, true), &son);
-    Community off = BccSearch(pg.graph, q, p, WithFlag(opts, false), &soff);
-    ASSERT_EQ(on.vertices, off.vertices) << "threshold=" << threshold;
-    ASSERT_EQ(son.rounds, soff.rounds) << "threshold=" << threshold;
-    total_fallbacks += son.delta_fallbacks;
-    total_approx += son.approx_checks;
-  }
-  EXPECT_GT(total_approx, 0u) << "sweep never hit the sampled path";
-  EXPECT_GT(total_fallbacks, 0u) << "sweep never crossed an approx -> exact boundary";
 }
 
 TEST_P(PeelCounterSearchTest, ExpiredDeadlineBitIdentical) {

@@ -232,145 +232,6 @@ TEST(ServeEngineTest, MbccDeadlineExpiryIsFlaggedAndValid) {
 }
 
 // --------------------------------------------------------------------------
-// Approximate fast path: determinism across thread counts, never
-// approximate-only answers.
-// --------------------------------------------------------------------------
-
-ApproxOptions ForcedApprox(std::size_t samples = 64) {
-  ApproxOptions a;
-  a.samples = samples;
-  a.threshold = 1;  // every round of every query takes the sampled check
-  a.seed = 42;
-  return a;
-}
-
-TEST(ServeEngineTest, ApproxBatchesAreBitIdenticalAcrossThreadCounts) {
-  PlantedGraph pg = MakeGraph(6, 23);
-  std::vector<BccQuery> queries = SampleQueries(pg, 10);
-  ASSERT_FALSE(queries.empty());
-
-  ServeOptions opts;
-  opts.online.approx = ForcedApprox();
-  opts.lp.approx = ForcedApprox();
-
-  auto serve = [&](std::size_t threads, QueryMethod m) {
-    BatchRunner runner(threads);
-    ServeEngine engine(runner, pg.graph, nullptr, opts);
-    std::vector<QueryRequest> requests(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      requests[i].query = queries[i];
-      requests[i].method = m;
-      requests[i].lane = i % 2 == 0 ? Lane::kInteractive : Lane::kBulk;
-    }
-    return engine.Serve(requests);
-  };
-
-  for (QueryMethod m : {QueryMethod::kOnlineBcc, QueryMethod::kLpBcc}) {
-    BatchResult one = serve(1, m);
-    BatchResult eight = serve(8, m);
-    std::size_t approx_checks = 0;
-    for (const SearchStats& s : one.stats) approx_checks += s.approx_checks;
-    EXPECT_GT(approx_checks, 0u) << Name(m) << ": approx path never taken";
-    ASSERT_EQ(one.communities.size(), eight.communities.size());
-    for (std::size_t i = 0; i < one.communities.size(); ++i) {
-      EXPECT_EQ(one.communities[i].vertices, eight.communities[i].vertices)
-          << Name(m) << " query " << i;
-    }
-  }
-}
-
-TEST(ServeEngineTest, ApproxAnswersAreExactlyVerified) {
-  PlantedGraph pg = MakeGraph(6, 29);
-  std::vector<BccQuery> queries = SampleQueries(pg, 10);
-  ASSERT_FALSE(queries.empty());
-
-  // Deliberately terrible estimates (one sample): the exact final re-check
-  // must still keep every returned community a valid BCC.
-  ServeOptions opts;
-  opts.online.approx = ForcedApprox(1);
-  BatchRunner runner(2);
-  ServeEngine engine(runner, pg.graph, nullptr, opts);
-  std::vector<QueryRequest> requests(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    requests[i].query = queries[i];
-    requests[i].method = QueryMethod::kOnlineBcc;
-  }
-  BatchResult result = engine.Serve(requests);
-  std::size_t non_empty = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (result.communities[i].Empty()) continue;
-    ++non_empty;
-    EXPECT_EQ(VerifyResolved(pg.graph, result.communities[i], queries[i], {}),
-              BccViolation::kNone)
-        << i;
-  }
-  EXPECT_GT(non_empty, 0u);
-}
-
-TEST(ServeEngineTest, ApproxMbccDeterministicAndVerified) {
-  PlantedConfig cfg;
-  cfg.num_communities = 4;
-  cfg.groups_per_community = 3;
-  cfg.num_labels = 3;
-  cfg.min_group_size = 8;
-  cfg.max_group_size = 12;
-  cfg.seed = 11;
-  PlantedGraph pg = GeneratePlanted(cfg);
-  std::vector<MbccGroundTruthQuery> gt = SampleMbccGroundTruthQueries(pg, 3, 6, 9);
-  ASSERT_FALSE(gt.empty());
-
-  ServeOptions opts;
-  // Online-style options recount every round, so the sampled check fires on
-  // every round above the (tiny) threshold.
-  opts.mbcc = OnlineBccOptions();
-  opts.mbcc.approx = ForcedApprox();
-
-  auto serve = [&](std::size_t threads) {
-    BatchRunner runner(threads);
-    ServeEngine engine(runner, pg.graph, nullptr, opts);
-    std::vector<QueryRequest> requests(gt.size());
-    for (std::size_t i = 0; i < gt.size(); ++i) {
-      requests[i].query = gt[i].query;
-      requests[i].method = QueryMethod::kMbcc;
-    }
-    return engine.Serve(requests);
-  };
-  BatchResult one = serve(1);
-  BatchResult four = serve(4);
-  std::size_t approx_checks = 0;
-  for (const SearchStats& s : one.stats) approx_checks += s.approx_checks;
-  EXPECT_GT(approx_checks, 0u);
-  for (std::size_t i = 0; i < gt.size(); ++i) {
-    EXPECT_EQ(one.communities[i].vertices, four.communities[i].vertices) << i;
-    if (one.communities[i].Empty()) continue;
-    MbccParams p;
-    std::vector<std::uint32_t> ks = ResolveMbccCores(pg.graph, gt[i].query, p);
-    EXPECT_EQ(VerifyMbcc(pg.graph, one.communities[i], gt[i].query.vertices, ks, p.b),
-              MbccViolation::kNone)
-        << i;
-  }
-}
-
-TEST(ServeEngineTest, ApproxDisabledMatchesExactPath) {
-  PlantedGraph pg = MakeGraph();
-  std::vector<BccQuery> queries = SampleQueries(pg, 6);
-  BatchRunner runner(2);
-  ServeEngine plain(runner, pg.graph);
-  std::vector<QueryRequest> requests(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    requests[i].query = queries[i];
-    requests[i].method = QueryMethod::kOnlineBcc;
-  }
-  BatchResult result = plain.Serve(requests);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    SearchStats stats;
-    Community c = OnlineBcc(pg.graph, queries[i], {}, &stats);
-    EXPECT_EQ(result.communities[i].vertices, c.vertices) << i;
-    EXPECT_EQ(result.stats[i].approx_checks, 0u) << i;
-  }
-}
-
-// --------------------------------------------------------------------------
 // Planning edge cases and shims.
 // --------------------------------------------------------------------------
 

@@ -477,48 +477,6 @@ TEST(StreamServeTest, RejectedUpdatePublishesUnchangedEpoch) {
   EXPECT_EQ(got.communities[0].vertices, got.communities[2].vertices);
 }
 
-// Approx sampling through the stream: explicit request ids make the sampled
-// schedule a pure function of the admission order, so a 1-worker and a
-// 4-worker stream agree bit for bit.
-TEST(StreamServeTest, ApproxStreamsAreBitIdenticalAcrossThreadCounts) {
-  PlantedGraph pg = MakeGraph(8, 21);
-  std::vector<BccQuery> queries = SampleQueries(pg, 8);
-  ASSERT_GE(queries.size(), 4u);
-
-  ApproxOptions approx;
-  approx.samples = 128;
-  approx.threshold = 1;  // force the sampled path on every round
-  approx.seed = 9;
-  ServeOptions opts;
-  opts.online.approx = approx;
-
-  std::vector<ServeItem> items;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    QueryRequest req;
-    req.query = queries[i];
-    req.method = QueryMethod::kOnlineBcc;
-    req.request_id = i + 1;
-    req.lane = i % 2 == 0 ? Lane::kInteractive : Lane::kBulk;
-    items.emplace_back(req);
-  }
-
-  BatchRunner seq(1);
-  ServeEngine seq_engine(seq, pg.graph, nullptr, opts);
-  BatchResult a = seq_engine.RunStream(items);
-
-  BatchRunner par(4);
-  ServeEngine par_engine(par, pg.graph, nullptr, opts);
-  BatchResult b = par_engine.RunStream(items);
-
-  std::size_t checks = 0;
-  for (const SearchStats& s : a.stats) checks += s.approx_checks;
-  EXPECT_GT(checks, 0u);
-  ASSERT_EQ(a.communities.size(), b.communities.size());
-  for (std::size_t i = 0; i < a.communities.size(); ++i) {
-    EXPECT_EQ(a.communities[i].vertices, b.communities[i].vertices) << "item " << i;
-  }
-}
-
 // Move-assignment over an unfinished stream must finish it (join the pump,
 // release the engine) rather than destroying a joinable thread — and the
 // overwritten engine must accept a new stream afterwards.

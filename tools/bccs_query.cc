@@ -6,7 +6,7 @@
 //
 // Every query — single, mBCC, or batch — enters through the unified
 // ServeEngine (eval/serve_engine.h): requests carry a method, a priority
-// lane, an optional deadline, and the approximate-counting knob.
+// lane and an optional deadline.
 //
 // Serving flags:
 //   --lane interactive|bulk   priority lane (default: interactive for
@@ -15,12 +15,6 @@
 //                             aging.
 //   --deadline-ms N           per-query deadline; an expired query returns
 //                             its best valid partial answer flagged timed_out.
-//   --approx-samples N        enable the sampled butterfly validity check
-//                             with N sampled pairs per estimate (exact
-//                             re-check on the final answer; answers are
-//                             deterministic in the seed and thread count).
-//   --approx-threshold N      candidate size above which sampling kicks in
-//                             (default 4096).
 //   --no-incremental-butterflies
 //                             disable the incremental per-round butterfly
 //                             maintenance (PeelButterflyCounter) and recount
@@ -57,13 +51,18 @@
 //   The BcIndex for --method l2p is built (or snapshot-loaded) exactly once,
 //   before the batch starts, so repeats measure query cost only.
 //
-// k = 0 means auto (query coreness). Prints the community and search stats.
+// Vertex ids must be decimals below the graph's vertex count and --k1/--k2
+// at most 2^32 - 1; anything else is rejected with exit 2. k = 0 means auto
+// (query coreness). Prints the community and search stats.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bcc/local_search.h"
@@ -78,32 +77,57 @@
 
 namespace {
 
-std::vector<bccs::VertexId> ParseIdList(const std::string& csv) {
-  std::vector<bccs::VertexId> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) {
-      out.push_back(static_cast<bccs::VertexId>(std::stoul(csv.substr(start, comma - start))));
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: bccs_query (--graph FILE | --index-file FILE | both)\n"
                "                  (--ql ID --qr ID | --queries ID,ID[,ID...])\n"
                "                  [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p]\n"
                "                  [--lane interactive|bulk] [--deadline-ms N]\n"
-               "                  [--approx-samples N] [--approx-threshold N]\n"
                "                  [--updates-file FILE] [--verify]\n"
                "                  [--result-cache N] [--cache-bytes N]\n"
                "                  [--no-incremental-butterflies]\n"
                "       bccs_query ... --batch-file FILE [--threads N] [--repeat N]\n"
                "       bccs_query ... --ql ID --qr ID --repeat N [--threads N]\n");
+}
+
+/// Parses the value of --`flag` as a vertex id: the whole token is an
+/// unsigned decimal (no sign, no overflow) below `num_vertices`, checked
+/// before narrowing to VertexId. Prints why when it is not one.
+bool ParseVertexFlag(const char* flag, std::string_view token, std::size_t num_vertices,
+                     bccs::VertexId* out) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec != std::errc() || ptr != token.data() + token.size() || v >= num_vertices) {
+    std::fprintf(stderr, "--%s: '%.*s' is not a vertex id (graph has %zu vertices)\n", flag,
+                 static_cast<int>(token.size()), token.data(), num_vertices);
+    return false;
+  }
+  *out = static_cast<bccs::VertexId>(v);
+  return true;
+}
+
+/// --queries: comma-separated vertex ids, every one strict.
+bool ParseIdList(std::string_view csv, std::size_t num_vertices,
+                 std::vector<bccs::VertexId>* out) {
+  while (true) {
+    const std::size_t comma = csv.find(',');
+    bccs::VertexId v = 0;
+    if (!ParseVertexFlag("queries", csv.substr(0, comma), num_vertices, &v)) return false;
+    out->push_back(v);
+    if (comma == std::string_view::npos) return true;
+    csv.remove_prefix(comma + 1);
+  }
+}
+
+/// --ql/--qr: both required (usage otherwise), both strict vertex ids.
+bool ParseQueryPair(const bccs::ArgParser& args, std::size_t num_vertices,
+                    bccs::BccQuery* q) {
+  if (!args.Has("ql") || !args.Has("qr")) {
+    PrintUsage();
+    return false;
+  }
+  return ParseVertexFlag("ql", args.GetStringOr("ql", ""), num_vertices, &q->ql) &&
+         ParseVertexFlag("qr", args.GetStringOr("qr", ""), num_vertices, &q->qr);
 }
 
 bool ParseLane(const std::string& s, bccs::Lane* lane) {
@@ -172,7 +196,6 @@ struct ServeConfig {
   bccs::QueryMethod method = bccs::QueryMethod::kLpBcc;
   bccs::Lane lane = bccs::Lane::kBulk;
   double deadline_seconds = 0;
-  bccs::ApproxOptions approx;
   bool incremental_butterflies = true;
   std::size_t result_cache_entries = 0;
   std::size_t pair_cache_bytes = 0;
@@ -180,10 +203,6 @@ struct ServeConfig {
 
 bccs::ServeOptions MakeServeOptions(const ServeConfig& cfg) {
   bccs::ServeOptions so;
-  so.online.approx = cfg.approx;
-  so.lp.approx = cfg.approx;
-  so.mbcc.approx = cfg.approx;
-  so.l2p.search.approx = cfg.approx;
   so.online.incremental_butterflies = cfg.incremental_butterflies;
   so.lp.incremental_butterflies = cfg.incremental_butterflies;
   so.mbcc.incremental_butterflies = cfg.incremental_butterflies;
@@ -203,9 +222,9 @@ void PrintPhaseBreakdown(const std::vector<bccs::SearchStats>& stats) {
               sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
               sum.butterfly_delta_seconds, sum.leader_update_seconds);
   std::printf("counting: calls=%zu delta_rounds=%zu delta_fallbacks=%zu "
-              "leader_rebuilds=%zu approx_checks=%zu\n",
+              "leader_rebuilds=%zu\n",
               sum.butterfly_counting_calls, sum.delta_rounds, sum.delta_fallbacks,
-              sum.leader_rebuilds, sum.approx_checks);
+              sum.leader_rebuilds);
 }
 
 void PrintLaneSummaries(const bccs::BatchResult& result) {
@@ -270,8 +289,7 @@ int main(int argc, char** argv) {
   bccs::ArgParser args = bccs::ArgParser::Parse(argc, argv);
   auto unknown = args.UnknownFlags({"graph", "index-file", "ql", "qr", "queries", "k1", "k2",
                                     "b", "method", "verify", "help", "batch-file", "threads",
-                                    "repeat", "lane", "deadline-ms", "approx-samples",
-                                    "approx-threshold", "updates-file",
+                                    "repeat", "lane", "deadline-ms", "updates-file",
                                     "result-cache", "cache-bytes",
                                     "no-incremental-butterflies"});
   if (!unknown.empty() || args.Has("help")) {
@@ -304,13 +322,8 @@ int main(int argc, char** argv) {
   }
   bool flags_valid = true;
   const std::int64_t deadline_ms = args.GetPositiveIntOr("deadline-ms", 0, &flags_valid);
-  const std::int64_t approx_samples = args.GetPositiveIntOr("approx-samples", 0, &flags_valid);
-  const std::int64_t approx_threshold =
-      args.GetPositiveIntOr("approx-threshold", 4096, &flags_valid);
   if (!flags_valid) {
-    std::fprintf(stderr,
-                 "--deadline-ms, --approx-samples and --approx-threshold must be "
-                 "positive integers\n");
+    std::fprintf(stderr, "--deadline-ms must be a positive integer\n");
     return 2;
   }
   // The count/parameter flags share one strict numeric contract: a value
@@ -324,10 +337,11 @@ int main(int argc, char** argv) {
   const std::int64_t result_cache =
       args.GetNonNegativeIntOr("result-cache", 0, &counts_valid);
   const std::int64_t cache_bytes = args.GetNonNegativeIntOr("cache-bytes", 0, &counts_valid);
-  if (!counts_valid) {
+  if (!counts_valid || k1_arg > UINT32_MAX || k2_arg > UINT32_MAX) {
     std::fprintf(stderr,
                  "--threads, --k1, --k2, --result-cache and --cache-bytes must be "
-                 "integers >= 0; --b must be an integer > 0\n");
+                 "integers >= 0 (--k1/--k2 at most %u); --b must be an integer > 0\n",
+                 UINT32_MAX);
     PrintUsage();
     return 2;
   }
@@ -340,14 +354,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(threads_raw), threads);
   }
   cfg.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
-  if (approx_samples > 0) {
-    cfg.approx.samples = static_cast<std::size_t>(approx_samples);
-    cfg.approx.threshold = static_cast<std::size_t>(approx_threshold);
-  } else if (args.Has("approx-threshold")) {
-    std::fprintf(stderr,
-                 "warning: --approx-threshold has no effect without --approx-samples; "
-                 "approximate counting stays disabled\n");
-  }
   cfg.incremental_butterflies = !args.Has("no-incremental-butterflies");
 
   auto graph_path = args.GetString("graph");
@@ -509,21 +515,8 @@ int main(int argc, char** argv) {
     return RunBatch(*graph, index, batch, batch_params, cfg, threads);
   }
   if (args.Has("repeat")) {
-    auto ql = args.GetInt("ql");
-    auto qr = args.GetInt("qr");
-    if (!ql || !qr) {
-      PrintUsage();
-      return 2;
-    }
-    if (*ql < 0 || *qr < 0 ||
-        static_cast<std::uint64_t>(*ql) >= graph->NumVertices() ||
-        static_cast<std::uint64_t>(*qr) >= graph->NumVertices()) {
-      std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
-                   graph->NumVertices());
-      return 2;
-    }
     BatchLine bl;
-    bl.query = {static_cast<bccs::VertexId>(*ql), static_cast<bccs::VertexId>(*qr)};
+    if (!ParseQueryPair(args, graph->NumVertices(), &bl.query)) return 2;
     std::vector<BatchLine> batch(repeat, bl);
     return RunBatch(*graph, index, batch, batch_params, cfg, threads);
   }
@@ -532,17 +525,12 @@ int main(int argc, char** argv) {
   std::vector<bccs::VertexId> queries;
 
   if (args.Has("queries")) {
-    queries = ParseIdList(args.GetStringOr("queries", ""));
+    if (!ParseIdList(args.GetStringOr("queries", ""), graph->NumVertices(), &queries)) {
+      return 2;
+    }
     if (queries.size() < 2) {
       std::fprintf(stderr, "--queries needs at least two ids\n");
       return 2;
-    }
-    for (bccs::VertexId v : queries) {
-      if (v >= graph->NumVertices()) {
-        std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
-                     graph->NumVertices());
-        return 2;
-      }
     }
     bccs::QueryRequest request;
     request.query = bccs::MbccQuery{queries};
@@ -552,18 +540,8 @@ int main(int argc, char** argv) {
     request.mbcc_params.b = b;
     result = ServeOne(*graph, index, std::move(request), cfg);
   } else {
-    auto ql = args.GetInt("ql");
-    auto qr = args.GetInt("qr");
-    if (!ql || !qr) {
-      PrintUsage();
-      return 2;
-    }
-    bccs::BccQuery q{static_cast<bccs::VertexId>(*ql), static_cast<bccs::VertexId>(*qr)};
-    if (q.ql >= graph->NumVertices() || q.qr >= graph->NumVertices()) {
-      std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
-                   graph->NumVertices());
-      return 2;
-    }
+    bccs::BccQuery q;
+    if (!ParseQueryPair(args, graph->NumVertices(), &q)) return 2;
     queries = {q.ql, q.qr};
     bccs::QueryRequest request;
     request.query = q;
@@ -586,9 +564,8 @@ int main(int argc, char** argv) {
   }
   std::printf("community (%zu members):", community.Size());
   for (bccs::VertexId v : community.vertices) std::printf(" %u", v);
-  std::printf("\nrounds=%zu butterfly_counting_calls=%zu approx_checks=%zu time=%.6fs\n",
-              stats.rounds, stats.butterfly_counting_calls, stats.approx_checks,
-              stats.total_seconds);
+  std::printf("\nrounds=%zu butterfly_counting_calls=%zu time=%.6fs\n", stats.rounds,
+              stats.butterfly_counting_calls, stats.total_seconds);
   PrintPhaseBreakdown(result.stats);
 
   if (args.Has("verify") && queries.size() == 2) {

@@ -7,8 +7,7 @@
 //              [--max-connections N]    connection cap in --listen mode
 //              [--threads N] [--bulk-cap K] [--interactive-cap K]
 //              [--aging N] [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]
-//              [--deadline-ms N] [--approx-samples N] [--approx-threshold N]
-//              [--quiet]
+//              [--deadline-ms N] [--quiet]
 //              [--fsync none|on-rotation|every-append] [--segment-blocks N]
 //              [--compact-threshold N]
 //
@@ -65,6 +64,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -91,8 +91,7 @@ void PrintUsage() {
                "                  [--stream FILE|-] [--threads N] [--bulk-cap K]\n"
                "                  [--interactive-cap K] [--aging N]\n"
                "                  [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]\n"
-               "                  [--deadline-ms N] [--approx-samples N]\n"
-               "                  [--approx-threshold N] [--quiet]\n"
+               "                  [--deadline-ms N] [--quiet]\n"
                "                  [--no-incremental-butterflies]\n"
                "                  [--fsync none|on-rotation|every-append]\n"
                "                  [--segment-blocks N] [--compact-threshold N]\n"
@@ -209,8 +208,7 @@ int main(int argc, char** argv) {
   bccs::ArgParser args = bccs::ArgParser::Parse(argc, argv);
   auto unknown = args.UnknownFlags({"graph", "index-file", "stream", "threads", "bulk-cap",
                                     "interactive-cap", "aging", "method", "k1", "k2", "b",
-                                    "deadline-ms", "approx-samples", "approx-threshold",
-                                    "quiet", "fsync", "segment-blocks",
+                                    "deadline-ms", "quiet", "fsync", "segment-blocks",
                                     "compact-threshold", "result-cache", "cache-bytes",
                                     "listen", "max-connections", "help",
                                     "no-incremental-butterflies"});
@@ -231,10 +229,6 @@ int main(int argc, char** argv) {
   const std::int64_t k2 = args.GetNonNegativeIntOr("k2", 0, &counts_valid);
   const std::int64_t b = args.GetPositiveIntOr("b", 1, &counts_valid);
   const std::int64_t deadline_ms = args.GetPositiveIntOr("deadline-ms", 0, &counts_valid);
-  const std::int64_t approx_samples =
-      args.GetPositiveIntOr("approx-samples", 0, &counts_valid);
-  const std::int64_t approx_threshold =
-      args.GetPositiveIntOr("approx-threshold", 4096, &counts_valid);
   const std::int64_t segment_blocks =
       args.GetPositiveIntOr("segment-blocks", 0, &counts_valid);
   const std::int64_t compact_threshold =
@@ -249,6 +243,10 @@ int main(int argc, char** argv) {
   if (!counts_valid) {
     std::fprintf(stderr, "invalid numeric flag value\n");
     PrintUsage();
+    return 2;
+  }
+  if (k1 > UINT32_MAX || k2 > UINT32_MAX) {
+    std::fprintf(stderr, "--k1 and --k2 must be at most %u\n", UINT32_MAX);
     return 2;
   }
   if (listen_port > 65535) {
@@ -373,19 +371,6 @@ int main(int argc, char** argv) {
   so.caps.interactive = static_cast<std::size_t>(interactive_cap);
   so.result_cache_entries = static_cast<std::size_t>(result_cache);
   so.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
-  if (approx_samples > 0) {
-    bccs::ApproxOptions approx;
-    approx.samples = static_cast<std::size_t>(approx_samples);
-    approx.threshold = static_cast<std::size_t>(approx_threshold);
-    so.online.approx = approx;
-    so.lp.approx = approx;
-    so.mbcc.approx = approx;
-    so.l2p.search.approx = approx;
-  } else if (args.Has("approx-threshold")) {
-    std::fprintf(stderr,
-                 "warning: --approx-threshold has no effect without --approx-samples; "
-                 "approximate counting stays disabled\n");
-  }
   if (args.Has("no-incremental-butterflies")) {
     so.online.incremental_butterflies = false;
     so.lp.incremental_butterflies = false;

@@ -3,13 +3,12 @@
 # bccs_build, and check that bccs_query serves identical answers from the
 # text graph and from the snapshot (single-query and batch paths), that a
 # corrupted snapshot is rejected, that the serving-engine flags
-# (--lane, --deadline-ms, --approx-samples) validate and behave (mixed-lane
-# batches report per-lane percentiles, approx batches are deterministic
-# across thread counts, bad flag values are rejected, and
+# (--lane, --deadline-ms) validate and behave (mixed-lane batches report
+# per-lane percentiles, bad flag values, malformed or out-of-range vertex
+# ids and k values are rejected with exit 2, and
 # --no-incremental-butterflies answers bit-identically to the default
 # incremental-counter runs across methods and thread counts), and that the
-# dynamic
-# update flow works: bccs_update appends changelog records that bccs_query
+# dynamic update flow works: bccs_update appends changelog records that bccs_query
 # replays (build -> update -> query-from-replayed-snapshot ==
 # query-from-updated-text-graph), --compact-threshold folds them,
 # --updates-file applies a batch in-process, invalid update batches are
@@ -109,12 +108,11 @@ if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" \
 fi
 grep -q "valid methods" "$tmp/method.err" || fail "usage did not list valid methods"
 
-# --deadline-ms / --approx-samples must be positive integers; the count and
+# --deadline-ms must be a positive integer; the count and
 # parameter flags (--threads, --k1/--k2, --b, --result-cache, --cache-bytes)
 # share the same strict numeric contract instead of silently falling back on
 # garbage.
 for bad in "--deadline-ms 0" "--deadline-ms -3" "--deadline-ms abc" \
-           "--approx-samples 0" "--approx-samples xyz" \
            "--threads -1" "--threads abc" "--threads 1.5" \
            "--k1 -2" "--k2 xyz" "--b 0" "--b -1" "--b abc" \
            "--result-cache -1" "--result-cache abc" "--result-cache 1.5" \
@@ -146,33 +144,37 @@ grep -q "lane interactive" <<< "$lanes_out" || fail "no interactive lane summary
 grep -q "lane bulk" <<< "$lanes_out" || fail "no bulk lane summary"
 grep -q "0 timed out" <<< "$lanes_out" || fail "generous deadline timed out"
 
-# Approx batches: same seed => identical answers across thread counts.
-approx_1="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 1 --approx-samples 64 --approx-threshold 1 | grep -E '^  \[')"
-approx_2="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 | grep -E '^  \[')"
-[ -n "$approx_1" ] || fail "no approx batch output"
-[ "$approx_1" = "$approx_2" ] || fail "approx answers differ across thread counts"
+# Vertex ids and k values are parsed strictly and range-checked before
+# narrowing to 32 bits: garbage, 2^32 + id and k > 2^32 - 1 all exit 2 with
+# a message instead of aborting or running as a different query.
+big_id=$((4294967296 + q2))
+expect_exit2() { # $1: tool, $2: expected stderr fragment, rest: args
+  local tool="$1" want="$2" rc=0
+  shift 2
+  "$bin/$tool" "$@" </dev/null >/dev/null 2>"$tmp/exit2.err" || rc=$?
+  [ "$rc" -eq 2 ] || fail "$tool $* exited $rc, want 2"
+  grep -q -- "$want" "$tmp/exit2.err" || fail "$tool $* did not report '$want'"
+}
+expect_exit2 bccs_query "'abc' is not a vertex id" \
+  --graph "$tmp/g.txt" --queries "$q1,abc"
+expect_exit2 bccs_query "'$big_id' is not a vertex id" \
+  --graph "$tmp/g.txt" --queries "$q1,$big_id"
+expect_exit2 bccs_query "'$big_id' is not a vertex id" \
+  --graph "$tmp/g.txt" --ql "$q1" --qr "$big_id"
+expect_exit2 bccs_query "'$big_id' is not a vertex id" \
+  --graph "$tmp/g.txt" --ql "$q1" --qr "$big_id" --repeat 2
+expect_exit2 bccs_query "at most 4294967295" \
+  --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --k1 4294967298
+expect_exit2 bccs_query "at most 4294967295" \
+  --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --k2 4294967298
+expect_exit2 bccs_serve "at most 4294967295" --graph "$tmp/g.txt" --k1 4294967298
+expect_exit2 bccs_serve "at most 4294967295" --graph "$tmp/g.txt" --k2 4294967298
 
-# Both tools reject --approx-adaptive as an unknown flag (exit 2): every
-# estimate takes exactly --approx-samples pairs. bccs_serve, like
-# bccs_query, warns that --approx-threshold alone has no effect.
-rc=0
-"$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --approx-samples 64 \
-  --approx-adaptive >/dev/null 2>"$tmp/adaptive.err" || rc=$?
-[ "$rc" -eq 2 ] || fail "bccs_query --approx-adaptive exited $rc, want 2"
-grep -q "unknown flag: --approx-adaptive" "$tmp/adaptive.err" \
-  || fail "bccs_query did not name --approx-adaptive as unknown"
-rc=0
-"$bin/bccs_serve" --graph "$tmp/g.txt" --approx-samples 64 --approx-adaptive \
-  </dev/null >/dev/null 2>"$tmp/adaptive.err" || rc=$?
-[ "$rc" -eq 2 ] || fail "bccs_serve --approx-adaptive exited $rc, want 2"
-grep -q "unknown flag: --approx-adaptive" "$tmp/adaptive.err" \
-  || fail "bccs_serve did not name --approx-adaptive as unknown"
-"$bin/bccs_serve" --graph "$tmp/g.txt" --approx-threshold 8 </dev/null \
-  >/dev/null 2>"$tmp/threshold.err" || fail "bccs_serve --approx-threshold alone failed"
-grep -q "warning: --approx-threshold has no effect without --approx-samples" \
-  "$tmp/threshold.err" || fail "bccs_serve did not warn about --approx-threshold alone"
+# The sampled butterfly check is gone: both tools reject its flag as unknown.
+expect_exit2 bccs_query "unknown flag: --approx-samples" \
+  --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --approx-samples 64
+expect_exit2 bccs_serve "unknown flag: --approx-samples" \
+  --graph "$tmp/g.txt" --approx-samples 64
 
 # --- Incremental butterfly maintenance: --no-incremental-butterflies --------
 
@@ -190,16 +192,6 @@ for m in lp online; do
       || fail "--no-incremental-butterflies changed answers (method $m, threads $t)"
   done
 done
-
-# Approx rounds mark the counter stale mid-query (forced fallback recounts);
-# the answers still must not depend on the flag.
-approx_inc="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 | grep -E '^  \[')"
-approx_rec="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 \
-  --no-incremental-butterflies | grep -E '^  \[')"
-[ "$approx_inc" = "$approx_rec" ] \
-  || fail "--no-incremental-butterflies changed answers under approx rounds"
 
 # The batch summary carries the per-phase breakdown including the delta
 # counter's time and round counters.

@@ -3,7 +3,7 @@
 # leaving BENCH_PR10.json next to this script's repo root. The JSON carries
 # the batch-query QPS rows, the snapshot cold-start block, the two-lane
 # serving block (per-lane sojourn p50/p99 plus the warm serving wall time),
-# the streaming block, the approx block, the caching block (Zipf trace
+# the streaming block, the caching block (Zipf trace
 # replay through the result cache plus block-cache eviction pressure; this
 # script fails if a cached answer ever differs from re-execution), the
 # network block (the socket front-end over 100+ loopback connections —
