@@ -1,7 +1,8 @@
 // Ablation micro-benchmarks (google-benchmark) for the Section 6 design
 // choices: hashmap vs vertex-priority butterfly counting, Algorithm 5 vs
 // full BFS distance maintenance, Algorithm 7 vs full recount, and bulk vs
-// single-vertex deletion; plus the query-distance repair kernel alone.
+// single-vertex deletion; plus the query-distance repair kernel alone and
+// Find-G0 with and without the BC-index.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "bcc/query_distance.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
+#include "eval/datasets.h"
 #include "graph/generators.h"
 
 namespace {
@@ -210,6 +212,24 @@ void BM_L2pEtaSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_L2pEtaSweep)->Arg(128)->Arg(512)->Arg(2048)->Arg(8192);
+
+// Find-G0 on one orkut stand-in query (two ~29k-vertex label groups):
+// Arg(0) peels each query group (auto-k bucket peel + k-core peel),
+// Arg(1) reads the groups' coreness from the BC-index. Both include the
+// seed butterfly count over G0. The graph and index are built once.
+void BM_FindG0(benchmark::State& state) {
+  static const PlantedGraph pg = MakeDataset(*FindSpec("orkut"));
+  static const BcIndex index(pg.graph);
+  const BccQuery q{pg.communities[0].groups[0][0], pg.communities[0].groups[1][0]};
+  const BcIndex* use = state.range(0) != 0 ? &index : nullptr;
+  QueryWorkspace ws;
+  for (auto _ : state) {
+    G0Result g0 = FindG0(pg.graph, q, BccParams{}, nullptr, &ws, use);
+    benchmark::DoNotOptimize(g0.left.size());
+    ReleaseG0Counts(&ws, &g0);
+  }
+}
+BENCHMARK(BM_FindG0)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

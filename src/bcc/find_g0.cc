@@ -3,31 +3,75 @@
 #include <algorithm>
 #include <memory>
 
+#include "bcc/bc_index.h"
+#include "common/check.h"
 #include "core/core_decomposition.h"
 #include "eval/timer.h"
 
 namespace bccs {
 namespace {
 
-// Vertices of the query's label group, optionally intersected with a
-// restriction mask; the filtered copy goes into a pooled scratch vector.
-std::span<const VertexId> LabelCandidates(const LabeledGraph& g, VertexId q,
-                                          const std::vector<char>* restrict_to,
-                                          std::vector<VertexId>* scratch) {
-  std::span<const VertexId> all = g.VerticesWithLabel(g.LabelOf(q));
-  if (restrict_to == nullptr) return all;
-  scratch->clear();
-  for (VertexId v : all) {
-    if ((*restrict_to)[v]) scratch->push_back(v);
+#if BCCS_DCHECK_IS_ON
+// Recomputes an index-resolved group with the paper's routines (bucket
+// peel for auto-k, k-core peel, component) and CHECKs equality — DESIGN.md
+// contract 10. Uses the allocating variants so the workspace is untouched.
+void AuditIndexGroup(const LabeledGraph& g, VertexId q, std::uint32_t k_arg,
+                     std::uint32_t k, const std::vector<VertexId>* side) {
+  std::span<const VertexId> group = g.VerticesWithLabel(g.LabelOf(q));
+  if (k_arg == 0) {
+    BCCS_DCHECK_EQ(k, SubsetCoreness(g, group)[q]) << "index coreness audit: vertex " << q;
   }
-  return *scratch;
+  if (side == nullptr || k == 0) return;
+  BCCS_DCHECK(*side == ComponentContaining(g, KCoreOfSubset(g, group, k), q))
+      << "index k-core audit: vertex " << q << " k=" << k;
 }
+#endif
 
 }  // namespace
 
+std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t k,
+                                const std::vector<char>* restrict_to, const BcIndex* index,
+                                QueryWorkspace* ws, std::vector<VertexId>* side) {
+  if (side != nullptr) side->clear();
+  std::span<const VertexId> group = g.VerticesWithLabel(g.LabelOf(q));
+  CoreScratch& cs = ws->core_scratch();
+  std::vector<VertexId>* members = ws->AcquireIdVec();
+  if (index != nullptr && restrict_to == nullptr) {
+    const std::uint32_t k_arg = k;
+    if (k == 0) k = index->Coreness(q);
+    if (k > 0 && side != nullptr) {
+      for (VertexId v : group) {
+        if (index->Coreness(v) >= k) members->push_back(v);
+      }
+      ComponentContainingScoped(g, *members, q, &cs, side);
+    }
+#if BCCS_DCHECK_IS_ON
+    AuditIndexGroup(g, q, k_arg, k, side);
+#else
+    (void)k_arg;
+#endif
+  } else {
+    if (restrict_to != nullptr) {
+      for (VertexId v : group) {
+        if ((*restrict_to)[v]) members->push_back(v);
+      }
+      group = *members;
+    }
+    if (k == 0) k = SubsetCorenessOfScoped(g, group, q, &cs);
+    if (k > 0 && side != nullptr) {
+      std::vector<VertexId>* core = ws->AcquireIdVec();
+      KCoreOfSubsetScoped(g, group, k, &cs, core);
+      ComponentContainingScoped(g, *core, q, &cs, side);
+      ws->ReleaseIdVec(core);
+    }
+  }
+  ws->ReleaseIdVec(members);
+  return k;
+}
+
 G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                           const std::vector<char>* restrict_to, SearchStats* stats,
-                          QueryWorkspace* ws) {
+                          QueryWorkspace* ws, const BcIndex* index) {
   SearchStats local;
   if (stats == nullptr) stats = &local;
   G0Result out;
@@ -45,41 +89,13 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
     active_ws = scoped_ws.get();
   }
 
-  std::vector<VertexId>* scratch_left = active_ws->AcquireIdVec();
-  std::vector<VertexId>* scratch_right = active_ws->AcquireIdVec();
-  std::span<const VertexId> cand_left = LabelCandidates(g, q.ql, restrict_to, scratch_left);
-  std::span<const VertexId> cand_right = LabelCandidates(g, q.qr, restrict_to, scratch_right);
-  auto release_scratch = [&] {
-    active_ws->ReleaseIdVec(scratch_left);
-    active_ws->ReleaseIdVec(scratch_right);
-  };
-  if (cand_left.empty() || cand_right.empty()) {
-    release_scratch();
-    return out;
-  }
-
-  // Resolve auto core parameters with the query coreness inside its group
-  // (paper Section 3.5).
-  out.k1 = p.k1;
-  out.k2 = p.k2;
-  CoreScratch& cs = active_ws->core_scratch();
-  if (out.k1 == 0) out.k1 = SubsetCorenessOfScoped(g, cand_left, q.ql, &cs);
-  if (out.k2 == 0) out.k2 = SubsetCorenessOfScoped(g, cand_right, q.qr, &cs);
-  if (out.k1 == 0 || out.k2 == 0) {
-    release_scratch();
-    return out;  // queries have no usable core
-  }
-
-  // Left and right cores, restricted to the component containing the query.
-  std::vector<VertexId>* core = active_ws->AcquireIdVec();
-  KCoreOfSubsetScoped(g, cand_left, out.k1, &cs, core);
-  ComponentContainingScoped(g, *core, q.ql, &cs, &out.left);
-  if (!out.left.empty()) {
-    KCoreOfSubsetScoped(g, cand_right, out.k2, &cs, core);
-    ComponentContainingScoped(g, *core, q.qr, &cs, &out.right);
-  }
-  active_ws->ReleaseIdVec(core);
-  release_scratch();
+  // Left and right cores, restricted to the component containing the
+  // query; auto core parameters resolve to the query coreness inside its
+  // group (paper Section 3.5). The right side is skipped once the left one
+  // is empty.
+  out.k1 = ResolveQueryGroup(g, q.ql, p.k1, restrict_to, index, active_ws, &out.left);
+  out.k2 = ResolveQueryGroup(g, q.qr, p.k2, restrict_to, index, active_ws,
+                             out.left.empty() ? nullptr : &out.right);
   if (out.left.empty() || out.right.empty()) {
     out.left.clear();
     out.right.clear();
@@ -108,8 +124,8 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
 }
 
 G0Result FindG0(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
-                SearchStats* stats, QueryWorkspace* ws) {
-  return FindG0Restricted(g, q, p, nullptr, stats, ws);
+                SearchStats* stats, QueryWorkspace* ws, const BcIndex* index) {
+  return FindG0Restricted(g, q, p, nullptr, stats, ws, index);
 }
 
 void ReleaseG0Counts(QueryWorkspace* ws, G0Result* g0) {

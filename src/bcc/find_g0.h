@@ -11,6 +11,8 @@
 
 namespace bccs {
 
+class BcIndex;  // bcc/bc_index.h
+
 /// Result of the paper's Algorithm 2: the maximal connected (k1, k2, b)-BCC
 /// G0 containing the query pair.
 struct G0Result {
@@ -34,14 +36,38 @@ struct G0Result {
 /// pools and `counts.chi` of the result is a pooled buffer — the caller
 /// must hand the finished result to ReleaseG0Counts(ws, &g0) (results are
 /// identical with or without a workspace).
+///
+/// With an `index` built over `g`, the two query groups resolve from its
+/// stored coreness instead of a peel (ResolveQueryGroup); the result is
+/// identical.
 G0Result FindG0(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
-                SearchStats* stats, QueryWorkspace* ws = nullptr);
+                SearchStats* stats, QueryWorkspace* ws = nullptr,
+                const BcIndex* index = nullptr);
 
 /// Algorithm 2 restricted to the vertices enabled in `restrict_to` (the L2P
-/// local candidate G_t). Pass null for no restriction.
+/// local candidate G_t). Pass null for no restriction; a restricted call
+/// always peels, since coreness inside G_t is not the index's delta(v).
 G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                           const std::vector<char>* restrict_to, SearchStats* stats,
-                          QueryWorkspace* ws = nullptr);
+                          QueryWorkspace* ws = nullptr, const BcIndex* index = nullptr);
+
+/// One query group of Find-G0 (Algorithm 2, and Algorithm 9 line 1 per
+/// group). Resolves the group's core parameter — `k` == 0 means auto: the
+/// coreness of `q` within its label group (paper Section 3.5) — and, when
+/// `side` is non-null, writes the component containing `q` of the group's
+/// k-core, sorted ascending. Returns the resolved k; with 0 (no usable core)
+/// `side` stays empty. The group is q's label group, intersected with
+/// `restrict_to` when non-null. `ws` (required) supplies the scratch.
+///
+/// The single place where Find-G0 chooses between the BC-index and the
+/// paper's peel: with an `index` over `g` and no restriction, auto-k is
+/// index->Coreness(q) and the k-core is {v in group : Coreness(v) >= k}
+/// (Batagelj-Zaversnik), so no peel runs. Otherwise it runs the bucket peel
+/// and k-core peel. In BCCS_DCHECK builds the index path recomputes both
+/// with the paper routines and CHECKs equality (DESIGN.md contract 10).
+std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t k,
+                                const std::vector<char>* restrict_to, const BcIndex* index,
+                                QueryWorkspace* ws, std::vector<VertexId>* side);
 
 /// Returns a workspace-pooled `g0->counts.chi` buffer to the pool (no-op for
 /// results produced without a workspace). `g0->left` / `g0->right` must

@@ -233,7 +233,7 @@ Community L2pMbcc(const LabeledGraph& g, const BcIndex& index, const MbccQuery& 
   }
 
   // Per-label admission threshold: the group's resolved core parameter.
-  std::vector<std::uint32_t> ks = ResolveMbccCores(g, q, p, ws);
+  std::vector<std::uint32_t> ks = ResolveMbccCores(g, q, p, ws, &index);
   std::vector<std::uint32_t> min_core_for_label(g.NumLabels(), kInvalidVertex);
   for (std::size_t i = 0; i < m; ++i) {
     min_core_for_label[g.LabelOf(q.vertices[i])] = ks[i];

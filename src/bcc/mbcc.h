@@ -10,6 +10,8 @@
 
 namespace bccs {
 
+class BcIndex;  // bcc/bc_index.h
+
 /// Query of the Section 7 multi-labeled BCC model: m >= 2 vertices with
 /// pairwise-distinct labels.
 struct MbccQuery {
@@ -38,17 +40,23 @@ struct MbccParams {
 /// Like PeelToBcc, the engine runs on an epoch-stamped workspace (bucketed
 /// farthest-vertex queue, pooled scratch); pass a warm `ws` for
 /// allocation-free steady-state execution, or nullptr for a scoped one.
+///
+/// With an `index` built over `g` and no restriction, the per-group cores
+/// resolve from its stored coreness instead of a peel (ResolveQueryGroup in
+/// bcc/find_g0.h); the result is identical.
 Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams& p,
                      const SearchOptions& opts, SearchStats* stats = nullptr,
                      const std::vector<char>* restrict_to = nullptr,
-                     QueryWorkspace* ws = nullptr);
+                     QueryWorkspace* ws = nullptr, const BcIndex* index = nullptr);
 
 /// The resolved per-group core parameters (auto entries replaced by query
 /// coreness). Exposed for verification in tests and benchmarks. `ws`
-/// (optional) supplies the coreness scratch for allocation-free resolution.
+/// (optional) supplies the coreness scratch for allocation-free resolution;
+/// with an `index` over `g` the auto entries are read from it.
 std::vector<std::uint32_t> ResolveMbccCores(const LabeledGraph& g, const MbccQuery& q,
                                             const MbccParams& p,
-                                            QueryWorkspace* ws = nullptr);
+                                            QueryWorkspace* ws = nullptr,
+                                            const BcIndex* index = nullptr);
 
 }  // namespace bccs
 

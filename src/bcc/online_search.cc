@@ -307,14 +307,15 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
 }
 
 Community BccSearch(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
-                    const SearchOptions& opts, SearchStats* stats, QueryWorkspace* ws) {
+                    const SearchOptions& opts, SearchStats* stats, QueryWorkspace* ws,
+                    const BcIndex* index) {
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Timer total;
   G0Result g0;
   {
     ScopedAccumulator t(&stats->find_g0_seconds);
-    g0 = FindG0(g, q, p, stats, ws);
+    g0 = FindG0(g, q, p, stats, ws, index);
   }
   Community out = PeelToBcc(g, g0, q, opts, p.b, stats, ws);
   ReleaseG0Counts(ws, &g0);

@@ -33,9 +33,11 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
                     QueryWorkspace* ws = nullptr);
 
 /// Full search: Find-G0 then peel. Respects every option combination.
+/// `index` (optional, built over `g`) lets Find-G0 read the query groups'
+/// coreness instead of peeling them; the result is identical.
 Community BccSearch(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                     const SearchOptions& opts, SearchStats* stats,
-                    QueryWorkspace* ws = nullptr);
+                    QueryWorkspace* ws = nullptr, const BcIndex* index = nullptr);
 
 /// Paper's Online-BCC: bulk deletion, full BFS distances, full butterfly
 /// recount per round.

@@ -220,17 +220,17 @@ void ServeEngine::Dispatch(const QueryRequest& req, const LabeledGraph& g,
   if (req.method == QueryMethod::kMbcc) {
     const auto* q = std::get_if<MbccQuery>(&req.query);
     if (q == nullptr) return;  // variant/method mismatch: empty answer
-    *community = MbccSearch(g, *q, req.mbcc_params, opts_.mbcc, stats, nullptr, &ws);
+    *community = MbccSearch(g, *q, req.mbcc_params, opts_.mbcc, stats, nullptr, &ws, index);
     return;
   }
   const auto* q = std::get_if<BccQuery>(&req.query);
   if (q == nullptr) return;
   switch (req.method) {
     case QueryMethod::kOnlineBcc:
-      *community = BccSearch(g, *q, req.params, opts_.online, stats, &ws);
+      *community = BccSearch(g, *q, req.params, opts_.online, stats, &ws, index);
       break;
     case QueryMethod::kLpBcc:
-      *community = BccSearch(g, *q, req.params, opts_.lp, stats, &ws);
+      *community = BccSearch(g, *q, req.params, opts_.lp, stats, &ws, index);
       break;
     case QueryMethod::kL2pBcc:
       if (index != nullptr) {

@@ -407,8 +407,9 @@ int main(int argc, char** argv) {
                        io_error.c_str());
         }
       } else {
-        // lp/online/mBCC never touch the index: don't pay the all-pairs
-        // butterfly build + snapshot write for them.
+        // lp/online/mBCC only read label coreness from an index and peel
+        // the same answer without one: don't pay the all-pairs butterfly
+        // build + snapshot write for them.
         std::fprintf(stderr, "note: snapshot %s: %s; serving from the text graph\n",
                      index_path->c_str(), load_error.c_str());
         bundle.graph = std::make_shared<const bccs::LabeledGraph>(std::move(*text_graph));

@@ -70,6 +70,39 @@ batch_snap="$("$bin/bccs_query" --index-file "$tmp/g.snap" --batch-file "$tmp/ba
 [ -n "$batch_graph" ] || fail "no batch output"
 [ "$batch_graph" = "$batch_snap" ] || fail "batch answers differ"
 
+# Index-backed Find-G0 (DESIGN.md contract 10): from --graph alone,
+# online/lp/mBCC have no index and peel each query group; from
+# --index-file they read the groups' coreness from the snapshot's index.
+# The community lines must be byte-identical between the two.
+for method in online lp; do
+  peeled="$("$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --method "$method" \
+    | grep -E '^(community|no community)' || true)"
+  indexed="$("$bin/bccs_query" --index-file "$tmp/g.snap" --ql "$q1" --qr "$q2" \
+    --method "$method" | grep -E '^(community|no community)' || true)"
+  [ -n "$peeled" ] || fail "no $method output from the text-graph path"
+  [ "$peeled" = "$indexed" ] \
+    || fail "index-backed $method differs: '$peeled' vs '$indexed'"
+done
+batch_peeled="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/batch.txt" \
+  --method lp --threads 2 | grep -E '^  \[')"
+batch_indexed="$("$bin/bccs_query" --index-file "$tmp/g.snap" --batch-file "$tmp/batch.txt" \
+  --method lp --threads 2 | grep -E '^  \[')"
+[ -n "$batch_peeled" ] || fail "no lp batch output"
+[ "$batch_peeled" = "$batch_indexed" ] || fail "index-backed lp batch answers differ"
+"$bin/bccs_generate" --communities 4 --group-size 10 --labels 3 --groups 3 --seed 5 \
+  --out "$tmp/m.txt" >/dev/null
+"$bin/bccs_build" --graph "$tmp/m.txt" --out "$tmp/m.snap" >/dev/null \
+  || fail "bccs_build (3 labels) failed"
+mq="$(for l in 0 1 2; do awk -v l="$l" '$1=="l" && $3==l {print $2; exit}' "$tmp/m.txt"; done \
+  | paste -sd,)"
+mbcc_peeled="$("$bin/bccs_query" --graph "$tmp/m.txt" --queries "$mq" \
+  | grep -E '^(community|no community)' || true)"
+mbcc_indexed="$("$bin/bccs_query" --index-file "$tmp/m.snap" --queries "$mq" \
+  | grep -E '^(community|no community)' || true)"
+[ -n "$mbcc_peeled" ] || fail "no mBCC output from the text-graph path"
+[ "$mbcc_peeled" = "$mbcc_indexed" ] \
+  || fail "index-backed mBCC differs: '$mbcc_peeled' vs '$mbcc_indexed'"
+
 # --repeat 0 must be rejected like negative values, not run a zero-query batch.
 if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --repeat 0 \
     >/dev/null 2>&1; then
