@@ -75,6 +75,36 @@ void BM_LeaderUpdateAlgorithm7(benchmark::State& state) {
 }
 BENCHMARK(BM_LeaderUpdateAlgorithm7)->Arg(200)->Arg(400)->Arg(800);
 
+// The LP call pattern: a left and a right leader both updated per removed
+// vertex, victims from both sides interleaved and leaving the masks as they
+// go. Each iteration is one peel over fresh masks on a fresh updater that
+// borrows the stamp scratch, as PeelToBcc borrows the workspace's.
+void BM_LeaderUpdateTwoLeadersInterleaved(benchmark::State& state) {
+  BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);
+  const VertexId leaders[2] = {f.left[0], f.right[0]};
+  std::vector<VertexId> victims;
+  for (std::size_t i = 1; i < f.left.size(); ++i) {
+    victims.push_back(f.left[i]);
+    victims.push_back(f.right[i]);
+  }
+  std::vector<std::uint32_t> stamp(f.g.NumVertices(), 0);
+  std::uint32_t counter = 0;
+  for (auto _ : state) {
+    std::vector<char> in_left = f.in_left;
+    std::vector<char> in_right = f.in_right;
+    LeaderButterflyUpdater updater(f.g, &stamp, &counter);
+    std::uint64_t loss = 0;
+    for (VertexId victim : victims) {
+      for (VertexId leader : leaders) {
+        loss += updater.LossOnDeletion(in_left, in_right, leader, victim);
+      }
+      (in_left[victim] ? in_left : in_right)[victim] = 0;
+    }
+    benchmark::DoNotOptimize(loss);
+  }
+}
+BENCHMARK(BM_LeaderUpdateTwoLeadersInterleaved)->Arg(200)->Arg(400)->Arg(800);
+
 struct PeelFixture {
   PlantedGraph pg;
   BccQuery q;

@@ -52,8 +52,8 @@ struct SearchStats {
   /// Exact per-round validity checks answered from incrementally maintained
   /// chi (PeelButterflyCounter) instead of a full Algorithm 3 recount.
   std::size_t delta_rounds = 0;
-  /// Full recounts forced by counter staleness (per-round debit work over
-  /// the wedge budget, deadline mid-cascade).
+  /// Always 0: the delta counter never needs a resync recount. Kept for
+  /// readers of the stats (perfbench).
   std::size_t delta_fallbacks = 0;
   std::size_t vertices_removed = 0;
   std::size_t g0_size = 0;
@@ -101,13 +101,14 @@ struct SearchOptions {
   bool use_leader_pair = false;
   /// Leader search radius rho of Algorithm 6.
   std::uint32_t leader_rho = 2;
-  /// Incremental butterfly maintenance across peel rounds
-  /// (PeelButterflyCounter): per-round exact validity reads maintained chi —
-  /// debited per removed vertex in O(wedges through it) — instead of
-  /// recounting the alive candidate. chi is exact integer arithmetic either
-  /// way, so answers are bit-identical with this on or off; the switch
-  /// exists for benchmarking and as an operational escape hatch
-  /// (`--no-incremental-butterflies`).
+  /// Incremental butterfly maintenance across the rounds of a leaderless
+  /// peel (PeelButterflyCounter): per-round exact validity reads maintained
+  /// chi — debited per removed vertex in O(wedges through it) — instead of
+  /// recounting the alive candidate. Ignored when use_leader_pair is set:
+  /// those peels keep only the leaders' chi (Algorithm 7). chi is exact
+  /// integer arithmetic either way, so answers are bit-identical with this
+  /// on or off; the switch exists for benchmarking and as an operational
+  /// escape hatch (`--no-incremental-butterflies`).
   bool incremental_butterflies = true;
 };
 

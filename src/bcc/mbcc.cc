@@ -26,8 +26,8 @@ struct PairState {
   bool active = false;
   LeaderState leader_i, leader_j;
   /// Incremental chi maintenance for this pair's bipartite subgraph
-  /// (SearchOptions::incremental_butterflies). Owned by the workspace pool;
-  /// null when the flag is off or the pair started inactive.
+  /// (SearchOptions::incremental_butterflies, leaderless peels only). Owned
+  /// by the workspace pool; null when unused or the pair started inactive.
   PeelButterflyCounter* pc = nullptr;
 };
 
@@ -160,10 +160,11 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       ps.j = j;
       count_pair(i, j);
       ps.active = counts.max_left >= p.b && counts.max_right >= p.b;
-      if (ps.active && opts.incremental_butterflies) {
+      if (ps.active && opts.incremental_butterflies && !opts.use_leader_pair) {
         // Seed this pair's delta counter from the count just computed; from
         // here chi for the pair is debited per removed vertex instead of
-        // recounted per round.
+        // recounted per round. With leaders, Algorithm 7 keeps the leaders'
+        // chi and the pair recounts only on a leader rebuild.
         ps.pc = ws->AcquirePeelCounter();
         ps.pc->Init(g, groups[i], groups[j], cand.GroupMask(i), cand.GroupMask(j), ws);
         ps.pc->SeedFrom(counts);
@@ -248,53 +249,29 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     bool cascade_expired = false;
     std::vector<VertexId> removed;
 
-    // Pre-round counter upkeep: the per-round debit budget resets here.
-    bool any_live = false;
-    for (PairState& ps : pairs) {
-      if (ps.pc == nullptr) continue;
-      ps.pc->BeginRound();
-      any_live = any_live || (ps.active && !ps.pc->stale());
-    }
-
-    auto pair_loss = [&](PairState& ps, VertexId v) {
-      const auto& mask_i = cand.GroupMask(ps.i);
-      const auto& mask_j = cand.GroupMask(ps.j);
-      if (v != ps.leader_i.leader && cand.IsAlive(ps.leader_i.leader)) {
-        std::uint64_t loss = updater.LossOnDeletion(mask_i, mask_j, ps.leader_i.leader, v);
-        ps.leader_i.chi = loss > ps.leader_i.chi ? 0 : ps.leader_i.chi - loss;
-      }
-      if (v != ps.leader_j.leader && cand.IsAlive(ps.leader_j.leader)) {
-        std::uint64_t loss = updater.LossOnDeletion(mask_i, mask_j, ps.leader_j.leader, v);
-        ps.leader_j.chi = loss > ps.leader_j.chi ? 0 : ps.leader_j.chi - loss;
-      }
-    };
     auto on_remove = [&](VertexId v) {
-      std::uint32_t gv = cand.GroupOf(v);
+      const std::uint32_t gv = cand.GroupOf(v);
       for (PairState& ps : pairs) {
         if (!ps.active || (ps.i != gv && ps.j != gv)) continue;
-        if (ps.pc != nullptr && !ps.pc->stale()) {
-          // Maintained chi covers the leaders too; they re-sync from the
-          // counter at the validity check, so LossOnDeletion is skipped.
-          if (ps.pc->OnRemove(v)) continue;
-          // The counter refused (debit budget exhausted) *without* touching
-          // chi, so its values are exact for the candidate before v. Pull the
-          // leaders' chi from it once, then fall back to per-leader debits.
-          if (ps.leader_i.leader != kInvalidVertex && cand.IsAlive(ps.leader_i.leader)) {
-            ps.leader_i.chi = ps.pc->Chi(ps.leader_i.leader);
-          }
-          if (ps.leader_j.leader != kInvalidVertex && cand.IsAlive(ps.leader_j.leader)) {
-            ps.leader_j.chi = ps.pc->Chi(ps.leader_j.leader);
-          }
+        if (ps.pc != nullptr) {
+          ps.pc->OnRemove(v);
+          continue;
         }
-        if (opts.use_leader_pair) pair_loss(ps, v);
+        const auto& mask_i = cand.GroupMask(ps.i);
+        const auto& mask_j = cand.GroupMask(ps.j);
+        for (LeaderState* lead : {&ps.leader_i, &ps.leader_j}) {
+          if (v == lead->leader || !cand.IsAlive(lead->leader)) continue;
+          std::uint64_t loss = updater.LossOnDeletion(mask_i, mask_j, lead->leader, v);
+          lead->chi = loss > lead->chi ? 0 : lead->chi - loss;
+        }
       }
     };
 
-    if (any_live) {
-      ScopedAccumulator t(&stats->butterfly_delta_seconds);
-      removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
-    } else if (opts.use_leader_pair) {
+    if (opts.use_leader_pair) {
       ScopedAccumulator t(&stats->leader_update_seconds);
+      removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
+    } else if (opts.incremental_butterflies) {
+      ScopedAccumulator t(&stats->butterfly_delta_seconds);
       removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
     } else {
       removed = cand.RemoveAndMaintain(batch, [](VertexId) {}, cascade_deadline,
@@ -304,9 +281,6 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     stats->vertices_removed += removed.size();
     if (cascade_expired) {
       stats->timed_out = true;
-      for (PairState& ps : pairs) {
-        if (ps.pc != nullptr) ps.pc->MarkStale();
-      }
       break;
     }
 
@@ -316,20 +290,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
 
     // Butterfly / cross-group-connectivity maintenance, validated exactly
     // every round (see PeelToBcc). Per-pair counts are served from the pair's
-    // fresh delta counter when possible, otherwise by a full recount
-    // (refreshing the counter in passing so later rounds go back to deltas).
+    // delta counter when it runs, otherwise by a full recount.
     auto exact_pair = [&](PairState& ps) -> const ButterflyCounts& {
-      if (ps.pc != nullptr && !ps.pc->stale()) {
-        ++stats->delta_rounds;
-        return ps.pc->RefreshMaxes();
-      }
       if (ps.pc != nullptr) {
-        {
-          ScopedAccumulator t(&stats->butterfly_seconds);
-          ps.pc->Recount();
-        }
-        ++stats->butterfly_counting_calls;
-        ++stats->delta_fallbacks;
+        ++stats->delta_rounds;
         return ps.pc->RefreshMaxes();
       }
       count_pair(ps.i, ps.j);
@@ -339,16 +303,6 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       if (!ps.active) continue;
       bool need_recount = !opts.use_leader_pair;
       if (opts.use_leader_pair) {
-        if (ps.pc != nullptr && !ps.pc->stale()) {
-          // Cascades with a fresh counter skipped the per-leader debits;
-          // read the maintained (exact) chi back before checking validity.
-          if (cand.IsAlive(ps.leader_i.leader)) {
-            ps.leader_i.chi = ps.pc->Chi(ps.leader_i.leader);
-          }
-          if (cand.IsAlive(ps.leader_j.leader)) {
-            ps.leader_j.chi = ps.pc->Chi(ps.leader_j.leader);
-          }
-        }
         bool i_ok = cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= p.b;
         bool j_ok = cand.IsAlive(ps.leader_j.leader) && ps.leader_j.chi >= p.b;
         need_recount = !i_ok || !j_ok;
@@ -357,10 +311,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       if (opts.use_leader_pair) ++stats->leader_rebuilds;
       const ButterflyCounts& rc = exact_pair(ps);
       if (rc.max_left < p.b || rc.max_right < p.b) {
-        ps.active = false;
-        // A deactivated pair is never maintained or examined again; stale
-        // the counter so the audit below skips it.
-        if (ps.pc != nullptr) ps.pc->MarkStale();
+        ps.active = false;  // never maintained or examined again
         continue;
       }
       if (opts.use_leader_pair) {
@@ -373,7 +324,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     }
 #if BCCS_DCHECK_IS_ON
     for (PairState& ps : pairs) {
-      if (ps.active && ps.pc != nullptr && !ps.pc->stale()) ps.pc->AuditAgainstRecount();
+      if (ps.active && ps.pc != nullptr) ps.pc->AuditAgainstRecount();
     }
 #endif
     if (!meta_connected()) break;

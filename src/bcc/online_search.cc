@@ -76,13 +76,14 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
                             counts->max_right, counts->argmax_right, ws);
   }
 
-  // Incremental delta-chi maintenance: seeded from Find-G0's exact counts
-  // (same candidate, all members alive), debited per removed vertex inside
-  // the cascade, recounted only on staleness. chi is exact integer
-  // arithmetic both ways, so every validity decision below is bit-identical
-  // with the counter on or off.
+  // Incremental delta-chi maintenance for leaderless peels: seeded from
+  // Find-G0's exact counts (same candidate, all members alive) and debited
+  // per removed vertex inside the cascade. chi is exact integer arithmetic
+  // both ways, so every validity decision below is bit-identical with the
+  // counter on or off. Leader-pair peels keep only the leaders' chi
+  // (Algorithm 7) and recount on a leader rebuild, as Algorithms 6-7 do.
   PeelButterflyCounter* pc = nullptr;
-  if (opts.incremental_butterflies && g0.counts.chi.size() == n) {
+  if (opts.incremental_butterflies && !opts.use_leader_pair && g0.counts.chi.size() == n) {
     pc = ws->AcquirePeelCounter();
     pc->Init(g, g0.left, g0.right, cand.GroupMask(0), cand.GroupMask(1), ws);
     pc->SeedFrom(g0.counts);
@@ -131,51 +132,28 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
 
     const auto round_idx = static_cast<std::uint32_t>(round_qd.size() - 1);
 
-    if (pc != nullptr) pc->BeginRound();
-    bool counter_live = pc != nullptr && !pc->stale();
-
     // Delete + core maintenance (Algorithm 4); incremental chi debits or
     // Algorithm 7 run per removed vertex while the bipartite graph is still
     // consistent.
     bool cascade_expired = false;
     std::vector<VertexId> removed;
-    auto leader_loss = [&](VertexId v) {
-      if (v != lead_l.leader && cand.IsAlive(lead_l.leader)) {
-        std::uint64_t loss =
-            updater.LossOnDeletion(cand.GroupMask(0), cand.GroupMask(1), lead_l.leader, v);
-        lead_l.chi = loss > lead_l.chi ? 0 : lead_l.chi - loss;
-      }
-      if (v != lead_r.leader && cand.IsAlive(lead_r.leader)) {
-        std::uint64_t loss =
-            updater.LossOnDeletion(cand.GroupMask(0), cand.GroupMask(1), lead_r.leader, v);
-        lead_r.chi = loss > lead_r.chi ? 0 : lead_r.chi - loss;
-      }
-    };
-    if (counter_live) {
-      // The counter maintains every chi — the leaders' included — so the
-      // per-removal Algorithm 7 updates are skipped while it stays fresh.
-      // If it refuses mid-cascade (debit work over the wedge budget), its
-      // chi is still exact for the candidate just before the refused
-      // removal: sync the leaders' running chi once and resume the legacy
-      // per-removal updates for the rest of the cascade.
+    if (pc != nullptr) {
       ScopedAccumulator t(&stats->butterfly_delta_seconds);
+      removed = cand.RemoveAndMaintain(
+          batch, [&](VertexId v) { pc->OnRemove(v); }, cascade_deadline, &cascade_expired);
+    } else if (opts.use_leader_pair) {
+      ScopedAccumulator t(&stats->leader_update_seconds);
       removed = cand.RemoveAndMaintain(
           batch,
           [&](VertexId v) {
-            if (counter_live) {
-              if (pc->OnRemove(v)) return;
-              counter_live = false;
-              if (opts.use_leader_pair) {
-                if (cand.IsAlive(lead_l.leader)) lead_l.chi = pc->Chi(lead_l.leader);
-                if (cand.IsAlive(lead_r.leader)) lead_r.chi = pc->Chi(lead_r.leader);
-              }
+            for (LeaderState* lead : {&lead_l, &lead_r}) {
+              if (v == lead->leader || !cand.IsAlive(lead->leader)) continue;
+              std::uint64_t loss = updater.LossOnDeletion(cand.GroupMask(0), cand.GroupMask(1),
+                                                          lead->leader, v);
+              lead->chi = loss > lead->chi ? 0 : lead->chi - loss;
             }
-            if (opts.use_leader_pair) leader_loss(v);
           },
           cascade_deadline, &cascade_expired);
-    } else if (opts.use_leader_pair) {
-      ScopedAccumulator t(&stats->leader_update_seconds);
-      removed = cand.RemoveAndMaintain(batch, leader_loss, cascade_deadline, &cascade_expired);
     } else {
       removed = cand.RemoveAndMaintain(batch, [](VertexId) {}, cascade_deadline,
                                        &cascade_expired);
@@ -185,8 +163,6 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     if (cascade_expired) {
       // The cascade was cut short, so the surviving candidate may violate
       // its cores; every earlier recorded round is still a valid state.
-      // The counter stopped debiting mid-cascade, so its chi is stale too.
-      if (pc != nullptr) pc->MarkStale();
       stats->timed_out = true;
       break;
     }
@@ -194,39 +170,24 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     if (!cand.IsAlive(q.ql) || !cand.IsAlive(q.qr)) break;
 
     // Butterfly condition maintenance, validated exactly every round. Counts
-    // come from the maintained delta-chi while the counter is fresh
-    // (recount avoided, SearchStats::delta_rounds), a counter-refilling full
-    // recount after staleness (delta_fallbacks), or the legacy recount
-    // buffer with the counter off. Identical values in every case.
+    // come from the maintained delta-chi when the counter runs (recount
+    // avoided, SearchStats::delta_rounds), otherwise from a full recount.
+    // Identical values either way.
     auto exact_counts = [&]() -> const ButterflyCounts& {
-      if (counter_live) {
+      if (pc != nullptr) {
         ++stats->delta_rounds;
         return pc->RefreshMaxes();
       }
       {
         ScopedAccumulator t(&stats->butterfly_seconds);
-        if (pc != nullptr) {
-          pc->Recount();
-        } else {
-          CountButterfliesInto(g, g0.left, g0.right, cand.GroupMask(0), cand.GroupMask(1), ws,
-                               &recount);
-        }
+        CountButterfliesInto(g, g0.left, g0.right, cand.GroupMask(0), cand.GroupMask(1), ws,
+                             &recount);
       }
       ++stats->butterfly_counting_calls;
-      if (pc == nullptr) return recount;
-      ++stats->delta_fallbacks;
-      return pc->RefreshMaxes();
+      return recount;
     };
     bool valid = true;
     if (opts.use_leader_pair) {
-      // While the counter is fresh the leaders' chi lives in it (the
-      // per-removal Algorithm 7 updates were skipped); read it back before
-      // the validity shortcut. Both maintenance paths are exact, so the
-      // decision below is the same either way.
-      if (counter_live) {
-        if (cand.IsAlive(lead_l.leader)) lead_l.chi = pc->Chi(lead_l.leader);
-        if (cand.IsAlive(lead_r.leader)) lead_r.chi = pc->Chi(lead_r.leader);
-      }
       // Leader chi is maintained exactly, so two live leaders at chi >= b
       // validate the round without a recount.
       bool left_ok = cand.IsAlive(lead_l.leader) && lead_l.chi >= b;
@@ -250,8 +211,8 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     }
 #if BCCS_DCHECK_IS_ON
     // Debug-level equivalence audit (DESIGN.md contract 8): maintained chi
-    // must match a from-scratch recount after every round it stays fresh.
-    if (pc != nullptr && !pc->stale()) pc->AuditAgainstRecount();
+    // must match a from-scratch recount after every round.
+    if (pc != nullptr) pc->AuditAgainstRecount();
 #endif
     if (!valid) break;
 

@@ -29,21 +29,18 @@ void SideMaxAndSum(std::span<const VertexId> side, const std::vector<char>& side
 void CountSide(const LabeledGraph& g, std::span<const VertexId> side,
                const std::vector<char>& side_mask, const std::vector<char>& other_mask,
                std::vector<std::uint64_t>* chi, std::vector<std::uint32_t>* paths,
-               std::vector<VertexId>* touched, std::uint64_t* wedges) {
+               std::vector<VertexId>* touched) {
   for (VertexId v : side) {
     if (!side_mask[v]) continue;
     touched->clear();
-    std::uint64_t local_wedges = 0;
     for (VertexId u : g.Neighbors(v)) {
       if (!other_mask[u]) continue;
       for (VertexId w : g.Neighbors(u)) {
         if (w == v || !side_mask[w]) continue;
         if ((*paths)[w] == 0) touched->push_back(w);
         ++(*paths)[w];
-        ++local_wedges;
       }
     }
-    *wedges += local_wedges;
     std::uint64_t c = 0;
     for (VertexId w : *touched) {
       c += Choose2((*paths)[w]);
@@ -70,7 +67,6 @@ void CountButterfliesInto(const LabeledGraph& g, std::span<const VertexId> left,
                           ButterflyCounts* out) {
   const std::size_t n = g.NumVertices();
   out->total = 0;
-  out->wedges = 0;
   out->max_left = out->max_right = 0;
   out->argmax_left = out->argmax_right = kInvalidVertex;
   if (ws == nullptr || out->chi.size() != n) {
@@ -88,8 +84,8 @@ void CountButterfliesInto(const LabeledGraph& g, std::span<const VertexId> left,
   std::vector<VertexId>& touched = ws != nullptr ? ws->WedgeTouched() : local_touched;
   if (ws == nullptr) local_paths.assign(n, 0);
 
-  CountSide(g, left, in_left, in_right, &out->chi, &paths, &touched, &out->wedges);
-  CountSide(g, right, in_right, in_left, &out->chi, &paths, &touched, &out->wedges);
+  CountSide(g, left, in_left, in_right, &out->chi, &paths, &touched);
+  CountSide(g, right, in_right, in_left, &out->chi, &paths, &touched);
 
   std::uint64_t sum = 0;
   SideMaxAndSum(left, in_left, out->chi, &sum, &out->max_left, &out->argmax_left);

@@ -18,11 +18,6 @@ struct ButterflyCounts {
   std::vector<std::uint64_t> chi;
   /// Total number of distinct butterflies.
   std::uint64_t total = 0;
-  /// Wedge steps the count performed (one per 2-hop path enumerated). The
-  /// cost of a full recount, used by PeelButterflyCounter as the budget that
-  /// caps incremental maintenance: once a peel round's delta work exceeds
-  /// this, a fresh recount is cheaper.
-  std::uint64_t wedges = 0;
   std::uint64_t max_left = 0;
   std::uint64_t max_right = 0;
   VertexId argmax_left = kInvalidVertex;

@@ -151,6 +151,24 @@ PairButterflyRepair RepairPairButterflies(const LabeledGraph& base,
   return out;
 }
 
+std::uint32_t LeaderButterflyUpdater::MarkingOf(VertexId leader,
+                                                const std::vector<char>& other) {
+  for (const Marking& m : markings_) {
+    if (m.leader == leader && m.other == &other) return m.stamp;
+  }
+  const std::uint32_t stamp = ++*counter_;
+  Label label = kNoMarks;
+  for (VertexId u : g_->Neighbors(leader)) {
+    if (!other[u]) continue;
+    BCCS_DCHECK(label == kNoMarks || g_->LabelOf(u) == label) << "mask spans two labels";
+    label = g_->LabelOf(u);
+    (*stamp_)[u] = stamp;
+  }
+  std::erase_if(markings_, [label](const Marking& m) { return m.label == label; });
+  markings_.push_back(Marking{leader, &other, stamp, label});
+  return stamp;
+}
+
 std::uint64_t LeaderButterflyUpdater::LossOnDeletion(const std::vector<char>& in_a,
                                                      const std::vector<char>& in_b,
                                                      VertexId leader, VertexId removed) {
@@ -159,12 +177,9 @@ std::uint64_t LeaderButterflyUpdater::LossOnDeletion(const std::vector<char>& in
   const std::vector<char>& other_side = in_a[leader] ? in_b : in_a;
   if (!leader_side[leader]) return 0;
 
-  ++*counter_;
-  const std::uint32_t stamp = *counter_;
-  // Mark the leader's alive cross neighbors N_B(leader).
-  for (VertexId u : g_->Neighbors(leader)) {
-    if (other_side[u]) (*stamp_)[u] = stamp;
-  }
+  // Stamp of the leader's cross neighbors N_B(leader), filtered on
+  // other_side at every read below.
+  const std::uint32_t stamp = MarkingOf(leader, other_side);
 
   if (leader_side[removed]) {
     // Same side: butterflies containing both pick 2 of the alpha common

@@ -43,8 +43,16 @@ PairButterflyRepair RepairPairButterflies(const LabeledGraph& base,
 /// Paper's Algorithm 7: incremental butterfly-degree update for a leader
 /// vertex when one vertex is deleted from the bipartite graph B.
 ///
-/// Reusable across calls: keeps a stamped scratch array so each update costs
-/// O(d(removed) * d_max) time (the paper's O(d_u^2)) and no allocation.
+/// Reusable across calls: the leader's alive cross neighbours N_B(leader)
+/// are stamped into a scratch array once per (leader, other-side mask) and
+/// the marking is reused by later calls, so an update costs
+/// O(d(removed) * d_max) time (the paper's O(d_u^2)), not O(d(leader)) more,
+/// and no allocation.
+///
+/// Precondition: between calls on one updater, the masks only lose vertices
+/// (a peel's masks only shrink), and each mask holds vertices of a single
+/// label. A cached marking is then a superset of the leader's alive cross
+/// neighbours, and every read filters it on the live mask.
 class LeaderButterflyUpdater {
  public:
   explicit LeaderButterflyUpdater(const LabeledGraph& g)
@@ -71,11 +79,27 @@ class LeaderButterflyUpdater {
                                VertexId leader, VertexId removed);
 
  private:
+  /// One stamping of N_B(leader): every cross neighbour of `leader` alive in
+  /// `*other` at marking time carries `stamp`. A vertex holds one stamp, so
+  /// a newer marking of the same label group overwrites this one.
+  struct Marking {
+    VertexId leader;
+    const std::vector<char>* other;
+    std::uint32_t stamp;
+    Label label;  // label of the stamped vertices; kNoMarks when none
+  };
+  static constexpr Label kNoMarks = static_cast<Label>(-1);
+
+  /// Stamp of the live marking of N_B(leader) in `other`, marking it first
+  /// (and evicting the marking it overwrites) when there is none.
+  std::uint32_t MarkingOf(VertexId leader, const std::vector<char>& other);
+
   const LabeledGraph* g_;
   std::vector<std::uint32_t> own_stamp_;
   std::uint32_t own_counter_ = 0;
   std::vector<std::uint32_t>* stamp_;
   std::uint32_t* counter_;
+  std::vector<Marking> markings_;  // at most one per label group, plus one kNoMarks
 };
 
 }  // namespace bccs

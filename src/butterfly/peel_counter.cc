@@ -44,9 +44,6 @@ void PeelButterflyCounter::Init(const LabeledGraph& g, std::span<const VertexId>
   heap_[0].clear();
   heap_[1].clear();
   holds_buffers_ = true;
-  stale_ = true;
-  budget_ = 0;
-  round_steps_ = 0;
 }
 
 void PeelButterflyCounter::Release() {
@@ -64,7 +61,6 @@ void PeelButterflyCounter::Release() {
   counts_.chi = {};
   pos_ = {};
   holds_buffers_ = false;
-  stale_ = true;
 }
 
 void PeelButterflyCounter::SeedFrom(const ButterflyCounts& seed) {
@@ -72,23 +68,11 @@ void PeelButterflyCounter::SeedFrom(const ButterflyCounts& seed) {
   for (VertexId v : side_members_[0]) counts_.chi[v] = seed.chi[v];
   for (VertexId v : side_members_[1]) counts_.chi[v] = seed.chi[v];
   counts_.total = seed.total;
-  counts_.wedges = seed.wedges;
   counts_.max_left = seed.max_left;
   counts_.max_right = seed.max_right;
   counts_.argmax_left = seed.argmax_left;
   counts_.argmax_right = seed.argmax_right;
-  budget_ = seed.wedges;
   RebuildHeaps();
-  stale_ = false;
-}
-
-void PeelButterflyCounter::Recount() {
-  BCCS_CHECK(holds_buffers_);
-  CountButterfliesInto(*g_, side_members_[0], side_members_[1], *side_mask_[0],
-                       *side_mask_[1], ws_, &counts_);
-  budget_ = counts_.wedges;
-  RebuildHeaps();
-  stale_ = false;
 }
 
 void PeelButterflyCounter::RebuildHeaps() {
@@ -110,15 +94,7 @@ void PeelButterflyCounter::PushEntry(int side, VertexId v) {
   std::push_heap(heap_[side].begin(), heap_[side].end(), EntryBelow);
 }
 
-bool PeelButterflyCounter::OnRemove(VertexId v) {
-  if (stale_) return false;
-  if (round_steps_ > budget_) {
-    // This round's debit work already exceeds what a full recount costs:
-    // stop maintaining (chi stays exact for the candidate before v) and let
-    // the validity check fall back to Recount().
-    stale_ = true;
-    return false;
-  }
+void PeelButterflyCounter::OnRemove(VertexId v) {
   const std::uint32_t enc = pos_[v];
   BCCS_DCHECK_NE(enc, kNoPos) << "OnRemove for a non-member vertex";
   const int side = static_cast<int>(enc & 1u);
@@ -129,7 +105,6 @@ bool PeelButterflyCounter::OnRemove(VertexId v) {
   std::vector<std::uint32_t>& paths = ws_->WedgePaths(n_);
   std::vector<VertexId>& touched = ws_->WedgeTouched();
   touched.clear();
-  std::uint64_t steps = 0;
 
   // Walk 1: wedges v - u - w with u alive on the other side and w a
   // surviving same-side vertex. P[w] = common alive neighbors of {v, w}, so
@@ -141,7 +116,6 @@ bool PeelButterflyCounter::OnRemove(VertexId v) {
       if (w == v || !side_mask[w]) continue;
       if (paths[w] == 0) touched.push_back(w);
       ++paths[w];
-      ++steps;
     }
   }
   std::uint64_t bf_v = 0;
@@ -165,7 +139,6 @@ bool PeelButterflyCounter::OnRemove(VertexId v) {
     for (VertexId w : g_->Neighbors(u)) {
       if (w == v || !side_mask[w]) continue;
       loss += paths[w] - 1;
-      ++steps;
     }
     if (loss != 0) {
       BCCS_DCHECK_GE(counts_.chi[u], loss);
@@ -179,8 +152,6 @@ bool PeelButterflyCounter::OnRemove(VertexId v) {
       << "maintained chi of the removed vertex disagrees with its live wedges";
   counts_.chi[v] = 0;
   counts_.total -= bf_v;
-  round_steps_ += steps;
-  return true;
 }
 
 void PeelButterflyCounter::RefreshSide(int side, std::uint64_t* side_max,
@@ -203,7 +174,6 @@ void PeelButterflyCounter::RefreshSide(int side, std::uint64_t* side_max,
 }
 
 const ButterflyCounts& PeelButterflyCounter::RefreshMaxes() {
-  BCCS_DCHECK(!stale_) << "RefreshMaxes on a stale counter";
   RefreshSide(0, &counts_.max_left, &counts_.argmax_left);
   RefreshSide(1, &counts_.max_right, &counts_.argmax_right);
   return counts_;
@@ -211,7 +181,7 @@ const ButterflyCounts& PeelButterflyCounter::RefreshMaxes() {
 
 void PeelButterflyCounter::AuditAgainstRecount() {
 #if BCCS_DCHECK_IS_ON
-  BCCS_CHECK(holds_buffers_ && !stale_);
+  BCCS_CHECK(holds_buffers_);
   ButterflyCounts fresh =
       CountButterflies(*g_, side_members_[0], side_members_[1], *side_mask_[0], *side_mask_[1]);
   for (VertexId v : side_members_[0]) {

@@ -14,7 +14,7 @@ class QueryWorkspace;
 
 /// Incremental per-vertex butterfly maintenance across peeling rounds.
 ///
-/// Owns the candidate's exact chi between full counts: when the peel cascade
+/// Owns the candidate's exact chi after one seed count: when the peel cascade
 /// removes a vertex v, OnRemove(v) *subtracts* the wedge contributions routed
 /// through v (walking only v's wedges against the survivors) instead of
 /// recounting the whole alive candidate — O(wedges through v) per removal
@@ -25,19 +25,16 @@ class QueryWorkspace;
 /// contract 8).
 ///
 /// Per-side max/argmax are maintained lazily: chi is monotone non-increasing
-/// between recounts, so every decrease pushes one heap entry and stale tops
+/// after the seed, so every decrease pushes one heap entry and stale tops
 /// (dead vertex, or an entry older than the vertex's current chi) are
 /// discarded when the max is read. The tie-break — highest chi, then
 /// earliest position in the side span — reproduces CountButterfliesInto's
 /// first-strict-maximum scan bit for bit.
 ///
-/// Staleness and fallback. The counter goes stale (and OnRemove refuses to
-/// debit) when a round's debit work exceeds the wedge cost of the last full
-/// count (the incremental-vs-rebuild cap, mirroring ApplyUpdates), and
-/// callers mark it stale after a deadline cuts a cascade short. A stale
-/// counter must Recount() — a full CountButterfliesInto — before its chi is
-/// read again; the search engines count those as
-/// SearchStats::delta_fallbacks.
+/// Only leaderless peels use it (Online-BCC, and mBCC without leaders):
+/// leader-pair peels read chi in few rounds, so they keep just the two
+/// leaders' chi by Algorithm 7 and recount when a leader fails. A deadline
+/// stop ends the search, so the counter never has to resync mid-search.
 ///
 /// chi is exact integer arithmetic both ways, so with the counter on or off
 /// every per-round validity decision — and therefore every answer — is
@@ -58,59 +55,35 @@ class PeelButterflyCounter {
   /// Attaches to one peel run. The spans are the candidate's initial member
   /// lists and the masks its live group masks; both must outlive the
   /// counter's use. Acquires pooled buffers; Release() (or the workspace's
-  /// ReleasePeelCounter) returns them. The counter starts stale.
+  /// ReleasePeelCounter) returns them. SeedFrom must run before any other
+  /// call.
   void Init(const LabeledGraph& g, std::span<const VertexId> left,
             std::span<const VertexId> right, const std::vector<char>& in_left,
             const std::vector<char>& in_right, QueryWorkspace* ws);
 
   /// Adopts a fresh count over the same candidate (all members alive), e.g.
-  /// Find-G0's counts: copies member chi, total, and the wedge budget, and
-  /// builds the max heaps. Clears staleness without paying a recount.
+  /// Find-G0's counts: copies member chi and total, and builds the max
+  /// heaps, without paying a recount.
   void SeedFrom(const ButterflyCounts& seed);
-
-  /// Full CountButterfliesInto fallback: refreshes chi, total, maxes, and
-  /// the wedge budget, and clears staleness. The caller attributes the cost
-  /// (butterfly_seconds / butterfly_counting_calls / delta_fallbacks).
-  void Recount();
 
   /// Returns the pooled buffers to the workspace. Idempotent; called by
   /// QueryWorkspace::ReleasePeelCounter.
   void Release();
 
-  /// Starts a peel round: resets the round's debit-work budget.
-  void BeginRound() { round_steps_ = 0; }
-
   /// Debits the wedge contributions of `v`, which is about to be removed
   /// (its mask bit still set; earlier removals of the same cascade already
-  /// cleared). Returns false — WITHOUT debiting, leaving chi exact for the
-  /// candidate before v's removal — when the counter is stale or the round's
-  /// debit work has exceeded the wedge budget; the counter is stale from
-  /// then on.
-  bool OnRemove(VertexId v);
-
-  /// Marks chi stale (deadline mid-cascade, deactivated mBCC pair). OnRemove
-  /// refuses until Recount().
-  void MarkStale() { stale_ = true; }
-  bool stale() const { return stale_; }
-
-  /// Maintained exact chi. Only meaningful while fresh.
-  std::uint64_t Chi(VertexId v) const { return counts_.chi[v]; }
+  /// cleared).
+  void OnRemove(VertexId v);
 
   /// Fixes max/argmax of both sides from the lazy heaps and returns the
   /// maintained counts (chi, total, maxes) — the same view a fresh
-  /// CountButterfliesInto over the current masks would produce. Requires a
-  /// fresh counter.
+  /// CountButterfliesInto over the current masks would produce.
   const ButterflyCounts& RefreshMaxes();
 
   /// BCCS_DCHECK-level audit: recounts the candidate from scratch and
   /// asserts the maintained chi/total/maxes match exactly. No-op (and free)
   /// when BCCS_DCHECK is compiled out.
   void AuditAgainstRecount();
-
-  /// Test hook: overrides the per-round debit-work cap (normally the wedge
-  /// cost of the last full count).
-  void SetWedgeBudgetForTest(std::uint64_t budget) { budget_ = budget; }
-  std::uint64_t wedge_budget() const { return budget_; }
 
  private:
   struct HeapEntry {
@@ -135,14 +108,10 @@ class PeelButterflyCounter {
   const std::vector<char>* side_mask_[2] = {nullptr, nullptr};
   std::size_t n_ = 0;
   bool holds_buffers_ = false;
-  bool stale_ = true;
 
   ButterflyCounts counts_;          // chi = pooled all-zero buffer
   std::vector<std::uint32_t> pos_;  // pooled; (index << 1) | side, 0xffffffff = non-member
   std::vector<HeapEntry> heap_[2];  // capacity persists across queries
-
-  std::uint64_t budget_ = 0;       // debit-work cap: wedges of the last full count
-  std::uint64_t round_steps_ = 0;  // debit work spent this round
 };
 
 }  // namespace bccs

@@ -10,6 +10,7 @@
 namespace bccs {
 namespace {
 
+using testing::MakeRandomGraph;
 using testing::MaskOf;
 using testing::NaiveButterflies;
 
@@ -152,6 +153,63 @@ TEST_P(ButterflyPropertyTest, LeaderUpdateMatchesRecount) {
     auto fresh = CountButterflies(g, left, right, in_left, in_right);
     ASSERT_EQ(chi_l, fresh.chi[leader_l]) << "victim " << victim;
     ASSERT_EQ(chi_r, fresh.chi[leader_r]) << "victim " << victim;
+  }
+}
+
+TEST_P(ButterflyPropertyTest, CachedLeaderMarksMatchRecountAcrossThreePairs) {
+  // mBCC's call pattern on one updater: three label groups, one leader per
+  // side of each pair (0,1), (0,2), (1,2), updated in MbccSearch's order for
+  // every removal. Two leaders stamp each label group, and group 0's leader
+  // serves both of its pairs, so cached markings evict one another.
+  LabeledGraph g = MakeRandomGraph(36, 0.35, 3, GetParam() + 1300);
+  std::vector<std::vector<VertexId>> groups(3);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) groups[g.LabelOf(v)].push_back(v);
+  std::vector<std::vector<char>> masks;
+  for (const auto& grp : groups) masks.push_back(MaskOf(g, grp));
+
+  struct Pair {
+    std::size_t i, j;
+    VertexId leader[2];
+    std::uint64_t chi[2];
+  };
+  std::mt19937_64 rng(GetParam() + 77);
+  auto pick = [&](std::size_t grp) { return groups[grp][rng() % groups[grp].size()]; };
+  const VertexId shared = pick(0);
+  std::vector<Pair> pairs = {{0, 1, {shared, pick(1)}, {}},
+                             {0, 2, {shared, pick(2)}, {}},
+                             {1, 2, {pick(1), pick(2)}, {}}};
+  auto counts_of = [&](const Pair& ps) {
+    return CountButterflies(g, groups[ps.i], groups[ps.j], masks[ps.i], masks[ps.j]);
+  };
+  for (Pair& ps : pairs) {
+    ButterflyCounts c = counts_of(ps);
+    for (int s = 0; s < 2; ++s) ps.chi[s] = c.chi[ps.leader[s]];
+  }
+
+  LeaderButterflyUpdater updater(g);
+  std::vector<VertexId> order = testing::AllVertices(g);
+  std::shuffle(order.begin(), order.end(), rng);
+  for (VertexId victim : order) {
+    const Label gv = g.LabelOf(victim);
+    for (Pair& ps : pairs) {
+      if (ps.i != gv && ps.j != gv) continue;
+      for (int s = 0; s < 2; ++s) {
+        const VertexId leader = ps.leader[s];
+        if (leader == victim || !masks[g.LabelOf(leader)][leader]) continue;
+        ps.chi[s] -= updater.LossOnDeletion(masks[ps.i], masks[ps.j], leader, victim);
+      }
+    }
+    masks[gv][victim] = 0;
+    for (const Pair& ps : pairs) {
+      ButterflyCounts fresh = counts_of(ps);
+      for (int s = 0; s < 2; ++s) {
+        const VertexId leader = ps.leader[s];
+        if (!masks[g.LabelOf(leader)][leader]) continue;
+        ASSERT_EQ(ps.chi[s], fresh.chi[leader])
+            << "pair (" << ps.i << "," << ps.j << ") leader " << leader << " after victim "
+            << victim;
+      }
+    }
   }
 }
 

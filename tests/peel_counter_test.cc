@@ -65,19 +65,15 @@ TEST_P(PeelCounterTraceTest, RandomPeelTraceMatchesRecountAfterEveryRemoval) {
   QueryWorkspace ws;
   PeelButterflyCounter* pc = ws.AcquirePeelCounter();
   pc->Init(g, left, right, lmask, rmask, &ws);
-  pc->Recount();
-  ASSERT_FALSE(pc->stale());
-  EXPECT_GT(pc->wedge_budget(), 0u);
+  pc->SeedFrom(CountButterflies(g, left, right, lmask, rmask));
 
-  // Remove every vertex in a seeded shuffled order, one per round (so the
-  // per-round budget never trips), checking the maintained view against a
-  // from-scratch recount after each removal.
+  // Remove every vertex in a seeded shuffled order, one per round, checking
+  // the maintained view against a from-scratch recount after each removal.
   std::vector<VertexId> order = testing::AllVertices(g);
   std::mt19937_64 rng(GetParam() * 977 + 5);
   std::shuffle(order.begin(), order.end(), rng);
   for (VertexId v : order) {
-    pc->BeginRound();
-    ASSERT_TRUE(pc->OnRemove(v)) << "unexpected budget refusal on vertex " << v;
+    pc->OnRemove(v);
     (g.LabelOf(v) == 0 ? lmask : rmask)[v] = 0;  // mask clears AFTER the callback
     ExpectMatchesRecount(g, *pc, left, right, lmask, rmask);
   }
@@ -102,12 +98,8 @@ TEST_P(PeelCounterTraceTest, BatchedRoundsMatchRecount) {
   PeelButterflyCounter* pc = ws.AcquirePeelCounter();
   pc->Init(g, left, right, lmask, rmask, &ws);
 
-  // Seed from an externally computed count instead of Recount: the FindG0
-  // hand-off path.
-  ButterflyCounts seed = CountButterflies(g, left, right, lmask, rmask);
-  pc->SeedFrom(seed);
-  ASSERT_FALSE(pc->stale());
-  EXPECT_EQ(pc->wedge_budget(), seed.wedges);
+  // Seed from an externally computed count: the FindG0 hand-off path.
+  pc->SeedFrom(CountButterflies(g, left, right, lmask, rmask));
 
   std::vector<VertexId> order = testing::AllVertices(g);
   std::mt19937_64 rng(GetParam() * 131 + 7);
@@ -115,10 +107,9 @@ TEST_P(PeelCounterTraceTest, BatchedRoundsMatchRecount) {
   std::size_t i = 0;
   while (i < order.size()) {
     std::size_t batch = std::min<std::size_t>(1 + rng() % 5, order.size() - i);
-    pc->BeginRound();
     for (std::size_t k = 0; k < batch; ++k) {
       VertexId v = order[i + k];
-      ASSERT_TRUE(pc->OnRemove(v));
+      pc->OnRemove(v);
       (g.LabelOf(v) == 0 ? lmask : rmask)[v] = 0;
     }
     i += batch;
@@ -128,65 +119,6 @@ TEST_P(PeelCounterTraceTest, BatchedRoundsMatchRecount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PeelCounterTraceTest, ::testing::Values(1, 2, 3, 7, 42));
-
-TEST(PeelCounterTest, BudgetRefusalLeavesChiExactAndRecountResyncs) {
-  LabeledGraph g = MakeRandomGraph(30, 0.4, 2, 99);
-  std::vector<VertexId> left = LabelMembers(g, 0);
-  std::vector<VertexId> right = LabelMembers(g, 1);
-  std::vector<char> lmask = MaskOf(g, left);
-  std::vector<char> rmask = MaskOf(g, right);
-
-  QueryWorkspace ws;
-  PeelButterflyCounter* pc = ws.AcquirePeelCounter();
-  pc->Init(g, left, right, lmask, rmask, &ws);
-  pc->Recount();
-
-  // Pick a vertex with live wedges so the first debit costs > 0 steps.
-  VertexId first = kInvalidVertex;
-  ButterflyCounts initial = CountButterflies(g, left, right, lmask, rmask);
-  for (VertexId v : left) {
-    if (initial.chi[v] > 0) {
-      first = v;
-      break;
-    }
-  }
-  ASSERT_NE(first, kInvalidVertex) << "graph too sparse for the budget test";
-
-  // Budget 0: the first removal of the round is always admitted (the cap is
-  // checked against work already spent), the second must refuse without
-  // touching chi.
-  pc->SetWedgeBudgetForTest(0);
-  pc->BeginRound();
-  ASSERT_TRUE(pc->OnRemove(first));
-  lmask[first] = 0;
-  ButterflyCounts after_first = CountButterflies(g, left, right, lmask, rmask);
-
-  VertexId second = kInvalidVertex;
-  for (VertexId v : left) {
-    if (lmask[v]) {
-      second = v;
-      break;
-    }
-  }
-  ASSERT_NE(second, kInvalidVertex);
-  EXPECT_FALSE(pc->OnRemove(second));
-  EXPECT_TRUE(pc->stale());
-  // The refusal debited nothing: chi still describes the pre-refusal
-  // candidate exactly (what the mid-cascade leader re-sync relies on).
-  for (VertexId v : left) {
-    EXPECT_EQ(pc->Chi(v), after_first.chi[v]);
-  }
-  for (VertexId v : right) {
-    EXPECT_EQ(pc->Chi(v), after_first.chi[v]);
-  }
-
-  // Recount resyncs: fresh again, with the actual removals applied.
-  lmask[second] = 0;
-  pc->Recount();
-  EXPECT_FALSE(pc->stale());
-  ExpectMatchesRecount(g, *pc, left, right, lmask, rmask);
-  ws.ReleasePeelCounter(pc);
-}
 
 TEST(PeelCounterTest, WorkspacePoolingReusesCounters) {
   QueryWorkspace ws;
@@ -232,6 +164,11 @@ TEST_P(PeelCounterSearchTest, FlagOnOffBitIdenticalAcrossOptionMatrix) {
       EXPECT_EQ(son.rounds, soff.rounds);
       EXPECT_EQ(son.vertices_removed, soff.vertices_removed);
       EXPECT_EQ(soff.delta_rounds, 0u);  // the flag-off run never uses the counter
+      // Leader-pair peels validate with the leaders alone: no counter even
+      // with the flag on.
+      if (leader) {
+        EXPECT_EQ(son.delta_rounds, 0u) << "bulk=" << bulk;
+      }
     }
   }
 }
@@ -282,6 +219,10 @@ TEST_P(PeelCounterSearchTest, MbccFlagOnOffBitIdentical) {
     Community off = MbccSearch(pg.graph, q, p, WithFlag(opts, false), &soff);
     EXPECT_EQ(on.vertices, off.vertices) << "leader=" << leader;
     EXPECT_EQ(son.rounds, soff.rounds);
+    EXPECT_EQ(soff.delta_rounds, 0u);
+    if (leader) {
+      EXPECT_EQ(son.delta_rounds, 0u);
+    }
   }
 }
 

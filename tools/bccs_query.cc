@@ -17,10 +17,12 @@
 //                             its best valid partial answer flagged timed_out.
 //   --no-incremental-butterflies
 //                             disable the incremental per-round butterfly
-//                             maintenance (PeelButterflyCounter) and recount
-//                             from scratch each round. Answers are
-//                             bit-identical either way; this is a
-//                             benchmarking / escape-hatch switch.
+//                             maintenance (PeelButterflyCounter) of the
+//                             leaderless peels (online, and mBCC without
+//                             leaders) and recount from scratch each round;
+//                             leader-pair peels never use the counter.
+//                             Answers are bit-identical either way; this is
+//                             a benchmarking / escape-hatch switch.
 //
 // Index snapshots (see tools/bccs_build and graph/snapshot.h):
 //   bccs_query --index-file g.snap ...
@@ -85,7 +87,8 @@ void PrintUsage() {
                "                  [--lane interactive|bulk] [--deadline-ms N]\n"
                "                  [--updates-file FILE] [--verify]\n"
                "                  [--result-cache N] [--cache-bytes N]\n"
-               "                  [--no-incremental-butterflies]\n"
+               "                  [--no-incremental-butterflies]  (online and\n"
+               "                      leaderless mBCC recount each round)\n"
                "       bccs_query ... --batch-file FILE [--threads N] [--repeat N]\n"
                "       bccs_query ... --ql ID --qr ID --repeat N [--threads N]\n");
 }

@@ -10,6 +10,10 @@
 //              [--deadline-ms N] [--quiet]
 //              [--fsync none|on-rotation|every-append] [--segment-blocks N]
 //              [--compact-threshold N]
+//              [--no-incremental-butterflies]  online and leaderless mBCC
+//                                       recount butterflies each round; the
+//                                       leader-pair peels never use the
+//                                       delta counter
 //
 // This is the ServeEngine streaming loop end to end: each line is parsed
 // and admitted into the engine's AdmissionQueue while the worker pool is
@@ -92,7 +96,8 @@ void PrintUsage() {
                "                  [--interactive-cap K] [--aging N]\n"
                "                  [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]\n"
                "                  [--deadline-ms N] [--quiet]\n"
-               "                  [--no-incremental-butterflies]\n"
+               "                  [--no-incremental-butterflies]  (online and\n"
+               "                      leaderless mBCC recount each round)\n"
                "                  [--fsync none|on-rotation|every-append]\n"
                "                  [--segment-blocks N] [--compact-threshold N]\n"
                "                  [--result-cache N] [--cache-bytes N]\n"

@@ -7,7 +7,8 @@
 # per-lane percentiles, bad flag values, malformed or out-of-range vertex
 # ids and k values are rejected with exit 2, and
 # --no-incremental-butterflies answers bit-identically to the default
-# incremental-counter runs across methods and thread counts), and that the
+# incremental-counter runs across methods and thread counts, and only
+# Online-BCC attaches the counter by default), and that the
 # dynamic update flow works: bccs_update appends changelog records that bccs_query
 # replays (build -> update -> query-from-replayed-snapshot ==
 # query-from-updated-text-graph), --compact-threshold folds them,
@@ -231,6 +232,34 @@ done
 phases_out="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
   --threads 1)"
 grep -q '^phases: .*delta=' <<< "$phases_out" || fail "no per-phase breakdown in batch output"
+
+# Leader-pair peels (LP, mBCC) validate with the two leaders alone and never
+# attach the delta counter, even with default flags; Online-BCC reads it
+# every round. The LP and mBCC queries below rebuild a leader at least once,
+# so a counter attached to them would show up as delta_rounds > 0.
+counting_of() { "$bin/bccs_query" "$@" | sed -n 's/^counting: //p'; }
+"$bin/bccs_generate" --communities 4 --group-size 10 --labels 2 --seed 5 \
+  --out "$tmp/r.txt" >/dev/null
+rq1="$(awk '$1=="l" && $3==0 {print $2; exit}' "$tmp/r.txt")"
+rq2="$(awk '$1=="l" && $3==1 {print $2; exit}' "$tmp/r.txt")"
+lp_counting="$(counting_of --graph "$tmp/r.txt" --ql "$rq1" --qr "$rq2" --method lp \
+  --k1 1 --k2 1)"
+grep -Eq 'leader_rebuilds=[1-9]' <<< "$lp_counting" \
+  || fail "LP guard query rebuilt no leader: '$lp_counting'"
+grep -q 'delta_rounds=0 ' <<< "$lp_counting" \
+  || fail "LP used the delta counter: '$lp_counting'"
+"$bin/bccs_generate" --communities 4 --group-size 10 --labels 3 --groups 3 --seed 8 \
+  --out "$tmp/r3.txt" >/dev/null
+rmq="$(for l in 0 1 2; do awk -v l="$l" '$1=="l" && $3==l {print $2; exit}' "$tmp/r3.txt"; done \
+  | paste -sd,)"
+mbcc_counting="$(counting_of --graph "$tmp/r3.txt" --queries "$rmq" --b 1)"
+grep -Eq 'leader_rebuilds=[1-9]' <<< "$mbcc_counting" \
+  || fail "mBCC guard query rebuilt no leader: '$mbcc_counting'"
+grep -q 'delta_rounds=0 ' <<< "$mbcc_counting" \
+  || fail "mBCC used the delta counter: '$mbcc_counting'"
+online_counting="$(counting_of --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --method online)"
+grep -Eq 'delta_rounds=[1-9]' <<< "$online_counting" \
+  || fail "Online-BCC did not use the delta counter: '$online_counting'"
 
 # --- Dynamic graphs: changelog + --updates-file -----------------------------
 
