@@ -78,7 +78,7 @@ BENCHMARK(BM_LeaderUpdateAlgorithm7)->Arg(200)->Arg(400)->Arg(800);
 // The LP call pattern: a left and a right leader both updated per removed
 // vertex, victims from both sides interleaved and leaving the masks as they
 // go. Each iteration is one peel over fresh masks on a fresh updater that
-// borrows the stamp scratch, as PeelToBcc borrows the workspace's.
+// borrows the stamp scratch, as PeelToMbcc borrows the workspace's.
 void BM_LeaderUpdateTwoLeadersInterleaved(benchmark::State& state) {
   BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);
   const VertexId leaders[2] = {f.left[0], f.right[0]};
@@ -145,7 +145,7 @@ BENCHMARK(BM_SearchFastDistances);
 
 // One LP-shaped peel of PeelFixture's query, recorded once: every step
 // deletes the farthest query-distance level plus its core cascade
-// (GroupedCandidate::RemoveAndMaintain), as PeelToBcc does when no
+// (GroupedCandidate::RemoveAndMaintain), as PeelToMbcc does when no
 // butterfly check stops it early. `alive[i]` is the candidate after step i
 // (`alive[0]` is G0), `removed[i]` the vertices step i deleted.
 struct RepairReplay {

@@ -50,28 +50,18 @@ std::vector<std::uint32_t> ResolveMbccCores(const LabeledGraph& g, const MbccQue
   return ks;
 }
 
-Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams& p,
-                     const SearchOptions& opts, SearchStats* stats,
-                     const std::vector<char>* restrict_to, QueryWorkspace* ws,
-                     const BcIndex* index) {
+Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> groups,
+                     std::vector<std::uint32_t> ks, const std::vector<VertexId>& queries,
+                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
+                     QueryWorkspace* ws, const ButterflyCounts* seed) {
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  Timer total;
   Community out;
+  const std::size_t m = groups.size();
+  BCCS_CHECK(seed == nullptr || m == 2) << "a seed count needs exactly one label pair";
 
-  const std::size_t m = q.vertices.size();
-  if (m < 2) return out;
-  for (VertexId v : q.vertices) {
-    if (v >= g.NumVertices()) return out;
-    if (restrict_to != nullptr && !(*restrict_to)[v]) return out;
-  }
-  // Labels must be pairwise distinct.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i + 1; j < m; ++j) {
-      if (g.LabelOf(q.vertices[i]) == g.LabelOf(q.vertices[j])) return out;
-    }
-  }
-
+  // Callers without a warm workspace still run through the same engine on a
+  // scoped one (cold start costs what the old per-query allocations did).
   std::unique_ptr<QueryWorkspace> scoped_ws;
   if (ws == nullptr) {
     scoped_ws = std::make_unique<QueryWorkspace>();
@@ -81,36 +71,18 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   const Deadline& deadline = ws->deadline();
   const Deadline* cascade_deadline = deadline.unlimited() ? nullptr : &deadline;
 
-  // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components. ---
-  std::vector<std::vector<VertexId>> groups(m);
-  std::vector<std::uint32_t> ks(m, 0);
-  {
-    ScopedAccumulator t(&stats->find_g0_seconds);
-    bool dead_end = false;
-    for (std::size_t i = 0; i < m && !dead_end; ++i) {
-      const std::uint32_t k = i < p.k.size() ? p.k[i] : 0;
-      ks[i] = ResolveQueryGroup(g, q.vertices[i], k, restrict_to, index, ws, &groups[i]);
-      dead_end = groups[i].empty();
-    }
-    if (dead_end) {
-      stats->total_seconds += total.Seconds();
-      return out;
-    }
-  }
-
   // Phase-boundary deadline check: a query that already expired during
   // Find-G0 skips the candidate build and pairwise counting entirely.
   if (deadline.Expired()) {
     stats->timed_out = true;
-    stats->total_seconds += total.Seconds();
     return out;
   }
 
-  GroupedCandidate cand(g, groups, ks, ws);
-  stats->g0_size += cand.NumAlive();
-
+  // All initial members, used to scope resets and the final answer scan.
   std::vector<VertexId> members;
   for (const auto& grp : groups) members.insert(members.end(), grp.begin(), grp.end());
+  GroupedCandidate cand(g, std::move(groups), std::move(ks), ws);
+  stats->g0_size += cand.NumAlive();
 
   // --- Pair states and initial cross-group connectivity. ---
   // One pooled counts buffer serves every per-pair (re)count; chi entries
@@ -121,8 +93,8 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   auto count_pair = [&](std::size_t i, std::size_t j) {
     ScopedAccumulator t(&stats->butterfly_seconds);
     ++stats->butterfly_counting_calls;
-    CountButterfliesInto(g, groups[i], groups[j], cand.GroupMask(i), cand.GroupMask(j), ws,
-                         &counts);
+    CountButterfliesInto(g, cand.GroupMembers(i), cand.GroupMembers(j), cand.GroupMask(i),
+                         cand.GroupMask(j), ws, &counts);
   };
   auto meta_connected = [&]() {
     UnionFind uf(m);
@@ -152,36 +124,36 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       if (deadline.Expired()) {
         stats->timed_out = true;
         release_buffers();
-        stats->total_seconds += total.Seconds();
         return out;
       }
       PairState ps;
       ps.i = i;
       ps.j = j;
-      count_pair(i, j);
-      ps.active = counts.max_left >= p.b && counts.max_right >= p.b;
+      if (seed == nullptr) count_pair(i, j);
+      const ButterflyCounts& initial = seed != nullptr ? *seed : counts;
+      ps.active = initial.max_left >= b && initial.max_right >= b;
       if (ps.active && opts.incremental_butterflies && !opts.use_leader_pair) {
-        // Seed this pair's delta counter from the count just computed; from
-        // here chi for the pair is debited per removed vertex instead of
+        // Seed this pair's delta counter from the initial count; from here
+        // chi for the pair is debited per removed vertex instead of
         // recounted per round. With leaders, Algorithm 7 keeps the leaders'
         // chi and the pair recounts only on a leader rebuild.
         ps.pc = ws->AcquirePeelCounter();
-        ps.pc->Init(g, groups[i], groups[j], cand.GroupMask(i), cand.GroupMask(j), ws);
-        ps.pc->SeedFrom(counts);
+        ps.pc->Init(g, cand.GroupMembers(i), cand.GroupMembers(j), cand.GroupMask(i),
+                    cand.GroupMask(j), ws);
+        ps.pc->SeedFrom(initial);
       }
       if (ps.active && opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(g, cand.GroupMask(i), q.vertices[i], opts.leader_rho, p.b,
-                                     counts, counts.max_left, counts.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(g, cand.GroupMask(j), q.vertices[j], opts.leader_rho, p.b,
-                                     counts, counts.max_right, counts.argmax_right, ws);
+        ps.leader_i = IdentifyLeader(g, cand.GroupMask(i), queries[i], opts.leader_rho, b,
+                                     initial, initial.max_left, initial.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(g, cand.GroupMask(j), queries[j], opts.leader_rho, b,
+                                     initial, initial.max_right, initial.argmax_right, ws);
       }
       pairs.push_back(ps);
     }
   }
   if (!meta_connected()) {
     release_buffers();
-    stats->total_seconds += total.Seconds();
     return out;
   }
 
@@ -191,9 +163,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     ScopedAccumulator t(&stats->query_distance_seconds);
     for (std::size_t i = 0; i < m; ++i) {
       dist[i] = ws->AcquireDistance();
-      BfsDistances(g, cand.alive(), q.vertices[i], dist[i]);
+      BfsDistances(g, cand.alive(), queries[i], dist[i]);
     }
   }
+  // Query distance of one vertex (Definition 5): max distance to any query.
   auto query_distance = [&](VertexId v) {
     std::uint32_t d = 0;
     for (std::size_t i = 0; i < m; ++i) {
@@ -205,7 +178,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   };
   auto queries_connected = [&]() {
     for (std::size_t i = 1; i < m; ++i) {
-      if (dist[0]->Get(q.vertices[i]) == kInfDistance) return false;
+      if (dist[0]->Get(queries[i]) == kInfDistance) return false;
     }
     return true;
   };
@@ -215,15 +188,17 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   std::vector<std::uint32_t> removal_round = ws->U32InfPool().Acquire(n);
   std::vector<std::uint32_t> round_qd;
 
+  // Bucketed farthest-vertex selection: every alive member is queued at its
+  // query distance; each round pops the maximum level.
   PeelQueue& queue = ws->peel_queue();
   queue.Reset(n);
   for (VertexId v : members) queue.Update(v, query_distance(v));
   auto is_query = [&](VertexId v) {
-    return std::find(q.vertices.begin(), q.vertices.end(), v) != q.vertices.end();
+    return std::find(queries.begin(), queries.end(), v) != queries.end();
   };
 
   std::vector<VertexId> batch;
-  std::vector<VertexId> changed;
+  std::vector<VertexId> changed, changed_any;
 
   while (true) {
     if (deadline.Expired()) {
@@ -234,8 +209,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     if (!queue.PopFarthest(cand.alive(), is_query, &batch, &qd)) break;
     round_qd.push_back(qd);
     ++stats->rounds;
-    if (batch.empty()) break;
+    if (batch.empty()) break;  // only the queries remain at max distance
     if (!opts.bulk_delete) {
+      // Single-vertex deletion: peel the smallest id for determinism and
+      // requeue the untouched remainder.
       std::size_t min_idx = 0;
       for (std::size_t i = 1; i < batch.size(); ++i) {
         if (batch[i] < batch[min_idx]) min_idx = i;
@@ -246,9 +223,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     }
 
     const auto round_idx = static_cast<std::uint32_t>(round_qd.size() - 1);
-    bool cascade_expired = false;
-    std::vector<VertexId> removed;
 
+    // Delete + core maintenance (Algorithm 4); incremental chi debits or
+    // Algorithm 7 run per removed vertex while the bipartite graph is still
+    // consistent.
     auto on_remove = [&](VertexId v) {
       const std::uint32_t gv = cand.GroupOf(v);
       for (PairState& ps : pairs) {
@@ -266,7 +244,8 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
         }
       }
     };
-
+    bool cascade_expired = false;
+    std::vector<VertexId> removed;
     if (opts.use_leader_pair) {
       ScopedAccumulator t(&stats->leader_update_seconds);
       removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
@@ -280,17 +259,22 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     for (VertexId v : removed) removal_round[v] = round_idx;
     stats->vertices_removed += removed.size();
     if (cascade_expired) {
+      // The cascade was cut short, so the surviving candidate may violate
+      // its cores; every earlier recorded round is still a valid state.
       stats->timed_out = true;
       break;
     }
 
     bool query_dead = false;
-    for (VertexId v : q.vertices) query_dead |= !cand.IsAlive(v);
+    for (VertexId v : queries) query_dead |= !cand.IsAlive(v);
     if (query_dead) break;
 
     // Butterfly / cross-group-connectivity maintenance, validated exactly
-    // every round (see PeelToBcc). Per-pair counts are served from the pair's
-    // delta counter when it runs, otherwise by a full recount.
+    // every round. Per-pair counts come from the pair's delta counter when
+    // it runs (recount avoided, SearchStats::delta_rounds), otherwise from a
+    // full recount; identical values either way. Leader chi is maintained
+    // exactly, so two live leaders at chi >= b validate a pair without a
+    // recount.
     auto exact_pair = [&](PairState& ps) -> const ButterflyCounts& {
       if (ps.pc != nullptr) {
         ++stats->delta_rounds;
@@ -299,52 +283,65 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       count_pair(ps.i, ps.j);
       return counts;
     };
+    bool deactivated = false;
     for (PairState& ps : pairs) {
       if (!ps.active) continue;
       bool need_recount = !opts.use_leader_pair;
       if (opts.use_leader_pair) {
-        bool i_ok = cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= p.b;
-        bool j_ok = cand.IsAlive(ps.leader_j.leader) && ps.leader_j.chi >= p.b;
+        bool i_ok = cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= b;
+        bool j_ok = cand.IsAlive(ps.leader_j.leader) && ps.leader_j.chi >= b;
         need_recount = !i_ok || !j_ok;
       }
       if (!need_recount) continue;
       if (opts.use_leader_pair) ++stats->leader_rebuilds;
       const ButterflyCounts& rc = exact_pair(ps);
-      if (rc.max_left < p.b || rc.max_right < p.b) {
+      if (rc.max_left < b || rc.max_right < b) {
         ps.active = false;  // never maintained or examined again
+        deactivated = true;
         continue;
       }
       if (opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(g, cand.GroupMask(ps.i), q.vertices[ps.i], opts.leader_rho,
-                                     p.b, rc, rc.max_left, rc.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(g, cand.GroupMask(ps.j), q.vertices[ps.j], opts.leader_rho,
-                                     p.b, rc, rc.max_right, rc.argmax_right, ws);
+        ps.leader_i = IdentifyLeader(g, cand.GroupMask(ps.i), queries[ps.i], opts.leader_rho, b,
+                                     rc, rc.max_left, rc.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(g, cand.GroupMask(ps.j), queries[ps.j], opts.leader_rho, b,
+                                     rc, rc.max_right, rc.argmax_right, ws);
       }
     }
 #if BCCS_DCHECK_IS_ON
+    // Debug-level equivalence audit (DESIGN.md contract 8): maintained chi
+    // must match a from-scratch recount after every round.
     for (PairState& ps : pairs) {
       if (ps.active && ps.pc != nullptr) ps.pc->AuditAgainstRecount();
     }
 #endif
-    if (!meta_connected()) break;
+    // The meta-graph only loses edges, so it can disconnect only in a round
+    // that deactivated a pair.
+    if (deactivated && !meta_connected()) break;
 
+    // Query distance maintenance. Only vertices whose distance changed need
+    // a queue update; the incremental repair reports exactly those. The
+    // queue is updated once every map is repaired, so each update sees the
+    // final distance.
     {
       ScopedAccumulator t(&stats->query_distance_seconds);
       if (opts.fast_query_distance) {
+        changed_any.clear();
         for (std::size_t i = 0; i < m; ++i) {
           UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist[i], &changed);
 #if BCCS_DCHECK_IS_ON
-          // Debug-level audit (DESIGN.md contract 9).
-          AuditDistanceMap(g, cand.alive(), q.vertices[i], *dist[i]);
+          // Debug-level audit (DESIGN.md contract 9): repaired distances and
+          // support counts must match a fresh BFS after every round.
+          AuditDistanceMap(g, cand.alive(), queries[i], *dist[i]);
 #endif
-          for (VertexId v : changed) {
-            if (cand.IsAlive(v)) queue.Update(v, query_distance(v));
-          }
+          changed_any.insert(changed_any.end(), changed.begin(), changed.end());
+        }
+        for (VertexId v : changed_any) {
+          if (cand.IsAlive(v)) queue.Update(v, query_distance(v));
         }
       } else {
         for (std::size_t i = 0; i < m; ++i) {
-          BfsDistances(g, cand.alive(), q.vertices[i], dist[i]);
+          BfsDistances(g, cand.alive(), queries[i], dist[i]);
         }
         for (VertexId v : members) {
           if (cand.IsAlive(v)) queue.Update(v, query_distance(v));
@@ -355,12 +352,14 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   }
 
   if (!round_qd.empty()) {
+    // Answer: the intermediate community with the smallest query distance
+    // (latest such round, which is the smallest such graph).
     std::size_t best = 0;
     for (std::size_t i = 1; i < round_qd.size(); ++i) {
       if (round_qd[i] <= round_qd[best]) best = i;
     }
     for (VertexId v : members) {
-      if (removal_round[v] >= best) out.vertices.push_back(v);
+      if (removal_round[v] >= best) out.vertices.push_back(v);  // alive = never removed
     }
     std::sort(out.vertices.begin(), out.vertices.end());
   }
@@ -368,6 +367,52 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   release_buffers();
   ws->U32InfPool().Release(std::move(removal_round), members);
   for (std::size_t i = 0; i < m; ++i) ws->ReleaseDistance(dist[i]);
+  return out;
+}
+
+Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams& p,
+                     const SearchOptions& opts, SearchStats* stats,
+                     const std::vector<char>* restrict_to, QueryWorkspace* ws,
+                     const BcIndex* index) {
+  SearchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  Timer total;
+  Community out;
+
+  const std::size_t m = q.vertices.size();
+  if (m < 2) return out;
+  for (VertexId v : q.vertices) {
+    if (v >= g.NumVertices()) return out;
+    if (restrict_to != nullptr && !(*restrict_to)[v]) return out;
+  }
+  // Labels must be pairwise distinct.
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      if (g.LabelOf(q.vertices[i]) == g.LabelOf(q.vertices[j])) return out;
+    }
+  }
+
+  std::unique_ptr<QueryWorkspace> scoped_ws;
+  if (ws == nullptr) {
+    scoped_ws = std::make_unique<QueryWorkspace>();
+    ws = scoped_ws.get();
+  }
+
+  // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components. ---
+  std::vector<std::vector<VertexId>> groups(m);
+  std::vector<std::uint32_t> ks(m, 0);
+  bool dead_end = false;
+  {
+    ScopedAccumulator t(&stats->find_g0_seconds);
+    for (std::size_t i = 0; i < m && !dead_end; ++i) {
+      const std::uint32_t k = i < p.k.size() ? p.k[i] : 0;
+      ks[i] = ResolveQueryGroup(g, q.vertices[i], k, restrict_to, index, ws, &groups[i]);
+      dead_end = groups[i].empty();
+    }
+  }
+  if (!dead_end) {
+    out = PeelToMbcc(g, std::move(groups), std::move(ks), q.vertices, opts, p.b, stats, ws);
+  }
   stats->total_seconds += total.Seconds();
   return out;
 }

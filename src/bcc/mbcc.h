@@ -10,7 +10,8 @@
 
 namespace bccs {
 
-class BcIndex;  // bcc/bc_index.h
+class BcIndex;            // bcc/bc_index.h
+struct ButterflyCounts;  // butterfly/butterfly_counting.h
 
 /// Query of the Section 7 multi-labeled BCC model: m >= 2 vertices with
 /// pairwise-distinct labels.
@@ -27,27 +28,54 @@ struct MbccParams {
 };
 
 /// Paper's Algorithm 9: finds a connected mBCC containing every query with a
-/// small diameter by greedy farthest-vertex peeling. Group cores are
-/// maintained per label; cross-group connectivity (Definition 7) is tracked
-/// over the label meta-graph with union-find; leader pairs are maintained per
-/// label pair with Algorithms 6 and 7 when opts.use_leader_pair is set.
-/// For m = 2 the model (and the result) coincides with the two-label BCC.
+/// small diameter. Find-G0 (line 1) resolves each query group's k_i-core
+/// component (ResolveQueryGroup in bcc/find_g0.h); PeelToMbcc then peels.
 ///
 /// When `restrict_to` is non-null, the whole search is confined to the
 /// enabled vertices (used by the L2P local extension); auto core parameters
 /// then resolve within the restriction.
 ///
-/// Like PeelToBcc, the engine runs on an epoch-stamped workspace (bucketed
-/// farthest-vertex queue, pooled scratch); pass a warm `ws` for
-/// allocation-free steady-state execution, or nullptr for a scoped one.
+/// Pass a warm `ws` for allocation-free steady-state execution, or nullptr
+/// for a scoped one.
 ///
 /// With an `index` built over `g` and no restriction, the per-group cores
-/// resolve from its stored coreness instead of a peel (ResolveQueryGroup in
-/// bcc/find_g0.h); the result is identical.
+/// resolve from its stored coreness instead of a peel; the result is
+/// identical.
 Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams& p,
                      const SearchOptions& opts, SearchStats* stats = nullptr,
                      const std::vector<char>* restrict_to = nullptr,
                      QueryWorkspace* ws = nullptr, const BcIndex* index = nullptr);
+
+/// The greedy peeling engine of every BCC search: paper's Algorithm 1 with
+/// the Section 6 accelerations, run over m >= 2 groups as Algorithm 9 does.
+/// `groups[i]` is Find-G0's component of query `queries[i]` with core
+/// parameter `ks[i]`. Each round removes the farthest vertex/batch from the
+/// queries, maintains the group cores (Algorithm 4), validates every active
+/// label pair's butterflies exactly and cross-group connectivity
+/// (Definition 7) over the label meta-graph with union-find. Returns the
+/// intermediate community with the minimum query distance — for m = 2 the
+/// 2-approximation of the minimum-diameter BCC (Theorem 3), so two-label
+/// BCC is this engine's m = 2 call (PeelToBcc).
+///
+/// Option mapping:
+///   - opts.bulk_delete: remove the whole farthest level per round;
+///   - opts.fast_query_distance: incremental BFS repair (Algorithm 5);
+///   - opts.use_leader_pair: per-pair leaders (Algorithms 6 + 7) instead of
+///     a full Algorithm 3 recount per round;
+///   - opts.incremental_butterflies: leaderless peels debit per-pair chi
+///     (PeelButterflyCounter) instead of recounting.
+///
+/// `seed` (m = 2 only, may be null) is the butterfly count of the initial
+/// candidate, e.g. Find-G0's; it replaces the engine's own initial count.
+/// The farthest batch comes from an epoch-stamped bucket queue, so a round
+/// costs O(batch + distance changes); a warm `ws` makes the run free of
+/// O(n) allocations, nullptr uses a scoped one (identical results). `stats`
+/// may be null; total_seconds is not accumulated (callers own end-to-end
+/// timing).
+Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> groups,
+                     std::vector<std::uint32_t> ks, const std::vector<VertexId>& queries,
+                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
+                     QueryWorkspace* ws = nullptr, const ButterflyCounts* seed = nullptr);
 
 /// The resolved per-group core parameters (auto entries replaced by query
 /// coreness). Exposed for verification in tests and benchmarks. `ws`

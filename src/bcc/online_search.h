@@ -7,27 +7,15 @@
 
 namespace bccs {
 
-/// The shared greedy peeling engine (paper's Algorithm 1 plus the Section 6
-/// accelerations): starting from G0, repeatedly removes the farthest
-/// vertex/batch from the queries, maintains the (k1, k2, b)-BCC structure
-/// (Algorithm 4), and returns the intermediate BCC with the minimum query
-/// distance — a 2-approximation of the minimum-diameter BCC (Theorem 3).
-///
-/// Option mapping:
-///   - opts.bulk_delete: remove the whole farthest level per round;
-///   - opts.fast_query_distance: Algorithm 5 incremental BFS repair;
-///   - opts.use_leader_pair: Algorithms 6 + 7 instead of a full Algorithm 3
-///     recount per round.
+/// Peels G0 to the two-label BCC: an adapter that runs the shared engine
+/// PeelToMbcc (bcc/mbcc.h) with m = 2 — groups {g0.left, g0.right}, cores
+/// {g0.k1, g0.k2}, queries {ql, qr} — seeded with Find-G0's butterfly
+/// counts, so no initial recount runs. Returns empty when !g0.found.
 ///
 /// Used by Online-BCC, LP-BCC (this header) and L2P-BCC (local_search.h).
 /// `b` is the butterfly threshold; `stats` may be null. Does not accumulate
-/// total_seconds (callers own end-to-end timing).
-///
-/// The engine selects each round's farthest batch through an epoch-stamped
-/// bucket queue keyed by query distance, so a round costs O(batch + distance
-/// changes) instead of O(|members|). Passing a warm `ws` additionally makes
-/// the whole round trip free of O(n) allocations; with ws == nullptr a
-/// scoped workspace is used (identical results).
+/// total_seconds (callers own end-to-end timing). `ws` may be null (a
+/// scoped workspace is used; identical results).
 Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q,
                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
                     QueryWorkspace* ws = nullptr);

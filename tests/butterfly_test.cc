@@ -158,7 +158,7 @@ TEST_P(ButterflyPropertyTest, LeaderUpdateMatchesRecount) {
 
 TEST_P(ButterflyPropertyTest, CachedLeaderMarksMatchRecountAcrossThreePairs) {
   // mBCC's call pattern on one updater: three label groups, one leader per
-  // side of each pair (0,1), (0,2), (1,2), updated in MbccSearch's order for
+  // side of each pair (0,1), (0,2), (1,2), updated in the peel engine's order for
   // every removal. Two leaders stamp each label group, and group 0's leader
   // serves both of its pairs, so cached markings evict one another.
   LabeledGraph g = MakeRandomGraph(36, 0.35, 3, GetParam() + 1300);

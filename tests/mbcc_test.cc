@@ -1,7 +1,12 @@
 #include "bcc/mbcc.h"
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "bcc/find_g0.h"
 #include "bcc/online_search.h"
 #include "bcc/verify.h"
 #include "graph/generators.h"
@@ -11,17 +16,115 @@
 namespace bccs {
 namespace {
 
+// Definition 8 with m = 2 coincides with Definition 4: the two-label search
+// and the 2-vertex mBCC search must agree on the answer and on every peel
+// counter, for every option combination.
+std::vector<SearchOptions> AllOptionCombinations() {
+  std::vector<SearchOptions> all;
+  for (int bits = 0; bits < 16; ++bits) {
+    SearchOptions o;
+    o.bulk_delete = (bits & 1) != 0;
+    o.fast_query_distance = (bits & 2) != 0;
+    o.use_leader_pair = (bits & 4) != 0;
+    o.incremental_butterflies = (bits & 8) != 0;
+    all.push_back(o);
+  }
+  return all;
+}
+
+std::string Describe(const SearchOptions& o) {
+  return "bulk=" + std::to_string(o.bulk_delete) + " fast_qd=" +
+         std::to_string(o.fast_query_distance) + " leader=" + std::to_string(o.use_leader_pair) +
+         " incremental=" + std::to_string(o.incremental_butterflies);
+}
+
+// Without a G0 the two-label search stops inside Find-G0 (g0_size 0) while
+// mBCC has already built its candidate, so g0_size is compared only when G0
+// exists.
+void ExpectSameSearch(const Community& bcc, const SearchStats& sb, const Community& mbcc,
+                      const SearchStats& sm, bool g0_found) {
+  EXPECT_EQ(bcc.vertices, mbcc.vertices);
+  EXPECT_EQ(sb.rounds, sm.rounds);
+  EXPECT_EQ(sb.vertices_removed, sm.vertices_removed);
+  EXPECT_EQ(sb.butterfly_counting_calls, sm.butterfly_counting_calls);
+  EXPECT_EQ(sb.leader_rebuilds, sm.leader_rebuilds);
+  EXPECT_EQ(sb.delta_rounds, sm.delta_rounds);
+  if (g0_found) {
+    EXPECT_EQ(sb.g0_size, sm.g0_size);
+  }
+}
+
+PlantedGraph TwoLabelPlanted(std::uint64_t seed) {
+  PlantedConfig cfg;
+  cfg.num_communities = 6;
+  cfg.min_group_size = 10;
+  cfg.max_group_size = 18;
+  cfg.seed = seed + 300;
+  return GeneratePlanted(cfg);
+}
+
 TEST(MbccTest, TwoLabelsEquivalentToBcc) {
-  // Definition 8 with m = 2 coincides with Definition 4; the search result
-  // must match the two-label search.
   Figure1Graph f = MakeFigure1Graph();
-  MbccQuery q{{f.ql, f.qr}};
-  MbccParams p;
-  p.k = {4, 3};
-  p.b = 1;
-  Community mbcc = MbccSearch(f.graph, q, p, LpBccOptions());
-  Community bcc = LpBcc(f.graph, BccQuery{f.ql, f.qr}, BccParams{4, 3, 1});
-  EXPECT_EQ(mbcc.vertices, bcc.vertices);
+  Community fig_mbcc = MbccSearch(f.graph, MbccQuery{{f.ql, f.qr}}, MbccParams{{4, 3}, 1},
+                                  LpBccOptions());
+  EXPECT_EQ(fig_mbcc.vertices, LpBcc(f.graph, BccQuery{f.ql, f.qr}, BccParams{4, 3, 1}).vertices);
+
+  std::size_t non_empty = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    PlantedGraph pg = TwoLabelPlanted(seed);
+    const auto& comm = pg.communities[seed % pg.communities.size()];
+    const BccQuery q{comm.groups[0][0], comm.groups[1][0]};
+    for (std::uint32_t k : {0u, 2u}) {
+      for (std::uint64_t b : {1u, 2u}) {
+        for (const SearchOptions& opts : AllOptionCombinations()) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
+                       " b=" + std::to_string(b) + " " + Describe(opts));
+          const BccParams bp{k, k, b};
+          SearchStats sb, sm;
+          Community bcc = BccSearch(pg.graph, q, bp, opts, &sb);
+          Community mbcc =
+              MbccSearch(pg.graph, MbccQuery{{q.ql, q.qr}}, MbccParams{{k, k}, b}, opts, &sm);
+          // Resolved (non-auto) core parameters, for the verifier.
+          G0Result g0 = FindG0(pg.graph, q, bp, nullptr);
+          ExpectSameSearch(bcc, sb, mbcc, sm, g0.found);
+          if (bcc.Empty()) continue;
+          ++non_empty;
+          EXPECT_EQ(VerifyBcc(pg.graph, bcc, q, BccParams{g0.k1, g0.k2, b}),
+                    BccViolation::kNone);
+        }
+      }
+    }
+  }
+  EXPECT_GT(non_empty, 0u);
+}
+
+// The L2P local extension peels a G0 found inside a restriction:
+// FindG0Restricted + PeelToBcc must match MbccSearch over the same mask.
+TEST(MbccTest, RestrictedTwoLabelsEquivalentToBcc) {
+  std::size_t non_empty = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    PlantedGraph pg = TwoLabelPlanted(seed);
+    const auto& comm = pg.communities[seed % pg.communities.size()];
+    const BccQuery q{comm.groups[0][0], comm.groups[1][0]};
+    std::mt19937_64 rng(seed);
+    std::vector<char> restrict_to(pg.graph.NumVertices(), 0);
+    for (auto& in : restrict_to) in = (rng() % 100) < 85 ? 1 : 0;
+    restrict_to[q.ql] = restrict_to[q.qr] = 1;
+    const BccParams bp{0, 0, 1};
+    for (const SearchOptions& opts : AllOptionCombinations()) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " " + Describe(opts));
+      SearchStats sb, sm;
+      G0Result g0 = FindG0Restricted(pg.graph, q, bp, &restrict_to, &sb);
+      Community bcc = g0.found ? PeelToBcc(pg.graph, g0, q, opts, bp.b, &sb) : Community{};
+      Community mbcc =
+          MbccSearch(pg.graph, MbccQuery{{q.ql, q.qr}}, MbccParams{}, opts, &sm, &restrict_to);
+      ExpectSameSearch(bcc, sb, mbcc, sm, g0.found);
+      if (bcc.Empty()) continue;
+      ++non_empty;
+      EXPECT_EQ(VerifyBcc(pg.graph, bcc, q, BccParams{g0.k1, g0.k2, bp.b}), BccViolation::kNone);
+    }
+  }
+  EXPECT_GT(non_empty, 0u);
 }
 
 TEST(MbccTest, RejectsDuplicateLabels) {

@@ -2,7 +2,10 @@
 //
 //   bccs_query --graph g.txt --ql 3 --qr 17 [--k1 0] [--k2 0] [--b 1]
 //              [--method online|lp|l2p] [--verify]
-//   bccs_query --graph g.txt --queries 3,17,42 --b 1      (multi-label mBCC)
+//   bccs_query --graph g.txt --queries 3,17,42 --b 1 [--verify]
+//     multi-label mBCC: every group's k is auto (query coreness) and the
+//     engine's mBCC options apply, so --method, --k1 and --k2 are rejected
+//     with exit 2.
 //
 // Every query — single, mBCC, or batch — enters through the unified
 // ServeEngine (eval/serve_engine.h): requests carry a method, a priority
@@ -302,6 +305,16 @@ int main(int argc, char** argv) {
   }
 
   // Validate the serving flags before any graph is loaded.
+  if (args.Has("queries")) {
+    for (const char* flag : {"method", "k1", "k2"}) {
+      if (!args.Has(flag)) continue;
+      std::fprintf(stderr,
+                   "--%s does not apply to --queries (mBCC runs with auto k and the "
+                   "engine's mBCC options)\n",
+                   flag);
+      return 2;
+    }
+  }
   const std::string method_name = args.GetStringOr("method", "lp");
   ServeConfig cfg;
   if (method_name == "online") {
@@ -572,18 +585,26 @@ int main(int argc, char** argv) {
               stats.butterfly_counting_calls, stats.total_seconds);
   PrintPhaseBreakdown(result.stats);
 
-  if (args.Has("verify") && queries.size() == 2) {
-    bccs::BccParams p{static_cast<std::uint32_t>(k1_arg),
-                      static_cast<std::uint32_t>(k2_arg), b};
+  if (args.Has("verify")) {
     // Resolve auto parameters the way the search did.
-    bccs::SearchStats tmp;
-    bccs::G0Result g0 =
-        bccs::FindG0(*graph, bccs::BccQuery{queries[0], queries[1]}, p, &tmp);
-    p.k1 = g0.k1;
-    p.k2 = g0.k2;
-    auto verdict =
-        bccs::VerifyBcc(*graph, community, bccs::BccQuery{queries[0], queries[1]}, p);
-    std::printf("verification: %s\n", bccs::ToString(verdict));
+    const char* verdict = nullptr;
+    if (args.Has("queries")) {
+      const bccs::MbccQuery q{queries};
+      const bccs::MbccParams p{{}, b};
+      verdict = bccs::ToString(bccs::VerifyMbcc(
+          *graph, community, queries, bccs::ResolveMbccCores(*graph, q, p, nullptr, index), b));
+    } else {
+      bccs::BccParams p{static_cast<std::uint32_t>(k1_arg),
+                        static_cast<std::uint32_t>(k2_arg), b};
+      bccs::SearchStats tmp;
+      bccs::G0Result g0 =
+          bccs::FindG0(*graph, bccs::BccQuery{queries[0], queries[1]}, p, &tmp);
+      p.k1 = g0.k1;
+      p.k2 = g0.k2;
+      verdict = bccs::ToString(
+          bccs::VerifyBcc(*graph, community, bccs::BccQuery{queries[0], queries[1]}, p));
+    }
+    std::printf("verification: %s\n", verdict);
   }
   return 0;
 }

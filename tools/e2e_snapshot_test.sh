@@ -5,7 +5,9 @@
 # corrupted snapshot is rejected, that the serving-engine flags
 # (--lane, --deadline-ms) validate and behave (mixed-lane batches report
 # per-lane percentiles, bad flag values, malformed or out-of-range vertex
-# ids and k values are rejected with exit 2, and
+# ids and k values, and --queries combined with --method/--k1/--k2, are
+# rejected with exit 2, --queries a,b prints the same peel as --method lp,
+# a 3-label --queries --verify reports "verification: none", and
 # --no-incremental-butterflies answers bit-identically to the default
 # incremental-counter runs across methods and thread counts, and only
 # Online-BCC attaches the counter by default), and that the
@@ -96,13 +98,25 @@ batch_indexed="$("$bin/bccs_query" --index-file "$tmp/g.snap" --batch-file "$tmp
   || fail "bccs_build (3 labels) failed"
 mq="$(for l in 0 1 2; do awk -v l="$l" '$1=="l" && $3==l {print $2; exit}' "$tmp/m.txt"; done \
   | paste -sd,)"
-mbcc_peeled="$("$bin/bccs_query" --graph "$tmp/m.txt" --queries "$mq" \
-  | grep -E '^(community|no community)' || true)"
+mbcc_out="$("$bin/bccs_query" --graph "$tmp/m.txt" --queries "$mq" --verify || true)"
+mbcc_peeled="$(grep -E '^(community|no community)' <<< "$mbcc_out" || true)"
+# --verify checks every --queries answer (VerifyMbcc), whatever m is.
+grep -qx "verification: none" <<< "$mbcc_out" \
+  || fail "3-label --queries --verify did not print 'verification: none'"
 mbcc_indexed="$("$bin/bccs_query" --index-file "$tmp/m.snap" --queries "$mq" \
   | grep -E '^(community|no community)' || true)"
 [ -n "$mbcc_peeled" ] || fail "no mBCC output from the text-graph path"
 [ "$mbcc_peeled" = "$mbcc_indexed" ] \
   || fail "index-backed mBCC differs: '$mbcc_peeled' vs '$mbcc_indexed'"
+
+# Two-label BCC is the m = 2 call of the mBCC peel engine: --queries a,b
+# prints the same community, rounds and counting lines as --method lp.
+peel_lines() { grep -E '^(community|no community|rounds=|counting:)' | sed 's/ time=[^ ]*//'; }
+lp_pair="$("$bin/bccs_query" --graph "$tmp/g.txt" --method lp --ql "$q1" --qr "$q2" | peel_lines)"
+mbcc_pair="$("$bin/bccs_query" --graph "$tmp/g.txt" --queries "$q1,$q2" | peel_lines)"
+grep -q '^rounds=' <<< "$lp_pair" || fail "no rounds line from --method lp"
+[ "$lp_pair" = "$mbcc_pair" ] \
+  || fail "--queries a,b differs from --method lp: '$mbcc_pair' vs '$lp_pair'"
 
 # --repeat 0 must be rejected like negative values, not run a zero-query batch.
 if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --repeat 0 \
@@ -203,6 +217,14 @@ expect_exit2 bccs_query "at most 4294967295" \
   --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --k2 4294967298
 expect_exit2 bccs_serve "at most 4294967295" --graph "$tmp/g.txt" --k1 4294967298
 expect_exit2 bccs_serve "at most 4294967295" --graph "$tmp/g.txt" --k2 4294967298
+# --queries runs mBCC with auto k and the engine's mBCC options, so the
+# two-label method and core flags are rejected instead of ignored.
+expect_exit2 bccs_query "--method does not apply to --queries" \
+  --graph "$tmp/g.txt" --queries "$q1,$q2" --method online
+expect_exit2 bccs_query "--k1 does not apply to --queries" \
+  --graph "$tmp/g.txt" --queries "$q1,$q2" --k1 1
+expect_exit2 bccs_query "--k2 does not apply to --queries" \
+  --graph "$tmp/g.txt" --queries "$q1,$q2" --k2 1
 
 # The sampled butterfly check is gone: both tools reject its flag as unknown.
 expect_exit2 bccs_query "unknown flag: --approx-samples" \
