@@ -69,9 +69,9 @@ MethodAggregate RunMethod(PreparedDataset& ds, Method m, const BccParams& params
   return RunMethodOnQueries(ds, m, params, ds.queries);
 }
 
-MethodAggregate RunMethodBatchOnQueries(PreparedDataset& ds, Method m, const BccParams& params,
-                                        const std::vector<GroundTruthQuery>& queries,
-                                        BatchRunner& runner, BatchResult* batch) {
+MethodAggregate RunMethodBatch(PreparedDataset& ds, Method m, const BccParams& params,
+                               BatchRunner& runner, BatchResult* batch) {
+  const std::vector<GroundTruthQuery>& queries = ds.queries;
   MethodAggregate agg;
   if (queries.empty()) return agg;
 
@@ -111,17 +111,6 @@ MethodAggregate RunMethodBatchOnQueries(PreparedDataset& ds, Method m, const Bcc
   }
   FinalizeAverages(queries.size(), &agg);
   return agg;
-}
-
-MethodAggregate RunMethodBatch(PreparedDataset& ds, Method m, const BccParams& params,
-                               BatchRunner& runner, BatchResult* batch) {
-  return RunMethodBatchOnQueries(ds, m, params, ds.queries, runner, batch);
-}
-
-void PrintHeader(const char* series, const std::vector<std::string>& columns) {
-  std::printf("%-14s", series);
-  for (const auto& c : columns) std::printf(" %12s", c.c_str());
-  std::printf("\n");
 }
 
 void PrintCommunityByLabel(const CaseStudy& cs, const Community& c, const char* title) {

@@ -82,15 +82,6 @@ MethodAggregate RunMethodOnQueries(PreparedDataset& ds, Method m, const BccParam
 MethodAggregate RunMethodBatch(PreparedDataset& ds, Method m, const BccParams& params,
                                BatchRunner& runner, BatchResult* batch = nullptr);
 
-/// Batch variant over externally supplied queries.
-MethodAggregate RunMethodBatchOnQueries(PreparedDataset& ds, Method m, const BccParams& params,
-                                        const std::vector<GroundTruthQuery>& queries,
-                                        BatchRunner& runner, BatchResult* batch = nullptr);
-
-/// Prints a figure-style table header: "series" column plus one column per
-/// entry.
-void PrintHeader(const char* series, const std::vector<std::string>& columns);
-
 /// Pretty-prints a case-study community grouped by label, with vertex names
 /// (the Figure 11-13/15 "drawings" as text).
 void PrintCommunityByLabel(const CaseStudy& cs, const Community& c, const char* title);

@@ -82,7 +82,6 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
   std::vector<VertexId> members;
   for (const auto& grp : groups) members.insert(members.end(), grp.begin(), grp.end());
   GroupedCandidate cand(g, std::move(groups), std::move(ks), ws);
-  stats->g0_size += cand.NumAlive();
 
   // --- Pair states and initial cross-group connectivity. ---
   // One pooled counts buffer serves every per-pair (re)count; chi entries
@@ -156,6 +155,9 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     release_buffers();
     return out;
   }
+  // The candidate counts as G0 only once it passes the butterfly and
+  // meta-connectivity check, as in the two-label Find-G0.
+  stats->g0_size += cand.NumAlive();
 
   // --- Query distances (one BFS tree per query vertex). ---
   std::vector<DistanceMap*> dist(m);

@@ -10,8 +10,8 @@
 ///                               memory is already (or about to be) wrong —
 ///                               continuing would corrupt served answers or
 ///                               durable state. Costs one predictable branch;
-///                               the perf_smoke check_overhead block holds it
-///                               under 1% on the serving path.
+///                               tools/run_bench.sh reports the total as
+///                               check_overhead on the benchmark workloads.
 ///   BCCS_CHECK_EQ/NE/LT/LE/GT/GE(a, b)
 ///                               comparison forms that print both values.
 ///   BCCS_DCHECK / BCCS_DCHECK_* debug/validate builds only (see
@@ -70,9 +70,10 @@ std::string FormatComparison(const A& a, const B& b) {
 }  // namespace bccs
 
 // BCCS_STRIP_CHECKS_FOR_BENCH exists ONLY for the check-overhead benchmark
-// (tools/run_bench.sh builds a second perf_smoke with it to measure what the
-// always-on checks cost). It must never be set for a served binary: the
-// safety argument in DESIGN.md contract 5 assumes BCCS_CHECK is live.
+// (tools/run_bench.sh builds a second copy of the benchmark with it to
+// measure what the always-on checks cost). It must never be set for a
+// served binary: the safety argument in DESIGN.md contract 5 assumes
+// BCCS_CHECK is live.
 #if defined(BCCS_STRIP_CHECKS_FOR_BENCH)
 
 #define BCCS_CHECK(condition) \

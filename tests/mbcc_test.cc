@@ -38,20 +38,15 @@ std::string Describe(const SearchOptions& o) {
          " incremental=" + std::to_string(o.incremental_butterflies);
 }
 
-// Without a G0 the two-label search stops inside Find-G0 (g0_size 0) while
-// mBCC has already built its candidate, so g0_size is compared only when G0
-// exists.
 void ExpectSameSearch(const Community& bcc, const SearchStats& sb, const Community& mbcc,
-                      const SearchStats& sm, bool g0_found) {
+                      const SearchStats& sm) {
   EXPECT_EQ(bcc.vertices, mbcc.vertices);
   EXPECT_EQ(sb.rounds, sm.rounds);
   EXPECT_EQ(sb.vertices_removed, sm.vertices_removed);
   EXPECT_EQ(sb.butterfly_counting_calls, sm.butterfly_counting_calls);
   EXPECT_EQ(sb.leader_rebuilds, sm.leader_rebuilds);
   EXPECT_EQ(sb.delta_rounds, sm.delta_rounds);
-  if (g0_found) {
-    EXPECT_EQ(sb.g0_size, sm.g0_size);
-  }
+  EXPECT_EQ(sb.g0_size, sm.g0_size);
 }
 
 PlantedGraph TwoLabelPlanted(std::uint64_t seed) {
@@ -86,7 +81,7 @@ TEST(MbccTest, TwoLabelsEquivalentToBcc) {
               MbccSearch(pg.graph, MbccQuery{{q.ql, q.qr}}, MbccParams{{k, k}, b}, opts, &sm);
           // Resolved (non-auto) core parameters, for the verifier.
           G0Result g0 = FindG0(pg.graph, q, bp, nullptr);
-          ExpectSameSearch(bcc, sb, mbcc, sm, g0.found);
+          ExpectSameSearch(bcc, sb, mbcc, sm);
           if (bcc.Empty()) continue;
           ++non_empty;
           EXPECT_EQ(VerifyBcc(pg.graph, bcc, q, BccParams{g0.k1, g0.k2, b}),
@@ -118,7 +113,7 @@ TEST(MbccTest, RestrictedTwoLabelsEquivalentToBcc) {
       Community bcc = g0.found ? PeelToBcc(pg.graph, g0, q, opts, bp.b, &sb) : Community{};
       Community mbcc =
           MbccSearch(pg.graph, MbccQuery{{q.ql, q.qr}}, MbccParams{}, opts, &sm, &restrict_to);
-      ExpectSameSearch(bcc, sb, mbcc, sm, g0.found);
+      ExpectSameSearch(bcc, sb, mbcc, sm);
       if (bcc.Empty()) continue;
       ++non_empty;
       EXPECT_EQ(VerifyBcc(pg.graph, bcc, q, BccParams{g0.k1, g0.k2, bp.b}), BccViolation::kNone);
