@@ -1,14 +1,16 @@
 // Ablation micro-benchmarks (google-benchmark) for the Section 6 design
 // choices: hashmap vs vertex-priority butterfly counting, Algorithm 5 vs
 // full BFS distance maintenance, Algorithm 7 vs full recount, and bulk vs
-// single-vertex deletion; plus the query-distance repair kernel alone and
-// Find-G0 with and without the BC-index.
+// single-vertex deletion; plus the query-distance repair kernel alone,
+// Find-G0 with and without the BC-index, and the candidate-graph build and
+// seed butterfly count on one Find-G0 candidate.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "bcc/candidate.h"
+#include "bcc/candidate_graph.h"
 #include "bcc/find_g0.h"
 #include "bcc/local_search.h"
 #include "bcc/online_search.h"
@@ -26,6 +28,10 @@ struct BipartiteFixture {
   LabeledGraph g;
   std::vector<VertexId> left, right;
   std::vector<char> in_left, in_right;
+  // G[left ∪ right]: left is 0..n-1 and right n..2n-1, so candidate-local
+  // ids equal graph ids.
+  CandidateGraph cg;
+  std::vector<char> alive;
 
   explicit BipartiteFixture(std::size_t n, double p) {
     g = GenerateRandomBipartite(n, n, p, 99);
@@ -39,6 +45,9 @@ struct BipartiteFixture {
       right.push_back(v);
       in_right[v] = 1;
     }
+    const std::span<const VertexId> groups[2] = {left, right};
+    cg.Build(g, groups);
+    alive.assign(cg.NumVertices(), 1);
   }
 };
 
@@ -63,12 +72,12 @@ BENCHMARK(BM_ButterflyCountingVertexPriority)->Arg(200)->Arg(400)->Arg(800);
 
 void BM_LeaderUpdateAlgorithm7(benchmark::State& state) {
   BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);
-  LeaderButterflyUpdater updater(f.g);
+  LeaderButterflyUpdater updater(f.cg);
   VertexId leader = f.left[0];
   for (auto _ : state) {
     std::uint64_t loss = 0;
     for (VertexId victim : f.right) {
-      loss += updater.LossOnDeletion(f.in_left, f.in_right, leader, victim);
+      loss += updater.LossOnDeletion(f.alive, 0, 1, leader, victim);
     }
     benchmark::DoNotOptimize(loss);
   }
@@ -76,9 +85,10 @@ void BM_LeaderUpdateAlgorithm7(benchmark::State& state) {
 BENCHMARK(BM_LeaderUpdateAlgorithm7)->Arg(200)->Arg(400)->Arg(800);
 
 // The LP call pattern: a left and a right leader both updated per removed
-// vertex, victims from both sides interleaved and leaving the masks as they
-// go. Each iteration is one peel over fresh masks on a fresh updater that
-// borrows the stamp scratch, as PeelToMbcc borrows the workspace's.
+// vertex, victims from both sides interleaved and leaving the candidate as
+// they go. Each iteration is one peel over a fresh alive mask on a fresh
+// updater that borrows the stamp scratch, as PeelToMbcc borrows the
+// workspace's.
 void BM_LeaderUpdateTwoLeadersInterleaved(benchmark::State& state) {
   BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);
   const VertexId leaders[2] = {f.left[0], f.right[0]};
@@ -87,18 +97,17 @@ void BM_LeaderUpdateTwoLeadersInterleaved(benchmark::State& state) {
     victims.push_back(f.left[i]);
     victims.push_back(f.right[i]);
   }
-  std::vector<std::uint32_t> stamp(f.g.NumVertices(), 0);
+  std::vector<std::uint32_t> stamp(f.cg.NumVertices(), 0);
   std::uint32_t counter = 0;
   for (auto _ : state) {
-    std::vector<char> in_left = f.in_left;
-    std::vector<char> in_right = f.in_right;
-    LeaderButterflyUpdater updater(f.g, &stamp, &counter);
+    std::vector<char> alive = f.alive;
+    LeaderButterflyUpdater updater(f.cg, &stamp, &counter);
     std::uint64_t loss = 0;
     for (VertexId victim : victims) {
       for (VertexId leader : leaders) {
-        loss += updater.LossOnDeletion(in_left, in_right, leader, victim);
+        loss += updater.LossOnDeletion(alive, 0, 1, leader, victim);
       }
-      (in_left[victim] ? in_left : in_right)[victim] = 0;
+      alive[victim] = 0;
     }
     benchmark::DoNotOptimize(loss);
   }
@@ -143,30 +152,37 @@ void BM_SearchFastDistances(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchFastDistances);
 
-// One LP-shaped peel of PeelFixture's query, recorded once: every step
-// deletes the farthest query-distance level plus its core cascade
-// (GroupedCandidate::RemoveAndMaintain), as PeelToMbcc does when no
-// butterfly check stops it early. `alive[i]` is the candidate after step i
-// (`alive[0]` is G0), `removed[i]` the vertices step i deleted.
+// One LP-shaped peel of PeelFixture's query on its candidate graph G[G0],
+// recorded once: every step deletes the farthest query-distance level plus
+// its core cascade (GroupedCandidate::RemoveAndMaintain), as PeelToMbcc does
+// when no butterfly check stops it early. Ids are candidate-local;
+// `alive[i]` is the candidate after step i (`alive[0]` is G0), `removed[i]`
+// the vertices step i deleted.
 struct RepairReplay {
   PeelFixture f;
+  G0Result g0;
+  VertexId ql = 0, qr = 0;
   std::vector<std::vector<char>> alive;
   std::vector<std::vector<VertexId>> removed;
 
+  const LabeledGraph& graph() const { return g0.graph->graph(); }
+
   RepairReplay() {
-    const LabeledGraph& g = f.pg.graph;
-    G0Result g0 = FindG0(g, f.q, BccParams{}, nullptr);
-    GroupedCandidate cand(g, {g0.left, g0.right}, {g0.k1, g0.k2});
+    g0 = FindG0(f.pg.graph, f.q, BccParams{}, nullptr);
+    const LabeledGraph& g = graph();
+    ql = g0.graph->ToLocal(f.q.ql);
+    qr = g0.graph->ToLocal(f.q.qr);
+    GroupedCandidate cand(*g0.graph, {g0.k1, g0.k2});
     alive.push_back(cand.alive());
     DistanceMap dl, dr;
     std::vector<VertexId> changed;
-    BfsDistances(g, cand.alive(), f.q.ql, &dl);
-    BfsDistances(g, cand.alive(), f.q.qr, &dr);
-    while (cand.IsAlive(f.q.ql) && cand.IsAlive(f.q.qr) && dl.Get(f.q.qr) != kInfDistance) {
+    BfsDistances(g, cand.alive(), ql, &dl);
+    BfsDistances(g, cand.alive(), qr, &dr);
+    while (cand.IsAlive(ql) && cand.IsAlive(qr) && dl.Get(qr) != kInfDistance) {
       std::vector<VertexId> batch;
       std::uint32_t far = 0;
       for (VertexId v : cand.AliveVertices()) {
-        if (v == f.q.ql || v == f.q.qr) continue;
+        if (v == ql || v == qr) continue;
         const std::uint32_t qd = std::max(dl.Get(v), dr.Get(v));  // kInfDistance is the max
         if (qd > far) {
           batch.clear();
@@ -189,14 +205,14 @@ struct RepairReplay {
 // own work count per replay.
 void BM_QueryDistanceRepair(benchmark::State& state) {
   RepairReplay r;
-  const LabeledGraph& g = r.f.pg.graph;
+  const LabeledGraph& g = r.graph();
   DistanceMap dl, dr;
   std::vector<VertexId> changed;
   std::uint64_t reads = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    BfsDistances(g, r.alive[0], r.f.q.ql, &dl);
-    BfsDistances(g, r.alive[0], r.f.q.qr, &dr);
+    BfsDistances(g, r.alive[0], r.ql, &dl);
+    BfsDistances(g, r.alive[0], r.qr, &dr);
     reads = 0;
     state.ResumeTiming();
     for (std::size_t i = 0; i < r.removed.size(); ++i) {
@@ -260,6 +276,54 @@ void BM_FindG0(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FindG0)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One orkut stand-in G0 (BM_FindG0's query, groups from the BC-index),
+// resolved once and shared by the two kernels below.
+struct OrkutG0 {
+  PlantedGraph pg = MakeDataset(*FindSpec("orkut"));
+  G0Result g0;
+
+  OrkutG0() {
+    const BcIndex index(pg.graph);
+    const BccQuery q{pg.communities[0].groups[0][0], pg.communities[0].groups[1][0]};
+    g0 = FindG0(pg.graph, q, BccParams{}, nullptr, nullptr, &index);
+  }
+};
+
+const OrkutG0& SharedOrkutG0() {
+  static const OrkutG0 fixture;
+  return fixture;
+}
+
+// Building G[G0] with local ids from Find-G0's two groups (one pass over
+// their adjacency), on a warm workspace as FindG0 does.
+void BM_CandidateGraphBuild(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  const std::span<const VertexId> groups[2] = {f.g0.left, f.g0.right};
+  QueryWorkspace ws;
+  std::unique_ptr<CandidateGraph> cg = ws.AcquireCandidateGraph();
+  for (auto _ : state) {
+    cg->Build(f.pg.graph, groups, &ws);
+    benchmark::DoNotOptimize(cg->NumVertices());
+  }
+  state.counters["g0"] = static_cast<double>(cg->NumVertices());
+}
+BENCHMARK(BM_CandidateGraphBuild)->Unit(benchmark::kMillisecond);
+
+// The seed butterfly count (CountButterfliesInto over the cross sub-ranges)
+// on the same G0, into a pooled chi buffer.
+void BM_SeedCount(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  QueryWorkspace ws;
+  ButterflyCounts counts;
+  counts.chi = ws.U64ZeroPool().Acquire(f.g0.graph->NumVertices());
+  for (auto _ : state) {
+    CountButterfliesInto(*f.g0.graph, 0, 1, nullptr, &ws, &counts);
+    benchmark::DoNotOptimize(counts.total);
+  }
+  state.counters["butterflies"] = static_cast<double>(counts.total);
+}
+BENCHMARK(BM_SeedCount)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

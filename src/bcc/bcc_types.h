@@ -61,9 +61,11 @@ struct SearchStats {
   /// community is the best valid intermediate state (possibly empty), never
   /// an invalid one.
   bool timed_out = false;
+  /// Find-G0's query groups and candidate-graph build. Exclusive of the
+  /// seed count, which goes to butterfly_seconds, so the phases add up.
   double find_g0_seconds = 0;
   double query_distance_seconds = 0;
-  double butterfly_seconds = 0;       // full counting
+  double butterfly_seconds = 0;       // full counting (Find-G0's seed included)
   /// Peel-cascade time while the incremental counter is active (core
   /// maintenance plus wedge debits; replaces the per-round recount cost).
   double butterfly_delta_seconds = 0;

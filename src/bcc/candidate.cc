@@ -2,79 +2,56 @@
 
 #include "common/check.h"
 
-#include <algorithm>
-
 namespace bccs {
 
-GroupedCandidate::GroupedCandidate(const LabeledGraph& g,
-                                   std::vector<std::vector<VertexId>> groups,
+GroupedCandidate::GroupedCandidate(const CandidateGraph& cg,
                                    std::vector<std::uint32_t> ks, QueryWorkspace* ws)
-    : g_(&g), ws_(ws), ks_(std::move(ks)), members_(std::move(groups)) {
-  BCCS_CHECK_EQ(members_.size(), ks_.size());
-  const std::size_t n = g.NumVertices();
+    : cg_(&cg), ws_(ws), ks_(std::move(ks)) {
+  BCCS_CHECK_EQ(cg.NumGroups(), ks_.size());
+  const std::size_t n = cg.NumVertices();
   if (ws_ != nullptr) {
     alive_ = ws_->CharPool().Acquire(n);
-    group_of_ = ws_->U32InfPool().Acquire(n);  // default kNoGroup
     group_deg_ = ws_->U32ZeroPool().Acquire(n);
     queued_ = ws_->CharPool().Acquire(n);
-    group_masks_.reserve(members_.size());
-    for (std::size_t i = 0; i < members_.size(); ++i) {
+    group_masks_.reserve(ks_.size());
+    for (std::size_t i = 0; i < ks_.size(); ++i) {
       group_masks_.push_back(ws_->CharPool().Acquire(n));
     }
   } else {
     alive_.assign(n, 0);
-    group_of_.assign(n, kNoGroup);
     group_deg_.assign(n, 0);
     queued_.assign(n, 0);
-    group_masks_.assign(members_.size(), std::vector<char>(n, 0));
+    group_masks_.assign(ks_.size(), std::vector<char>(n, 0));
   }
-  for (std::uint32_t gi = 0; gi < members_.size(); ++gi) {
-    for (VertexId v : members_[gi]) {
-      BCCS_DCHECK_EQ(group_of_[v], kNoGroup) << "vertex in two candidate groups";
-      group_of_[v] = gi;
+  for (std::uint32_t gi = 0; gi < ks_.size(); ++gi) {
+    for (VertexId v : cg.GroupMembers(gi)) {
       alive_[v] = 1;
       group_masks_[gi][v] = 1;
-      ++num_alive_;
+      group_deg_[v] = static_cast<std::uint32_t>(cg.NeighborsIn(v, gi).size());
     }
   }
-  for (std::uint32_t gi = 0; gi < members_.size(); ++gi) {
-    for (VertexId v : members_[gi]) {
-      std::uint32_t d = 0;
-      for (VertexId w : g.Neighbors(v)) d += group_masks_[gi][w];
-      group_deg_[v] = d;
-    }
-  }
+  num_alive_ = n;
 }
 
 GroupedCandidate::~GroupedCandidate() {
   if (ws_ == nullptr) return;
-  // Restore the pool defaults for exactly the entries this candidate wrote:
-  // all state is confined to the initial members (queued_ is kept all-zero
-  // by RemoveAndMaintain itself).
-  for (std::uint32_t gi = 0; gi < members_.size(); ++gi) {
-    for (VertexId v : members_[gi]) {
-      alive_[v] = 0;
-      group_masks_[gi][v] = 0;
-      group_of_[v] = kNoGroup;
-      group_deg_[v] = 0;
-    }
-  }
-  ws_->CharPool().ReleaseClean(std::move(alive_));
-  ws_->U32InfPool().ReleaseClean(std::move(group_of_));
-  ws_->U32ZeroPool().ReleaseClean(std::move(group_deg_));
+  // Restore the pool defaults for exactly the entries this candidate wrote
+  // (queued_ is kept all-zero by RemoveAndMaintain itself).
+  const std::span<const VertexId> all = cg_->Vertices();
+  ws_->CharPool().Release(std::move(alive_), all);
+  ws_->U32ZeroPool().Release(std::move(group_deg_), all);
   ws_->CharPool().ReleaseClean(std::move(queued_));
-  for (auto& mask : group_masks_) ws_->CharPool().ReleaseClean(std::move(mask));
+  for (std::uint32_t gi = 0; gi < group_masks_.size(); ++gi) {
+    ws_->CharPool().Release(std::move(group_masks_[gi]), cg_->GroupMembers(gi));
+  }
 }
 
 std::vector<VertexId> GroupedCandidate::AliveVertices() const {
   std::vector<VertexId> out;
   out.reserve(num_alive_);
-  for (std::uint32_t gi = 0; gi < members_.size(); ++gi) {
-    for (VertexId v : members_[gi]) {
-      if (alive_[v]) out.push_back(v);
-    }
+  for (VertexId v : cg_->Vertices()) {
+    if (alive_[v]) out.push_back(v);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -5,13 +5,10 @@
 #include <span>
 #include <vector>
 
+#include "bcc/candidate_graph.h"
 #include "bcc/workspace.h"
-#include "graph/labeled_graph.h"
 
 namespace bccs {
-
-/// Sentinel group id for vertices outside the candidate.
-inline constexpr std::uint32_t kNoGroup = static_cast<std::uint32_t>(-1);
 
 /// Dynamic state of a butterfly-core community candidate during greedy
 /// peeling: m labeled groups, each maintained as a k_i-core of its own
@@ -19,19 +16,22 @@ inline constexpr std::uint32_t kNoGroup = static_cast<std::uint32_t>(-1);
 /// the Section 7 mBCC model; the classic BCC uses m = 2 with group 0 = L and
 /// group 1 = R).
 ///
-/// Group degrees count only same-group neighbors (homogeneous edges inside
-/// the candidate); cross edges never contribute to core maintenance, exactly
-/// as in Definition 4.
+/// Runs on a CandidateGraph, so every id here is candidate-local and every
+/// buffer is |G0|-sized. A vertex's group degree counts only same-group
+/// neighbours (homogeneous edges inside the candidate) — initially the
+/// length of its own-group sub-range — and the cascade reads only that
+/// sub-range; cross edges never contribute to core maintenance, exactly as
+/// in Definition 4.
 class GroupedCandidate {
  public:
-  /// `groups[i]` are the initial members of group i (the output of Find-G0);
-  /// `ks[i]` is the core parameter of group i. Groups must be disjoint.
+  /// Every member of `cg` starts alive; `ks[i]` is the core parameter of
+  /// group i. `cg` must outlive the candidate.
   ///
-  /// With a workspace, the vertex-indexed state is borrowed from its scratch
-  /// pools and restored on destruction in O(sum of group sizes), so building
-  /// a candidate performs no O(n) allocation or fill after warm-up.
-  GroupedCandidate(const LabeledGraph& g, std::vector<std::vector<VertexId>> groups,
-                   std::vector<std::uint32_t> ks, QueryWorkspace* ws = nullptr);
+  /// With a workspace, the state is borrowed from its scratch pools and
+  /// restored on destruction, so building a candidate performs no
+  /// allocation or fill beyond |G0| after warm-up.
+  GroupedCandidate(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
+                   QueryWorkspace* ws = nullptr);
   ~GroupedCandidate();
 
   // The borrowed buffers are registered with the workspace; moving would
@@ -40,20 +40,19 @@ class GroupedCandidate {
   GroupedCandidate& operator=(const GroupedCandidate&) = delete;
 
   std::size_t NumGroups() const { return ks_.size(); }
-  bool IsAlive(VertexId v) const { return group_of_[v] != kNoGroup; }
-  std::uint32_t GroupOf(VertexId v) const { return group_of_[v]; }
+  bool IsAlive(VertexId v) const { return alive_[v] != 0; }
+  /// Group of a member (fixed; dead members keep theirs).
+  std::uint32_t GroupOf(VertexId v) const { return cg_->GroupOf(v); }
   std::size_t NumAlive() const { return num_alive_; }
 
   /// Union of the alive masks of all groups.
   const std::vector<char>& alive() const { return alive_; }
   /// Alive mask of one group (usable as a butterfly-counting side mask).
   const std::vector<char>& GroupMask(std::size_t i) const { return group_masks_[i]; }
-  /// Initial member list of one group (may contain dead vertices; filter via
-  /// the mask).
-  const std::vector<VertexId>& GroupMembers(std::size_t i) const { return members_[i]; }
 
   std::uint32_t GroupDegree(VertexId v) const { return group_deg_[v]; }
 
+  /// Alive local ids, ascending.
   std::vector<VertexId> AliveVertices() const;
 
   /// Removes `batch` and cascades the per-group core maintenance: whenever an
@@ -90,18 +89,15 @@ class GroupedCandidate {
       }
       VertexId v = queue[head++];
       on_remove(v);
-      std::uint32_t gi = group_of_[v];
-      group_of_[v] = kNoGroup;
+      const std::uint32_t gi = GroupOf(v);
       alive_[v] = 0;
       group_masks_[gi][v] = 0;
       --num_alive_;
-      for (VertexId w : g_->Neighbors(v)) {
-        if (!IsAlive(w) || queued_[w]) continue;
-        if (group_of_[w] == gi) {
-          if (--group_deg_[w] < ks_[gi]) {
-            queued_[w] = 1;
-            queue.push_back(w);
-          }
+      for (VertexId w : cg_->NeighborsIn(v, gi)) {
+        if (!alive_[w] || queued_[w]) continue;
+        if (--group_deg_[w] < ks_[gi]) {
+          queued_[w] = 1;
+          queue.push_back(w);
         }
       }
     }
@@ -114,13 +110,11 @@ class GroupedCandidate {
   }
 
  private:
-  const LabeledGraph* g_;
+  const CandidateGraph* cg_;
   QueryWorkspace* ws_ = nullptr;
   std::vector<std::uint32_t> ks_;
-  std::vector<std::vector<VertexId>> members_;
   std::vector<char> alive_;
   std::vector<std::vector<char>> group_masks_;
-  std::vector<std::uint32_t> group_of_;
   std::vector<std::uint32_t> group_deg_;
   std::vector<char> queued_;
   std::size_t num_alive_ = 0;

@@ -79,9 +79,9 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
   if (g.LabelOf(q.ql) == g.LabelOf(q.qr)) return out;
 
   // Without a caller workspace, run on a scoped one (same engine, cold
-  // cost comparable to the old per-call allocations). The chi buffer it
-  // pools into out.counts is simply owned by the result afterwards —
-  // ReleaseG0Counts with a null ws is a no-op.
+  // cost comparable to the old per-call allocations). The candidate graph
+  // and chi buffer it pools into the result are simply owned by the result
+  // afterwards — ReleaseG0Counts with a null ws is a no-op.
   std::unique_ptr<QueryWorkspace> scoped_ws;
   QueryWorkspace* active_ws = ws;
   if (active_ws == nullptr) {
@@ -92,29 +92,27 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
   // Left and right cores, restricted to the component containing the
   // query; auto core parameters resolve to the query coreness inside its
   // group (paper Section 3.5). The right side is skipped once the left one
-  // is empty.
-  out.k1 = ResolveQueryGroup(g, q.ql, p.k1, restrict_to, index, active_ws, &out.left);
-  out.k2 = ResolveQueryGroup(g, q.qr, p.k2, restrict_to, index, active_ws,
-                             out.left.empty() ? nullptr : &out.right);
-  if (out.left.empty() || out.right.empty()) {
-    out.left.clear();
-    out.right.clear();
-    return out;
+  // is empty. Then G[left ∪ right], which the seed count and the peel read.
+  {
+    ScopedAccumulator t(&stats->find_g0_seconds);
+    out.k1 = ResolveQueryGroup(g, q.ql, p.k1, restrict_to, index, active_ws, &out.left);
+    out.k2 = ResolveQueryGroup(g, q.qr, p.k2, restrict_to, index, active_ws,
+                               out.left.empty() ? nullptr : &out.right);
+    if (out.left.empty() || out.right.empty()) {
+      out.left.clear();
+      out.right.clear();
+      return out;
+    }
+    const std::span<const VertexId> groups[2] = {out.left, out.right};
+    out.graph = active_ws->AcquireCandidateGraph();
+    out.graph->Build(g, groups, active_ws);
   }
 
   // Butterfly check over B = cross edges between the two cores.
+  out.counts.chi = active_ws->U64ZeroPool().Acquire(out.graph->NumVertices());
   {
-    std::vector<char> in_left = active_ws->CharPool().Acquire(g.NumVertices());
-    std::vector<char> in_right = active_ws->CharPool().Acquire(g.NumVertices());
-    for (VertexId v : out.left) in_left[v] = 1;
-    for (VertexId v : out.right) in_right[v] = 1;
-    out.counts.chi = active_ws->U64ZeroPool().Acquire(g.NumVertices());
-    {
-      ScopedAccumulator t(&stats->butterfly_seconds);
-      CountButterfliesInto(g, out.left, out.right, in_left, in_right, active_ws, &out.counts);
-    }
-    active_ws->CharPool().Release(std::move(in_left), out.left);
-    active_ws->CharPool().Release(std::move(in_right), out.right);
+    ScopedAccumulator t(&stats->butterfly_seconds);
+    CountButterfliesInto(*out.graph, 0, 1, nullptr, active_ws, &out.counts);
   }
   ++stats->butterfly_counting_calls;
   if (out.counts.max_left < p.b || out.counts.max_right < p.b) return out;
@@ -129,12 +127,10 @@ G0Result FindG0(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
 }
 
 void ReleaseG0Counts(QueryWorkspace* ws, G0Result* g0) {
-  if (ws == nullptr || g0->counts.chi.empty()) return;
-  std::vector<std::uint64_t> chi = std::move(g0->counts.chi);
+  if (ws == nullptr || g0->graph == nullptr) return;
+  ws->U64ZeroPool().Release(std::move(g0->counts.chi), g0->graph->Vertices());
   g0->counts.chi.clear();
-  for (VertexId v : g0->left) chi[v] = 0;
-  for (VertexId v : g0->right) chi[v] = 0;
-  ws->U64ZeroPool().ReleaseClean(std::move(chi));
+  ws->ReleaseCandidateGraph(std::move(g0->graph));
 }
 
 }  // namespace bccs

@@ -2,9 +2,11 @@
 #define BCCS_BCC_FIND_G0_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bcc/bcc_types.h"
+#include "bcc/candidate_graph.h"
 #include "bcc/workspace.h"
 #include "butterfly/butterfly_counting.h"
 #include "graph/labeled_graph.h"
@@ -21,19 +23,26 @@ struct G0Result {
   std::vector<VertexId> left;
   /// Members of the right k2-core component containing q_r, sorted.
   std::vector<VertexId> right;
-  /// Butterfly degrees over B(left, right), from the Algorithm 3 run.
+  /// G[left ∪ right] with local ids (group 0 = left, group 1 = right),
+  /// built once here and peeled by PeelToBcc without a rebuild. Null when
+  /// either side is empty.
+  std::unique_ptr<CandidateGraph> graph;
+  /// Butterfly degrees over B(left, right), from the Algorithm 3 run,
+  /// indexed by `graph`'s local ids (argmaxes too).
   ButterflyCounts counts;
   /// Resolved core parameters (auto parameters replaced by query coreness).
   std::uint32_t k1 = 0;
   std::uint32_t k2 = 0;
 };
 
-/// Algorithm 2 on the whole graph. Increments
-/// stats->butterfly_counting_calls and accumulates stats->butterfly_seconds
-/// for the embedded Algorithm 3 run. `stats` may be null.
+/// Algorithm 2 on the whole graph. Accumulates stats->find_g0_seconds for
+/// the query groups and the candidate-graph build, and
+/// stats->butterfly_seconds (plus one butterfly_counting_calls) for the
+/// embedded Algorithm 3 run, so the two phases are exclusive. `stats` may be
+/// null.
 ///
 /// With a workspace, the core/component/butterfly scratch comes from its
-/// pools and `counts.chi` of the result is a pooled buffer — the caller
+/// pools, and `graph` and `counts.chi` of the result are pooled — the caller
 /// must hand the finished result to ReleaseG0Counts(ws, &g0) (results are
 /// identical with or without a workspace).
 ///
@@ -69,9 +78,8 @@ std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t
                                 const std::vector<char>* restrict_to, const BcIndex* index,
                                 QueryWorkspace* ws, std::vector<VertexId>* side);
 
-/// Returns a workspace-pooled `g0->counts.chi` buffer to the pool (no-op for
-/// results produced without a workspace). `g0->left` / `g0->right` must
-/// still describe the counted members.
+/// Returns a workspace-pooled `g0->counts.chi` buffer and candidate graph to
+/// the pools (no-op for results produced without a workspace).
 void ReleaseG0Counts(QueryWorkspace* ws, G0Result* g0);
 
 }  // namespace bccs

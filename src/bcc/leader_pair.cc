@@ -2,7 +2,7 @@
 
 namespace bccs {
 
-LeaderState IdentifyLeader(const LabeledGraph& g, const std::vector<char>& side_mask,
+LeaderState IdentifyLeader(const CandidateGraph& cg, const std::vector<char>& alive,
                            VertexId q, std::uint32_t rho, std::uint64_t b,
                            const ButterflyCounts& counts, std::uint64_t side_max,
                            VertexId side_argmax, QueryWorkspace* ws) {
@@ -16,15 +16,16 @@ LeaderState IdentifyLeader(const LabeledGraph& g, const std::vector<char>& side_
   // BFS level sets within the side graph, up to rho hops.
   std::vector<std::vector<VertexId>> levels;
   {
-    std::vector<char> visited =
-        ws != nullptr ? ws->CharPool().Acquire(g.NumVertices()) : std::vector<char>(g.NumVertices(), 0);
+    const std::uint32_t side = cg.GroupOf(q);
+    std::vector<char> visited = ws != nullptr ? ws->CharPool().Acquire(cg.NumVertices())
+                                              : std::vector<char>(cg.NumVertices(), 0);
     visited[q] = 1;
     std::vector<VertexId> frontier = {q};
     for (std::uint32_t d = 0; d < rho && !frontier.empty(); ++d) {
       std::vector<VertexId> next;
       for (VertexId v : frontier) {
-        for (VertexId w : g.Neighbors(v)) {
-          if (!side_mask[w] || visited[w]) continue;
+        for (VertexId w : cg.NeighborsIn(v, side)) {
+          if (!alive[w] || visited[w]) continue;
           visited[w] = 1;
           next.push_back(w);
         }

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "bcc/candidate.h"
+#include "bcc/candidate_graph.h"
 #include "bcc/find_g0.h"
 #include "bcc/leader_pair.h"
 #include "bcc/query_distance.h"
@@ -50,14 +51,15 @@ std::vector<std::uint32_t> ResolveMbccCores(const LabeledGraph& g, const MbccQue
   return ks;
 }
 
-Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> groups,
-                     std::vector<std::uint32_t> ks, const std::vector<VertexId>& queries,
-                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
-                     QueryWorkspace* ws, const ButterflyCounts* seed) {
+Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
+                     const std::vector<VertexId>& queries, const SearchOptions& opts,
+                     std::uint64_t b, SearchStats* stats, QueryWorkspace* ws,
+                     const ButterflyCounts* seed) {
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Community out;
-  const std::size_t m = groups.size();
+  const std::size_t m = cg.NumGroups();
+  BCCS_CHECK_EQ(queries.size(), m);
   BCCS_CHECK(seed == nullptr || m == 2) << "a seed count needs exactly one label pair";
 
   // Callers without a warm workspace still run through the same engine on a
@@ -67,7 +69,17 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     scoped_ws = std::make_unique<QueryWorkspace>();
     ws = scoped_ws.get();
   }
-  const std::size_t n = g.NumVertices();
+  // Every id below is local to the candidate; `g` is its LabeledGraph view
+  // for the kernels that read whole adjacency lists (distances, the delta
+  // counter, the audits).
+  const LabeledGraph& g = cg.graph();
+  const std::size_t n = cg.NumVertices();
+  std::vector<VertexId> lq(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    lq[i] = cg.ToLocal(queries[i]);
+    BCCS_CHECK(lq[i] != kInvalidVertex && cg.GroupOf(lq[i]) == i)
+        << "query " << queries[i] << " is not in candidate group " << i;
+  }
   const Deadline& deadline = ws->deadline();
   const Deadline* cascade_deadline = deadline.unlimited() ? nullptr : &deadline;
 
@@ -78,10 +90,7 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     return out;
   }
 
-  // All initial members, used to scope resets and the final answer scan.
-  std::vector<VertexId> members;
-  for (const auto& grp : groups) members.insert(members.end(), grp.begin(), grp.end());
-  GroupedCandidate cand(g, std::move(groups), std::move(ks), ws);
+  GroupedCandidate cand(cg, std::move(ks), ws);
 
   // --- Pair states and initial cross-group connectivity. ---
   // One pooled counts buffer serves every per-pair (re)count; chi entries
@@ -92,8 +101,7 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
   auto count_pair = [&](std::size_t i, std::size_t j) {
     ScopedAccumulator t(&stats->butterfly_seconds);
     ++stats->butterfly_counting_calls;
-    CountButterfliesInto(g, cand.GroupMembers(i), cand.GroupMembers(j), cand.GroupMask(i),
-                         cand.GroupMask(j), ws, &counts);
+    CountButterfliesInto(cg, i, j, &cand.alive(), ws, &counts);
   };
   auto meta_connected = [&]() {
     UnionFind uf(m);
@@ -113,7 +121,7 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
         ps.pc = nullptr;
       }
     }
-    ws->U64ZeroPool().Release(std::move(counts.chi), members);
+    ws->U64ZeroPool().Release(std::move(counts.chi), cg.Vertices());
   };
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i + 1; j < m; ++j) {
@@ -137,16 +145,16 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
         // recounted per round. With leaders, Algorithm 7 keeps the leaders'
         // chi and the pair recounts only on a leader rebuild.
         ps.pc = ws->AcquirePeelCounter();
-        ps.pc->Init(g, cand.GroupMembers(i), cand.GroupMembers(j), cand.GroupMask(i),
+        ps.pc->Init(g, cg.GroupMembers(i), cg.GroupMembers(j), cand.GroupMask(i),
                     cand.GroupMask(j), ws);
         ps.pc->SeedFrom(initial);
       }
       if (ps.active && opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(g, cand.GroupMask(i), queries[i], opts.leader_rho, b,
-                                     initial, initial.max_left, initial.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(g, cand.GroupMask(j), queries[j], opts.leader_rho, b,
-                                     initial, initial.max_right, initial.argmax_right, ws);
+        ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[i], opts.leader_rho, b, initial,
+                                     initial.max_left, initial.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[j], opts.leader_rho, b, initial,
+                                     initial.max_right, initial.argmax_right, ws);
       }
       pairs.push_back(ps);
     }
@@ -165,7 +173,7 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     ScopedAccumulator t(&stats->query_distance_seconds);
     for (std::size_t i = 0; i < m; ++i) {
       dist[i] = ws->AcquireDistance();
-      BfsDistances(g, cand.alive(), queries[i], dist[i]);
+      BfsDistances(g, cand.alive(), lq[i], dist[i]);
     }
   }
   // Query distance of one vertex (Definition 5): max distance to any query.
@@ -180,12 +188,12 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
   };
   auto queries_connected = [&]() {
     for (std::size_t i = 1; i < m; ++i) {
-      if (dist[0]->Get(queries[i]) == kInfDistance) return false;
+      if (dist[0]->Get(lq[i]) == kInfDistance) return false;
     }
     return true;
   };
 
-  LeaderButterflyUpdater updater(g, ws->LeaderStamp(n), ws->LeaderStampCounter());
+  LeaderButterflyUpdater updater(cg, ws->LeaderStamp(n), ws->LeaderStampCounter());
   // removal_round defaults to 0xffffffff = "never removed" (the pool default).
   std::vector<std::uint32_t> removal_round = ws->U32InfPool().Acquire(n);
   std::vector<std::uint32_t> round_qd;
@@ -194,9 +202,9 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
   // query distance; each round pops the maximum level.
   PeelQueue& queue = ws->peel_queue();
   queue.Reset(n);
-  for (VertexId v : members) queue.Update(v, query_distance(v));
+  for (VertexId v = 0; v < n; ++v) queue.Update(v, query_distance(v));
   auto is_query = [&](VertexId v) {
-    return std::find(queries.begin(), queries.end(), v) != queries.end();
+    return std::find(lq.begin(), lq.end(), v) != lq.end();
   };
 
   std::vector<VertexId> batch;
@@ -213,11 +221,11 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     ++stats->rounds;
     if (batch.empty()) break;  // only the queries remain at max distance
     if (!opts.bulk_delete) {
-      // Single-vertex deletion: peel the smallest id for determinism and
-      // requeue the untouched remainder.
+      // Single-vertex deletion: peel the smallest global id for determinism
+      // and requeue the untouched remainder.
       std::size_t min_idx = 0;
       for (std::size_t i = 1; i < batch.size(); ++i) {
-        if (batch[i] < batch[min_idx]) min_idx = i;
+        if (cg.ToGlobal(batch[i]) < cg.ToGlobal(batch[min_idx])) min_idx = i;
       }
       std::swap(batch[0], batch[min_idx]);
       for (std::size_t i = 1; i < batch.size(); ++i) queue.Requeue(batch[i]);
@@ -237,11 +245,12 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
           ps.pc->OnRemove(v);
           continue;
         }
-        const auto& mask_i = cand.GroupMask(ps.i);
-        const auto& mask_j = cand.GroupMask(ps.j);
+        const auto gi = static_cast<std::uint32_t>(ps.i);
+        const auto gj = static_cast<std::uint32_t>(ps.j);
         for (LeaderState* lead : {&ps.leader_i, &ps.leader_j}) {
           if (v == lead->leader || !cand.IsAlive(lead->leader)) continue;
-          std::uint64_t loss = updater.LossOnDeletion(mask_i, mask_j, lead->leader, v);
+          std::uint64_t loss =
+              updater.LossOnDeletion(cand.alive(), gi, gj, lead->leader, v);
           lead->chi = loss > lead->chi ? 0 : lead->chi - loss;
         }
       }
@@ -268,7 +277,7 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     }
 
     bool query_dead = false;
-    for (VertexId v : queries) query_dead |= !cand.IsAlive(v);
+    for (VertexId v : lq) query_dead |= !cand.IsAlive(v);
     if (query_dead) break;
 
     // Butterfly / cross-group-connectivity maintenance, validated exactly
@@ -304,10 +313,10 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
       }
       if (opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(g, cand.GroupMask(ps.i), queries[ps.i], opts.leader_rho, b,
-                                     rc, rc.max_left, rc.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(g, cand.GroupMask(ps.j), queries[ps.j], opts.leader_rho, b,
-                                     rc, rc.max_right, rc.argmax_right, ws);
+        ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[ps.i], opts.leader_rho, b, rc,
+                                     rc.max_left, rc.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[ps.j], opts.leader_rho, b, rc,
+                                     rc.max_right, rc.argmax_right, ws);
       }
     }
 #if BCCS_DCHECK_IS_ON
@@ -334,7 +343,7 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
 #if BCCS_DCHECK_IS_ON
           // Debug-level audit (DESIGN.md contract 9): repaired distances and
           // support counts must match a fresh BFS after every round.
-          AuditDistanceMap(g, cand.alive(), queries[i], *dist[i]);
+          AuditDistanceMap(g, cand.alive(), lq[i], *dist[i]);
 #endif
           changed_any.insert(changed_any.end(), changed.begin(), changed.end());
         }
@@ -343,9 +352,9 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
         }
       } else {
         for (std::size_t i = 0; i < m; ++i) {
-          BfsDistances(g, cand.alive(), queries[i], dist[i]);
+          BfsDistances(g, cand.alive(), lq[i], dist[i]);
         }
-        for (VertexId v : members) {
+        for (VertexId v = 0; v < n; ++v) {
           if (cand.IsAlive(v)) queue.Update(v, query_distance(v));
         }
       }
@@ -360,14 +369,20 @@ Community PeelToMbcc(const LabeledGraph& g, std::vector<std::vector<VertexId>> g
     for (std::size_t i = 1; i < round_qd.size(); ++i) {
       if (round_qd[i] <= round_qd[best]) best = i;
     }
-    for (VertexId v : members) {
-      if (removal_round[v] >= best) out.vertices.push_back(v);  // alive = never removed
+    // Alive in round `best` = removed later or never (the pool default).
+    // Counted first so that the answer, which callers such as the serving
+    // stream keep, is allocated at its exact size.
+    std::size_t size = 0;
+    for (VertexId v = 0; v < n; ++v) size += removal_round[v] >= best ? 1 : 0;
+    out.vertices.reserve(size);
+    for (VertexId v = 0; v < n; ++v) {
+      if (removal_round[v] >= best) out.vertices.push_back(cg.ToGlobal(v));
     }
     std::sort(out.vertices.begin(), out.vertices.end());
   }
 
   release_buffers();
-  ws->U32InfPool().Release(std::move(removal_round), members);
+  ws->U32InfPool().Release(std::move(removal_round), cg.Vertices());
   for (std::size_t i = 0; i < m; ++i) ws->ReleaseDistance(dist[i]);
   return out;
 }
@@ -400,20 +415,28 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     ws = scoped_ws.get();
   }
 
-  // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components. ---
+  // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components, and
+  // G[G0] over them. ---
   std::vector<std::vector<VertexId>> groups(m);
   std::vector<std::uint32_t> ks(m, 0);
-  bool dead_end = false;
+  std::unique_ptr<CandidateGraph> cg;
   {
     ScopedAccumulator t(&stats->find_g0_seconds);
+    bool dead_end = false;
     for (std::size_t i = 0; i < m && !dead_end; ++i) {
       const std::uint32_t k = i < p.k.size() ? p.k[i] : 0;
       ks[i] = ResolveQueryGroup(g, q.vertices[i], k, restrict_to, index, ws, &groups[i]);
       dead_end = groups[i].empty();
     }
+    if (!dead_end) {
+      const std::vector<std::span<const VertexId>> spans(groups.begin(), groups.end());
+      cg = ws->AcquireCandidateGraph();
+      cg->Build(g, spans, ws);
+    }
   }
-  if (!dead_end) {
-    out = PeelToMbcc(g, std::move(groups), std::move(ks), q.vertices, opts, p.b, stats, ws);
+  if (cg != nullptr) {
+    out = PeelToMbcc(*cg, std::move(ks), q.vertices, opts, p.b, stats, ws);
+    ws->ReleaseCandidateGraph(std::move(cg));
   }
   stats->total_seconds += total.Seconds();
   return out;

@@ -8,8 +8,9 @@ namespace bccs {
 Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q,
                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
                     QueryWorkspace* ws) {
+  static_cast<void>(g);  // FindG0 already built G[G0] from it: g0.graph
   if (!g0.found) return {};
-  return PeelToMbcc(g, {g0.left, g0.right}, {g0.k1, g0.k2}, {q.ql, q.qr}, opts, b, stats, ws,
+  return PeelToMbcc(*g0.graph, {g0.k1, g0.k2}, {q.ql, q.qr}, opts, b, stats, ws,
                     &g0.counts);
 }
 
@@ -19,11 +20,7 @@ Community BccSearch(const LabeledGraph& g, const BccQuery& q, const BccParams& p
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Timer total;
-  G0Result g0;
-  {
-    ScopedAccumulator t(&stats->find_g0_seconds);
-    g0 = FindG0(g, q, p, stats, ws, index);
-  }
+  G0Result g0 = FindG0(g, q, p, stats, ws, index);
   Community out = PeelToBcc(g, g0, q, opts, p.b, stats, ws);
   ReleaseG0Counts(ws, &g0);
   stats->total_seconds += total.Seconds();

@@ -8,9 +8,11 @@
 namespace bccs {
 
 /// Peels G0 to the two-label BCC: an adapter that runs the shared engine
-/// PeelToMbcc (bcc/mbcc.h) with m = 2 — groups {g0.left, g0.right}, cores
-/// {g0.k1, g0.k2}, queries {ql, qr} — seeded with Find-G0's butterfly
-/// counts, so no initial recount runs. Returns empty when !g0.found.
+/// PeelToMbcc (bcc/mbcc.h) with m = 2 on g0.graph — G[G0] of `g` as Find-G0
+/// built it, groups {g0.left, g0.right} — with cores {g0.k1, g0.k2} and
+/// queries {ql, qr}, seeded with Find-G0's butterfly counts, so neither the
+/// candidate graph nor the initial count is redone. Returns empty when
+/// !g0.found.
 ///
 /// Used by Online-BCC, LP-BCC (this header) and L2P-BCC (local_search.h).
 /// `b` is the butterfly threshold; `stats` may be null. Does not accumulate

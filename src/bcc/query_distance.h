@@ -16,7 +16,7 @@ namespace bccs {
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                   std::vector<std::uint32_t>* dist);
 
-/// Workspace variant: starts a fresh epoch on `dm` (O(1)) and fills it with
+/// Workspace variant: resets `dm` to g's vertices (O(n)) and fills it with
 /// the same distances plus each reached vertex's support count (alive
 /// neighbours one level closer), which the repair below maintains.
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,

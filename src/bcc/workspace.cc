@@ -1,5 +1,6 @@
 #include "bcc/workspace.h"
 
+#include "bcc/candidate_graph.h"
 #include "butterfly/peel_counter.h"
 #include "common/check.h"
 
@@ -11,7 +12,11 @@ QueryWorkspace::QueryWorkspace() = default;
 QueryWorkspace::~QueryWorkspace() = default;
 
 DistanceMap* QueryWorkspace::AcquireDistance() {
-  if (distance_free_.empty()) distance_free_.push_back(std::make_unique<DistanceMap>());
+  if (distance_free_.empty()) {
+    distance_free_.push_back(std::make_unique<DistanceMap>());
+    distance_free_.back()->SetReserve(vertex_reserve_);
+    distance_free_.back()->ShareQueue(&distance_queue_);
+  }
   distance_used_.push_back(std::move(distance_free_.back()));
   distance_free_.pop_back();
   return distance_used_.back().get();
@@ -47,6 +52,30 @@ void QueryWorkspace::ReleaseIdVec(std::vector<VertexId>* vec) {
     }
   }
   BCCS_CHECK(false) << "ReleaseIdVec: unknown vector";
+}
+
+void QueryWorkspace::SetVertexReserve(std::size_t n) {
+  if (n == vertex_reserve_) return;
+  vertex_reserve_ = n;
+  char_pool_.SetReserve(n);
+  u32_zero_pool_.SetReserve(n);
+  u32_inf_pool_.SetReserve(n);
+  u64_zero_pool_.SetReserve(n);
+  double_inf_pool_.SetReserve(n);
+  for (auto& dm : distance_free_) dm->SetReserve(n);
+  for (auto& dm : distance_used_) dm->SetReserve(n);
+  peel_queue_.SetReserve(n);
+}
+
+std::unique_ptr<CandidateGraph> QueryWorkspace::AcquireCandidateGraph() {
+  if (candidate_free_.empty()) return std::make_unique<CandidateGraph>();
+  std::unique_ptr<CandidateGraph> cg = std::move(candidate_free_.back());
+  candidate_free_.pop_back();
+  return cg;
+}
+
+void QueryWorkspace::ReleaseCandidateGraph(std::unique_ptr<CandidateGraph> cg) {
+  if (cg != nullptr) candidate_free_.push_back(std::move(cg));
 }
 
 PeelButterflyCounter* QueryWorkspace::AcquirePeelCounter() {

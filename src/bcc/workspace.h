@@ -15,11 +15,32 @@
 
 namespace bccs {
 
+class CandidateGraph;
 class PeelButterflyCounter;
 
 /// Distance value for unreachable vertices. (Historically defined in
 /// query_distance.h, which now re-exports it from here.)
 inline constexpr std::uint32_t kInfDistance = static_cast<std::uint32_t>(-1);
+
+/// Grows a scratch vector to n entries, the new ones `fill`; false when it
+/// already held n. A reallocation discards the contents (callers treat them
+/// as all-default or all-stale anyway), frees the old block first and
+/// reserves max(n, reserve) entries. Candidate-sized requests (|G0| varies
+/// per query) thus reach the workspace's vertex reserve in one step rather
+/// than reallocating with every larger candidate, each time leaving a freed
+/// block behind in the worker's malloc arena. Reserved entries are written
+/// only once a request reaches them, so the reserve costs address space,
+/// not resident memory.
+template <typename T>
+bool GrowScratch(std::vector<T>* buf, std::size_t n, std::size_t reserve, const T& fill) {
+  if (buf->size() >= n) return false;
+  if (buf->capacity() < n) {
+    std::vector<T>().swap(*buf);
+    buf->reserve(std::max(n, reserve));
+  }
+  buf->resize(n, fill);
+  return true;
+}
 
 /// Cooperative per-query deadline. A default-constructed deadline never
 /// expires; Deadline::After(s) arms one `s` seconds from now.
@@ -82,20 +103,33 @@ class ScratchPool {
  public:
   explicit ScratchPool(T default_value) : default_(default_value) {}
 
+  /// Best fit: the smallest parked buffer holding >= n entries, else the
+  /// largest one, grown to n (GrowScratch, reserving SetReserve's size).
+  /// Callers size requests both to the graph and to a candidate (|G0|); the
+  /// best fit keeps candidate-sized requests off graph-sized buffers.
   std::vector<T> Acquire(std::size_t n) {
     ++acquires_;
-    if (!free_.empty()) {
-      std::vector<T> buf = std::move(free_.back());
-      free_.pop_back();
-      if (buf.size() < n) {
-        ++bulk_inits_;
-        buf.assign(n, default_);
-      }
+    if (free_.empty()) {
+      ++bulk_inits_;
+      std::vector<T> buf;
+      GrowScratch(&buf, n, reserve_, default_);
       return buf;
     }
-    ++bulk_inits_;
-    return std::vector<T>(n, default_);
+    std::size_t pick = 0;
+    for (std::size_t i = 1; i < free_.size(); ++i) {
+      const std::size_t have = free_[i].size(), best = free_[pick].size();
+      const bool fits = have >= n, best_fits = best >= n;
+      if (fits != best_fits ? fits : (fits ? have < best : have > best)) pick = i;
+    }
+    std::vector<T> buf = std::move(free_[pick]);
+    free_[pick] = std::move(free_.back());
+    free_.pop_back();
+    if (GrowScratch(&buf, n, reserve_, default_)) ++bulk_inits_;
+    return buf;
   }
+
+  /// Capacity that a buffer allocated from now on reserves (see GrowScratch).
+  void SetReserve(std::size_t n) { reserve_ = n; }
 
   /// `touched` must cover every index whose value may differ from the
   /// default; duplicate entries are fine.
@@ -117,69 +151,57 @@ class ScratchPool {
 
  private:
   T default_;
+  std::size_t reserve_ = 0;
   std::vector<std::vector<T>> free_;
   std::uint64_t bulk_inits_ = 0;
   std::uint64_t acquires_ = 0;
 };
 
-/// Epoch-stamped single-source BFS state: per vertex, its distance and its
-/// *support*, the number of alive neighbours exactly one level closer to the
-/// source. The source counts one virtual parent, so during a repair support
-/// 0 means "no shortest path left".
+/// Single-source BFS state: per vertex, its distance and its *support*, the
+/// number of alive neighbours exactly one level closer to the source. The
+/// source counts one virtual parent, so during a repair support 0 means "no
+/// shortest path left".
 ///
-/// Reset() starts a new epoch in O(1); entries whose stamp is stale read as
-/// kInfDistance with support 0. The support counts are what let the
-/// decremental repair (UpdateDistancesAfterDeletion) find exactly the
-/// vertices whose distance changed without revisiting the others.
+/// Reset(n) marks vertices 0..n-1 unreached (kInfDistance, support 0) in
+/// O(n). The peel sizes its maps to the candidate (|G0|) and the BFS that
+/// follows a reset visits the whole candidate anyway, so the fill is not a
+/// bulk init and no per-vertex epoch stamp is kept. The support counts are
+/// what let the decremental repair (UpdateDistancesAfterDeletion) find
+/// exactly the vertices whose distance changed without revisiting the
+/// others.
 class DistanceMap {
  public:
   void Reset(std::size_t n) {
-    if (slots_.size() < n) {
-      ++bulk_inits_;
-      slots_.resize(n);
-    }
-    if (++epoch_ == 0) {
-      // Stamp wrap-around: without this bulk re-init, entries stamped in the
-      // old epoch 0 would read as fresh again. The O(n) fill is counted as a
-      // bulk init (it happens once per 2^32 resets).
-      ++bulk_inits_;
-      for (Slot& s : slots_) s.stamp = 0;
-      epoch_ = 1;
-    }
+    // Growth may discard the old slots: all are overwritten below.
+    if (GrowScratch(&slots_, n, reserve_, Slot{})) ++bulk_inits_;
+    std::fill_n(slots_.begin(), n, Slot{});
     ++resets_;
   }
 
-  /// Test hook: jumps the epoch to its maximum so the next Reset() exercises
-  /// the uint32 wrap path.
-  void ForceEpochWrapForTest() { epoch_ = std::numeric_limits<std::uint32_t>::max(); }
+  /// Capacity reserved when the slots must grow (see GrowScratch).
+  void SetReserve(std::size_t n) { reserve_ = n; }
 
-  std::uint32_t Get(VertexId v) const {
-    const Slot& s = slots_[v];
-    return s.stamp == epoch_ ? s.dist : kInfDistance;
-  }
-  std::uint32_t Support(VertexId v) const {
-    const Slot& s = slots_[v];
-    return s.stamp == epoch_ ? s.support : 0;
-  }
+  std::uint32_t Get(VertexId v) const { return slots_[v].dist; }
+  std::uint32_t Support(VertexId v) const { return slots_[v].support; }
 
-  void Set(VertexId v, std::uint32_t d, std::uint32_t support) {
-    slots_[v] = Slot{epoch_, d, support};
-  }
+  void Set(VertexId v, std::uint32_t d, std::uint32_t support) { slots_[v] = Slot{d, support}; }
   void SetUnreachable(VertexId v) { Set(v, kInfDistance, 0); }
 
   void AddSupport(VertexId v) {
-    BCCS_DCHECK_EQ(slots_[v].stamp, epoch_);
+    BCCS_DCHECK_NE(slots_[v].dist, kInfDistance) << "support for unreached vertex " << v;
     ++slots_[v].support;
   }
   /// Debits one parent; true when v has none left (v is orphaned).
   bool DropSupport(VertexId v) {
-    BCCS_DCHECK_EQ(slots_[v].stamp, epoch_);
     BCCS_DCHECK_GT(slots_[v].support, 0u) << "support underflow at vertex " << v;
     return --slots_[v].support == 0;
   }
 
-  /// BFS queue scratch (capacity persists across epochs).
-  std::vector<VertexId>& queue() { return queue_; }
+  /// BFS queue scratch (capacity persists across resets). Maps handed out
+  /// by one QueryWorkspace share one queue: their BFS and repair calls
+  /// never overlap.
+  std::vector<VertexId>& queue() { return shared_queue_ != nullptr ? *shared_queue_ : queue_; }
+  void ShareQueue(std::vector<VertexId>* queue) { shared_queue_ = queue; }
 
   std::uint64_t bulk_inits() const { return bulk_inits_; }
   std::uint64_t resets() const { return resets_; }
@@ -187,14 +209,14 @@ class DistanceMap {
  private:
   // One record per vertex so a BFS probe touches one cache line.
   struct Slot {
-    std::uint32_t stamp = 0;
-    std::uint32_t dist = 0;
+    std::uint32_t dist = kInfDistance;
     std::uint32_t support = 0;
   };
 
-  std::uint32_t epoch_ = 0;
+  std::size_t reserve_ = 0;
   std::vector<Slot> slots_;
   std::vector<VertexId> queue_;
+  std::vector<VertexId>* shared_queue_ = nullptr;
   std::uint64_t bulk_inits_ = 0;
   std::uint64_t resets_ = 0;
 };
@@ -207,35 +229,30 @@ class DistanceMap {
 /// level and is discarded lazily when its bucket is inspected. Each
 /// Update() that changes a value pushes one entry, so total queue work is
 /// proportional to the number of distance changes, not to rounds * n.
+///
+/// Reset(n) marks vertices 0..n-1 unqueued in O(n), as DistanceMap::Reset
+/// does: the queue is candidate-sized and every vertex is queued right after.
 class PeelQueue {
  public:
   void Reset(std::size_t n) {
-    if (qd_.size() < n) {
-      ++bulk_inits_;
-      qd_.resize(n, 0);
-      stamp_.resize(n, 0);
-    }
+    // Growth may discard the old values: all are overwritten below.
+    if (GrowScratch(&qd_, n, reserve_, kUnqueued)) ++bulk_inits_;
+    std::fill_n(qd_.begin(), n, kUnqueued);
     for (std::uint32_t d = 0; d < buckets_.size() && d <= max_level_; ++d) buckets_[d].clear();
     inf_.clear();
     max_level_ = 0;
-    if (++epoch_ == 0) {  // see DistanceMap::Reset — wrap forces a bulk re-init
-      ++bulk_inits_;
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
     ++resets_;
   }
 
-  /// Test hook: jumps the epoch to its maximum so the next Reset() exercises
-  /// the uint32 wrap path.
-  void ForceEpochWrapForTest() { epoch_ = std::numeric_limits<std::uint32_t>::max(); }
+  /// Capacity reserved when the queue must grow (see GrowScratch).
+  void SetReserve(std::size_t n) { reserve_ = n; }
 
   /// Records v's current query distance; queues v at its new level. No-op
   /// when the stored value is unchanged (so duplicate entries per level are
   /// impossible and pops need no dedup pass).
   void Update(VertexId v, std::uint32_t qd) {
-    if (stamp_[v] == epoch_ && qd_[v] == qd) return;
-    stamp_[v] = epoch_;
+    BCCS_DCHECK_NE(qd, kUnqueued);
+    if (qd_[v] == qd) return;
     qd_[v] = qd;
     Push(v, qd);
   }
@@ -243,7 +260,7 @@ class PeelQueue {
   /// Re-queues a vertex previously popped but not deleted (single-delete
   /// mode returns the untouched remainder of a batch).
   void Requeue(VertexId v) {
-    BCCS_DCHECK_EQ(stamp_[v], epoch_) << "Requeue of a vertex not seen this epoch";
+    BCCS_DCHECK_NE(qd_[v], kUnqueued) << "Requeue of a vertex not seen since Reset";
     Push(v, qd_[v]);
   }
 
@@ -288,7 +305,10 @@ class PeelQueue {
     if (qd > max_level_) max_level_ = qd;
   }
 
-  std::uint32_t StoredQd(VertexId v) const { return stamp_[v] == epoch_ ? qd_[v] : kInfDistance; }
+  // Marks a vertex not queued since Reset. Query distances are below the
+  // candidate's size or kInfDistance, so they never take this value.
+  static constexpr std::uint32_t kUnqueued = kInfDistance - 1;
+
 
   // Moves the level's valid non-query entries into `batch`, keeps valid
   // query entries queued, drops stale/dead entries. True if the level held
@@ -301,7 +321,7 @@ class PeelQueue {
     bool any_query = false;
     std::size_t keep = 0;
     for (VertexId v : *entries) {
-      if (!alive[v] || StoredQd(v) != this_level) continue;  // dead or moved: drop
+      if (!alive[v] || qd_[v] != this_level) continue;  // dead or moved: drop
       if (is_query(v)) {
         (*entries)[keep++] = v;
         any_query = true;
@@ -313,10 +333,9 @@ class PeelQueue {
     return any_query || !batch->empty();
   }
 
-  std::uint32_t epoch_ = 0;
   std::uint32_t max_level_ = 0;
+  std::size_t reserve_ = 0;
   std::vector<std::uint32_t> qd_;
-  std::vector<std::uint32_t> stamp_;
   std::vector<std::vector<VertexId>> buckets_;
   std::vector<VertexId> inf_;
   std::uint64_t bulk_inits_ = 0;
@@ -333,7 +352,8 @@ class PeelQueue {
 /// workspace tests assert.
 class QueryWorkspace {
  public:
-  // Both out-of-line: PeelButterflyCounter is only forward-declared here.
+  // Both out-of-line: CandidateGraph and PeelButterflyCounter are only
+  // forward-declared here.
   QueryWorkspace();
   ~QueryWorkspace();
   QueryWorkspace(const QueryWorkspace&) = delete;
@@ -355,10 +375,7 @@ class QueryWorkspace {
   /// maintained all-zero (its users reset the entries they touch via
   /// `WedgeTouched()`).
   std::vector<std::uint32_t>& WedgePaths(std::size_t n) {
-    if (wedge_paths_.size() < n) {
-      ++local_bulk_inits_;
-      wedge_paths_.assign(n, 0);
-    }
+    if (GrowScratch(&wedge_paths_, n, vertex_reserve_, 0u)) ++local_bulk_inits_;
     return wedge_paths_;
   }
   std::vector<VertexId>& WedgeTouched() { return wedge_touched_; }
@@ -366,13 +383,12 @@ class QueryWorkspace {
   /// Stamp buffer + counter borrowed by LeaderButterflyUpdater so the
   /// Algorithm 7 scratch survives across queries. Called once per query;
   /// refreshes the stamps when the counter nears 32-bit wrap-around (a
-  /// single query increments it far less than the guard band), mirroring
-  /// the epoch-wrap handling of DistanceMap/PeelQueue.
+  /// single query increments it far less than the guard band).
   std::vector<std::uint32_t>* LeaderStamp(std::size_t n) {
     constexpr std::uint32_t kWrapGuard = 0xc0000000u;
-    if (leader_stamp_.size() < n) {
+    if (GrowScratch(&leader_stamp_, n, vertex_reserve_, 0u)) {
       ++local_bulk_inits_;
-      leader_stamp_.assign(n, 0);
+      std::fill(leader_stamp_.begin(), leader_stamp_.end(), 0);
       leader_counter_ = 0;
     } else if (leader_counter_ >= kWrapGuard) {
       std::fill(leader_stamp_.begin(), leader_stamp_.end(), 0);
@@ -381,6 +397,22 @@ class QueryWorkspace {
     return &leader_stamp_;
   }
   std::uint32_t* LeaderStampCounter() { return &leader_counter_; }
+
+  /// Pooled candidate graphs (bcc/candidate_graph.h): a released graph
+  /// keeps its buffers' capacity for the next Build.
+  std::unique_ptr<CandidateGraph> AcquireCandidateGraph();
+  void ReleaseCandidateGraph(std::unique_ptr<CandidateGraph> cg);
+
+  /// Charged by workspace-lent structures outside the pools (candidate graph
+  /// buffers) whenever one must grow.
+  void CountBulkInit() { ++local_bulk_inits_; }
+
+  /// Sets the capacity that every vertex-indexed buffer reserves when it
+  /// must grow (GrowScratch): CandidateGraph::Build passes the whole graph's
+  /// vertex count, so the candidate-sized buffers of a worker grow at most
+  /// once however their candidates vary.
+  void SetVertexReserve(std::size_t n);
+  std::size_t vertex_reserve() const { return vertex_reserve_; }
 
   /// Reusable vertex-id vectors (returned cleared, capacity persists).
   std::vector<VertexId>* AcquireIdVec();
@@ -412,6 +444,7 @@ class QueryWorkspace {
 
   std::vector<std::unique_ptr<DistanceMap>> distance_free_;
   std::vector<std::unique_ptr<DistanceMap>> distance_used_;
+  std::vector<VertexId> distance_queue_;  // shared by every DistanceMap above
   PeelQueue peel_queue_;
   CoreScratch core_scratch_;
 
@@ -423,10 +456,13 @@ class QueryWorkspace {
   std::vector<std::unique_ptr<std::vector<VertexId>>> id_free_;
   std::vector<std::unique_ptr<std::vector<VertexId>>> id_used_;
 
+  std::vector<std::unique_ptr<CandidateGraph>> candidate_free_;
+
   std::vector<std::unique_ptr<PeelButterflyCounter>> peel_counter_free_;
   std::vector<std::unique_ptr<PeelButterflyCounter>> peel_counter_used_;
 
   Deadline deadline_;
+  std::size_t vertex_reserve_ = 0;
   std::uint64_t local_bulk_inits_ = 0;
 };
 

@@ -9,12 +9,15 @@
 
 namespace bccs {
 
+class CandidateGraph;
 class QueryWorkspace;
 
 /// Per-vertex butterfly degrees over a bipartite cross graph.
 struct ButterflyCounts {
   /// chi[v] = number of butterflies (2x2 bicliques) containing v. Indexed by
-  /// graph vertex id; entries for non-members are 0.
+  /// the id space of the graph counted (global ids from CountButterflies,
+  /// candidate-local ids from the CandidateGraph kernel); entries for
+  /// non-members are 0.
   std::vector<std::uint64_t> chi;
   /// Total number of distinct butterflies.
   std::uint64_t total = 0;
@@ -24,33 +27,36 @@ struct ButterflyCounts {
   VertexId argmax_right = kInvalidVertex;
 };
 
-/// Paper's Algorithm 3: per-vertex butterfly degrees over the bipartite graph
-/// B whose vertices are the alive members of `left` / `right` (masks
-/// `in_left` / `in_right`) and whose edges are the cross edges of `g` between
-/// them.
+/// Paper's Algorithm 3 on a candidate graph: per-vertex butterfly degrees
+/// over the bipartite graph B between the alive vertices of group `a`
+/// (reported as the left side) and group `b` (the right side) of `cg`, whose
+/// edges are the cross edges between them. `alive` (local ids) null means
+/// every member is alive.
 ///
 /// For each vertex v, counts 2-hop paths to every same-side vertex w via a
 /// flat counter with a touched-list (the "hash map P" of the paper) and adds
-/// C(P[w], 2). O(sum of d_B(u)^2) time.
+/// C(P[w], 2). Reads only the stored cross sub-ranges NeighborsIn(v, b) and
+/// NeighborsIn(u, a), never an edge outside B. O(sum of d_B(u)^2) time.
+///
+/// `out->chi` is rewritten on the two groups' local ranges only (dead
+/// members get 0); it is grown to cg.NumVertices() when smaller, so a
+/// workspace-pooled buffer that is all-zero elsewhere stays that way. The
+/// wedge counter comes from `ws` when given. The argmax of a side is its
+/// first strict maximum in local order, i.e. in ascending global id, and is
+/// valid for every side with an alive vertex even when all its chi are 0.
+void CountButterfliesInto(const CandidateGraph& cg, std::size_t a, std::size_t b,
+                          const std::vector<char>* alive, QueryWorkspace* ws,
+                          ButterflyCounts* out);
+
+/// Algorithm 3 over graph ids: the alive members of `left` / `right` (masks
+/// `in_left` / `in_right`, disjoint) are built into a two-group
+/// CandidateGraph and counted by the kernel above; chi is returned indexed
+/// by graph vertex id (n entries). The argmax of a side is its first strict
+/// maximum in ascending vertex id.
 ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId> left,
                                  std::span<const VertexId> right,
                                  const std::vector<char>& in_left,
                                  const std::vector<char>& in_right);
-
-/// Workspace variant writing into `out`. With a workspace, the wedge counter
-/// comes from the workspace and `out->chi` is only rewritten for the
-/// left/right members (the buffer must be sized to the graph and all-zero
-/// outside those members — the contract of workspace-pooled chi buffers), so
-/// a recount costs O(|members| + wedges) with no O(n) pass. With ws ==
-/// nullptr it behaves exactly like CountButterflies into `out`.
-///
-/// Both variants guarantee a valid argmax for every non-empty side: if all
-/// butterfly degrees on a side are zero, the side's first alive vertex is
-/// reported with max = 0.
-void CountButterfliesInto(const LabeledGraph& g, std::span<const VertexId> left,
-                          std::span<const VertexId> right, const std::vector<char>& in_left,
-                          const std::vector<char>& in_right, QueryWorkspace* ws,
-                          ButterflyCounts* out);
 
 /// Total butterfly count using the vertex-priority wedge ordering of Wang et
 /// al. (PVLDB 2019): each wedge is charged to its highest-priority endpoint

@@ -151,58 +151,55 @@ PairButterflyRepair RepairPairButterflies(const LabeledGraph& base,
   return out;
 }
 
-std::uint32_t LeaderButterflyUpdater::MarkingOf(VertexId leader,
-                                                const std::vector<char>& other) {
+std::uint32_t LeaderButterflyUpdater::MarkingOf(VertexId leader, std::uint32_t other,
+                                                const std::vector<char>& alive) {
   for (const Marking& m : markings_) {
-    if (m.leader == leader && m.other == &other) return m.stamp;
+    if (m.leader == leader && m.other == other) return m.stamp;
   }
   const std::uint32_t stamp = ++*counter_;
-  Label label = kNoMarks;
-  for (VertexId u : g_->Neighbors(leader)) {
-    if (!other[u]) continue;
-    BCCS_DCHECK(label == kNoMarks || g_->LabelOf(u) == label) << "mask spans two labels";
-    label = g_->LabelOf(u);
-    (*stamp_)[u] = stamp;
+  for (VertexId u : cg_->NeighborsIn(leader, other)) {
+    if (alive[u]) (*stamp_)[u] = stamp;
   }
-  std::erase_if(markings_, [label](const Marking& m) { return m.label == label; });
-  markings_.push_back(Marking{leader, &other, stamp, label});
+  std::erase_if(markings_, [other](const Marking& m) { return m.other == other; });
+  markings_.push_back(Marking{leader, other, stamp});
   return stamp;
 }
 
-std::uint64_t LeaderButterflyUpdater::LossOnDeletion(const std::vector<char>& in_a,
-                                                     const std::vector<char>& in_b,
+std::uint64_t LeaderButterflyUpdater::LossOnDeletion(const std::vector<char>& alive,
+                                                     std::uint32_t a, std::uint32_t b,
                                                      VertexId leader, VertexId removed) {
-  if (leader == removed) return 0;
-  const std::vector<char>& leader_side = in_a[leader] ? in_a : in_b;
-  const std::vector<char>& other_side = in_a[leader] ? in_b : in_a;
-  if (!leader_side[leader]) return 0;
+  if (leader == removed || !alive[leader]) return 0;
+  const std::uint32_t side = cg_->GroupOf(leader);
+  BCCS_DCHECK(side == a || side == b) << "leader outside the pair's groups";
+  const std::uint32_t other = side == a ? b : a;
+  const std::uint32_t removed_group = cg_->GroupOf(removed);
+  if (removed_group != side && removed_group != other) return 0;  // not part of B
 
-  // Stamp of the leader's cross neighbors N_B(leader), filtered on
-  // other_side at every read below.
-  const std::uint32_t stamp = MarkingOf(leader, other_side);
+  // Stamp of the leader's cross neighbors N_B(leader), filtered on `alive`
+  // at every read below.
+  const std::uint32_t stamp = MarkingOf(leader, other, alive);
 
-  if (leader_side[removed]) {
+  if (removed_group == side) {
     // Same side: butterflies containing both pick 2 of the alpha common
     // cross neighbors.
     std::uint64_t alpha = 0;
-    for (VertexId u : g_->Neighbors(removed)) {
-      if (other_side[u] && (*stamp_)[u] == stamp) ++alpha;
+    for (VertexId u : cg_->NeighborsIn(removed, other)) {
+      if (alive[u] && (*stamp_)[u] == stamp) ++alpha;
     }
     return alpha * (alpha - 1) / 2;
   }
 
-  if (!other_side[removed]) return 0;  // not part of B
   if ((*stamp_)[removed] != stamp) return 0;  // no edge (leader, removed) in B
 
   // Different sides: for every other leader-side vertex u adjacent to
   // `removed`, each common cross neighbor of u and leader besides `removed`
   // completes one butterfly {leader, u} x {removed, x}.
   std::uint64_t beta = 0;
-  for (VertexId u : g_->Neighbors(removed)) {
-    if (u == leader || !leader_side[u]) continue;
+  for (VertexId u : cg_->NeighborsIn(removed, side)) {
+    if (u == leader || !alive[u]) continue;
     std::uint64_t common = 0;
-    for (VertexId x : g_->Neighbors(u)) {
-      if (other_side[x] && (*stamp_)[x] == stamp) ++common;
+    for (VertexId x : cg_->NeighborsIn(u, other)) {
+      if (alive[x] && (*stamp_)[x] == stamp) ++common;
     }
     beta += common - 1;  // `removed` itself is always in the intersection
   }

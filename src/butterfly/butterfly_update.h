@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "bcc/candidate_graph.h"
 #include "butterfly/butterfly_counting.h"
 #include "graph/labeled_graph.h"
 
@@ -41,28 +42,35 @@ PairButterflyRepair RepairPairButterflies(const LabeledGraph& base,
                                           ButterflyCounts* counts);
 
 /// Paper's Algorithm 7: incremental butterfly-degree update for a leader
-/// vertex when one vertex is deleted from the bipartite graph B.
+/// vertex when one vertex is deleted from the bipartite graph B, on a
+/// candidate graph (local ids).
+///
+/// B is the bipartite graph between the alive members of two groups of the
+/// candidate; the leader's side is its own group, and every read is one
+/// stored cross sub-range (CandidateGraph::NeighborsIn), so no edge outside
+/// B is ever touched.
 ///
 /// Reusable across calls: the leader's alive cross neighbours N_B(leader)
-/// are stamped into a scratch array once per (leader, other-side mask) and
-/// the marking is reused by later calls, so an update costs
+/// are stamped into a scratch array once per (leader, other group) and the
+/// marking is reused by later calls, so an update costs
 /// O(d(removed) * d_max) time (the paper's O(d_u^2)), not O(d(leader)) more,
 /// and no allocation.
 ///
-/// Precondition: between calls on one updater, the masks only lose vertices
-/// (a peel's masks only shrink), and each mask holds vertices of a single
-/// label. A cached marking is then a superset of the leader's alive cross
-/// neighbours, and every read filters it on the live mask.
+/// Precondition: between calls on one updater, `alive` only loses vertices
+/// (a peel's candidate only shrinks). A cached marking is then a superset of
+/// the leader's alive cross neighbours, and every read filters it on
+/// `alive`.
 class LeaderButterflyUpdater {
  public:
-  explicit LeaderButterflyUpdater(const LabeledGraph& g)
-      : g_(&g), own_stamp_(g.NumVertices(), 0), stamp_(&own_stamp_), counter_(&own_counter_) {}
+  explicit LeaderButterflyUpdater(const CandidateGraph& cg)
+      : cg_(&cg), own_stamp_(cg.NumVertices(), 0), stamp_(&own_stamp_),
+        counter_(&own_counter_) {}
 
-  /// Borrows the stamp scratch (sized >= NumVertices, monotone counter) from
-  /// a caller that keeps it alive across queries — no O(n) allocation here.
-  LeaderButterflyUpdater(const LabeledGraph& g, std::vector<std::uint32_t>* stamp,
+  /// Borrows the stamp scratch (sized >= cg.NumVertices(), monotone counter)
+  /// from a caller that keeps it alive across queries — no allocation here.
+  LeaderButterflyUpdater(const CandidateGraph& cg, std::vector<std::uint32_t>* stamp,
                          std::uint32_t* counter)
-      : g_(&g), stamp_(stamp), counter_(counter) {}
+      : cg_(&cg), stamp_(stamp), counter_(counter) {}
 
   // stamp_ may point into own_stamp_; copying would dangle.
   LeaderButterflyUpdater(const LeaderButterflyUpdater&) = delete;
@@ -71,35 +79,34 @@ class LeaderButterflyUpdater {
   /// Returns the number of butterflies of B that contain both `leader` and
   /// `removed`, i.e. how much chi(leader) drops when `removed` is deleted.
   ///
-  /// B is the bipartite graph over the two alive sides described by masks
-  /// `in_a` / `in_b` (cross edges of `g` between them). `removed` must still
-  /// be alive in its mask when this is called. `leader` and `removed` may be
-  /// on the same side (paper's lines 1-3) or different sides (lines 4-8).
-  std::uint64_t LossOnDeletion(const std::vector<char>& in_a, const std::vector<char>& in_b,
-                               VertexId leader, VertexId removed);
+  /// B lies between groups `a` and `b` of the candidate, restricted to
+  /// `alive`; `leader` must be a member of one of them. `removed` must
+  /// still be alive when this is called. `leader` and `removed` may be on
+  /// the same side (paper's lines 1-3) or different sides (lines 4-8).
+  std::uint64_t LossOnDeletion(const std::vector<char>& alive, std::uint32_t a,
+                               std::uint32_t b, VertexId leader, VertexId removed);
 
  private:
-  /// One stamping of N_B(leader): every cross neighbour of `leader` alive in
-  /// `*other` at marking time carries `stamp`. A vertex holds one stamp, so
-  /// a newer marking of the same label group overwrites this one.
+  /// One stamping of N_B(leader): every neighbour of `leader` in group
+  /// `other` alive at marking time carries `stamp`. A vertex holds one
+  /// stamp, so a newer marking into the same group overwrites this one.
   struct Marking {
     VertexId leader;
-    const std::vector<char>* other;
+    std::uint32_t other;
     std::uint32_t stamp;
-    Label label;  // label of the stamped vertices; kNoMarks when none
   };
-  static constexpr Label kNoMarks = static_cast<Label>(-1);
 
-  /// Stamp of the live marking of N_B(leader) in `other`, marking it first
-  /// (and evicting the marking it overwrites) when there is none.
-  std::uint32_t MarkingOf(VertexId leader, const std::vector<char>& other);
+  /// Stamp of the live marking of N_B(leader) in group `other`, marking it
+  /// first (and evicting the marking it overwrites) when there is none.
+  std::uint32_t MarkingOf(VertexId leader, std::uint32_t other,
+                          const std::vector<char>& alive);
 
-  const LabeledGraph* g_;
+  const CandidateGraph* cg_;
   std::vector<std::uint32_t> own_stamp_;
   std::uint32_t own_counter_ = 0;
   std::vector<std::uint32_t>* stamp_;
   std::uint32_t* counter_;
-  std::vector<Marking> markings_;  // at most one per label group, plus one kNoMarks
+  std::vector<Marking> markings_;  // at most one per group
 };
 
 }  // namespace bccs

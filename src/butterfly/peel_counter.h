@@ -92,7 +92,8 @@ class PeelButterflyCounter {
     VertexId v;
   };
   // Max-heap order: highest chi first, ties to the earliest scan position —
-  // exactly the vertex SideMaxAndSum's first-strict-maximum scan reports.
+  // exactly the vertex the counting kernel's first-strict-maximum scan
+  // reports.
   static bool EntryBelow(const HeapEntry& a, const HeapEntry& b) {
     if (a.chi != b.chi) return a.chi < b.chi;
     return a.pos > b.pos;

@@ -123,6 +123,7 @@ class LabeledGraph {
   friend class SnapshotAccess;    // builds view-mode graphs from mapped files
   friend class GraphDeltaAccess;  // rebuilds adjacency, shares label arrays
   friend class ValidateAccess;    // common/validate.h audits the raw arrays
+  friend class CandidateGraph;    // bcc/candidate_graph.h views its local CSR
 
   ArrayRef<std::uint64_t> offsets_;        // size NumVertices()+1
   ArrayRef<VertexId> adjacency_;           // both directions, sorted per vertex

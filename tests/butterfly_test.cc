@@ -130,8 +130,11 @@ TEST_P(ButterflyPropertyTest, LeaderUpdateMatchesRecount) {
   for (VertexId v = 10; v < 20; ++v) right.push_back(v);
   auto in_left = MaskOf(g, left);
   auto in_right = MaskOf(g, right);
+  // Groups 0..9 and 10..19 keep their ids as candidate-local ids.
+  auto cg = testing::MakeCandidate(g, {left, right});
+  std::vector<char> alive(20, 1);
 
-  LeaderButterflyUpdater updater(g);
+  LeaderButterflyUpdater updater(*cg);
   std::mt19937_64 rng(GetParam());
   // Track one leader per side through a random deletion sequence.
   VertexId leader_l = left[rng() % left.size()];
@@ -147,9 +150,10 @@ TEST_P(ButterflyPropertyTest, LeaderUpdateMatchesRecount) {
   std::shuffle(order.begin(), order.end(), rng);
 
   for (VertexId victim : order) {
-    chi_l -= updater.LossOnDeletion(in_left, in_right, leader_l, victim);
-    chi_r -= updater.LossOnDeletion(in_left, in_right, leader_r, victim);
+    chi_l -= updater.LossOnDeletion(alive, 0, 1, leader_l, victim);
+    chi_r -= updater.LossOnDeletion(alive, 0, 1, leader_r, victim);
     (victim < 10 ? in_left : in_right)[victim] = 0;
+    alive[victim] = 0;
     auto fresh = CountButterflies(g, left, right, in_left, in_right);
     ASSERT_EQ(chi_l, fresh.chi[leader_l]) << "victim " << victim;
     ASSERT_EQ(chi_r, fresh.chi[leader_r]) << "victim " << victim;
@@ -186,7 +190,10 @@ TEST_P(ButterflyPropertyTest, CachedLeaderMarksMatchRecountAcrossThreePairs) {
     for (int s = 0; s < 2; ++s) ps.chi[s] = c.chi[ps.leader[s]];
   }
 
-  LeaderButterflyUpdater updater(g);
+  // The updater runs on candidate-local ids; group i is label i.
+  auto cg = testing::MakeCandidate(g, groups);
+  std::vector<char> alive(g.NumVertices(), 1);
+  LeaderButterflyUpdater updater(*cg);
   std::vector<VertexId> order = testing::AllVertices(g);
   std::shuffle(order.begin(), order.end(), rng);
   for (VertexId victim : order) {
@@ -196,10 +203,13 @@ TEST_P(ButterflyPropertyTest, CachedLeaderMarksMatchRecountAcrossThreePairs) {
       for (int s = 0; s < 2; ++s) {
         const VertexId leader = ps.leader[s];
         if (leader == victim || !masks[g.LabelOf(leader)][leader]) continue;
-        ps.chi[s] -= updater.LossOnDeletion(masks[ps.i], masks[ps.j], leader, victim);
+        ps.chi[s] -= updater.LossOnDeletion(alive, static_cast<std::uint32_t>(ps.i),
+                                            static_cast<std::uint32_t>(ps.j),
+                                            cg->ToLocal(leader), cg->ToLocal(victim));
       }
     }
     masks[gv][victim] = 0;
+    alive[cg->ToLocal(victim)] = 0;
     for (const Pair& ps : pairs) {
       ButterflyCounts fresh = counts_of(ps);
       for (int s = 0; s < 2; ++s) {
@@ -219,30 +229,31 @@ TEST(ButterflyUpdateTest, PaperExample6) {
   Figure3Graph f = MakeFigure3Graph();
   std::vector<VertexId> left = {f.ql, f.v1, f.v2, f.v3};
   std::vector<VertexId> right = {f.qr, f.u1, f.u2, f.u3, f.u4, f.u5, f.u6, f.u7, f.u9};
-  auto in_left = MaskOf(f.graph, left);
-  auto in_right = MaskOf(f.graph, right);
-  LeaderButterflyUpdater updater(f.graph);
+  auto cg = testing::MakeCandidate(f.graph, {left, right});
+  auto local = [&](VertexId v) { return cg->ToLocal(v); };
+  std::vector<char> alive(cg->NumVertices(), 1);
+  LeaderButterflyUpdater updater(*cg);
 
   // Deleting u9 has no influence on butterfly degrees.
-  EXPECT_EQ(updater.LossOnDeletion(in_left, in_right, f.u2, f.u9), 0u);
-  EXPECT_EQ(updater.LossOnDeletion(in_left, in_right, f.v1, f.u9), 0u);
-  in_right[f.u9] = 0;
+  EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, local(f.u2), local(f.u9)), 0u);
+  EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, local(f.v1), local(f.u9)), 0u);
+  alive[local(f.u9)] = 0;
 
   // Deleting u6: same-side update for u2 loses C(2,2) = 1 (common neighbors
   // {v1, v3}); cross-side update for v1 loses 3.
-  EXPECT_EQ(updater.LossOnDeletion(in_left, in_right, f.u2, f.u6), 1u);
-  EXPECT_EQ(updater.LossOnDeletion(in_left, in_right, f.v1, f.u6), 3u);
+  EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, local(f.u2), local(f.u6)), 1u);
+  EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, local(f.v1), local(f.u6)), 3u);
 }
 
 TEST(ButterflyUpdateTest, NoEdgeNoLoss) {
   // leader and removed on different sides without an edge: loss must be 0.
   std::vector<Edge> edges = {{0, 2}, {1, 2}, {1, 3}};
   LabeledGraph g = LabeledGraph::FromEdges(4, std::move(edges), {0, 0, 1, 1});
-  auto in_left = MaskOf(g, {0, 1});
-  auto in_right = MaskOf(g, {2, 3});
-  LeaderButterflyUpdater updater(g);
-  EXPECT_EQ(updater.LossOnDeletion(in_left, in_right, 0, 3), 0u);
-  EXPECT_EQ(updater.LossOnDeletion(in_left, in_right, 0, 0), 0u);  // self
+  auto cg = testing::MakeCandidate(g, {{0, 1}, {2, 3}});  // local ids = graph ids
+  std::vector<char> alive(4, 1);
+  LeaderButterflyUpdater updater(*cg);
+  EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, 0, 3), 0u);
+  EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, 0, 0), 0u);  // self
 }
 
 }  // namespace

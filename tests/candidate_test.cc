@@ -9,6 +9,7 @@
 namespace bccs {
 namespace {
 
+using testing::MakeCandidate;
 using testing::MakeRandomGraph;
 
 // Two labeled triangles with one cross edge.
@@ -19,7 +20,8 @@ LabeledGraph TwoTriangles() {
 
 TEST(GroupedCandidateTest, ConstructionDegrees) {
   LabeledGraph g = TwoTriangles();
-  GroupedCandidate cand(g, {{0, 1, 2}, {3, 4, 5}}, {2, 2});
+  auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
+  GroupedCandidate cand(*cg, {2, 2});
   EXPECT_EQ(cand.NumAlive(), 6u);
   for (VertexId v = 0; v < 6; ++v) {
     EXPECT_TRUE(cand.IsAlive(v));
@@ -33,7 +35,8 @@ TEST(GroupedCandidateTest, ConstructionDegrees) {
 
 TEST(GroupedCandidateTest, CascadeWithinGroup) {
   LabeledGraph g = TwoTriangles();
-  GroupedCandidate cand(g, {{0, 1, 2}, {3, 4, 5}}, {2, 2});
+  auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
+  GroupedCandidate cand(*cg, {2, 2});
   // Removing one triangle vertex breaks the 2-core of that whole group, but
   // the other group must be untouched.
   const VertexId batch[] = {1};
@@ -48,7 +51,8 @@ TEST(GroupedCandidateTest, CascadeWithinGroup) {
 
 TEST(GroupedCandidateTest, OnRemoveSeesConsistentState) {
   LabeledGraph g = TwoTriangles();
-  GroupedCandidate cand(g, {{0, 1, 2}, {3, 4, 5}}, {2, 2});
+  auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
+  GroupedCandidate cand(*cg, {2, 2});
   std::vector<VertexId> order;
   const VertexId batch[] = {1};
   cand.RemoveAndMaintain(batch, [&](VertexId v) {
@@ -64,7 +68,8 @@ TEST(GroupedCandidateTest, OnRemoveSeesConsistentState) {
 
 TEST(GroupedCandidateTest, RemovingDeadVertexIsNoop) {
   LabeledGraph g = TwoTriangles();
-  GroupedCandidate cand(g, {{0, 1, 2}, {3, 4, 5}}, {2, 2});
+  auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
+  GroupedCandidate cand(*cg, {2, 2});
   const VertexId batch[] = {1};
   cand.RemoveAndMaintain(batch);
   auto removed = cand.RemoveAndMaintain(batch);
@@ -73,7 +78,8 @@ TEST(GroupedCandidateTest, RemovingDeadVertexIsNoop) {
 
 TEST(GroupedCandidateTest, DuplicateBatchEntriesHandled) {
   LabeledGraph g = TwoTriangles();
-  GroupedCandidate cand(g, {{0, 1, 2}, {3, 4, 5}}, {0, 0});  // k = 0: no cascade
+  auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});
+  GroupedCandidate cand(*cg, {0, 0});  // k = 0: no cascade
   const VertexId batch[] = {1, 1, 1};
   auto removed = cand.RemoveAndMaintain(batch);
   EXPECT_EQ(removed.size(), 1u);
@@ -92,13 +98,22 @@ TEST_P(CandidatePropertyTest, MaintenanceMatchesRecomputation) {
                                   g.VerticesWithLabel(1).end());
   auto left = KCoreOfSubset(g, left_all, k);
   auto right = KCoreOfSubset(g, right_all, k);
-  GroupedCandidate cand(g, {left, right}, {k, k});
+  auto cg = MakeCandidate(g, {left, right});
+  GroupedCandidate cand(*cg, {k, k});
+  // The candidate's alive vertices as sorted graph ids.
+  auto alive_global = [&] {
+    std::vector<VertexId> out;
+    for (VertexId v : cand.AliveVertices()) out.push_back(cg->ToGlobal(v));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
 
   std::mt19937_64 rng(GetParam() + 5);
   while (cand.NumAlive() > 0) {
-    auto alive = cand.AliveVertices();
+    auto alive = alive_global();
     const VertexId batch[] = {alive[rng() % alive.size()]};
-    cand.RemoveAndMaintain(batch);
+    const VertexId local_batch[] = {cg->ToLocal(batch[0])};
+    cand.RemoveAndMaintain(local_batch);
 
     std::vector<VertexId> left_members, right_members;
     for (VertexId v : alive) {
@@ -110,7 +125,7 @@ TEST_P(CandidatePropertyTest, MaintenanceMatchesRecomputation) {
     std::vector<VertexId> expected = expect_left;
     expected.insert(expected.end(), expect_right.begin(), expect_right.end());
     std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(cand.AliveVertices(), expected) << "seed " << GetParam();
+    ASSERT_EQ(alive_global(), expected) << "seed " << GetParam();
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "bcc/find_g0.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -73,7 +74,14 @@ void ExpectSameG0(const G0Result& paper, const G0Result& indexed, const std::str
   EXPECT_EQ(paper.right, indexed.right) << note;
   EXPECT_EQ(paper.k1, indexed.k1) << note;
   EXPECT_EQ(paper.k2, indexed.k2) << note;
-  EXPECT_EQ(paper.counts.chi, indexed.counts.chi) << note;
+  // chi is indexed by the candidate's local ids (equal left/right give equal
+  // numbering); a pooled buffer may run past them, so compare G0's entries.
+  const std::size_t g0_size = paper.left.size() + paper.right.size();
+  ASSERT_GE(paper.counts.chi.size(), g0_size) << note;
+  ASSERT_GE(indexed.counts.chi.size(), g0_size) << note;
+  EXPECT_TRUE(std::equal(paper.counts.chi.begin(), paper.counts.chi.begin() + g0_size,
+                         indexed.counts.chi.begin()))
+      << note;
   EXPECT_EQ(paper.counts.total, indexed.counts.total) << note;
   EXPECT_EQ(paper.counts.argmax_left, indexed.counts.argmax_left) << note;
   EXPECT_EQ(paper.counts.argmax_right, indexed.counts.argmax_right) << note;

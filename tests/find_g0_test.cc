@@ -19,13 +19,15 @@ TEST(FindG0Test, PaperFigure1) {
   // L = {ql, v1..v5}, R = {qr, u1..u3} (the paper's Figure 2).
   EXPECT_EQ(g0.left, (std::vector<VertexId>{f.ql, f.v1, f.v2, f.v3, f.v4, f.v5}));
   EXPECT_EQ(g0.right, (std::vector<VertexId>{f.qr, f.u1, f.u2, f.u3}));
-  // Example 1/2: B is the single butterfly {ql, v5} x {qr, u3}.
+  // Example 1/2: B is the single butterfly {ql, v5} x {qr, u3}. chi is
+  // indexed by the candidate graph's local ids.
+  auto chi = [&](VertexId v) { return g0.counts.chi[g0.graph->ToLocal(v)]; };
   EXPECT_EQ(g0.counts.total, 1u);
-  EXPECT_EQ(g0.counts.chi[f.ql], 1u);
-  EXPECT_EQ(g0.counts.chi[f.v5], 1u);
-  EXPECT_EQ(g0.counts.chi[f.qr], 1u);
-  EXPECT_EQ(g0.counts.chi[f.u3], 1u);
-  EXPECT_EQ(g0.counts.chi[f.v1], 0u);
+  EXPECT_EQ(chi(f.ql), 1u);
+  EXPECT_EQ(chi(f.v5), 1u);
+  EXPECT_EQ(chi(f.qr), 1u);
+  EXPECT_EQ(chi(f.u3), 1u);
+  EXPECT_EQ(chi(f.v1), 0u);
   EXPECT_EQ(stats.butterfly_counting_calls, 1u);
 }
 

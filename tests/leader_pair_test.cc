@@ -9,35 +9,50 @@
 namespace bccs {
 namespace {
 
-using testing::MaskOf;
+// Algorithm 6 runs on a candidate graph: the fixtures build G[left ∪ right],
+// count its butterflies, and translate queries and leaders to graph ids.
+struct CandidateSetup {
+  std::unique_ptr<CandidateGraph> cg;
+  std::vector<char> alive;
+  ButterflyCounts counts;  // candidate-local ids
 
-struct Figure3Setup {
-  Figure3Graph f = MakeFigure3Graph();
-  std::vector<VertexId> left, right;
-  std::vector<char> in_left, in_right;
-  ButterflyCounts counts;
-
-  Figure3Setup() {
-    left = {f.ql, f.v1, f.v2, f.v3};
-    right = {f.qr, f.u1, f.u2, f.u3, f.u4, f.u5, f.u6, f.u7, f.u9};
-    in_left = MaskOf(f.graph, left);
-    in_right = MaskOf(f.graph, right);
-    counts = CountButterflies(f.graph, left, right, in_left, in_right);
+  CandidateSetup(const LabeledGraph& g, const std::vector<VertexId>& left,
+                 const std::vector<VertexId>& right)
+      : cg(testing::MakeCandidate(g, {left, right})), alive(cg->NumVertices(), 1) {
+    CountButterfliesInto(*cg, 0, 1, nullptr, nullptr, &counts);
   }
+
+  /// Leader of graph vertex `q`'s side, reported as a graph id.
+  LeaderState Leader(VertexId q, std::uint32_t rho) const {
+    const VertexId lq = cg->ToLocal(q);
+    const bool left = cg->GroupOf(lq) == 0;
+    LeaderState l = IdentifyLeader(*cg, alive, lq, rho, 1, counts,
+                                   left ? counts.max_left : counts.max_right,
+                                   left ? counts.argmax_left : counts.argmax_right);
+    l.leader = cg->ToGlobal(l.leader);
+    return l;
+  }
+};
+
+struct Figure3Setup : CandidateSetup {
+  Figure3Graph f;
+
+  explicit Figure3Setup(Figure3Graph fig = MakeFigure3Graph())
+      : CandidateSetup(fig.graph, {fig.ql, fig.v1, fig.v2, fig.v3},
+                       {fig.qr, fig.u1, fig.u2, fig.u3, fig.u4, fig.u5, fig.u6, fig.u7, fig.u9}),
+        f(std::move(fig)) {}
 };
 
 TEST(LeaderPairTest, PaperExample5) {
   Figure3Setup s;
   // Left side: bmax = 6, bp = 3, chi(ql) = 0 -> search 1-hop neighbors
   // {v1, v2, v3}; v1 with chi = 6 >= 3 is the leader.
-  LeaderState ll = IdentifyLeader(s.f.graph, s.in_left, s.f.ql, 3, 1, s.counts,
-                                  s.counts.max_left, s.counts.argmax_left);
+  LeaderState ll = s.Leader(s.f.ql, 3);
   EXPECT_EQ(ll.leader, s.f.v1);
   EXPECT_EQ(ll.chi, 6u);
   // Right side: bmax = 3, chi(qr) = 0 -> 1-hop {u1, u2, u3, u9}; u2 with
   // chi = 3 is the leader ({v1, u2} is the paper's leader pair).
-  LeaderState lr = IdentifyLeader(s.f.graph, s.in_right, s.f.qr, 3, 1, s.counts,
-                                  s.counts.max_right, s.counts.argmax_right);
+  LeaderState lr = s.Leader(s.f.qr, 3);
   EXPECT_EQ(lr.leader, s.f.u2);
   EXPECT_EQ(lr.chi, 3u);
 }
@@ -45,8 +60,7 @@ TEST(LeaderPairTest, PaperExample5) {
 TEST(LeaderPairTest, LeaderBiasedQueryReturnsItself) {
   Figure3Setup s;
   // v1 itself as query: chi(v1) = 6 > bmax/2 = 3, so it is its own leader.
-  LeaderState l = IdentifyLeader(s.f.graph, s.in_left, s.f.v1, 3, 1, s.counts,
-                                 s.counts.max_left, s.counts.argmax_left);
+  LeaderState l = s.Leader(s.f.v1, 3);
   EXPECT_EQ(l.leader, s.f.v1);
   EXPECT_EQ(l.chi, 6u);
 }
@@ -56,12 +70,10 @@ TEST(LeaderPairTest, RhoLimitsSearchRadius) {
   // From u9, the butterfly-rich vertices u2/u3 are 1 hop away via qr... u9's
   // neighbors within the right side are {qr, u4, u7} (chi = 0each); at rho=1
   // no vertex with chi >= bp is reachable, so the fallback argmax fires.
-  LeaderState l1 = IdentifyLeader(s.f.graph, s.in_right, s.f.u9, 1, 1, s.counts,
-                                  s.counts.max_right, s.counts.argmax_right);
+  LeaderState l1 = s.Leader(s.f.u9, 1);
   EXPECT_GE(l1.chi, 1u);  // fallback guarantees a valid leader
   // With rho = 2, u2 (distance 2 via qr) is found by the threshold scan.
-  LeaderState l2 = IdentifyLeader(s.f.graph, s.in_right, s.f.u9, 2, 1, s.counts,
-                                  s.counts.max_right, s.counts.argmax_right);
+  LeaderState l2 = s.Leader(s.f.u9, 2);
   EXPECT_EQ(l2.chi, 3u);
 }
 
@@ -71,12 +83,10 @@ TEST(LeaderPairTest, FallbackToArgmax) {
   // threshold within rho, so the argmax fallback must return a valid leader.
   std::vector<Edge> edges = {{0, 2}, {0, 3}, {1, 2}, {1, 3}, {4, 3}};
   LabeledGraph g = LabeledGraph::FromEdges(5, std::move(edges), {0, 0, 1, 1, 0});
-  std::vector<VertexId> left = {0, 1, 4}, right = {2, 3};
-  auto counts = CountButterflies(g, left, right, MaskOf(g, left), MaskOf(g, right));
+  CandidateSetup s(g, {0, 1, 4}, {2, 3});
   // The left side graph has no homogeneous edges, so a BFS from 4 inside the
   // side finds nothing; fallback must pick the argmax vertex (chi = 1).
-  LeaderState l = IdentifyLeader(g, MaskOf(g, left), 4, 2, 1, counts, counts.max_left,
-                                 counts.argmax_left);
+  LeaderState l = s.Leader(4, 2);
   EXPECT_EQ(l.chi, 1u);
   EXPECT_TRUE(l.leader == 0 || l.leader == 1);
 }

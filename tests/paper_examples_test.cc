@@ -22,7 +22,7 @@ TEST(PaperExamplesTest, Example1ButterflyDegreeOfQr) {
   Figure1Graph f = MakeFigure1Graph();
   G0Result g0 = FindG0(f.graph, BccQuery{f.ql, f.qr}, BccParams{4, 3, 1}, nullptr);
   ASSERT_TRUE(g0.found);
-  EXPECT_EQ(g0.counts.chi[f.qr], 1u);
+  EXPECT_EQ(g0.counts.chi[g0.graph->ToLocal(f.qr)], 1u);  // chi is candidate-local
 }
 
 TEST(PaperExamplesTest, Example2FourThreeOneBcc) {

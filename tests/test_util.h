@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <set>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "bcc/bc_index.h"
+#include "bcc/candidate_graph.h"
 #include "graph/graph_delta.h"
 #include "graph/labeled_graph.h"
 
@@ -117,6 +119,15 @@ inline std::vector<char> MaskOf(const LabeledGraph& g, const std::vector<VertexI
   std::vector<char> mask(g.NumVertices(), 0);
   for (VertexId v : members) mask[v] = 1;
   return mask;
+}
+
+/// G[groups[0] ∪ ...] with candidate-local ids (bcc/candidate_graph.h).
+inline std::unique_ptr<CandidateGraph> MakeCandidate(
+    const LabeledGraph& g, const std::vector<std::vector<VertexId>>& groups) {
+  const std::vector<std::span<const VertexId>> spans(groups.begin(), groups.end());
+  auto cg = std::make_unique<CandidateGraph>();
+  cg->Build(g, spans);
+  return cg;
 }
 
 /// All vertex ids of the graph.

@@ -230,36 +230,31 @@ TEST(PeelQueueTest, PopsFarthestAndKeepsQueries) {
   EXPECT_FALSE(q.PopFarthest(alive, is_query, &batch, &level));
 }
 
-TEST(DistanceMapTest, EpochWrapDoesNotResurrectStaleEntries) {
+TEST(DistanceMapTest, ResetForgetsEveryEarlierEntry) {
   DistanceMap dm;
-  dm.Reset(8);  // epoch 1
+  dm.Reset(8);
   dm.Set(5, 3, 1);
+  dm.Set(7, 2, 2);
   dm.SetUnreachable(6);
   ASSERT_EQ(dm.Get(5), 3u);
 
-  // Drive the uint32 epoch counter to its maximum and wrap it. Without the
-  // wrap re-init, vertex 5's stamp (from the early epoch 1) would collide
-  // with the post-wrap epoch and its stale distance would read as fresh.
-  dm.ForceEpochWrapForTest();
-  dm.Set(2, 7, 1);  // stamped at the maximum epoch value
-  const std::uint64_t inits_before = dm.bulk_inits();
-  dm.Reset(8);  // wraps: must bulk re-init the stamps
-  EXPECT_EQ(dm.bulk_inits(), inits_before + 1);
-  EXPECT_EQ(dm.Get(2), kInfDistance);
-  EXPECT_EQ(dm.Get(5), kInfDistance);
-  EXPECT_EQ(dm.Get(6), kInfDistance);
-  EXPECT_EQ(dm.Support(5), 0u);
+  // A smaller reset, then a larger one within the same capacity: entries
+  // of every earlier use read as unreached, inside and past the small size.
+  dm.Reset(4);
+  dm.Set(2, 7, 1);
+  EXPECT_EQ(dm.Get(2), 7u);
+  dm.Reset(8);
+  for (VertexId v = 0; v < 8; ++v) {
+    EXPECT_EQ(dm.Get(v), kInfDistance) << v;
+    EXPECT_EQ(dm.Support(v), 0u) << v;
+  }
 
-  // The wrapped epoch works like any other.
   dm.Set(5, 1, 1);
   EXPECT_EQ(dm.Get(5), 1u);
   EXPECT_EQ(dm.Support(5), 1u);
-  EXPECT_EQ(dm.Get(2), kInfDistance);
-  dm.Reset(8);
-  EXPECT_EQ(dm.Get(5), kInfDistance);
 }
 
-TEST(PeelQueueTest, EpochWrapDoesNotResurrectStaleEntries) {
+TEST(PeelQueueTest, ResetForgetsEveryEarlierEntry) {
   PeelQueue q;
   std::vector<char> alive(6, 1);
   auto no_query = [](VertexId) { return false; };
@@ -269,21 +264,21 @@ TEST(PeelQueueTest, EpochWrapDoesNotResurrectStaleEntries) {
   q.Reset(6);
   q.Update(3, 4);
   q.Update(1, kInfDistance);
-
-  q.ForceEpochWrapForTest();
+  q.Reset(3);
   q.Update(2, 9);
-  const std::uint64_t inits_before = q.bulk_inits();
-  q.Reset(6);  // wraps
-  EXPECT_EQ(q.bulk_inits(), inits_before + 1);
-  // Nothing queued this epoch: stale pre-wrap entries must not pop.
+  q.Reset(6);
+  // Nothing queued since the last reset: earlier entries must not pop.
   EXPECT_FALSE(q.PopFarthest(alive, no_query, &batch, &level));
 
-  // Fresh updates after the wrap behave normally.
-  q.Update(4, 2);
+  // A vertex queued before the reset at the same level is queued afresh.
+  q.Update(3, 4);
   q.Update(5, 7);
   ASSERT_TRUE(q.PopFarthest(alive, no_query, &batch, &level));
   EXPECT_EQ(level, 7u);
   EXPECT_EQ(batch, (std::vector<VertexId>{5}));
+  ASSERT_TRUE(q.PopFarthest(alive, no_query, &batch, &level));
+  EXPECT_EQ(level, 4u);
+  EXPECT_EQ(batch, (std::vector<VertexId>{3}));
 }
 
 TEST(PeelQueueTest, RequeueAfterPartialDeletion) {
@@ -323,20 +318,27 @@ TEST(ButterflyWorkspaceTest, MatchesBruteForceRandomized) {
 
     ButterflyCounts brute = CountButterfliesBruteForce(g, left, right, in_left, in_right);
 
+    // The workspace kernel counts on the candidate graph of both groups,
+    // dead members included and filtered by a local alive mask.
+    auto cg = testing::MakeCandidate(g, {left, right});
+    std::vector<char> alive(cg->NumVertices(), 0);
+    for (VertexId v = 0; v < cg->NumVertices(); ++v) {
+      alive[v] = static_cast<char>(in_left[cg->ToGlobal(v)] | in_right[cg->ToGlobal(v)]);
+    }
     QueryWorkspace ws;
     ButterflyCounts fast;
-    fast.chi = ws.U64ZeroPool().Acquire(n);
-    CountButterfliesInto(g, left, right, in_left, in_right, &ws, &fast);
+    fast.chi = ws.U64ZeroPool().Acquire(cg->NumVertices());
+    CountButterfliesInto(*cg, 0, 1, &alive, &ws, &fast);
     // Recount over the same buffer (the steady-state path) must stay exact.
-    CountButterfliesInto(g, left, right, in_left, in_right, &ws, &fast);
+    CountButterfliesInto(*cg, 0, 1, &alive, &ws, &fast);
 
     EXPECT_EQ(fast.total, brute.total) << "seed " << seed;
     EXPECT_EQ(fast.max_left, brute.max_left);
     EXPECT_EQ(fast.max_right, brute.max_right);
-    for (VertexId v = 0; v < n; ++v) {
-      if ((in_left[v] | in_right[v]) != 0) {
-        EXPECT_EQ(fast.chi[v], brute.chi[v]) << "vertex " << v;
-      }
+    EXPECT_EQ(cg->ToGlobal(fast.argmax_left), brute.argmax_left);
+    EXPECT_EQ(cg->ToGlobal(fast.argmax_right), brute.argmax_right);
+    for (VertexId v = 0; v < cg->NumVertices(); ++v) {
+      EXPECT_EQ(fast.chi[v], alive[v] ? brute.chi[cg->ToGlobal(v)] : 0u) << "vertex " << v;
     }
   }
 }
