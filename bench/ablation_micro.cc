@@ -1,6 +1,6 @@
 // Ablation micro-benchmarks (google-benchmark) for the Section 6 design
-// choices: hashmap vs vertex-priority butterfly counting, Algorithm 5 vs
-// full BFS distance maintenance, Algorithm 7 vs full recount, and bulk vs
+// choices: Algorithm 3 butterfly counting, Algorithm 5 vs full BFS
+// distance maintenance, Algorithm 7 vs full recount, and bulk vs
 // single-vertex deletion; plus the query-distance repair kernel alone,
 // Find-G0 with and without the BC-index, and the candidate-graph build and
 // seed butterfly count on one Find-G0 candidate.
@@ -59,16 +59,6 @@ void BM_ButterflyCountingHashmap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ButterflyCountingHashmap)->Arg(200)->Arg(400)->Arg(800);
-
-void BM_ButterflyCountingVertexPriority(benchmark::State& state) {
-  BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);
-  for (auto _ : state) {
-    auto total = CountTotalButterfliesVertexPriority(f.g, f.left, f.right, f.in_left,
-                                                     f.in_right);
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_ButterflyCountingVertexPriority)->Arg(200)->Arg(400)->Arg(800);
 
 void BM_LeaderUpdateAlgorithm7(benchmark::State& state) {
   BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);

@@ -49,11 +49,9 @@ struct SearchStats {
   /// Leader re-identifications triggered by a leader dying or dropping
   /// below b.
   std::size_t leader_rebuilds = 0;
-  /// Exact per-round validity checks answered from incrementally maintained
-  /// chi (PeelButterflyCounter) instead of a full Algorithm 3 recount.
+  /// Always 0, as is butterfly_delta_seconds: every leaderless peel round
+  /// recounts (Algorithm 3). Kept for readers of the stats (perfbench).
   std::size_t delta_rounds = 0;
-  /// Always 0: the delta counter never needs a resync recount. Kept for
-  /// readers of the stats (perfbench).
   std::size_t delta_fallbacks = 0;
   std::size_t vertices_removed = 0;
   std::size_t g0_size = 0;
@@ -66,9 +64,7 @@ struct SearchStats {
   double find_g0_seconds = 0;
   double query_distance_seconds = 0;
   double butterfly_seconds = 0;       // full counting (Find-G0's seed included)
-  /// Peel-cascade time while the incremental counter is active (core
-  /// maintenance plus wedge debits; replaces the per-round recount cost).
-  double butterfly_delta_seconds = 0;
+  double butterfly_delta_seconds = 0;  // always 0 (see delta_rounds)
   double leader_update_seconds = 0;   // Algorithm 6/7 work
   double total_seconds = 0;
 
@@ -103,15 +99,6 @@ struct SearchOptions {
   bool use_leader_pair = false;
   /// Leader search radius rho of Algorithm 6.
   std::uint32_t leader_rho = 2;
-  /// Incremental butterfly maintenance across the rounds of a leaderless
-  /// peel (PeelButterflyCounter): per-round exact validity reads maintained
-  /// chi — debited per removed vertex in O(wedges through it) — instead of
-  /// recounting the alive candidate. Ignored when use_leader_pair is set:
-  /// those peels keep only the leaders' chi (Algorithm 7). chi is exact
-  /// integer arithmetic either way, so answers are bit-identical with this
-  /// on or off; the switch exists for benchmarking and as an operational
-  /// escape hatch (`--no-incremental-butterflies`).
-  bool incremental_butterflies = true;
 };
 
 inline SearchOptions OnlineBccOptions() { return SearchOptions{}; }

@@ -47,8 +47,6 @@ class GroupedCandidate {
 
   /// Union of the alive masks of all groups.
   const std::vector<char>& alive() const { return alive_; }
-  /// Alive mask of one group (usable as a butterfly-counting side mask).
-  const std::vector<char>& GroupMask(std::size_t i) const { return group_masks_[i]; }
 
   std::uint32_t GroupDegree(VertexId v) const { return group_deg_[v]; }
 
@@ -58,7 +56,7 @@ class GroupedCandidate {
   /// Removes `batch` and cascades the per-group core maintenance: whenever an
   /// alive vertex's same-group degree drops below its group's k, it is
   /// removed too. `on_remove(v)` runs for each removed vertex immediately
-  /// BEFORE v's masks are cleared, so incremental butterfly updates observe a
+  /// BEFORE v's mask is cleared, so Algorithm 7's leader updates observe a
   /// consistent bipartite graph. Returns all removed vertices in order.
   ///
   /// A cascade can collapse the whole candidate, so a non-null `deadline` is
@@ -91,7 +89,6 @@ class GroupedCandidate {
       on_remove(v);
       const std::uint32_t gi = GroupOf(v);
       alive_[v] = 0;
-      group_masks_[gi][v] = 0;
       --num_alive_;
       for (VertexId w : cg_->NeighborsIn(v, gi)) {
         if (!alive_[w] || queued_[w]) continue;
@@ -114,7 +111,6 @@ class GroupedCandidate {
   QueryWorkspace* ws_ = nullptr;
   std::vector<std::uint32_t> ks_;
   std::vector<char> alive_;
-  std::vector<std::vector<char>> group_masks_;
   std::vector<std::uint32_t> group_deg_;
   std::vector<char> queued_;
   std::size_t num_alive_ = 0;

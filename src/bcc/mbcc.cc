@@ -10,7 +10,6 @@
 #include "bcc/query_distance.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
-#include "butterfly/peel_counter.h"
 #include "common/check.h"
 #include "eval/timer.h"
 #include "graph/union_find.h"
@@ -26,10 +25,6 @@ struct PairState {
   std::size_t i = 0, j = 0;
   bool active = false;
   LeaderState leader_i, leader_j;
-  /// Incremental chi maintenance for this pair's bipartite subgraph
-  /// (SearchOptions::incremental_butterflies, leaderless peels only). Owned
-  /// by the workspace pool; null when unused or the pair started inactive.
-  PeelButterflyCounter* pc = nullptr;
 };
 
 }  // namespace
@@ -70,8 +65,8 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     ws = scoped_ws.get();
   }
   // Every id below is local to the candidate; `g` is its LabeledGraph view
-  // for the kernels that read whole adjacency lists (distances, the delta
-  // counter, the audits).
+  // for the kernels that read whole adjacency lists (distances and their
+  // audit).
   const LabeledGraph& g = cg.graph();
   const std::size_t n = cg.NumVertices();
   std::vector<VertexId> lq(m);
@@ -115,12 +110,6 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
   };
 
   auto release_buffers = [&] {
-    for (PairState& ps : pairs) {
-      if (ps.pc != nullptr) {
-        ws->ReleasePeelCounter(ps.pc);
-        ps.pc = nullptr;
-      }
-    }
     ws->U64ZeroPool().Release(std::move(counts.chi), cg.Vertices());
   };
   for (std::size_t i = 0; i < m; ++i) {
@@ -139,16 +128,6 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
       if (seed == nullptr) count_pair(i, j);
       const ButterflyCounts& initial = seed != nullptr ? *seed : counts;
       ps.active = initial.max_left >= b && initial.max_right >= b;
-      if (ps.active && opts.incremental_butterflies && !opts.use_leader_pair) {
-        // Seed this pair's delta counter from the initial count; from here
-        // chi for the pair is debited per removed vertex instead of
-        // recounted per round. With leaders, Algorithm 7 keeps the leaders'
-        // chi and the pair recounts only on a leader rebuild.
-        ps.pc = ws->AcquirePeelCounter();
-        ps.pc->Init(g, cg.GroupMembers(i), cg.GroupMembers(j), cand.GroupMask(i),
-                    cand.GroupMask(j), ws);
-        ps.pc->SeedFrom(initial);
-      }
       if (ps.active && opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
         ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[i], opts.leader_rho, b, initial,
@@ -234,17 +213,12 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
 
     const auto round_idx = static_cast<std::uint32_t>(round_qd.size() - 1);
 
-    // Delete + core maintenance (Algorithm 4); incremental chi debits or
-    // Algorithm 7 run per removed vertex while the bipartite graph is still
-    // consistent.
+    // Delete + core maintenance (Algorithm 4); with leaders, Algorithm 7 runs
+    // per removed vertex while the bipartite graph is still consistent.
     auto on_remove = [&](VertexId v) {
       const std::uint32_t gv = cand.GroupOf(v);
       for (PairState& ps : pairs) {
         if (!ps.active || (ps.i != gv && ps.j != gv)) continue;
-        if (ps.pc != nullptr) {
-          ps.pc->OnRemove(v);
-          continue;
-        }
         const auto gi = static_cast<std::uint32_t>(ps.i);
         const auto gj = static_cast<std::uint32_t>(ps.j);
         for (LeaderState* lead : {&ps.leader_i, &ps.leader_j}) {
@@ -259,9 +233,6 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     std::vector<VertexId> removed;
     if (opts.use_leader_pair) {
       ScopedAccumulator t(&stats->leader_update_seconds);
-      removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
-    } else if (opts.incremental_butterflies) {
-      ScopedAccumulator t(&stats->butterfly_delta_seconds);
       removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
     } else {
       removed = cand.RemoveAndMaintain(batch, [](VertexId) {}, cascade_deadline,
@@ -281,51 +252,32 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     if (query_dead) break;
 
     // Butterfly / cross-group-connectivity maintenance, validated exactly
-    // every round. Per-pair counts come from the pair's delta counter when
-    // it runs (recount avoided, SearchStats::delta_rounds), otherwise from a
-    // full recount; identical values either way. Leader chi is maintained
-    // exactly, so two live leaders at chi >= b validate a pair without a
-    // recount.
-    auto exact_pair = [&](PairState& ps) -> const ButterflyCounts& {
-      if (ps.pc != nullptr) {
-        ++stats->delta_rounds;
-        return ps.pc->RefreshMaxes();
-      }
-      count_pair(ps.i, ps.j);
-      return counts;
-    };
+    // every round. Leaderless peels recount every active pair (Algorithm 3).
+    // Leader chi is maintained exactly (Algorithm 7), so two live leaders at
+    // chi >= b validate a pair without a recount.
     bool deactivated = false;
     for (PairState& ps : pairs) {
       if (!ps.active) continue;
-      bool need_recount = !opts.use_leader_pair;
       if (opts.use_leader_pair) {
         bool i_ok = cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= b;
         bool j_ok = cand.IsAlive(ps.leader_j.leader) && ps.leader_j.chi >= b;
-        need_recount = !i_ok || !j_ok;
+        if (i_ok && j_ok) continue;
+        ++stats->leader_rebuilds;
       }
-      if (!need_recount) continue;
-      if (opts.use_leader_pair) ++stats->leader_rebuilds;
-      const ButterflyCounts& rc = exact_pair(ps);
-      if (rc.max_left < b || rc.max_right < b) {
+      count_pair(ps.i, ps.j);
+      if (counts.max_left < b || counts.max_right < b) {
         ps.active = false;  // never maintained or examined again
         deactivated = true;
         continue;
       }
       if (opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[ps.i], opts.leader_rho, b, rc,
-                                     rc.max_left, rc.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[ps.j], opts.leader_rho, b, rc,
-                                     rc.max_right, rc.argmax_right, ws);
+        ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[ps.i], opts.leader_rho, b, counts,
+                                     counts.max_left, counts.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[ps.j], opts.leader_rho, b, counts,
+                                     counts.max_right, counts.argmax_right, ws);
       }
     }
-#if BCCS_DCHECK_IS_ON
-    // Debug-level equivalence audit (DESIGN.md contract 8): maintained chi
-    // must match a from-scratch recount after every round.
-    for (PairState& ps : pairs) {
-      if (ps.active && ps.pc != nullptr) ps.pc->AuditAgainstRecount();
-    }
-#endif
     // The meta-graph only loses edges, so it can disconnect only in a round
     // that deactivated a pair.
     if (deactivated && !meta_connected()) break;

@@ -68,9 +68,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
 ///   - opts.bulk_delete: remove the whole farthest level per round;
 ///   - opts.fast_query_distance: incremental BFS repair (Algorithm 5);
 ///   - opts.use_leader_pair: per-pair leaders (Algorithms 6 + 7) instead of
-///     a full Algorithm 3 recount per round;
-///   - opts.incremental_butterflies: leaderless peels debit per-pair chi
-///     (PeelButterflyCounter) instead of recounting.
+///     a full Algorithm 3 recount per round.
 ///
 /// `seed` (m = 2 only, may be null) is the butterfly count of the initial
 /// candidate over `cg`'s local ids, e.g. Find-G0's; it replaces the

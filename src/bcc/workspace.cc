@@ -1,7 +1,6 @@
 #include "bcc/workspace.h"
 
 #include "bcc/candidate_graph.h"
-#include "butterfly/peel_counter.h"
 #include "common/check.h"
 
 #include <algorithm>
@@ -76,28 +75,6 @@ std::unique_ptr<CandidateGraph> QueryWorkspace::AcquireCandidateGraph() {
 
 void QueryWorkspace::ReleaseCandidateGraph(std::unique_ptr<CandidateGraph> cg) {
   if (cg != nullptr) candidate_free_.push_back(std::move(cg));
-}
-
-PeelButterflyCounter* QueryWorkspace::AcquirePeelCounter() {
-  if (peel_counter_free_.empty()) {
-    peel_counter_free_.push_back(std::make_unique<PeelButterflyCounter>());
-  }
-  peel_counter_used_.push_back(std::move(peel_counter_free_.back()));
-  peel_counter_free_.pop_back();
-  return peel_counter_used_.back().get();
-}
-
-void QueryWorkspace::ReleasePeelCounter(PeelButterflyCounter* pc) {
-  for (auto& slot : peel_counter_used_) {
-    if (slot.get() == pc) {
-      pc->Release();
-      peel_counter_free_.push_back(std::move(slot));
-      std::swap(slot, peel_counter_used_.back());
-      peel_counter_used_.pop_back();
-      return;
-    }
-  }
-  BCCS_CHECK(false) << "ReleasePeelCounter: unknown counter";
 }
 
 WorkspaceStats QueryWorkspace::Stats() const {

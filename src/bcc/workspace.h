@@ -16,7 +16,6 @@
 namespace bccs {
 
 class CandidateGraph;
-class PeelButterflyCounter;
 
 /// Distance value for unreachable vertices. (Historically defined in
 /// query_distance.h, which now re-exports it from here.)
@@ -352,8 +351,7 @@ class PeelQueue {
 /// workspace tests assert.
 class QueryWorkspace {
  public:
-  // Both out-of-line: CandidateGraph and PeelButterflyCounter are only
-  // forward-declared here.
+  // Both out-of-line: CandidateGraph is only forward-declared here.
   QueryWorkspace();
   ~QueryWorkspace();
   QueryWorkspace(const QueryWorkspace&) = delete;
@@ -418,15 +416,6 @@ class QueryWorkspace {
   std::vector<VertexId>* AcquireIdVec();
   void ReleaseIdVec(std::vector<VertexId>* vec);
 
-  /// Pooled incremental butterfly counters (SearchOptions::
-  /// incremental_butterflies): the counter's chi / position buffers come
-  /// from this workspace's scratch pools and its heap vectors keep their
-  /// capacity while parked, so steady-state peeling allocates nothing.
-  /// ReleasePeelCounter returns the counter's buffers (idempotent with the
-  /// counter's own Release) before parking it.
-  PeelButterflyCounter* AcquirePeelCounter();
-  void ReleasePeelCounter(PeelButterflyCounter* pc);
-
   /// Per-query deadline, stamped by the serving engine before dispatch and
   /// cleared (reset to unlimited) afterwards. Search engines poll it at
   /// peel-round granularity.
@@ -457,9 +446,6 @@ class QueryWorkspace {
   std::vector<std::unique_ptr<std::vector<VertexId>>> id_used_;
 
   std::vector<std::unique_ptr<CandidateGraph>> candidate_free_;
-
-  std::vector<std::unique_ptr<PeelButterflyCounter>> peel_counter_free_;
-  std::vector<std::unique_ptr<PeelButterflyCounter>> peel_counter_used_;
 
   Deadline deadline_;
   std::size_t vertex_reserve_ = 0;

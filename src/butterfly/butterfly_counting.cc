@@ -136,48 +136,6 @@ ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId
   return out;
 }
 
-std::uint64_t CountTotalButterfliesVertexPriority(const LabeledGraph& g,
-                                                  std::span<const VertexId> left,
-                                                  std::span<const VertexId> right,
-                                                  const std::vector<char>& in_left,
-                                                  const std::vector<char>& in_right) {
-  // priority(v) > priority(u) iff (deg, id) lexicographically greater.
-  auto higher = [&](VertexId a, VertexId b) {
-    std::size_t da = g.Degree(a), db = g.Degree(b);
-    return da != db ? da > db : a > b;
-  };
-  auto alive = [&](VertexId v) { return in_left[v] || in_right[v]; };
-  auto cross = [&](VertexId a, VertexId b) {
-    return (in_left[a] && in_right[b]) || (in_right[a] && in_left[b]);
-  };
-
-  std::vector<std::uint32_t> paths(g.NumVertices(), 0);
-  std::vector<VertexId> touched;
-  std::uint64_t total = 0;
-
-  auto process_side = [&](std::span<const VertexId> side) {
-    for (VertexId u : side) {
-      if (!alive(u)) continue;
-      touched.clear();
-      for (VertexId v : g.Neighbors(u)) {
-        if (!alive(v) || !cross(u, v) || !higher(u, v)) continue;
-        for (VertexId w : g.Neighbors(v)) {
-          if (w == u || !alive(w) || !cross(v, w) || !higher(u, w)) continue;
-          if (paths[w] == 0) touched.push_back(w);
-          ++paths[w];
-        }
-      }
-      for (VertexId w : touched) {
-        total += static_cast<std::uint64_t>(paths[w]) * (paths[w] - 1) / 2;
-        paths[w] = 0;
-      }
-    }
-  };
-  process_side(left);
-  process_side(right);
-  return total;
-}
-
 ButterflyCounts CountButterfliesBruteForce(const LabeledGraph& g,
                                            std::span<const VertexId> left,
                                            std::span<const VertexId> right,

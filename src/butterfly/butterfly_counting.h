@@ -58,17 +58,6 @@ ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId
                                  const std::vector<char>& in_left,
                                  const std::vector<char>& in_right);
 
-/// Total butterfly count using the vertex-priority wedge ordering of Wang et
-/// al. (PVLDB 2019): each wedge is charged to its highest-priority endpoint
-/// (priority = degree, ties by id), so every butterfly is counted exactly
-/// once. Used by the ablation benchmark; returns the same total as
-/// CountButterflies().total.
-std::uint64_t CountTotalButterfliesVertexPriority(const LabeledGraph& g,
-                                                  std::span<const VertexId> left,
-                                                  std::span<const VertexId> right,
-                                                  const std::vector<char>& in_left,
-                                                  const std::vector<char>& in_right);
-
 /// O(|L|^2 d) reference oracle that enumerates same-side pairs and their
 /// common neighborhoods. For tests only.
 ButterflyCounts CountButterfliesBruteForce(const LabeledGraph& g,

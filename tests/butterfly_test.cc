@@ -111,18 +111,6 @@ TEST_P(ButterflyPropertyTest, MatchesBruteForceEnumeration) {
   EXPECT_EQ(brute.total, counts.total);
 }
 
-TEST_P(ButterflyPropertyTest, VertexPriorityTotalAgrees) {
-  LabeledGraph g = GenerateRandomBipartite(20, 16, 0.3, GetParam() + 500);
-  std::vector<VertexId> left, right;
-  for (VertexId v = 0; v < 20; ++v) left.push_back(v);
-  for (VertexId v = 20; v < 36; ++v) right.push_back(v);
-  auto in_left = MaskOf(g, left);
-  auto in_right = MaskOf(g, right);
-  auto counts = CountButterflies(g, left, right, in_left, in_right);
-  EXPECT_EQ(CountTotalButterfliesVertexPriority(g, left, right, in_left, in_right),
-            counts.total);
-}
-
 TEST_P(ButterflyPropertyTest, LeaderUpdateMatchesRecount) {
   LabeledGraph g = GenerateRandomBipartite(10, 10, 0.4, GetParam() + 900);
   std::vector<VertexId> left, right;

@@ -91,33 +91,19 @@ TEST_F(PipelineTest, BccBeatsBaselinesOnF1) {
 TEST_F(PipelineTest, LeaderPairStrategySavesButterflyCounting) {
   // The paper's Table 4 finding: LP-BCC calls Algorithm 3 far less often.
   // k = 2 gives a large G0 and a long peeling phase, where Online-BCC must
-  // recount butterflies every round. The incremental counter is pinned off
-  // here: the comparison is leader-pair versus per-round recounting.
+  // recount butterflies every round.
   std::size_t online_calls = 0, lp_calls = 0, online_rounds = 0;
-  std::size_t delta_calls = 0, delta_rounds = 0;
   const BccParams params{2, 2, 1};
-  SearchOptions online_opts = OnlineBccOptions();
-  online_opts.incremental_butterflies = false;
-  SearchOptions lp_opts = LpBccOptions();
-  lp_opts.incremental_butterflies = false;
   for (const auto& gq : *queries_) {
-    SearchStats so, sl, sd;
-    Community online = BccSearch(pg_->graph, gq.query, params, online_opts, &so);
-    BccSearch(pg_->graph, gq.query, params, lp_opts, &sl);
-    Community delta = OnlineBcc(pg_->graph, gq.query, params, &sd);
-    EXPECT_EQ(online.vertices, delta.vertices);
+    SearchStats so, sl;
+    OnlineBcc(pg_->graph, gq.query, params, &so);
+    LpBcc(pg_->graph, gq.query, params, &sl);
     online_calls += so.butterfly_counting_calls;
     lp_calls += sl.butterfly_counting_calls;
     online_rounds += so.rounds;
-    delta_calls += sd.butterfly_counting_calls;
-    delta_rounds += sd.delta_rounds;
   }
   ASSERT_GT(online_rounds, 2 * queries_->size()) << "peeling unexpectedly short";
   EXPECT_LT(lp_calls, online_calls);
-  // This PR's finding: the delta counter drops per-round recounts even
-  // without the leader-pair strategy.
-  EXPECT_LT(delta_calls, online_calls);
-  EXPECT_GT(delta_rounds, 0u);
 }
 
 TEST_F(PipelineTest, MbccPipelineOnMultiLabelGraph) {

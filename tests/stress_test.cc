@@ -4,6 +4,7 @@
 // ones, and no combination of inputs may crash.
 
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,11 @@ TEST_P(StressTest, MbccRandomQueries) {
   }
 }
 
+// Differential check of the greedy peels against exhaustive search: Online
+// and LP, each with bulk and single-vertex deletion, find a BCC exactly when
+// one exists, and within twice the minimum diameter (Theorem 3). The whole
+// 14-vertex graph fits the exact search's universe, so "no exact answer"
+// means "no BCC".
 TEST_P(StressTest, GreedyVsExactTwoApproximation) {
   std::mt19937_64 rng(GetParam() + 1300);
   LabeledGraph g = MakeRandomGraph(14, 0.4, 2, GetParam() * 3 + 41);
@@ -117,11 +123,20 @@ TEST_P(StressTest, GreedyVsExactTwoApproximation) {
     BccQuery q{ql, qr};
     BccParams p{2, 2, 1};
     auto exact = ExactMinDiameterBcc(g, q, p, 14);
-    if (!exact.has_value()) continue;
-    Community greedy = OnlineBcc(g, q, p);
-    ASSERT_FALSE(greedy.Empty());
-    EXPECT_LE(CommunityDiameter(g, greedy), 2 * exact->diameter)
-        << "2-approximation violated, seed " << GetParam();
+    for (SearchOptions opts : {OnlineBccOptions(), LpBccOptions()}) {
+      for (bool bulk : {true, false}) {
+        opts.bulk_delete = bulk;
+        SCOPED_TRACE("seed " + std::to_string(GetParam()) + " trial " + std::to_string(trial) +
+                     " leader=" + std::to_string(opts.use_leader_pair) +
+                     " bulk=" + std::to_string(bulk));
+        Community greedy = BccSearch(g, q, p, opts, nullptr);
+        ASSERT_EQ(greedy.Empty(), !exact.has_value());
+        if (exact.has_value()) {
+          EXPECT_LE(CommunityDiameter(g, greedy), 2 * exact->diameter)
+              << "2-approximation violated";
+        }
+      }
+    }
   }
 }
 

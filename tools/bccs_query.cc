@@ -18,14 +18,6 @@
 //                             aging.
 //   --deadline-ms N           per-query deadline; an expired query returns
 //                             its best valid partial answer flagged timed_out.
-//   --no-incremental-butterflies
-//                             disable the incremental per-round butterfly
-//                             maintenance (PeelButterflyCounter) of the
-//                             leaderless peels (online, and mBCC without
-//                             leaders) and recount from scratch each round;
-//                             leader-pair peels never use the counter.
-//                             Answers are bit-identical either way; this is
-//                             a benchmarking / escape-hatch switch.
 //
 // Index snapshots (see tools/bccs_build and graph/snapshot.h):
 //   bccs_query --index-file g.snap ...
@@ -90,8 +82,6 @@ void PrintUsage() {
                "                  [--lane interactive|bulk] [--deadline-ms N]\n"
                "                  [--updates-file FILE] [--verify]\n"
                "                  [--result-cache N] [--cache-bytes N]\n"
-               "                  [--no-incremental-butterflies]  (online and\n"
-               "                      leaderless mBCC recount each round)\n"
                "       bccs_query ... --batch-file FILE [--threads N] [--repeat N]\n"
                "       bccs_query ... --ql ID --qr ID --repeat N [--threads N]\n");
 }
@@ -202,17 +192,12 @@ struct ServeConfig {
   bccs::QueryMethod method = bccs::QueryMethod::kLpBcc;
   bccs::Lane lane = bccs::Lane::kBulk;
   double deadline_seconds = 0;
-  bool incremental_butterflies = true;
   std::size_t result_cache_entries = 0;
   std::size_t pair_cache_bytes = 0;
 };
 
 bccs::ServeOptions MakeServeOptions(const ServeConfig& cfg) {
   bccs::ServeOptions so;
-  so.online.incremental_butterflies = cfg.incremental_butterflies;
-  so.lp.incremental_butterflies = cfg.incremental_butterflies;
-  so.mbcc.incremental_butterflies = cfg.incremental_butterflies;
-  so.l2p.search.incremental_butterflies = cfg.incremental_butterflies;
   so.result_cache_entries = cfg.result_cache_entries;
   so.pair_cache_bytes = cfg.pair_cache_bytes;
   return so;
@@ -223,13 +208,10 @@ bccs::ServeOptions MakeServeOptions(const ServeConfig& cfg) {
 void PrintPhaseBreakdown(const std::vector<bccs::SearchStats>& stats) {
   bccs::SearchStats sum;
   for (const auto& s : stats) sum += s;
-  std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs delta=%.4fs "
-              "leader=%.4fs\n",
+  std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs leader=%.4fs\n",
               sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
-              sum.butterfly_delta_seconds, sum.leader_update_seconds);
-  std::printf("counting: calls=%zu delta_rounds=%zu delta_fallbacks=%zu "
-              "leader_rebuilds=%zu\n",
-              sum.butterfly_counting_calls, sum.delta_rounds, sum.delta_fallbacks,
+              sum.leader_update_seconds);
+  std::printf("counting: calls=%zu leader_rebuilds=%zu\n", sum.butterfly_counting_calls,
               sum.leader_rebuilds);
 }
 
@@ -296,8 +278,7 @@ int main(int argc, char** argv) {
   auto unknown = args.UnknownFlags({"graph", "index-file", "ql", "qr", "queries", "k1", "k2",
                                     "b", "method", "verify", "help", "batch-file", "threads",
                                     "repeat", "lane", "deadline-ms", "updates-file",
-                                    "result-cache", "cache-bytes",
-                                    "no-incremental-butterflies"});
+                                    "result-cache", "cache-bytes"});
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
@@ -370,7 +351,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(threads_raw), threads);
   }
   cfg.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
-  cfg.incremental_butterflies = !args.Has("no-incremental-butterflies");
 
   auto graph_path = args.GetString("graph");
   auto index_path = args.GetString("index-file");

@@ -10,10 +10,6 @@
 //              [--deadline-ms N] [--quiet]
 //              [--fsync none|on-rotation|every-append] [--segment-blocks N]
 //              [--compact-threshold N]
-//              [--no-incremental-butterflies]  online and leaderless mBCC
-//                                       recount butterflies each round; the
-//                                       leader-pair peels never use the
-//                                       delta counter
 //
 // This is the ServeEngine streaming loop end to end: each line is parsed
 // and admitted into the engine's AdmissionQueue while the worker pool is
@@ -96,8 +92,6 @@ void PrintUsage() {
                "                  [--interactive-cap K] [--aging N]\n"
                "                  [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]\n"
                "                  [--deadline-ms N] [--quiet]\n"
-               "                  [--no-incremental-butterflies]  (online and\n"
-               "                      leaderless mBCC recount each round)\n"
                "                  [--fsync none|on-rotation|every-append]\n"
                "                  [--segment-blocks N] [--compact-threshold N]\n"
                "                  [--result-cache N] [--cache-bytes N]\n"
@@ -215,8 +209,7 @@ int main(int argc, char** argv) {
                                     "interactive-cap", "aging", "method", "k1", "k2", "b",
                                     "deadline-ms", "quiet", "fsync", "segment-blocks",
                                     "compact-threshold", "result-cache", "cache-bytes",
-                                    "listen", "max-connections", "help",
-                                    "no-incremental-butterflies"});
+                                    "listen", "max-connections", "help"});
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
@@ -376,12 +369,6 @@ int main(int argc, char** argv) {
   so.caps.interactive = static_cast<std::size_t>(interactive_cap);
   so.result_cache_entries = static_cast<std::size_t>(result_cache);
   so.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
-  if (args.Has("no-incremental-butterflies")) {
-    so.online.incremental_butterflies = false;
-    so.lp.incremental_butterflies = false;
-    so.mbcc.incremental_butterflies = false;
-    so.l2p.search.incremental_butterflies = false;
-  }
 
   const std::string stream_arg = args.GetStringOr("stream", "-");
   std::ifstream stream_file;
@@ -554,11 +541,10 @@ int main(int argc, char** argv) {
   {
     bccs::SearchStats sum;
     for (const auto& s : result.stats) sum += s;
-    std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs delta=%.4fs "
-                "leader=%.4fs  (counting calls=%zu delta_rounds=%zu delta_fallbacks=%zu)\n",
+    std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs leader=%.4fs  "
+                "(counting calls=%zu)\n",
                 sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
-                sum.butterfly_delta_seconds, sum.leader_update_seconds,
-                sum.butterfly_counting_calls, sum.delta_rounds, sum.delta_fallbacks);
+                sum.leader_update_seconds, sum.butterfly_counting_calls);
   }
   if (result.result_cache_enabled || cache_bytes > 0) {
     const bccs::ResultCacheStats& rc = result.result_cache;

@@ -7,13 +7,12 @@
 # per-lane percentiles, bad flag values, malformed or out-of-range vertex
 # ids and k values, and --queries combined with --method/--k1/--k2, are
 # rejected with exit 2, --queries a,b prints the same peel as --method lp,
-# a 3-label --queries --verify reports "verification: none", and
-# --no-incremental-butterflies answers bit-identically to the default
-# incremental-counter runs across methods and thread counts, and only
-# Online-BCC attaches the counter by default), and that the
-# dynamic update flow works: bccs_update appends changelog records that bccs_query
-# replays (build -> update -> query-from-replayed-snapshot ==
-# query-from-updated-text-graph), --compact-threshold folds them,
+# a 3-label --queries --verify reports "verification: none", removed
+# flags are refused, and the leader-pair peels (LP, mBCC) recount a label
+# pair only on a leader rebuild), and that the dynamic update flow works:
+# bccs_update appends changelog records that bccs_query replays (build ->
+# update -> query-from-replayed-snapshot == query-from-updated-text-graph),
+# --compact-threshold folds them,
 # --updates-file applies a batch in-process, invalid update batches are
 # rejected, and a legacy in-file delta chain is refused by name. The
 # bccs_serve socket front-end
@@ -232,34 +231,34 @@ expect_exit2 bccs_query "unknown flag: --approx-samples" \
 expect_exit2 bccs_serve "unknown flag: --approx-samples" \
   --graph "$tmp/g.txt" --approx-samples 64
 
-# --- Incremental butterfly maintenance: --no-incremental-butterflies --------
+# So is the incremental butterfly counter: every leaderless peel round
+# recounts, and the switch that chose between the two checks is gone.
+expect_exit2 bccs_query "unknown flag: --no-incremental-butterflies" \
+  --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --no-incremental-butterflies
+expect_exit2 bccs_serve "unknown flag: --no-incremental-butterflies" \
+  --graph "$tmp/g.txt" --no-incremental-butterflies
 
-# Flag matrix: for each method and thread count the answers with the
-# incremental counter (the default) must equal the per-round-recount run.
-for m in lp online; do
-  for t in 1 2; do
-    inc="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-      --threads "$t" --method "$m" | grep -E '^  \[')"
-    rec="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-      --threads "$t" --method "$m" --no-incremental-butterflies \
-      | grep -E '^  \[')"
-    [ -n "$inc" ] || fail "no batch output (method $m, threads $t)"
-    [ "$inc" = "$rec" ] \
-      || fail "--no-incremental-butterflies changed answers (method $m, threads $t)"
-  done
-done
+# --- Butterfly validity checks ----------------------------------------------
 
-# The batch summary carries the per-phase breakdown including the delta
-# counter's time and round counters.
+# The batch summary carries the per-phase breakdown.
 phases_out="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
   --threads 1)"
-grep -q '^phases: .*delta=' <<< "$phases_out" || fail "no per-phase breakdown in batch output"
+grep -q '^phases: .*butterfly=.*leader=' <<< "$phases_out" \
+  || fail "no per-phase breakdown in batch output"
 
-# Leader-pair peels (LP, mBCC) validate with the two leaders alone and never
-# attach the delta counter, even with default flags; Online-BCC reads it
-# every round. The LP and mBCC queries below rebuild a leader at least once,
-# so a counter attached to them would show up as delta_rounds > 0.
+# Leader-pair peels (LP, mBCC) validate with the two leaders alone and count
+# a label pair's butterflies (Algorithm 3) once up front and again only on a
+# leader rebuild (the paper's Table 4): calls = pairs + leader_rebuilds. The
+# LP and mBCC queries below rebuild a leader at least once, so a per-round
+# recount would break the equation.
 counting_of() { "$bin/bccs_query" "$@" | sed -n 's/^counting: //p'; }
+expect_calls() { # $1: search name, $2: label pairs, $3: counting line
+  local calls rebuilds
+  calls="$(sed -n 's/.*calls=\([0-9]*\).*/\1/p' <<< "$3")"
+  rebuilds="$(sed -n 's/.*leader_rebuilds=\([0-9]*\).*/\1/p' <<< "$3")"
+  [ -n "$calls" ] && [ -n "$rebuilds" ] && [ "$calls" -eq $(($2 + rebuilds)) ] \
+    || fail "$1 counted beyond its leader rebuilds (want calls=$2+leader_rebuilds): '$3'"
+}
 "$bin/bccs_generate" --communities 4 --group-size 10 --labels 2 --seed 5 \
   --out "$tmp/r.txt" >/dev/null
 rq1="$(awk '$1=="l" && $3==0 {print $2; exit}' "$tmp/r.txt")"
@@ -268,8 +267,7 @@ lp_counting="$(counting_of --graph "$tmp/r.txt" --ql "$rq1" --qr "$rq2" --method
   --k1 1 --k2 1)"
 grep -Eq 'leader_rebuilds=[1-9]' <<< "$lp_counting" \
   || fail "LP guard query rebuilt no leader: '$lp_counting'"
-grep -q 'delta_rounds=0 ' <<< "$lp_counting" \
-  || fail "LP used the delta counter: '$lp_counting'"
+expect_calls LP 1 "$lp_counting"
 "$bin/bccs_generate" --communities 4 --group-size 10 --labels 3 --groups 3 --seed 8 \
   --out "$tmp/r3.txt" >/dev/null
 rmq="$(for l in 0 1 2; do awk -v l="$l" '$1=="l" && $3==l {print $2; exit}' "$tmp/r3.txt"; done \
@@ -277,11 +275,7 @@ rmq="$(for l in 0 1 2; do awk -v l="$l" '$1=="l" && $3==l {print $2; exit}' "$tm
 mbcc_counting="$(counting_of --graph "$tmp/r3.txt" --queries "$rmq" --b 1)"
 grep -Eq 'leader_rebuilds=[1-9]' <<< "$mbcc_counting" \
   || fail "mBCC guard query rebuilt no leader: '$mbcc_counting'"
-grep -q 'delta_rounds=0 ' <<< "$mbcc_counting" \
-  || fail "mBCC used the delta counter: '$mbcc_counting'"
-online_counting="$(counting_of --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --method online)"
-grep -Eq 'delta_rounds=[1-9]' <<< "$online_counting" \
-  || fail "Online-BCC did not use the delta counter: '$online_counting'"
+expect_calls mBCC 3 "$mbcc_counting"
 
 # --- Dynamic graphs: changelog + --updates-file -----------------------------
 
@@ -459,15 +453,6 @@ cached_members="$(printf '%s\n' "$cached_out" \
   || fail "cached streamed answer differs: $cached_members vs $serve_members"
 grep -q "^cache: result " <<< "$cached_out" \
   || fail "cached bccs_serve printed no cache summary"
-
-# bccs_serve takes the flag matrix too: a per-round-recount serve run must
-# stream the same answers as the default incremental run above.
-norec_out="$("$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" \
-  --no-incremental-butterflies)" || fail "bccs_serve --no-incremental-butterflies failed"
-norec_members="$(printf '%s\n' "$norec_out" \
-  | sed -n 's/^\[2\].*-> \([0-9]*\) members.*/\1/p')"
-[ "$norec_members" = "$serve_members" ] \
-  || fail "--no-incremental-butterflies changed streamed answers: $norec_members vs $serve_members"
 
 # --- Socket front-end: bccs_serve --listen -----------------------------------
 
