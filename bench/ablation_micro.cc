@@ -162,7 +162,8 @@ struct RepairReplay {
     const LabeledGraph& g = graph();
     ql = g0.graph->ToLocal(f.q.ql);
     qr = g0.graph->ToLocal(f.q.qr);
-    GroupedCandidate cand(*g0.graph, {g0.k1, g0.k2});
+    QueryWorkspace ws;
+    GroupedCandidate cand(*g0.graph, {g0.k1, g0.k2}, ws);
     alive.push_back(cand.alive());
     DistanceMap dl, dr;
     std::vector<VertexId> changed;

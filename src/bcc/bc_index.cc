@@ -34,14 +34,34 @@ ButterflyCounts ComputePairButterflies(const LabeledGraph& g, Label a, Label b) 
 
 }  // namespace
 
-std::shared_ptr<const ButterflyCounts> BcIndex::PairButterflies(Label a, Label b) const {
-  if (a > b) std::swap(a, b);
-  if (auto hit = pair_cache_.Lookup(a, b)) return hit;
+const ButterflyCounts* BcIndex::FindPair(Label a, Label b) const {
+  MutexLock lock(pairs_mu_);
+  const auto it = pairs_.find({a, b});
+  return it != pairs_.end() ? it->second.get() : nullptr;
+}
 
-  // Compute outside any lock so cached lookups of other pairs never block
-  // behind a cold count; concurrent faults of the same pair waste one
-  // recount, and the first insert wins.
-  return pair_cache_.Insert(a, b, ComputePairButterflies(*g_, a, b), /*pin=*/false);
+const ButterflyCounts& BcIndex::InsertPair(Label a, Label b, ButterflyCounts counts) const {
+  auto block = std::make_shared<const ButterflyCounts>(std::move(counts));
+  MutexLock lock(pairs_mu_);
+  return *pairs_.try_emplace({a, b}, std::move(block)).first->second;
+}
+
+BcIndex::PairMap BcIndex::CopyPairs() const {
+  MutexLock lock(pairs_mu_);
+  return pairs_;
+}
+
+const ButterflyCounts& BcIndex::PairButterflies(Label a, Label b) const {
+  if (a > b) std::swap(a, b);
+  if (const ButterflyCounts* hit = FindPair(a, b)) {
+    pair_hits_.fetch_add(1, std::memory_order_relaxed);
+    return *hit;
+  }
+  pair_misses_.fetch_add(1, std::memory_order_relaxed);
+  // Count outside the lock so lookups of other pairs never block behind a
+  // cold count; concurrent first calls for one pair waste one count, and the
+  // first insert wins.
+  return InsertPair(a, b, ComputePairButterflies(*g_, a, b));
 }
 
 void BcIndex::MaterializeAllPairs() {
@@ -49,33 +69,26 @@ void BcIndex::MaterializeAllPairs() {
   for (Label a = 0; a < num_labels; ++a) {
     if (g_->VerticesWithLabel(a).empty()) continue;
     for (Label b = a + 1; b < num_labels; ++b) {
-      if (g_->VerticesWithLabel(b).empty()) continue;
-      if (auto resident = pair_cache_.Peek(a, b)) {
-        // Promote an earlier lazy fault-in to pinned.
-        pair_cache_.InsertShared(a, b, std::move(resident), /*pin=*/true);
-      } else {
-        pair_cache_.Insert(a, b, ComputePairButterflies(*g_, a, b), /*pin=*/true);
-      }
+      if (g_->VerticesWithLabel(b).empty() || FindPair(a, b) != nullptr) continue;
+      InsertPair(a, b, ComputePairButterflies(*g_, a, b));
     }
   }
 }
 
-std::size_t BcIndex::CachedPairCount() const { return pair_cache_.EntryCount(); }
+std::size_t BcIndex::CachedPairCount() const {
+  MutexLock lock(pairs_mu_);
+  return pairs_.size();
+}
 
 void BcIndex::ForEachCachedPair(
     const std::function<void(Label, Label, const ButterflyCounts&)>& fn) const {
-  for (const auto& entry : pair_cache_.Entries()) {
-    fn(entry.a, entry.b, *entry.counts);
-  }
+  for (const auto& [key, counts] : CopyPairs()) fn(key.first, key.second, *counts);
 }
 
-std::vector<ButterflyBlockCache::Entry> BcIndex::CachedPairEntries() const {
-  return pair_cache_.Entries();
+BlockCacheStats BcIndex::PairCacheStats() const {
+  return {pair_hits_.load(std::memory_order_relaxed),
+          pair_misses_.load(std::memory_order_relaxed), CachedPairCount()};
 }
-
-void BcIndex::SetPairCacheBudget(std::size_t bytes) const { pair_cache_.SetBudget(bytes); }
-
-BlockCacheStats BcIndex::PairCacheStats() const { return pair_cache_.Stats(); }
 
 namespace {
 
@@ -86,7 +99,7 @@ struct EdgeBucket {
 };
 
 /// Splits the delta into per-label intra-label buckets (they repair
-/// coreness) and per-pair cross-label buckets (they repair cached
+/// coreness) and per-pair cross-label buckets (they repair counted
 /// butterflies) — the two effects are disjoint by construction: coreness is
 /// computed within a label group, pair butterflies over cross edges only.
 void BucketDelta(const LabeledGraph& g, const GraphDelta& delta,
@@ -139,32 +152,32 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   out->label_coreness_ = std::move(coreness);
   out->max_core_per_label_ = std::move(max_core);
 
-  // Pair cache: carry every resident block into the new index's cache, then
-  // patch only the touched cached pairs. Untouched blocks are shared by
-  // shared_ptr across the two epochs (zero copy); touched blocks are cloned
-  // and repaired in the clone so the old index keeps serving in-flight
-  // queries bit-identically. Touched pairs that were never cached stay
-  // uncached — they fault in lazily against the updated graph on first use.
-  // Budget and cumulative counters carry over so stream-level serving stats
-  // survive the epoch swap.
-  out->pair_cache_.SetBudget(pair_cache_.budget());
-  out->pair_cache_.CarryCountersFrom(pair_cache_);
-  for (const auto& entry : pair_cache_.Entries()) {
-    const auto key = std::make_pair(entry.a, entry.b);
-    auto it = cross.find(key);
-    if (it == cross.end()) {
-      out->pair_cache_.InsertShared(entry.a, entry.b, entry.counts, entry.pinned);
-      continue;
-    }
+  // Pair table: share every untouched block with this index by pointer;
+  // clone and repair each touched one, so this index keeps answering for its
+  // own graph while in-flight queries drain. Touched pairs never counted
+  // stay absent and count lazily against the updated graph on first use.
+  // The hit/miss counters carry over so stream-level serving stats stay
+  // cumulative across the epoch swap.
+  PairMap pairs = CopyPairs();
+  for (const auto& [key, bucket] : cross) {
+    const auto it = pairs.find(key);
+    if (it == pairs.end()) continue;
     ++st.pairs_touched;
-    ButterflyCounts patched = *entry.counts;
-    const PairButterflyRepair repair = RepairPairButterflies(
-        *g_, updated, entry.a, entry.b, it->second.inserts, it->second.deletes,
-        opts.pair_incremental_cap, &patched);
+    ButterflyCounts patched = *it->second;
+    const PairButterflyRepair repair =
+        RepairPairButterflies(*g_, updated, key.first, key.second, bucket.inserts,
+                              bucket.deletes, opts.pair_incremental_cap, &patched);
     repair.recounted ? ++st.pairs_recounted : ++st.pairs_incremental;
     st.cross_edges_applied += repair.edges_applied;
-    out->pair_cache_.Insert(entry.a, entry.b, std::move(patched), entry.pinned);
+    it->second = std::make_shared<const ButterflyCounts>(std::move(patched));
   }
+  {
+    MutexLock lock(out->pairs_mu_);
+    out->pairs_ = std::move(pairs);
+  }
+  out->pair_hits_.store(pair_hits_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  out->pair_misses_.store(pair_misses_.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
   return out;
 }
 

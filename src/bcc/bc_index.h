@@ -1,14 +1,19 @@
 #ifndef BCCS_BCC_BC_INDEX_H_
 #define BCCS_BCC_BC_INDEX_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "butterfly/block_cache.h"
 #include "butterfly/butterfly_counting.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs {
@@ -42,32 +47,39 @@ struct UpdateRepairStats {
   std::size_t cross_edges_applied = 0;
 };
 
+/// Counters of BcIndex's pair table, exported by BcIndex::PairCacheStats().
+/// A hit is a PairButterflies call that found its pair already counted; a
+/// miss counted it.
+struct BlockCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t entries = 0;
+};
+
 /// The offline butterfly-core index of Section 6.3.
 ///
 /// Stores, for every vertex, its coreness within its own label group (the
 /// delta(v) component) and, per label pair, the butterfly degrees over the
 /// full bipartite graph between the two label groups (the chi(v) component).
 /// The butterfly component is computed lazily on first use of a label pair
-/// and cached, which keeps construction linear for graphs with hundreds of
-/// labels while preserving exact per-pair query-time semantics (documented
-/// deviation 3 in DESIGN.md).
+/// and kept for the index's lifetime, which keeps construction linear for
+/// graphs with hundreds of labels while preserving exact per-pair query-time
+/// semantics (documented deviation 3 in DESIGN.md). The pair table grows to
+/// at most every label pair, which is what MaterializeAllPairs (and hence
+/// every snapshot bccs_build writes by default) holds resident anyway.
 ///
 /// The index is share-safe and const-usable: all query entry points are
-/// const (the lazy pair cache is logically immutable state behind a sharded
-/// block cache), so one index instance — freshly built or reconstructed from
-/// a snapshot — can serve every worker thread of a BatchRunner. The coreness
-/// arrays live in ArrayRef storage so a snapshot load keeps them as
+/// const (the lazily filled pair table is logically immutable state behind
+/// one leaf mutex), so one index instance — freshly built or reconstructed
+/// from a snapshot — can serve every worker thread of a BatchRunner. The
+/// coreness arrays live in ArrayRef storage so a snapshot load keeps them as
 /// zero-copy views over the mapped file.
-///
-/// The pair cache is a ButterflyBlockCache: materialized and snapshot-loaded
-/// pairs are pinned (never evicted), while lazily faulted pairs live under
-/// an optional byte budget (SetPairCacheBudget) with LRU eviction, so a
-/// label-rich graph serving a skewed pair mix has bounded memory. Because
-/// blocks can be evicted, PairButterflies returns a shared_ptr pin rather
-/// than a raw reference — callers hold the pin for as long as they read the
-/// counts.
 class BcIndex {
  public:
+  /// The pair table: (a, b) with a < b to that pair's butterfly degrees.
+  /// Blocks are shared by pointer with indexes repaired from this one.
+  using PairMap = std::map<std::pair<Label, Label>, std::shared_ptr<const ButterflyCounts>>;
+
   explicit BcIndex(const LabeledGraph& g);
 
   /// Coreness of v within its own label group.
@@ -77,41 +89,27 @@ class BcIndex {
   std::uint32_t MaxCoreness(Label l) const { return max_core_per_label_[l]; }
 
   /// Butterfly degrees over the full bipartite graph between label groups
-  /// `a` and `b`. Cached after the first call for the pair. Thread-safe:
-  /// concurrent batch queries may fault the same pair in (first insert
-  /// wins). The returned shared_ptr pins the block — it stays valid even if
-  /// the block cache evicts the pair under byte-budget pressure, so hold it
-  /// for the duration of the read.
-  std::shared_ptr<const ButterflyCounts> PairButterflies(Label a, Label b) const;
+  /// `a` and `b`, counted on the first call for the pair. The reference
+  /// stays valid for the index's lifetime. Thread-safe: the count runs
+  /// outside the lock, so concurrent first calls for one pair may both
+  /// count it; the first insert wins and every caller gets that block.
+  const ButterflyCounts& PairButterflies(Label a, Label b) const;
 
-  /// Eagerly faults in every cross-label pair whose two label groups are
-  /// both non-empty, pinning each entry (exempt from the byte budget, never
-  /// evicted). This is what bccs_build runs before saving a snapshot, so a
+  /// Eagerly counts every cross-label pair whose two label groups are both
+  /// non-empty. This is what bccs_build runs before saving a snapshot, so a
   /// loaded index answers every pair without computing butterflies.
   void MaterializeAllPairs();
 
-  /// Number of label pairs currently resident in the cache.
+  /// Number of label pairs counted so far.
   std::size_t CachedPairCount() const;
 
-  /// Visits every resident pair as (a, b, counts) with a < b, in key order.
-  /// Iterates over a pinned snapshot of the entries, so `fn` may call back
-  /// into the pair cache and concurrent evictions cannot invalidate the
-  /// reference mid-visit.
+  /// Visits every counted pair as (a, b, counts) with a < b, in key order,
+  /// over a copy of the table taken under the lock — so `fn` may call back
+  /// into the index. Each reference is valid for the index's lifetime.
   void ForEachCachedPair(
       const std::function<void(Label, Label, const ButterflyCounts&)>& fn) const;
 
-  /// Pinned snapshot of every resident pair in sorted key order; the
-  /// shared_ptrs keep the blocks alive across later evictions (used by
-  /// SaveSnapshot, which may run concurrently with serving).
-  std::vector<ButterflyBlockCache::Entry> CachedPairEntries() const;
-
-  /// Byte budget for lazily faulted (unpinned) pair blocks; 0 = unbounded.
-  /// Logically configuration, not index state, hence const — safe to call on
-  /// a shared serving index. ApplyUpdates carries the budget to the repaired
-  /// index.
-  void SetPairCacheBudget(std::size_t bytes) const;
-
-  /// Hit/miss/eviction/byte counters of the pair block cache.
+  /// Hit/miss/entry counters of the pair table.
   BlockCacheStats PairCacheStats() const;
 
   /// Loads the snapshot at `path` (graph + index, see graph/snapshot.h); on
@@ -143,10 +141,11 @@ class BcIndex {
   /// built BcIndex(updated): intra-label updates repair only their label's
   /// coreness (core/core_maintenance.h level passes driving KCoreMaintainer,
   /// scoped rebuild past the cap), cross-label updates repair only their
-  /// pair's cached butterfly entry (butterfly/butterfly_update.h per-edge
-  /// repair, scoped recount past the cap); untouched labels, pairs, and
-  /// pairs not yet cached (they fault in lazily against the new graph) cost
-  /// nothing beyond the copy.
+  /// pair's counted butterfly block (butterfly/butterfly_update.h per-edge
+  /// repair, scoped recount past the cap) in a clone, so this index keeps
+  /// its own blocks. Untouched blocks are shared by pointer; untouched
+  /// labels and pairs not yet counted (they count lazily against the new
+  /// graph) cost nothing beyond the copy.
   std::unique_ptr<BcIndex> ApplyUpdates(const LabeledGraph& updated, const GraphDelta& delta,
                                         const UpdateRepairOptions& opts = {},
                                         UpdateRepairStats* stats = nullptr) const;
@@ -159,10 +158,21 @@ class BcIndex {
 
   BcIndex() = default;  // snapshot loading only
 
+  /// The table's block for (a, b), a < b, or nullptr if not yet counted.
+  const ButterflyCounts* FindPair(Label a, Label b) const;
+  /// Inserts `counts` for (a, b), a < b, unless a block is already there;
+  /// returns the resident block.
+  const ButterflyCounts& InsertPair(Label a, Label b, ButterflyCounts counts) const;
+  PairMap CopyPairs() const;
+
   const LabeledGraph* g_ = nullptr;
   ArrayRef<std::uint32_t> label_coreness_;
   ArrayRef<std::uint32_t> max_core_per_label_;
-  mutable ButterflyBlockCache pair_cache_;
+  // Leaf lock: never held across a butterfly count or any other lock.
+  mutable Mutex pairs_mu_;
+  mutable PairMap pairs_ GUARDED_BY(pairs_mu_);
+  mutable std::atomic<std::uint64_t> pair_hits_{0};
+  mutable std::atomic<std::uint64_t> pair_misses_{0};
 };
 
 }  // namespace bccs

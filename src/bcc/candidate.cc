@@ -5,19 +5,13 @@
 namespace bccs {
 
 GroupedCandidate::GroupedCandidate(const CandidateGraph& cg,
-                                   std::vector<std::uint32_t> ks, QueryWorkspace* ws)
-    : cg_(&cg), ws_(ws), ks_(std::move(ks)) {
+                                   std::vector<std::uint32_t> ks, QueryWorkspace& ws)
+    : cg_(&cg), ws_(&ws), ks_(std::move(ks)) {
   BCCS_CHECK_EQ(cg.NumGroups(), ks_.size());
   const std::size_t n = cg.NumVertices();
-  if (ws_ != nullptr) {
-    alive_ = ws_->CharPool().Acquire(n);
-    group_deg_ = ws_->U32ZeroPool().Acquire(n);
-    queued_ = ws_->CharPool().Acquire(n);
-  } else {
-    alive_.assign(n, 0);
-    group_deg_.assign(n, 0);
-    queued_.assign(n, 0);
-  }
+  alive_ = ws.CharPool().Acquire(n);
+  group_deg_ = ws.U32ZeroPool().Acquire(n);
+  queued_ = ws.CharPool().Acquire(n);
   for (std::uint32_t gi = 0; gi < ks_.size(); ++gi) {
     for (VertexId v : cg.GroupMembers(gi)) {
       alive_[v] = 1;
@@ -28,7 +22,6 @@ GroupedCandidate::GroupedCandidate(const CandidateGraph& cg,
 }
 
 GroupedCandidate::~GroupedCandidate() {
-  if (ws_ == nullptr) return;
   // Restore the pool defaults for exactly the entries this candidate wrote
   // (queued_ is kept all-zero by RemoveAndMaintain itself).
   const std::span<const VertexId> all = cg_->Vertices();

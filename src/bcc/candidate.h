@@ -25,13 +25,13 @@ namespace bccs {
 class GroupedCandidate {
  public:
   /// Every member of `cg` starts alive; `ks[i]` is the core parameter of
-  /// group i. `cg` must outlive the candidate.
+  /// group i. `cg` and `ws` must outlive the candidate.
   ///
-  /// With a workspace, the state is borrowed from its scratch pools and
-  /// restored on destruction, so building a candidate performs no
-  /// allocation or fill beyond |G0| after warm-up.
+  /// The state is borrowed from `ws`'s scratch pools and restored on
+  /// destruction, so building a candidate performs no allocation or fill
+  /// beyond |G0| after warm-up.
   GroupedCandidate(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
-                   QueryWorkspace* ws = nullptr);
+                   QueryWorkspace& ws);
   ~GroupedCandidate();
 
   // The borrowed buffers are registered with the workspace; moving would
@@ -108,7 +108,7 @@ class GroupedCandidate {
 
  private:
   const CandidateGraph* cg_;
-  QueryWorkspace* ws_ = nullptr;
+  QueryWorkspace* ws_;
   std::vector<std::uint32_t> ks_;
   std::vector<char> alive_;
   std::vector<std::uint32_t> group_deg_;

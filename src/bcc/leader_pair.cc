@@ -5,7 +5,7 @@ namespace bccs {
 LeaderState IdentifyLeader(const CandidateGraph& cg, const std::vector<char>& alive,
                            VertexId q, std::uint32_t rho, std::uint64_t b,
                            const ButterflyCounts& counts, std::uint64_t side_max,
-                           VertexId side_argmax, QueryWorkspace* ws) {
+                           VertexId side_argmax, QueryWorkspace& ws) {
   LeaderState out;
   out.leader = q;
   out.chi = counts.chi[q];
@@ -17,8 +17,7 @@ LeaderState IdentifyLeader(const CandidateGraph& cg, const std::vector<char>& al
   std::vector<std::vector<VertexId>> levels;
   {
     const std::uint32_t side = cg.GroupOf(q);
-    std::vector<char> visited = ws != nullptr ? ws->CharPool().Acquire(cg.NumVertices())
-                                              : std::vector<char>(cg.NumVertices(), 0);
+    std::vector<char> visited = ws.CharPool().Acquire(cg.NumVertices());
     visited[q] = 1;
     std::vector<VertexId> frontier = {q};
     for (std::uint32_t d = 0; d < rho && !frontier.empty(); ++d) {
@@ -33,13 +32,11 @@ LeaderState IdentifyLeader(const CandidateGraph& cg, const std::vector<char>& al
       frontier = next;
       levels.push_back(std::move(next));
     }
-    if (ws != nullptr) {
-      visited[q] = 0;
-      for (const auto& level : levels) {
-        for (VertexId v : level) visited[v] = 0;
-      }
-      ws->CharPool().ReleaseClean(std::move(visited));
+    visited[q] = 0;
+    for (const auto& level : levels) {
+      for (VertexId v : level) visited[v] = 0;
     }
+    ws.CharPool().ReleaseClean(std::move(visited));
   }
 
   while (bp >= b && bp > 0) {

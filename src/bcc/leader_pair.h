@@ -29,12 +29,12 @@ struct LeaderState {
 /// BFS order (ascending global id within each expansion); if the scan
 /// fails, returns the side's argmax vertex, which is guaranteed to satisfy
 /// chi >= b whenever the side satisfies the BCC butterfly condition.
-/// `ws` (optional) supplies the visited-mask scratch so repeated calls stay
-/// free of allocations; results are identical either way.
+/// `ws` supplies the visited-mask scratch so repeated calls stay free of
+/// allocations.
 LeaderState IdentifyLeader(const CandidateGraph& cg, const std::vector<char>& alive,
                            VertexId q, std::uint32_t rho, std::uint64_t b,
                            const ButterflyCounts& counts, std::uint64_t side_max,
-                           VertexId side_argmax, QueryWorkspace* ws = nullptr);
+                           VertexId side_argmax, QueryWorkspace& ws);
 
 }  // namespace bccs
 

@@ -26,8 +26,7 @@ std::vector<VertexId> ButterflyCorePath(const LabeledGraph& g, const BcIndex& in
                                         QueryWorkspace* ws) {
   const Label al = g.LabelOf(q.ql), ar = g.LabelOf(q.qr);
   if (al == ar) return {};
-  const auto pair_pin = index.PairButterflies(al, ar);
-  const ButterflyCounts& pair = *pair_pin;
+  const ButterflyCounts& pair = index.PairButterflies(al, ar);
   const double dmax = std::max<std::uint32_t>(
       1, std::max(index.MaxCoreness(al), index.MaxCoreness(ar)));
   const double xmax = std::max<std::uint64_t>(1, std::max(pair.max_left, pair.max_right));
@@ -90,8 +89,7 @@ double ButterflyCorePathWeight(const LabeledGraph& g, const BcIndex& index,
                                double gamma2) {
   if (path.size() < 2) return 0.0;
   const Label al = g.LabelOf(path.front()), ar = g.LabelOf(path.back());
-  const auto pair_pin = index.PairButterflies(al, ar);
-  const ButterflyCounts& pair = *pair_pin;
+  const ButterflyCounts& pair = index.PairButterflies(al, ar);
   const double dmax = std::max(index.MaxCoreness(al), index.MaxCoreness(ar));
   const double xmax = static_cast<double>(std::max(pair.max_left, pair.max_right));
   std::uint32_t min_core = std::numeric_limits<std::uint32_t>::max();

@@ -85,7 +85,7 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     return out;
   }
 
-  GroupedCandidate cand(cg, std::move(ks), ws);
+  GroupedCandidate cand(cg, std::move(ks), *ws);
 
   // --- Pair states and initial cross-group connectivity. ---
   // One pooled counts buffer serves every per-pair (re)count; chi entries
@@ -131,9 +131,9 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
       if (ps.active && opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
         ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[i], opts.leader_rho, b, initial,
-                                     initial.max_left, initial.argmax_left, ws);
+                                     initial.max_left, initial.argmax_left, *ws);
         ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[j], opts.leader_rho, b, initial,
-                                     initial.max_right, initial.argmax_right, ws);
+                                     initial.max_right, initial.argmax_right, *ws);
       }
       pairs.push_back(ps);
     }
@@ -273,9 +273,9 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
       if (opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
         ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[ps.i], opts.leader_rho, b, counts,
-                                     counts.max_left, counts.argmax_left, ws);
+                                     counts.max_left, counts.argmax_left, *ws);
         ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[ps.j], opts.leader_rho, b, counts,
-                                     counts.max_right, counts.argmax_right, ws);
+                                     counts.max_right, counts.argmax_right, *ws);
       }
     }
     // The meta-graph only loses edges, so it can disconnect only in a round

@@ -20,7 +20,7 @@ struct PairButterflyRepair {
   std::size_t edges_applied = 0;
 };
 
-/// Repairs a cached pair-butterfly entry (BcIndex pair cache) after
+/// Repairs a pair-butterfly block (BcIndex pair table) after
 /// cross-label edge updates between label groups `a` and `b`, leaving
 /// `counts` exactly equal to CountButterflies over the two full groups on
 /// the updated graph.

@@ -12,7 +12,7 @@ namespace bccs {
 /// std::mutex wrapped as an annotated capability. Clang's thread-safety
 /// analysis only tracks locks taken through annotated functions, so every
 /// mutex in the concurrent layers (changelog commit lock, epoch head,
-/// admission queue, worker pool, pair cache) is a bccs::Mutex: a lock taken
+/// admission queue, worker pool, pair table) is a bccs::Mutex: a lock taken
 /// through any other path is a compile error under -Wthread-safety, not a
 /// latent race.
 ///

@@ -193,8 +193,8 @@ std::unique_ptr<BcIndex> ValidateAccess::RawIndex(
 void ValidateAccess::SetCachedPair(BcIndex& index, Label a, Label b,
                                    ButterflyCounts counts) {
   if (a > b) std::swap(a, b);
-  index.pair_cache_.Erase(a, b);
-  index.pair_cache_.Insert(a, b, std::move(counts), /*pin=*/false);
+  MutexLock lock(index.pairs_mu_);
+  index.pairs_[{a, b}] = std::make_shared<const ButterflyCounts>(std::move(counts));
 }
 
 ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
@@ -234,9 +234,8 @@ ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
     }
   }
 
-  // Pair cache: accounting counters, shape of every entry, exact recount on
-  // a deterministic sample (butterfly recounts are the expensive part).
-  if (ValidationResult acc = ValidatePairCacheAccounting(index); !acc.ok) return acc;
+  // Pair table: shape of every entry, exact recount on a deterministic
+  // sample (butterfly recounts are the expensive part).
   struct CachedPair {
     Label a = 0, b = 0;
   };
@@ -271,48 +270,12 @@ ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
     for (VertexId v : right) in_right[v] = 1;
     const ButterflyCounts want_counts = CountButterflies(
         g, {left.begin(), left.end()}, {right.begin(), right.end()}, in_left, in_right);
-    const auto got_pin = index.PairButterflies(a, b);
-    const ButterflyCounts& got = *got_pin;
+    const ButterflyCounts& got = index.PairButterflies(a, b);
     if (got.total != want_counts.total || got.chi != want_counts.chi) {
       return ValidationResult::Fail("cached butterfly counts for pair (" +
                                     std::to_string(a) + ", " + std::to_string(b) +
                                     ") disagree with an exact recount");
     }
-  }
-  return ValidationResult::Ok();
-}
-
-ValidationResult ValidatePairCacheAccounting(const BcIndex& index) {
-  const BlockCacheStats stats = index.PairCacheStats();
-  std::size_t bytes = 0, pinned_bytes = 0, entries = 0, pinned_entries = 0;
-  for (const auto& entry : index.CachedPairEntries()) {
-    const std::size_t entry_bytes = ButterflyBlockCache::BytesOf(*entry.counts);
-    ++entries;
-    if (entry.pinned) {
-      ++pinned_entries;
-      pinned_bytes += entry_bytes;
-    } else {
-      bytes += entry_bytes;
-    }
-  }
-  if (stats.entries != entries || stats.pinned_entries != pinned_entries) {
-    return ValidationResult::Fail(
-        "pair cache entry counters disagree with residents: stats say " +
-        std::to_string(stats.entries) + " (" + std::to_string(stats.pinned_entries) +
-        " pinned), recount says " + std::to_string(entries) + " (" +
-        std::to_string(pinned_entries) + " pinned)");
-  }
-  if (stats.bytes != bytes || stats.pinned_bytes != pinned_bytes) {
-    return ValidationResult::Fail(
-        "pair cache byte counters disagree with residents: stats say " +
-        std::to_string(stats.bytes) + " budgeted / " + std::to_string(stats.pinned_bytes) +
-        " pinned, recount says " + std::to_string(bytes) + " / " +
-        std::to_string(pinned_bytes));
-  }
-  if (stats.budget_bytes > 0 && stats.bytes > stats.budget_bytes) {
-    return ValidationResult::Fail("pair cache over budget: " + std::to_string(stats.bytes) +
-                                  " budgeted bytes resident, budget " +
-                                  std::to_string(stats.budget_bytes));
   }
   return ValidationResult::Ok();
 }

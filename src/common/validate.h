@@ -39,18 +39,11 @@ ValidationResult ValidateGraph(const LabeledGraph& g);
 
 /// BcIndex consistency against its graph: array shapes, stored label
 /// coreness equal to an exact recomputation (LabelCoreness), per-label
-/// maxima, canonical in-range pair-cache keys, and — for up to
-/// `sample_pairs` cached pairs, spread deterministically over the cache —
-/// cached butterfly counts equal to an exact recount. 0 samples skips the
+/// maxima, canonical in-range pair-table keys, and — for up to
+/// `sample_pairs` counted pairs, spread deterministically over the table —
+/// stored butterfly counts equal to an exact recount. 0 samples skips the
 /// recount (shape and coreness checks still run).
 ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs = 4);
-
-/// Pair block-cache accounting consistency: the cache's byte and entry
-/// counters must equal a recomputation over the resident entries (split by
-/// pinned/unpinned), and when a byte budget is set the budgeted bytes must
-/// be within it. O(entries). Call on a quiesced index — a concurrently
-/// mutating cache can legitimately disagree between the two reads.
-ValidationResult ValidatePairCacheAccounting(const BcIndex& index);
 
 /// Changelog-chain invariants for the segments next to `snapshot_path`
 /// with base watermark `base_seq`: the scan itself must succeed (checksums,
@@ -121,8 +114,9 @@ class ValidateAccess {
                                            std::vector<std::uint32_t> label_coreness,
                                            std::vector<std::uint32_t> max_core_per_label);
 
-  /// Overwrites (or inserts) one cached pair entry — the test seam for
-  /// seeding butterfly-count corruptions.
+  /// Overwrites (or inserts) one pair-table block — the test seam for
+  /// seeding butterfly-count corruptions. Invalidates references earlier
+  /// PairButterflies calls returned for that pair.
   static void SetCachedPair(BcIndex& index, Label a, Label b, ButterflyCounts counts);
 };
 

@@ -9,8 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "bcc/bc_index.h"
 #include "bcc/bcc_types.h"
-#include "butterfly/block_cache.h"
 #include "common/mutex.h"
 #include "eval/result_cache.h"
 #include "common/thread_annotations.h"
@@ -91,7 +91,7 @@ struct BatchResult {
   // Caching-tier counters at stream finish (ServeEngine streams only).
   // The result-cache counters are engine-cumulative (the cache outlives
   // individual streams); pair_cache reports the newest published index's
-  // block cache, all-zero when serving without an index.
+  // pair table, all-zero when serving without an index.
   bool result_cache_enabled = false;
   ResultCacheStats result_cache;
   BlockCacheStats pair_cache;
@@ -144,7 +144,7 @@ class BatchRunner {
   BatchResult RunBccBatch(const LabeledGraph& g, std::span<const BccQuery> queries,
                           const BccParams& params, const SearchOptions& opts);
 
-  /// Batch L2P-BCC. The index's lazy pair cache is internally synchronized.
+  /// Batch L2P-BCC. The index's lazy pair table is internally synchronized.
   BatchResult RunL2pBatch(const LabeledGraph& g, const BcIndex& index,
                           std::span<const BccQuery> queries, const BccParams& params,
                           const L2pOptions& opts);

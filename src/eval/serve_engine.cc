@@ -154,9 +154,6 @@ ServeEngine::ServeEngine(BatchRunner& runner, const LabeledGraph& g, const BcInd
   if (opts_.result_cache_entries > 0) {
     result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_entries);
   }
-  if (opts_.pair_cache_bytes > 0 && current_.index != nullptr) {
-    current_.index->SetPairCacheBudget(opts_.pair_cache_bytes);
-  }
 }
 
 ServeEngine::ServeEngine(BatchRunner& runner, std::shared_ptr<const LabeledGraph> g,
@@ -167,9 +164,6 @@ ServeEngine::ServeEngine(BatchRunner& runner, std::shared_ptr<const LabeledGraph
   current_.epoch = 1;
   if (opts_.result_cache_entries > 0) {
     result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_entries);
-  }
-  if (opts_.pair_cache_bytes > 0 && current_.index != nullptr) {
-    current_.index->SetPairCacheBudget(opts_.pair_cache_bytes);
   }
 }
 

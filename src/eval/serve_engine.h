@@ -169,11 +169,6 @@ struct ServeOptions {
   /// is bit-identical to re-executing at the query's pinned epoch (DESIGN.md
   /// serving contract 6).
   std::size_t result_cache_entries = 0;
-  /// Byte budget for the index's lazily faulted pair-butterfly blocks
-  /// (0 = unbounded). Applied to the serving index at engine construction
-  /// and carried across epoch repairs; materialized/snapshot-loaded pairs
-  /// are pinned and exempt.
-  std::size_t pair_cache_bytes = 0;
 };
 
 /// Plans method-erased requests onto the right search algorithm and
@@ -290,7 +285,7 @@ class ServeEngine {
   bool result_cache_enabled() const { return result_cache_ != nullptr; }
   ResultCacheStats result_cache_stats() const;
 
-  /// Pair block-cache counters of the newest published index (all-zero when
+  /// Pair-table counters of the newest published index (all-zero when
   /// the engine serves without an index).
   BlockCacheStats pair_cache_stats() const;
 

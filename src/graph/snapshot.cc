@@ -68,17 +68,14 @@ class SnapshotAccess {
   static std::unique_ptr<BcIndex> MakeIndex(
       const LabeledGraph* g, std::span<const std::uint32_t> coreness,
       std::span<const std::uint32_t> max_core,
-      std::map<std::pair<Label, Label>, ButterflyCounts> pairs) {
+      BcIndex::PairMap pairs) {
     std::unique_ptr<BcIndex> index(new BcIndex());
     index->g_ = g;
     index->label_coreness_ = ArrayRef<std::uint32_t>::View(coreness.data(), coreness.size());
     index->max_core_per_label_ =
         ArrayRef<std::uint32_t>::View(max_core.data(), max_core.size());
-    // Snapshot-loaded pairs are pinned: they were materialized before the
-    // save, so they stay resident regardless of any serving byte budget.
-    for (auto& [key, counts] : pairs) {
-      index->pair_cache_.Insert(key.first, key.second, std::move(counts), /*pin=*/true);
-    }
+    MutexLock lock(index->pairs_mu_);
+    index->pairs_ = std::move(pairs);
     return index;
   }
 };
@@ -391,14 +388,14 @@ bool SaveSnapshot(const BcIndex& index, const std::string& path, std::string* er
   const auto coreness = SnapshotAccess::Coreness(index);
   const auto max_core = SnapshotAccess::MaxCorePerLabel(index);
 
-  // Collect the resident pairs up front as pinned shared_ptr blocks, in
-  // sorted key order. The pins keep each block alive for the duration of the
-  // serialization even if a concurrently serving thread evicts it from the
-  // byte-budgeted cache (the compactor saves the live serving index).
-  std::vector<std::tuple<Label, Label, std::shared_ptr<const ButterflyCounts>>> pairs;
-  for (auto& entry : index.CachedPairEntries()) {
-    pairs.emplace_back(entry.a, entry.b, std::move(entry.counts));
-  }
+  // Collect the counted pairs up front, in sorted key order, so the header's
+  // pair count matches the table written even if a concurrently serving
+  // thread counts another pair meanwhile (the compactor saves the live
+  // serving index). Blocks live as long as the index.
+  std::vector<std::tuple<Label, Label, const ButterflyCounts*>> pairs;
+  index.ForEachCachedPair([&](Label a, Label b, const ButterflyCounts& counts) {
+    pairs.emplace_back(a, b, &counts);
+  });
 
   SnapshotHeader header = {};
   std::memcpy(header.magic, kMagicBytes, sizeof(header.magic));
@@ -638,9 +635,9 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
   bundle.graph = SnapshotAccess::MakeGraph(offsets, adjacency, labels, label_offsets,
                                            label_members, header.max_degree, file);
 
-  // The pair cache: scatter each compact chi array back over the two label
+  // The pair table: scatter each compact chi array back over the two label
   // groups. This is the only copied data; everything else stays mapped.
-  std::map<std::pair<Label, Label>, ButterflyCounts> pairs;
+  BcIndex::PairMap pairs;
   std::size_t chi_offset = layout.chi;
   for (const SnapshotPairEntry& e : pair_entries) {
     if (e.label_a >= num_labels || e.label_b >= num_labels || e.label_a >= e.label_b) {
@@ -671,7 +668,8 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
     counts.max_right = e.max_right;
     counts.argmax_left = e.argmax_left;
     counts.argmax_right = e.argmax_right;
-    pairs.emplace(std::make_pair(e.label_a, e.label_b), std::move(counts));
+    pairs.emplace(std::make_pair(e.label_a, e.label_b),
+                  std::make_shared<const ButterflyCounts>(std::move(counts)));
   }
 
   bundle.index = SnapshotAccess::MakeIndex(

@@ -28,8 +28,7 @@ TEST(BcIndexTest, CorenessMatchesLabelCoreness) {
 TEST(BcIndexTest, PairButterfliesMatchDirectCount) {
   Figure1Graph f = MakeFigure1Graph();
   BcIndex index(f.graph);
-  const auto pair_pin = index.PairButterflies(f.se, f.ui);
-  const ButterflyCounts& pair = *pair_pin;
+  const ButterflyCounts& pair = index.PairButterflies(f.se, f.ui);
   auto se = f.graph.VerticesWithLabel(f.se);
   auto ui = f.graph.VerticesWithLabel(f.ui);
   std::vector<VertexId> left(se.begin(), se.end()), right(ui.begin(), ui.end());
@@ -44,9 +43,9 @@ TEST(BcIndexTest, PairButterfliesMatchDirectCount) {
 TEST(BcIndexTest, PairOrderInsensitiveAndCached) {
   Figure1Graph f = MakeFigure1Graph();
   BcIndex index(f.graph);
-  const auto a = index.PairButterflies(f.se, f.ui);
-  const auto b = index.PairButterflies(f.ui, f.se);
-  EXPECT_EQ(a.get(), b.get()) << "cache must canonicalize the label pair";
+  const ButterflyCounts& a = index.PairButterflies(f.se, f.ui);
+  const ButterflyCounts& b = index.PairButterflies(f.ui, f.se);
+  EXPECT_EQ(&a, &b) << "the pair table must canonicalize the label pair";
 }
 
 TEST(BcIndexTest, MultiLabelPairsIndependent) {
@@ -59,9 +58,9 @@ TEST(BcIndexTest, MultiLabelPairsIndependent) {
   BcIndex index(pg.graph);
   // Different label pairs produce different count objects; totals are
   // non-negative and consistent with a direct recount.
-  const auto p01 = index.PairButterflies(0, 1);
-  const auto p02 = index.PairButterflies(0, 2);
-  EXPECT_NE(p01.get(), p02.get());
+  const ButterflyCounts& p01 = index.PairButterflies(0, 1);
+  const ButterflyCounts& p02 = index.PairButterflies(0, 2);
+  EXPECT_NE(&p01, &p02);
 }
 
 TEST(L2pMbccTest, MatchesGlobalMbccOnChain) {

@@ -1,5 +1,5 @@
-// Caching layer: the butterfly block cache (byte-budget LRU behind
-// BcIndex), the epoch-keyed result cache, and their serving-engine wiring.
+// Caching layer: BcIndex's lazily filled pair table, the epoch-keyed result
+// cache, and their serving-engine wiring.
 // The load-bearing property is DESIGN.md serving contract 6: a cache hit is
 // indistinguishable from re-executing the query at its pinned epoch —
 // mixed query/update streams must answer bit-identically with the cache on
@@ -17,8 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "bcc/bc_index.h"
-#include "butterfly/block_cache.h"
-#include "common/validate.h"
 #include "eval/query_gen.h"
 #include "eval/result_cache.h"
 #include "eval/serve_engine.h"
@@ -49,110 +47,60 @@ std::vector<BccQuery> SampleQueries(const PlantedGraph& pg, std::size_t count) {
   return out;
 }
 
-ButterflyCounts MakeCounts(std::size_t chi_size, std::uint64_t total) {
-  ButterflyCounts c;
-  c.chi.assign(chi_size, total);
-  c.total = total;
-  return c;
-}
-
 // --------------------------------------------------------------------------
-// ButterflyBlockCache: LRU eviction under a byte budget, pinning.
+// BcIndex pair table: lazily filled, first insert wins.
 // --------------------------------------------------------------------------
 
-// With a budget of ~2 blocks, every insert beyond the budget evicts a
-// shard-LRU victim; the byte accounting never exceeds the budget and
-// evicted blocks fault back in with correct contents.
-TEST(ButterflyBlockCacheTest, EvictsUnderByteBudget) {
-  ButterflyBlockCache cache;
-  cache.Insert(0, 1, MakeCounts(16, 1), /*pin=*/false);
-  const std::size_t one = cache.Stats().bytes;
-  ASSERT_GT(one, 0u);
-  cache.SetBudget(2 * one + one / 2);
-
-  cache.Insert(0, 2, MakeCounts(16, 2), /*pin=*/false);
-  EXPECT_EQ(cache.Stats().evictions, 0u);
-
-  for (Label b = 3; b < 10; ++b) {
-    cache.Insert(0, b, MakeCounts(16, b), /*pin=*/false);
-    EXPECT_LE(cache.Stats().bytes, cache.budget());
-  }
-  const BlockCacheStats s = cache.Stats();
-  EXPECT_GT(s.evictions, 0u);
-  EXPECT_EQ(cache.EntryCount(), 2u);  // budget holds exactly two blocks
-  EXPECT_EQ(s.entries, 9u - s.evictions);
-
-  // A victim re-inserts cleanly (the fault-in path after eviction).
-  bool refilled = false;
-  for (Label b = 1; b < 10; ++b) {
-    if (cache.Peek(0, b) != nullptr) continue;
-    const auto back = cache.Insert(0, b, MakeCounts(16, b), /*pin=*/false);
-    ASSERT_NE(back, nullptr);
-    EXPECT_EQ(back->total, b);
-    refilled = true;
-    break;
-  }
-  EXPECT_TRUE(refilled);
-  EXPECT_LE(cache.Stats().bytes, cache.budget());
-}
-
-// Pinned blocks never count against the budget and are never evicted, even
-// when the budget cannot hold the unpinned tail.
-TEST(ButterflyBlockCacheTest, PinnedBlocksExemptFromBudget) {
-  ButterflyBlockCache cache;
-  cache.Insert(0, 1, MakeCounts(64, 1), /*pin=*/true);
-  cache.Insert(0, 2, MakeCounts(64, 2), /*pin=*/true);
-  cache.SetBudget(1);  // smaller than any single block
-  EXPECT_EQ(cache.Stats().evictions, 0u);
-  EXPECT_EQ(cache.EntryCount(), 2u);
-
-  cache.Insert(1, 2, MakeCounts(64, 3), /*pin=*/false);
-  const BlockCacheStats s = cache.Stats();
-  EXPECT_EQ(s.pinned_entries, 2u);
-  EXPECT_EQ(s.bytes, 0u);  // the unpinned block could not be retained
-  EXPECT_NE(cache.Peek(0, 1), nullptr);
-  EXPECT_NE(cache.Peek(0, 2), nullptr);
-}
-
-// First insert wins; a re-insert may only promote an existing block to
-// pinned (snapshot materialization over a lazily faulted block).
-TEST(ButterflyBlockCacheTest, FirstInsertWinsAndPinPromotes) {
-  ButterflyBlockCache cache;
-  const auto first = cache.Insert(0, 1, MakeCounts(8, 1), /*pin=*/false);
-  const auto second = cache.Insert(0, 1, MakeCounts(8, 99), /*pin=*/true);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(second->total, 1u);
-  EXPECT_EQ(cache.Stats().pinned_entries, 1u);
-}
-
-// Lazy fault-ins through BcIndex under a budget keep the byte/entry
-// accounting exact (the ValidatePairCacheAccounting contract) and the
-// served counts identical to an unbounded index.
-TEST(ButterflyBlockCacheTest, BcIndexAccountingValidatesUnderEviction) {
+// Threads that fault the same pairs in concurrently (half of them asking
+// with the labels swapped) converge on one resident block per pair, whose
+// counts equal an eagerly materialized index, and every call is counted as
+// exactly one hit or miss.
+TEST(PairTableTest, ConcurrentFaultsConvergeOnOneBlock) {
   PlantedGraph pg = MakeGraph(6, 21, /*num_labels=*/6);
-  BcIndex ref(pg.graph);
-  BcIndex capped(pg.graph);
-
-  capped.PairButterflies(0, 1);
-  const std::size_t one = capped.PairCacheStats().bytes;
-  capped.SetPairCacheBudget(2 * one + one / 2);
-
   const auto num_labels = static_cast<Label>(pg.graph.NumLabels());
-  for (int round = 0; round < 3; ++round) {
-    for (Label a = 0; a + 1 < num_labels; ++a) {
-      for (Label b = a + 1; b < num_labels; ++b) {
-        const auto got = capped.PairButterflies(a, b);
-        const auto want = ref.PairButterflies(a, b);
-        ASSERT_EQ(got->total, want->total);
-        ASSERT_EQ(got->chi, want->chi);
-        const ValidationResult acc = ValidatePairCacheAccounting(capped);
-        ASSERT_TRUE(acc.ok) << acc.reason;
+  BcIndex fresh(pg.graph);
+  fresh.MaterializeAllPairs();
+  BcIndex lazy(pg.graph);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<const ButterflyCounts*>> seen(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (Label a = 0; a + 1 < num_labels; ++a) {
+          for (Label b = a + 1; b < num_labels; ++b) {
+            const ButterflyCounts& got =
+                t % 2 == 0 ? lazy.PairButterflies(a, b) : lazy.PairButterflies(b, a);
+            if (round == 0) seen[t].push_back(&got);
+          }
+        }
       }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+
+  std::size_t i = 0;
+  for (Label a = 0; a + 1 < num_labels; ++a) {
+    for (Label b = a + 1; b < num_labels; ++b, ++i) {
+      const ButterflyCounts* block = seen[0][i];
+      for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][i], block) << a << "," << b;
+      EXPECT_EQ(&lazy.PairButterflies(a, b), block);
+      const ButterflyCounts& want = fresh.PairButterflies(a, b);
+      EXPECT_EQ(block->total, want.total) << a << "," << b;
+      EXPECT_EQ(block->chi, want.chi) << a << "," << b;
     }
   }
-  const BlockCacheStats s = capped.PairCacheStats();
-  EXPECT_GT(s.evictions, 0u);
-  EXPECT_LE(s.bytes, s.budget_bytes);
+  const std::size_t pairs = i;
+  EXPECT_EQ(lazy.CachedPairCount(), pairs);
+  const BlockCacheStats s = lazy.PairCacheStats();
+  EXPECT_EQ(s.entries, pairs);
+  EXPECT_EQ(s.hits + s.misses, kThreads * kRounds * pairs + pairs);
+  EXPECT_GE(s.misses, pairs);
 }
 
 // --------------------------------------------------------------------------

@@ -21,7 +21,8 @@ LabeledGraph TwoTriangles() {
 TEST(GroupedCandidateTest, ConstructionDegrees) {
   LabeledGraph g = TwoTriangles();
   auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
-  GroupedCandidate cand(*cg, {2, 2});
+  QueryWorkspace ws;
+  GroupedCandidate cand(*cg, {2, 2}, ws);
   EXPECT_EQ(cand.NumAlive(), 6u);
   for (VertexId v = 0; v < 6; ++v) {
     EXPECT_TRUE(cand.IsAlive(v));
@@ -36,7 +37,8 @@ TEST(GroupedCandidateTest, ConstructionDegrees) {
 TEST(GroupedCandidateTest, CascadeWithinGroup) {
   LabeledGraph g = TwoTriangles();
   auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
-  GroupedCandidate cand(*cg, {2, 2});
+  QueryWorkspace ws;
+  GroupedCandidate cand(*cg, {2, 2}, ws);
   // Removing one triangle vertex breaks the 2-core of that whole group, but
   // the other group must be untouched.
   const VertexId batch[] = {1};
@@ -52,7 +54,8 @@ TEST(GroupedCandidateTest, CascadeWithinGroup) {
 TEST(GroupedCandidateTest, OnRemoveSeesConsistentState) {
   LabeledGraph g = TwoTriangles();
   auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
-  GroupedCandidate cand(*cg, {2, 2});
+  QueryWorkspace ws;
+  GroupedCandidate cand(*cg, {2, 2}, ws);
   std::vector<VertexId> order;
   const VertexId batch[] = {1};
   cand.RemoveAndMaintain(batch, [&](VertexId v) {
@@ -69,7 +72,8 @@ TEST(GroupedCandidateTest, OnRemoveSeesConsistentState) {
 TEST(GroupedCandidateTest, RemovingDeadVertexIsNoop) {
   LabeledGraph g = TwoTriangles();
   auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});  // local ids = graph ids
-  GroupedCandidate cand(*cg, {2, 2});
+  QueryWorkspace ws;
+  GroupedCandidate cand(*cg, {2, 2}, ws);
   const VertexId batch[] = {1};
   cand.RemoveAndMaintain(batch);
   auto removed = cand.RemoveAndMaintain(batch);
@@ -79,7 +83,8 @@ TEST(GroupedCandidateTest, RemovingDeadVertexIsNoop) {
 TEST(GroupedCandidateTest, DuplicateBatchEntriesHandled) {
   LabeledGraph g = TwoTriangles();
   auto cg = MakeCandidate(g, {{0, 1, 2}, {3, 4, 5}});
-  GroupedCandidate cand(*cg, {0, 0});  // k = 0: no cascade
+  QueryWorkspace ws;
+  GroupedCandidate cand(*cg, {0, 0}, ws);  // k = 0: no cascade
   const VertexId batch[] = {1, 1, 1};
   auto removed = cand.RemoveAndMaintain(batch);
   EXPECT_EQ(removed.size(), 1u);
@@ -99,7 +104,8 @@ TEST_P(CandidatePropertyTest, MaintenanceMatchesRecomputation) {
   auto left = KCoreOfSubset(g, left_all, k);
   auto right = KCoreOfSubset(g, right_all, k);
   auto cg = MakeCandidate(g, {left, right});
-  GroupedCandidate cand(*cg, {k, k});
+  QueryWorkspace ws;
+  GroupedCandidate cand(*cg, {k, k}, ws);
   // The candidate's alive vertices as sorted graph ids.
   auto alive_global = [&] {
     std::vector<VertexId> out;

@@ -203,6 +203,21 @@ UpdateRepairStats RepairAndCheck(const LabeledGraph& g, const std::vector<EdgeUp
   const auto repaired = index.ApplyUpdates(updated, *delta, opts, &stats);
   EXPECT_EQ(repaired->CachedPairCount(), index.CachedPairCount()) << note;
   ExpectIndexMatchesFreshBuild(*repaired, updated, note);
+  // Copy-on-write: the base index still answers for the base graph, the
+  // repaired index shares every block the delta does not touch, and owns a
+  // fresh block for every pair it does.
+  ExpectIndexMatchesFreshBuild(index, g, note);
+  std::set<std::pair<Label, Label>> touched;
+  for (const auto* edges : {&delta->inserts, &delta->deletes}) {
+    for (const Edge& e : *edges) {
+      const Label a = g.LabelOf(e.u), b = g.LabelOf(e.v);
+      if (a != b) touched.insert(std::minmax(a, b));
+    }
+  }
+  index.ForEachCachedPair([&](Label a, Label b, const ButterflyCounts& base) {
+    const bool shared = &repaired->PairButterflies(a, b) == &base;
+    EXPECT_EQ(shared, touched.count({a, b}) == 0) << note << " pair " << a << "," << b;
+  });
   return stats;
 }
 
@@ -279,7 +294,7 @@ TEST(DynamicIndexTest, UncachedPairsFaultInAgainstUpdatedGraph) {
   BcIndex fresh(updated);
   for (Label a = 0; a < 3; ++a) {
     for (Label b = a + 1; b < 3; ++b) {
-      EXPECT_EQ(repaired->PairButterflies(a, b)->total, fresh.PairButterflies(a, b)->total);
+      EXPECT_EQ(repaired->PairButterflies(a, b).total, fresh.PairButterflies(a, b).total);
     }
   }
 }

@@ -26,9 +26,10 @@ struct CandidateSetup {
   LeaderState Leader(VertexId q, std::uint32_t rho) const {
     const VertexId lq = cg->ToLocal(q);
     const bool left = cg->GroupOf(lq) == 0;
+    QueryWorkspace ws;
     LeaderState l = IdentifyLeader(*cg, alive, lq, rho, 1, counts,
                                    left ? counts.max_left : counts.max_right,
-                                   left ? counts.argmax_left : counts.argmax_right);
+                                   left ? counts.argmax_left : counts.argmax_right, ws);
     l.leader = cg->ToGlobal(l.leader);
     return l;
   }

@@ -60,8 +60,7 @@ void ExpectSameIndex(const BcIndex& a, const BcIndex& b) {
   }
   EXPECT_EQ(a.CachedPairCount(), b.CachedPairCount());
   a.ForEachCachedPair([&](Label la, Label lb, const ButterflyCounts& ca) {
-    const auto cb_pin = b.PairButterflies(la, lb);
-    const ButterflyCounts& cb = *cb_pin;
+    const ButterflyCounts& cb = b.PairButterflies(la, lb);
     EXPECT_EQ(ca.total, cb.total);
     EXPECT_EQ(ca.max_left, cb.max_left);
     EXPECT_EQ(ca.max_right, cb.max_right);
@@ -165,10 +164,10 @@ TEST(SnapshotTest, LazyPairsStillComputeAfterLoad) {
   ASSERT_TRUE(loaded.has_value()) << error;
   std::remove(path.c_str());
   EXPECT_EQ(loaded->index->CachedPairCount(), 0u);
-  const auto fresh = built.PairButterflies(0, 1);
-  const auto lazy = loaded->index->PairButterflies(0, 1);
-  EXPECT_EQ(fresh->total, lazy->total);
-  EXPECT_EQ(fresh->chi, lazy->chi);
+  const ButterflyCounts& fresh = built.PairButterflies(0, 1);
+  const ButterflyCounts& lazy = loaded->index->PairButterflies(0, 1);
+  EXPECT_EQ(fresh.total, lazy.total);
+  EXPECT_EQ(fresh.chi, lazy.chi);
 }
 
 TEST(SnapshotTest, BuildOrLoadBuildsThenLoads) {

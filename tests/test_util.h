@@ -33,8 +33,7 @@ inline void ExpectIndexMatchesFreshBuild(const BcIndex& repaired, const LabeledG
     EXPECT_EQ(repaired.MaxCoreness(l), fresh.MaxCoreness(l)) << note << " label " << l;
   }
   repaired.ForEachCachedPair([&](Label a, Label b, const ButterflyCounts& counts) {
-    const auto want_pin = fresh.PairButterflies(a, b);
-    const ButterflyCounts& want = *want_pin;
+    const ButterflyCounts& want = fresh.PairButterflies(a, b);
     EXPECT_EQ(counts.total, want.total) << note << " pair " << a << "," << b;
     EXPECT_EQ(counts.max_left, want.max_left) << note << " pair " << a << "," << b;
     EXPECT_EQ(counts.max_right, want.max_right) << note << " pair " << a << "," << b;

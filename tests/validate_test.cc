@@ -185,7 +185,7 @@ TEST(ValidateIndexTest, RejectsCorruptCachedButterflies) {
   index.MaterializeAllPairs();
   ASSERT_TRUE(ValidateIndex(index).ok);
 
-  ButterflyCounts bogus = *index.PairButterflies(0, 1);
+  ButterflyCounts bogus = index.PairButterflies(0, 1);
   bogus.total += 5;
   bogus.chi[0] += 5;
   ValidateAccess::SetCachedPair(index, 0, 1, std::move(bogus));

@@ -81,7 +81,7 @@ void PrintUsage() {
                "                  [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p]\n"
                "                  [--lane interactive|bulk] [--deadline-ms N]\n"
                "                  [--updates-file FILE] [--verify]\n"
-               "                  [--result-cache N] [--cache-bytes N]\n"
+               "                  [--result-cache N]\n"
                "       bccs_query ... --batch-file FILE [--threads N] [--repeat N]\n"
                "       bccs_query ... --ql ID --qr ID --repeat N [--threads N]\n");
 }
@@ -193,13 +193,11 @@ struct ServeConfig {
   bccs::Lane lane = bccs::Lane::kBulk;
   double deadline_seconds = 0;
   std::size_t result_cache_entries = 0;
-  std::size_t pair_cache_bytes = 0;
 };
 
 bccs::ServeOptions MakeServeOptions(const ServeConfig& cfg) {
   bccs::ServeOptions so;
   so.result_cache_entries = cfg.result_cache_entries;
-  so.pair_cache_bytes = cfg.pair_cache_bytes;
   return so;
 }
 
@@ -278,7 +276,7 @@ int main(int argc, char** argv) {
   auto unknown = args.UnknownFlags({"graph", "index-file", "ql", "qr", "queries", "k1", "k2",
                                     "b", "method", "verify", "help", "batch-file", "threads",
                                     "repeat", "lane", "deadline-ms", "updates-file",
-                                    "result-cache", "cache-bytes"});
+                                    "result-cache"});
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
@@ -333,17 +331,15 @@ int main(int argc, char** argv) {
   const std::int64_t b_arg = args.GetPositiveIntOr("b", 1, &counts_valid);
   const std::int64_t result_cache =
       args.GetNonNegativeIntOr("result-cache", 0, &counts_valid);
-  const std::int64_t cache_bytes = args.GetNonNegativeIntOr("cache-bytes", 0, &counts_valid);
   if (!counts_valid || k1_arg > UINT32_MAX || k2_arg > UINT32_MAX) {
     std::fprintf(stderr,
-                 "--threads, --k1, --k2, --result-cache and --cache-bytes must be "
+                 "--threads, --k1, --k2 and --result-cache must be "
                  "integers >= 0 (--k1/--k2 at most %u); --b must be an integer > 0\n",
                  UINT32_MAX);
     PrintUsage();
     return 2;
   }
   cfg.result_cache_entries = static_cast<std::size_t>(result_cache);
-  cfg.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
   bool threads_clamped = false;
   const std::size_t threads = bccs::ArgParser::ClampThreadCount(threads_raw, &threads_clamped);
   if (threads_clamped) {

@@ -94,7 +94,7 @@ void PrintUsage() {
                "                  [--deadline-ms N] [--quiet]\n"
                "                  [--fsync none|on-rotation|every-append]\n"
                "                  [--segment-blocks N] [--compact-threshold N]\n"
-               "                  [--result-cache N] [--cache-bytes N]\n"
+               "                  [--result-cache N]\n"
                "                  [--listen PORT] [--max-connections N]\n");
 }
 
@@ -208,8 +208,8 @@ int main(int argc, char** argv) {
   auto unknown = args.UnknownFlags({"graph", "index-file", "stream", "threads", "bulk-cap",
                                     "interactive-cap", "aging", "method", "k1", "k2", "b",
                                     "deadline-ms", "quiet", "fsync", "segment-blocks",
-                                    "compact-threshold", "result-cache", "cache-bytes",
-                                    "listen", "max-connections", "help"});
+                                    "compact-threshold", "result-cache", "listen",
+                                    "max-connections", "help"});
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
@@ -233,7 +233,6 @@ int main(int argc, char** argv) {
       args.GetPositiveIntOr("compact-threshold", 0, &counts_valid);
   const std::int64_t result_cache =
       args.GetNonNegativeIntOr("result-cache", 0, &counts_valid);
-  const std::int64_t cache_bytes = args.GetNonNegativeIntOr("cache-bytes", 0, &counts_valid);
   const bool listen_mode = args.Has("listen");
   const std::int64_t listen_port = args.GetNonNegativeIntOr("listen", 0, &counts_valid);
   const std::int64_t max_connections =
@@ -368,7 +367,6 @@ int main(int argc, char** argv) {
   so.caps.bulk = static_cast<std::size_t>(bulk_cap);
   so.caps.interactive = static_cast<std::size_t>(interactive_cap);
   so.result_cache_entries = static_cast<std::size_t>(result_cache);
-  so.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
 
   const std::string stream_arg = args.GetStringOr("stream", "-");
   std::ifstream stream_file;
@@ -546,13 +544,12 @@ int main(int argc, char** argv) {
                 sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
                 sum.leader_update_seconds, sum.butterfly_counting_calls);
   }
-  if (result.result_cache_enabled || cache_bytes > 0) {
+  if (result.result_cache_enabled) {
     const bccs::ResultCacheStats& rc = result.result_cache;
     const bccs::BlockCacheStats& pc = result.pair_cache;
     const std::uint64_t rc_total = rc.hits + rc.misses;
     std::printf("cache: result %llu/%llu hits (%.1f%%), %zu entries, %llu evictions, "
-                "%llu stale; pairs %llu/%llu hits, %llu evictions, %zu bytes "
-                "(budget %zu)\n",
+                "%llu stale; pairs %llu/%llu hits\n",
                 static_cast<unsigned long long>(rc.hits),
                 static_cast<unsigned long long>(rc_total),
                 rc_total > 0 ? 100.0 * static_cast<double>(rc.hits) /
@@ -561,8 +558,7 @@ int main(int argc, char** argv) {
                 rc.entries, static_cast<unsigned long long>(rc.evictions),
                 static_cast<unsigned long long>(rc.stale_drops),
                 static_cast<unsigned long long>(pc.hits),
-                static_cast<unsigned long long>(pc.hits + pc.misses),
-                static_cast<unsigned long long>(pc.evictions), pc.bytes, pc.budget_bytes);
+                static_cast<unsigned long long>(pc.hits + pc.misses));
   }
   if (changelog != nullptr) {
     std::size_t updates_appended = 0, sealed_segments = 0;

@@ -156,14 +156,13 @@ fi
 grep -q "valid methods" "$tmp/method.err" || fail "usage did not list valid methods"
 
 # --deadline-ms must be a positive integer; the count and
-# parameter flags (--threads, --k1/--k2, --b, --result-cache, --cache-bytes)
+# parameter flags (--threads, --k1/--k2, --b, --result-cache)
 # share the same strict numeric contract instead of silently falling back on
 # garbage.
 for bad in "--deadline-ms 0" "--deadline-ms -3" "--deadline-ms abc" \
            "--threads -1" "--threads abc" "--threads 1.5" \
            "--k1 -2" "--k2 xyz" "--b 0" "--b -1" "--b abc" \
-           "--result-cache -1" "--result-cache abc" "--result-cache 1.5" \
-           "--cache-bytes -5" "--cache-bytes xyz" "--cache-bytes 2.5"; do
+           "--result-cache -1" "--result-cache abc" "--result-cache 1.5"; do
   # shellcheck disable=SC2086
   if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" $bad \
       >/dev/null 2>&1; then
@@ -202,6 +201,7 @@ expect_exit2() { # $1: tool, $2: expected stderr fragment, rest: args
   [ "$rc" -eq 2 ] || fail "$tool $* exited $rc, want 2"
   grep -q -- "$want" "$tmp/exit2.err" || fail "$tool $* did not report '$want'"
 }
+expect_exit2 bccs_query "unknown flag: --cache-bytes" --graph "$tmp/g.txt" --cache-bytes 1
 expect_exit2 bccs_query "'abc' is not a vertex id" \
   --graph "$tmp/g.txt" --queries "$q1,abc"
 expect_exit2 bccs_query "'$big_id' is not a vertex id" \
@@ -434,14 +434,14 @@ if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" \
     --bulk-cap -1 >/dev/null 2>&1; then
   fail "negative --bulk-cap was accepted"
 fi
-for bad in "--result-cache -1" "--result-cache abc" "--cache-bytes -5" \
-           "--cache-bytes 1.5"; do
+for bad in "--result-cache -1" "--result-cache abc"; do
   # shellcheck disable=SC2086
   if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" $bad \
       >/dev/null 2>&1; then
     fail "invalid cache flag value accepted by bccs_serve: $bad"
   fi
 done
+expect_exit2 bccs_serve "unknown flag: --cache-bytes" --graph "$tmp/g.txt" --cache-bytes 1
 
 # A cached serve run answers identically to the uncached one above and
 # reports its hit/miss counters in the shutdown summary.
