@@ -2,19 +2,22 @@
 // choices: Algorithm 3 butterfly counting, Algorithm 5 vs full BFS
 // distance maintenance, Algorithm 7 vs full recount, and bulk vs
 // single-vertex deletion; plus the query-distance repair kernel alone,
-// Find-G0 with and without the BC-index, and the candidate-graph build and
-// seed butterfly count on one Find-G0 candidate.
+// Find-G0 with and without the BC-index, and the index-backed query-group
+// resolve, candidate-graph build, seed butterfly count and initial
+// query-distance BFS on one Find-G0 candidate.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
+#include "bcc/bc_index.h"
 #include "bcc/candidate.h"
 #include "bcc/candidate_graph.h"
 #include "bcc/find_g0.h"
 #include "bcc/local_search.h"
 #include "bcc/online_search.h"
 #include "bcc/query_distance.h"
+#include "bcc/workspace.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
 #include "eval/datasets.h"
@@ -269,16 +272,12 @@ void BM_FindG0(benchmark::State& state) {
 BENCHMARK(BM_FindG0)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One orkut stand-in G0 (BM_FindG0's query, groups from the BC-index),
-// resolved once and shared by the two kernels below.
+// resolved once and shared by the kernels below.
 struct OrkutG0 {
   PlantedGraph pg = MakeDataset(*FindSpec("orkut"));
-  G0Result g0;
-
-  OrkutG0() {
-    const BcIndex index(pg.graph);
-    const BccQuery q{pg.communities[0].groups[0][0], pg.communities[0].groups[1][0]};
-    g0 = FindG0(pg.graph, q, BccParams{}, nullptr, nullptr, &index);
-  }
+  BcIndex index{pg.graph};
+  BccQuery q{pg.communities[0].groups[0][0], pg.communities[0].groups[1][0]};
+  G0Result g0 = FindG0(pg.graph, q, BccParams{}, nullptr, nullptr, &index);
 };
 
 const OrkutG0& SharedOrkutG0() {
@@ -315,6 +314,43 @@ void BM_SeedCount(benchmark::State& state) {
   state.counters["butterflies"] = static_cast<double>(counts.total);
 }
 BENCHMARK(BM_SeedCount)->Unit(benchmark::kMillisecond);
+
+// One query group from the BC-index (Find-G0's index path, the left side of
+// the same query): the k-core members by stored coreness, then the
+// component containing q by one scan over them.
+void BM_ResolveQueryGroup(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  QueryWorkspace ws;
+  std::vector<VertexId> side;
+  for (auto _ : state) {
+    const std::uint32_t k =
+        ResolveQueryGroup(f.pg.graph, f.q.ql, 0, nullptr, &f.index, &ws, &side);
+    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(side.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["side"] = static_cast<double>(side.size());
+}
+BENCHMARK(BM_ResolveQueryGroup)->Unit(benchmark::kMillisecond);
+
+// The peel's two initial query-distance BFS (distances and support counts)
+// from q_l and q_r over the whole shared G0.
+void BM_InitialBfs(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  const LabeledGraph& g = f.g0.graph->graph();
+  const std::vector<char> alive(g.NumVertices(), 1);
+  const VertexId sources[2] = {f.g0.graph->ToLocal(f.q.ql), f.g0.graph->ToLocal(f.q.qr)};
+  DistanceMap dist[2];
+  for (auto _ : state) {
+    for (int i = 0; i < 2; ++i) {
+      BfsDistances(g, alive, sources[i], &dist[i]);
+      benchmark::DoNotOptimize(dist[i].queue().data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["g0"] = static_cast<double>(g.NumVertices());
+}
+BENCHMARK(BM_InitialBfs)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

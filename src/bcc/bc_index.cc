@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "butterfly/butterfly_update.h"
+#include "common/page_array.h"
 #include "core/core_decomposition.h"
 #include "core/core_maintenance.h"
 #include "graph/graph_delta.h"
@@ -130,8 +131,12 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   std::map<std::pair<Label, Label>, EdgeBucket> cross;
   BucketDelta(*g_, delta, &intra, &cross);
 
-  // Coreness: copy, then patch only the touched labels.
-  std::vector<std::uint32_t> coreness(label_coreness_.begin(), label_coreness_.end());
+  // Coreness: copy into the new epoch's own mapping (released to the OS
+  // with the epoch), then patch only the touched labels.
+  const std::size_t n = label_coreness_.size();
+  PageArray<std::uint32_t> coreness_pages(n);
+  const std::span<std::uint32_t> coreness(coreness_pages.data(), n);
+  std::copy(label_coreness_.begin(), label_coreness_.end(), coreness.begin());
   std::vector<std::uint32_t> max_core(max_core_per_label_.begin(),
                                       max_core_per_label_.end());
   for (const auto& [label, bucket] : intra) {
@@ -139,7 +144,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
     const auto members = updated.VerticesWithLabel(label);
     const LabelCorenessRepair repair =
         RepairLabelCoreness(updated, members, bucket.inserts, bucket.deletes,
-                            opts.label_incremental_cap, &coreness);
+                            opts.label_incremental_cap, coreness);
     repair.rebuilt ? ++st.labels_rebuilt : ++st.labels_incremental;
     st.core_passes += repair.passes;
     std::uint32_t best = 0;
@@ -149,7 +154,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
 
   std::unique_ptr<BcIndex> out(new BcIndex());
   out->g_ = &updated;
-  out->label_coreness_ = std::move(coreness);
+  out->label_coreness_ = {std::move(coreness_pages), n};
   out->max_core_per_label_ = std::move(max_core);
 
   // Pair table: share every untouched block with this index by pointer;

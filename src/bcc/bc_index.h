@@ -145,7 +145,9 @@ class BcIndex {
   /// repair, scoped recount past the cap) in a clone, so this index keeps
   /// its own blocks. Untouched blocks are shared by pointer; untouched
   /// labels and pairs not yet counted (they count lazily against the new
-  /// graph) cost nothing beyond the copy.
+  /// graph) cost nothing beyond the copy. The copied coreness array lives in
+  /// its own page mapping, like ApplyGraphDelta's CSR: releasing the
+  /// returned index hands its pages back to the OS.
   std::unique_ptr<BcIndex> ApplyUpdates(const LabeledGraph& updated, const GraphDelta& delta,
                                         const UpdateRepairOptions& opts = {},
                                         UpdateRepairStats* stats = nullptr) const;

@@ -1,8 +1,5 @@
 #include "bcc/candidate_graph.h"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <numeric>
 
@@ -136,31 +133,6 @@ void CandidateGraph::Build(const LabeledGraph& g,
 #if BCCS_DCHECK_IS_ON
   AuditAgainst(g);
 #endif
-}
-
-CandidateGraph::PageArray::~PageArray() {
-  if (data_ != nullptr) munmap(data_, capacity_ * sizeof(VertexId));
-}
-
-void CandidateGraph::PageArray::Map(std::size_t capacity) {
-  if (data_ != nullptr) munmap(data_, capacity_ * sizeof(VertexId));
-  data_ = nullptr;
-  capacity_ = written_ = 0;
-  void* p = mmap(nullptr, capacity * sizeof(VertexId), PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  BCCS_CHECK(p != MAP_FAILED) << "cannot map " << capacity << " adjacency entries";
-  data_ = static_cast<VertexId*>(p);
-  capacity_ = capacity;
-}
-
-void CandidateGraph::PageArray::Trim(std::size_t used) {
-  if (written_ > used) {
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t from = (used * sizeof(VertexId) + page - 1) / page * page;
-    const std::size_t to = written_ * sizeof(VertexId);
-    if (to > from) madvise(reinterpret_cast<char*>(data_) + from, to - from, MADV_DONTNEED);
-  }
-  written_ = used;
 }
 
 VertexId CandidateGraph::ToLocal(VertexId global) const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/page_array.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs {
@@ -109,30 +110,9 @@ class CandidateGraph {
   // N*(m-1) group sub-range ends, relative to the vertex's adjacency start
   // (group i of v ends at splits_[v*(m-1)+i]; the last group at v's end).
   std::vector<std::uint32_t> splits_;
-  // An uninitialized array in an anonymous mapping: pages are resident only
-  // once written, and Trim hands back the ones past a shorter candidate.
-  class PageArray {
-   public:
-    PageArray() = default;
-    PageArray(const PageArray&) = delete;
-    PageArray& operator=(const PageArray&) = delete;
-    ~PageArray();
-    VertexId* data() const { return data_; }
-    std::size_t capacity() const { return capacity_; }
-    /// Replaces the mapping with one of `capacity` entries.
-    void Map(std::size_t capacity);
-    /// Notes that entries [0, used) are written and returns the pages of
-    /// entries past them that an earlier use wrote.
-    void Trim(std::size_t used);
-
-   private:
-    VertexId* data_ = nullptr;
-    std::size_t capacity_ = 0;
-    std::size_t written_ = 0;
-  };
-
-  // Local ids, ascending per vertex.
-  PageArray adjacency_;
+  // Local ids, ascending per vertex. Pages are resident only once written,
+  // and Trim hands back the ones past a shorter candidate.
+  PageArray<VertexId> adjacency_;
   std::vector<VertexId> scratch_;  // one vertex's neighbours during Build
   LabeledGraph view_;
 };

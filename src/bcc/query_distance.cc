@@ -42,9 +42,10 @@ void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexI
       if (dw == kInfDistance) {
         dm->Set(w, next, 1);
         queue.push_back(w);
-      } else if (dw == next) {
-        dm->AddSupport(w);
       }
+      // Branch-free: whether a reached neighbour is one level further is
+      // data-dependent and mispredicts often.
+      dm->AddSupport(w, dw == next);
     }
   }
 }

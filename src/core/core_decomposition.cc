@@ -1,7 +1,10 @@
 #include "core/core_decomposition.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+
+#include "common/check.h"
 
 namespace bccs {
 
@@ -232,22 +235,27 @@ void ComponentContainingScoped(const LabeledGraph& g, std::span<const VertexId> 
     for (VertexId v : members) in_set[v] = 0;
     return;
   }
+  BCCS_DCHECK(std::adjacent_find(members.begin(), members.end(), std::greater_equal<>()) ==
+              members.end())
+      << "component members not strictly ascending";
+  // The DFS clears the mask of every vertex it reaches; scanning `members`
+  // in order then yields the component already sorted.
   s->order.clear();  // doubles as the DFS stack
   s->order.push_back(q);
   in_set[q] = 0;
-  out->push_back(q);
   while (!s->order.empty()) {
     VertexId v = s->order.back();
     s->order.pop_back();
     for (VertexId w : g.Neighbors(v)) {
       if (!in_set[w]) continue;
       in_set[w] = 0;
-      out->push_back(w);
       s->order.push_back(w);
     }
   }
-  for (VertexId v : members) in_set[v] = 0;
-  std::sort(out->begin(), out->end());
+  for (VertexId v : members) {
+    if (!in_set[v]) out->push_back(v);
+    in_set[v] = 0;
+  }
 }
 
 std::vector<VertexId> ComponentContaining(const LabeledGraph& g,

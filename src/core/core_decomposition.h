@@ -77,7 +77,8 @@ void KCoreOfSubsetScoped(const LabeledGraph& g, std::span<const VertexId> member
                          std::uint32_t k, CoreScratch* scratch, std::vector<VertexId>* out);
 
 /// ComponentContaining into a reused output vector via `scratch`. Identical
-/// result to ComponentContaining.
+/// result to ComponentContaining. `members` must be strictly ascending: the
+/// component is collected by one scan over them, with no sort.
 void ComponentContainingScoped(const LabeledGraph& g, std::span<const VertexId> members,
                                VertexId q, CoreScratch* scratch, std::vector<VertexId>* out);
 

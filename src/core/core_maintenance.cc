@@ -55,11 +55,11 @@ namespace {
 /// Minimum current coreness of an edge's endpoints — the level a single
 /// update at that edge can change (the classic traversal-repair insight:
 /// one edge update moves only coreness-== -level vertices, by one).
-std::uint32_t EdgeLevel(const Edge& e, const std::vector<std::uint32_t>& cur) {
+std::uint32_t EdgeLevel(const Edge& e, std::span<const std::uint32_t> cur) {
   return std::min(cur[e.u], cur[e.v]);
 }
 
-bool AnyEdgeAtLevel(std::span<const Edge> edges, const std::vector<std::uint32_t>& cur,
+bool AnyEdgeAtLevel(std::span<const Edge> edges, std::span<const std::uint32_t> cur,
                     std::uint32_t k) {
   for (const Edge& e : edges) {
     if (EdgeLevel(e, cur) == k) return true;
@@ -67,7 +67,7 @@ bool AnyEdgeAtLevel(std::span<const Edge> edges, const std::vector<std::uint32_t
   return false;
 }
 
-void CollectAtLeast(std::span<const VertexId> members, const std::vector<std::uint32_t>& cur,
+void CollectAtLeast(std::span<const VertexId> members, std::span<const std::uint32_t> cur,
                     std::uint32_t k, std::vector<VertexId>* out) {
   out->clear();
   for (VertexId v : members) {
@@ -82,10 +82,10 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
                                         std::span<const Edge> inserted,
                                         std::span<const Edge> deleted,
                                         std::size_t incremental_cap,
-                                        std::vector<std::uint32_t>* coreness) {
+                                        std::span<std::uint32_t> coreness) {
   LabelCorenessRepair out;
   if (inserted.empty() && deleted.empty()) return out;
-  std::vector<std::uint32_t>& cur = *coreness;
+  const std::span<std::uint32_t> cur = coreness;
 
   // The level-pass proofs below assume updates of one direction only; mixed
   // batches (and batches past the cap) take the scoped rebuild.

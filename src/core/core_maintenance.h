@@ -39,7 +39,7 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
                                         std::span<const Edge> inserted,
                                         std::span<const Edge> deleted,
                                         std::size_t incremental_cap,
-                                        std::vector<std::uint32_t>* coreness);
+                                        std::span<std::uint32_t> coreness);
 
 /// Maintains the k-core of an induced subgraph under vertex deletions.
 ///

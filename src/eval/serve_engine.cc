@@ -293,7 +293,7 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     if (t.kind == AdmissionQueue::Ticket::Kind::kUpdate) {
       const std::size_t u = t.update_ordinal;
       EpochState base;
-      const ServeItem* item;
+      ServeItem* item;
       double admit_seconds;
       std::uint64_t request_id;
       UpdateOutcome* outcome;
@@ -374,6 +374,7 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         c.is_update = true;
         c.outcome = outcome;
         done(c);
+        *item = ServeItem{};  // delivered: the batch is not needed again
       }
       continue;
     }
@@ -382,7 +383,7 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     // published by now), then execute against it unlocked — a concurrent
     // update publish cannot invalidate the pinned shared_ptrs.
     EpochState pinned;
-    const ServeItem* item;
+    ServeItem* item;
     std::uint64_t request_id;
     double admit_seconds;
     Community* community;
@@ -447,6 +448,10 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       c.community = community;
       c.stats = stats;
       done(c);
+      // Delivered once: free the answer and the request now, so a
+      // long-lived stream holds only each item's small per-item facts.
+      *community = Community{};
+      *item = ServeItem{};
     }
   }
 }

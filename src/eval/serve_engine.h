@@ -65,11 +65,15 @@ class Changelog;
 ///      unchanged state (epoch not incremented) and reports the reason in
 ///      its UpdateOutcome. Old epoch states are released as soon as their
 ///      last pinned query completes.
-///   7. **Reporting.** Stream::Finish() (and the RunStream/Serve shims)
+///   7. **Reporting.** An item submitted with a CompletionFn is delivered
+///      once, to its callback; when the callback returns, the worker frees
+///      the item's community and request, so a long-lived stream (the
+///      socket server's) holds only small per-item facts. Stream::Finish()
+///      (and the RunStream/Serve shims, whose items have no callback)
 ///      returns a BatchResult with per-item outputs in admission order:
-///      communities/stats/latency for queries, UpdateOutcomes for updates,
-///      per-lane sojourn percentiles, and the epoch each item executed in
-///      (epoch_of).
+///      communities/stats/latency for queries (a delivered query's
+///      community is empty), UpdateOutcomes for updates, per-lane sojourn
+///      percentiles, and the epoch each item executed in (epoch_of).
 
 /// The paper's search variants as planner targets. kMbcc serves the
 /// Section 7 multi-labeled model; the other three serve two-label queries.
@@ -124,8 +128,10 @@ using ServeItem = std::variant<QueryRequest, UpdateRequest>;
 /// streaming each response back on its originating connection while the
 /// stream is still admitting (instead of reporting everything at drain).
 ///
-/// The pointers alias the stream's result slots: they are valid for the
-/// duration of the callback (and in fact until Finish returns), but the
+/// The pointers alias the stream's result slots. A result is delivered
+/// once: `community` is valid only during the callback (the worker frees it
+/// when the callback returns, and Finish reports the item with an empty
+/// community); `stats` and `outcome` stay valid until Finish returns. The
 /// callback must not block — it runs inside a serving worker, so a slow
 /// callback stalls one worker's dequeue loop.
 struct ItemCompletion {
@@ -220,11 +226,15 @@ class ServeEngine {
 
     /// Admits one item with a per-item completion callback, invoked on the
     /// executing worker the moment the result lands (streaming completions:
-    /// the caller hears about each item as it finishes, not at drain).
+    /// the caller hears about each item as it finishes, not at drain). The
+    /// callback is the item's one delivery: once it returns, the item's
+    /// community and request are freed.
     std::uint64_t Submit(ServeItem item, CompletionFn on_complete);
     /// Items admitted so far.
     std::size_t Submitted() const;
     /// Closes admission, waits for the drain, and collects the results.
+    /// Items submitted with a callback report an empty community (it was
+    /// delivered); their stats, timings, epoch and outcome are kept.
     BatchResult Finish();
 
    private:

@@ -7,6 +7,9 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/check.h"
+#include "common/page_array.h"
+
 namespace bccs {
 
 /// Friend of LabeledGraph: assembles an updated graph from a rebuilt
@@ -15,8 +18,8 @@ namespace bccs {
 class GraphDeltaAccess {
  public:
   static LabeledGraph WithNewAdjacency(const LabeledGraph& base,
-                                       std::vector<std::uint64_t> offsets,
-                                       std::vector<VertexId> adjacency,
+                                       ArrayRef<std::uint64_t> offsets,
+                                       ArrayRef<VertexId> adjacency,
                                        std::size_t max_degree) {
     LabeledGraph g;
     g.offsets_ = std::move(offsets);
@@ -103,9 +106,20 @@ LabeledGraph ApplyGraphDelta(const LabeledGraph& g, const GraphDelta& delta) {
   std::sort(add.begin(), add.end());
   std::sort(rem.begin(), rem.end());
 
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  std::vector<VertexId> adjacency;
-  adjacency.reserve(2 * g.NumEdges() + add.size() - rem.size());
+  // The new epoch's arrays, in their own mappings at their exact sizes:
+  // when the epoch is released its pages go straight back to the OS.
+  const std::size_t entries = 2 * g.NumEdges() + add.size() - rem.size();
+  PageArray<std::uint64_t> offsets(n + 1);
+  PageArray<VertexId> adjacency(entries);
+  std::uint64_t* const off = offsets.data();
+  VertexId* const adj = adjacency.data();
+  off[0] = 0;
+  std::size_t pos = 0;
+  auto emit = [&](VertexId w) {
+    // A delta built against another graph could overrun the exact size.
+    BCCS_CHECK_LT(pos, entries) << "graph delta does not match its base graph";
+    adj[pos++] = w;
+  };
 
   std::size_t ai = 0, ri = 0, max_degree = 0;
   for (VertexId v = 0; v < n; ++v) {
@@ -120,16 +134,17 @@ LabeledGraph ApplyGraphDelta(const LabeledGraph& g, const GraphDelta& delta) {
           ++ri;  // deleted
           continue;
         }
-        adjacency.push_back(w);
+        emit(w);
       } else {
-        adjacency.push_back(add[ai++].second);
+        emit(add[ai++].second);
       }
     }
-    offsets[v + 1] = adjacency.size();
-    max_degree = std::max<std::size_t>(max_degree, offsets[v + 1] - offsets[v]);
+    off[v + 1] = pos;
+    max_degree = std::max<std::size_t>(max_degree, off[v + 1] - off[v]);
   }
-  return GraphDeltaAccess::WithNewAdjacency(g, std::move(offsets), std::move(adjacency),
-                                            max_degree);
+  BCCS_CHECK_EQ(pos, entries) << "graph delta does not match its base graph";
+  return GraphDeltaAccess::WithNewAdjacency(g, {std::move(offsets), n + 1},
+                                            {std::move(adjacency), entries}, max_degree);
 }
 
 std::optional<std::vector<EdgeUpdate>> ReadEdgeUpdates(std::istream& in, std::string* error) {

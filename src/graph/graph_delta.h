@@ -66,10 +66,12 @@ std::optional<GraphDelta> BuildGraphDelta(const LabeledGraph& g,
                                           std::string* error = nullptr);
 
 /// Applies a delta built against `g` and returns the updated graph. The
-/// adjacency CSR is rebuilt in O(V + E + |delta| log d_max); the label
-/// arrays are shared with `g` (zero-copy, keepalive inherited), so `g` — or
-/// the snapshot mapping backing it — must outlive the result exactly as it
-/// must outlive `g` itself.
+/// adjacency CSR is rebuilt in O(V + E + |delta| log d_max), straight into
+/// page-mapped arrays of exact size (common/page_array.h), so dropping the
+/// result's last copy hands its pages back to the OS. The label arrays are
+/// shared with `g` (zero-copy, keepalive inherited), so `g` — or the
+/// snapshot mapping backing it — must outlive the result exactly as it must
+/// outlive `g` itself.
 LabeledGraph ApplyGraphDelta(const LabeledGraph& g, const GraphDelta& delta);
 
 /// Text format for update files (tools/bccs_update, bccs_query

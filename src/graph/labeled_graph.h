@@ -7,6 +7,9 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
+#include "common/page_array.h"
+
 namespace bccs {
 
 /// Vertex identifier. Vertices of a graph with n vertices are 0..n-1.
@@ -31,15 +34,28 @@ struct Edge {
 /// holder share one buffer) or views external memory — e.g. a section of an
 /// mmap'ed snapshot, kept alive by the holder's keepalive handle. This is
 /// what lets a snapshot load be zero-copy: the big CSR arrays stay in the
-/// mapped file and are paged in on demand.
+/// mapped file and are paged in on demand. Owned storage is a vector or a
+/// PageArray; the latter gives its pages back to the OS when the last copy
+/// drops, which is what epoch arrays need (common/page_array.h).
 template <typename T>
 class ArrayRef {
  public:
   ArrayRef() = default;
-  /*implicit*/ ArrayRef(std::vector<T> v)
-      : owned_(std::make_shared<const std::vector<T>>(std::move(v))),
-        data_(owned_->data()),
-        size_(owned_->size()) {}
+  /*implicit*/ ArrayRef(std::vector<T> v) {
+    auto owned = std::make_shared<const std::vector<T>>(std::move(v));
+    data_ = owned->data();
+    size_ = owned->size();
+    owned_ = std::move(owned);
+  }
+
+  /// Owns the first `size` entries of `pages`, which must be written.
+  ArrayRef(PageArray<T> pages, std::size_t size) {
+    auto owned = std::make_shared<const PageArray<T>>(std::move(pages));
+    data_ = owned->data();
+    BCCS_CHECK_LE(size, owned->capacity());
+    size_ = size;
+    owned_ = std::move(owned);
+  }
 
   /// Non-owning view; the caller must keep `data` alive (snapshot loaders
   /// pair views with a keepalive on the mapping).
@@ -59,7 +75,7 @@ class ArrayRef {
   std::span<const T> span() const { return {data_, size_}; }
 
  private:
-  std::shared_ptr<const std::vector<T>> owned_;  // null in view mode
+  std::shared_ptr<const void> owned_;  // null in view mode
   const T* data_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -4,6 +4,7 @@
 // in changelog_test.)
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -297,6 +298,54 @@ TEST(DynamicIndexTest, UncachedPairsFaultInAgainstUpdatedGraph) {
       EXPECT_EQ(repaired->PairButterflies(a, b).total, fresh.PairButterflies(a, b).total);
     }
   }
+}
+
+// Each epoch's adjacency and coreness live in their own page mappings, so
+// releasing an epoch unmaps them. After a chain of updates, releasing every
+// older graph and index (the base included) must leave the newest epoch
+// whole: equal to a graph rebuilt from the surviving edges, and to a fresh
+// index over it. A read of a released epoch's arrays would fault on an
+// unmapped page, or trip ASan (the test carries the `sanitize` label).
+TEST(DynamicIndexTest, NewestEpochOutlivesReleasedAncestors) {
+  std::mt19937_64 rng(28);
+  struct Epoch {
+    std::unique_ptr<LabeledGraph> graph;
+    std::unique_ptr<BcIndex> index;
+  };
+  std::vector<Epoch> chain;
+  chain.push_back({std::make_unique<LabeledGraph>(SmallPlanted(17).graph), nullptr});
+  const LabeledGraph& base = *chain.back().graph;
+  chain.back().index = std::make_unique<BcIndex>(base);
+  chain.back().index->MaterializeAllPairs();
+  std::vector<Label> labels;
+  for (VertexId v = 0; v < base.NumVertices(); ++v) labels.push_back(base.LabelOf(v));
+  std::set<std::pair<VertexId, VertexId>> edges;
+  for (const Edge& e : base.AllEdges()) edges.insert({e.u, e.v});
+
+  for (std::size_t step = 0; step < 6; ++step) {
+    const Epoch& prev = chain.back();
+    const std::vector<EdgeUpdate> updates =
+        RandomDelta(*prev.graph, rng, 1 + step % 3, 1 + step % 2);
+    const auto delta = BuildGraphDelta(*prev.graph, updates);
+    ASSERT_TRUE(delta.has_value());
+    for (const Edge& e : delta->inserts) edges.insert({e.u, e.v});
+    for (const Edge& e : delta->deletes) edges.erase({e.u, e.v});
+    Epoch next;
+    next.graph = std::make_unique<LabeledGraph>(ApplyGraphDelta(*prev.graph, *delta));
+    next.index = prev.index->ApplyUpdates(*next.graph, *delta);
+    chain.push_back(std::move(next));
+    if (step % 2 == 1) chain.erase(chain.begin(), chain.end() - 1);  // oldest first
+  }
+  chain.erase(chain.begin(), chain.end() - 1);
+  ASSERT_EQ(chain.size(), 1u);
+
+  std::vector<Edge> want_edges;
+  for (const auto& [u, v] : edges) want_edges.push_back({u, v});
+  const LabeledGraph want =
+      LabeledGraph::FromEdges(labels.size(), std::move(want_edges), labels);
+  ExpectSameGraph(*chain.back().graph, want, "newest epoch");
+  ExpectIndexMatchesFreshBuild(*chain.back().index, *chain.back().graph, "newest epoch");
+  EXPECT_GT(chain.back().index->CachedPairCount(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -379,6 +379,71 @@ TEST(StreamServeTest, SessionSubmitWhileDrainingMatchesReplay) {
   ExpectSameAnswers(got, want);
 }
 
+// A callback is an item's one delivery: it sees the answer a Serve batch
+// gives, and once it returns the stream frees the community, so Finish
+// reports delivered queries empty while their stats, epochs and update
+// outcomes stay. Items submitted without a callback keep their answers.
+TEST(StreamServeTest, DeliveredItemsAreFreedAfterTheirCallback) {
+  PlantedGraph pg = MakeGraph();
+  std::vector<BccQuery> queries = SampleQueries(pg, 8);
+  ASSERT_GE(queries.size(), 4u);
+  const std::vector<ServeItem> items = MakeMixedStream(pg, queries, /*include_invalid=*/true);
+
+  ServeOptions opts;
+  const BatchResult want = SerializedReplay(pg, items, opts);
+
+  // Every even item has a callback (queries and updates alike). Each slot
+  // is written by the one worker that runs its item; Finish orders the
+  // writes before the reads below.
+  const std::size_t n = items.size();
+  std::vector<char> delivered(n, 0);
+  std::vector<Community> seen(n);
+  std::vector<SearchStats> seen_stats(n);
+  std::vector<std::uint64_t> seen_epoch(n, 0);
+  BatchRunner runner(4);
+  ServeEngine engine(runner, pg.graph, nullptr, opts);
+  ServeEngine::Stream stream = engine.OpenStream();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 2 == 1) {
+      stream.Submit(items[i]);
+      continue;
+    }
+    stream.Submit(items[i], [&, i](const ItemCompletion& c) {
+      delivered[c.index] = 1;
+      seen_epoch[i] = c.epoch;
+      if (c.community != nullptr) {
+        seen[i] = *c.community;
+        seen_stats[i] = *c.stats;
+      }
+    });
+  }
+  const BatchResult got = stream.Finish();
+  ASSERT_EQ(got.communities.size(), n);
+
+  std::size_t freed_answers = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(delivered[i] != 0, i % 2 == 0) << "item " << i;
+    if (i % 2 == 1) continue;
+    EXPECT_TRUE(got.communities[i].Empty()) << "delivered item " << i;
+    freed_answers += want.communities[i].Empty() ? 0 : 1;
+    EXPECT_EQ(seen_epoch[i], got.epoch_of[i]) << "item " << i;
+    const SearchStats& kept = got.stats[i];
+    EXPECT_EQ(kept.rounds, seen_stats[i].rounds) << "item " << i;
+    EXPECT_EQ(kept.g0_size, seen_stats[i].g0_size) << "item " << i;
+    EXPECT_EQ(kept.vertices_removed, seen_stats[i].vertices_removed) << "item " << i;
+    EXPECT_EQ(kept.butterfly_counting_calls, seen_stats[i].butterfly_counting_calls)
+        << "item " << i;
+    EXPECT_EQ(kept.total_seconds, seen_stats[i].total_seconds) << "item " << i;
+  }
+  EXPECT_GT(freed_answers, 0u);  // the check above saw real answers go
+
+  // With the delivered answers put back, the stream equals the replay:
+  // answers, epochs and update outcomes.
+  BatchResult restored = got;
+  for (std::size_t i = 0; i < n; i += 2) restored.communities[i] = seen[i];
+  ExpectSameAnswers(restored, want);
+}
+
 // Epoch pinning under the indexed (L2P) path: the repaired index published
 // by a streamed update answers exactly like a fresh engine on the final
 // graph, and pre-update queries saw the pre-update epoch.
