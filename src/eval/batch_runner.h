@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,19 @@ enum class Lane : std::uint8_t { kInteractive = 0, kBulk = 1 };
 
 inline const char* Name(Lane lane) {
   return lane == Lane::kInteractive ? "interactive" : "bulk";
+}
+
+/// Parses a lane token: "interactive" or "i", "bulk" or "b". Returns false,
+/// leaving `*lane` as it was, for anything else.
+inline bool ParseLane(std::string_view text, Lane* lane) {
+  if (text == "interactive" || text == "i") {
+    *lane = Lane::kInteractive;
+  } else if (text == "bulk" || text == "b") {
+    *lane = Lane::kBulk;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 /// Latency/throughput summary of one batch execution.

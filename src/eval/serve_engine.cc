@@ -73,14 +73,15 @@ bool BuildCacheKey(const QueryRequest& req, const LabeledGraph& g, ResultCacheKe
 }  // namespace
 
 /// All mutable state of one stream. Producers (Stream::Submit — any number
-/// of threads, one per connection in the socket front-end) grow the
-/// per-item containers under `mutex`; workers take stable pointers to their
-/// exclusive slots under the same mutex and then execute unlocked (std::deque
-/// growth never moves existing elements). The admission queue provides the
-/// cross-thread ordering: a worker only learns an index from Pop(), which
-/// happens-after the producer's bookkeeping for that index — admission into
-/// the queue happens under `mutex` too, so the queue's dense admission
-/// indices always match the container slots even with racing producers.
+/// of threads, one per connection in the socket front-end) append one
+/// ItemRecord per item under `mutex`; a worker takes a stable pointer to its
+/// exclusive record under the same mutex and then executes unlocked
+/// (std::deque growth never moves existing elements). The admission queue
+/// provides the cross-thread ordering: a worker only learns an index from
+/// Pop(), which happens-after the producer's bookkeeping for that index —
+/// admission into the queue happens under `mutex` too, so the queue's dense
+/// admission indices always match the record indices even with racing
+/// producers.
 struct StreamState {
   StreamState(ServeEngine* e, std::size_t aging_period, AdmissionCaps caps)
       : engine(e), queue(aging_period, caps) {}
@@ -91,23 +92,25 @@ struct StreamState {
   std::thread pump;     // blocks in BatchRunner::Run while workers drain
 
   Mutex mutex;  // guards every container below
-  struct Slot {
+  /// What the stream keeps per admitted item: the request, its admission
+  /// facts, and the result its worker writes.
+  struct ItemRecord {
+    ServeItem item;
     std::uint64_t request_id = 0;
     double admit_seconds = 0;
-    int lane = -1;  // -1 = update slot (excluded from query latency)
+    int lane = -1;  // -1 = update (excluded from query latency)
+    Community community;
+    SearchStats stats;
+    double seconds = 0;
+    double sojourn = 0;
+    std::uint64_t epoch = 0;
+    /// Completion callback (empty function = none). Moved out by the
+    /// executing worker and invoked exactly once, outside every lock.
+    CompletionFn callback;
   };
-  std::deque<ServeItem> items GUARDED_BY(mutex);
-  std::deque<Slot> slots GUARDED_BY(mutex);
-  std::deque<Community> communities GUARDED_BY(mutex);
-  std::deque<SearchStats> stats GUARDED_BY(mutex);
-  std::deque<double> seconds GUARDED_BY(mutex);
-  std::deque<double> sojourn GUARDED_BY(mutex);
-  std::deque<std::uint64_t> epoch_of GUARDED_BY(mutex);
+  std::deque<ItemRecord> records GUARDED_BY(mutex);  // by admission index
   // One per update, by ordinal.
   std::deque<UpdateOutcome> update_outcomes GUARDED_BY(mutex);
-  // Per-item completion callbacks (empty function = none). Moved out by the
-  // executing worker and invoked exactly once, outside every lock.
-  std::deque<CompletionFn> callbacks GUARDED_BY(mutex);
 
   /// Copy-on-write epoch history: history[s] is the state observed by
   /// queries admitted after s updates. Slot 0 is published at open; slot
@@ -281,7 +284,7 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
   if (base.index != nullptr) {
     // Repair against the pinned base graph/index (both kept alive by the
     // epoch history while old-epoch queries drain).
-    next.index = base.index->ApplyUpdates(*next.graph, *delta, req.repair, &outcome->repair);
+    next.index = base.index->ApplyUpdates(*next.graph, *delta, {}, &outcome->repair);
   }
   outcome->applied = true;
   return next;
@@ -293,31 +296,27 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     if (t.kind == AdmissionQueue::Ticket::Kind::kUpdate) {
       const std::size_t u = t.update_ordinal;
       EpochState base;
-      ServeItem* item;
-      double admit_seconds;
-      std::uint64_t request_id;
+      StreamState::ItemRecord* rec;
       UpdateOutcome* outcome;
       CompletionFn done;
       {
         MutexLock lock(state.mutex);
         base = state.history[u].state;
-        item = &state.items[t.index];
-        admit_seconds = state.slots[t.index].admit_seconds;
-        request_id = state.slots[t.index].request_id;
+        rec = &state.records[t.index];
         outcome = &state.update_outcomes[u];
-        done = std::move(state.callbacks[t.index]);
+        done = std::move(rec->callback);
       }
       outcome->item_index = t.index;
       Timer apply;
       RepairTouch touch;
-      EpochState next = PrepareUpdate(base, std::get<UpdateRequest>(*item), outcome, &touch);
+      const auto& update_req = std::get<UpdateRequest>(rec->item);
+      EpochState next = PrepareUpdate(base, update_req, outcome, &touch);
       if (durability_log_ != nullptr && outcome->applied) {
         // The durable commit: changelog append and epoch publish happen
         // together under the log's commit lock, so the log and the
         // published head never disagree — and a compactor capturing state
         // under the same lock sees exactly the appended records. A failed
         // append rejects the batch; the un-durable state never publishes.
-        const auto& update_req = std::get<UpdateRequest>(*item);
         MutexLock commit(durability_log_->commit_mutex());
         std::string err;
         if (!durability_log_->Append(
@@ -351,10 +350,10 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         state.history[u + 1].state = next;
         state.published = u + 2;
         state.ReleaseDrainedHistory();
-        state.seconds[t.index] = outcome->seconds;
-        update_sojourn = state.wall.Seconds() - admit_seconds;
-        state.sojourn[t.index] = update_sojourn;
-        state.epoch_of[t.index] = next.epoch;
+        rec->seconds = outcome->seconds;
+        update_sojourn = state.wall.Seconds() - rec->admit_seconds;
+        rec->sojourn = update_sojourn;
+        rec->epoch = next.epoch;
       }
       // Resolve on the queue AFTER the history write: Pop()'s mutex
       // acquisition gives any worker that observes the resolution a
@@ -367,14 +366,14 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         // never ahead of the state it describes.
         ItemCompletion c;
         c.index = t.index;
-        c.request_id = request_id;
+        c.request_id = rec->request_id;
         c.epoch = outcome->epoch;
         c.seconds = outcome->seconds;
         c.sojourn_seconds = update_sojourn;
         c.is_update = true;
         c.outcome = outcome;
         done(c);
-        *item = ServeItem{};  // delivered: the batch is not needed again
+        rec->item = ServeItem{};  // delivered: the batch is not needed again
       }
       continue;
     }
@@ -383,23 +382,17 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     // published by now), then execute against it unlocked — a concurrent
     // update publish cannot invalidate the pinned shared_ptrs.
     EpochState pinned;
-    ServeItem* item;
-    std::uint64_t request_id;
-    double admit_seconds;
-    Community* community;
-    SearchStats* stats;
+    StreamState::ItemRecord* rec;
     CompletionFn done;
     {
       MutexLock lock(state.mutex);
       pinned = state.history[t.epoch_slot].state;
-      item = &state.items[t.index];
-      request_id = state.slots[t.index].request_id;
-      admit_seconds = state.slots[t.index].admit_seconds;
-      community = &state.communities[t.index];
-      stats = &state.stats[t.index];
-      done = std::move(state.callbacks[t.index]);
+      rec = &state.records[t.index];
+      done = std::move(rec->callback);
     }
-    const QueryRequest& req = std::get<QueryRequest>(*item);
+    const QueryRequest& req = std::get<QueryRequest>(rec->item);
+    Community* community = &rec->community;
+    SearchStats* stats = &rec->stats;
     ResultCacheKey cache_key;
     std::vector<Label> cache_labels;
     // Deadline-bearing requests bypass the cache: a timed-out partial answer
@@ -427,10 +420,10 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     double query_sojourn;
     {
       MutexLock lock(state.mutex);
-      state.seconds[t.index] = exec_seconds;
-      query_sojourn = state.wall.Seconds() - admit_seconds;
-      state.sojourn[t.index] = query_sojourn;
-      state.epoch_of[t.index] = pinned.epoch;
+      rec->seconds = exec_seconds;
+      query_sojourn = state.wall.Seconds() - rec->admit_seconds;
+      rec->sojourn = query_sojourn;
+      rec->epoch = pinned.epoch;
       if (--state.history[t.epoch_slot].pending == 0) state.ReleaseDrainedHistory();
     }
     pinned = EpochState{};  // drop the pin before (not while) holding queue locks
@@ -441,7 +434,7 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       // dequeue, never the lane's concurrency budget.
       ItemCompletion c;
       c.index = t.index;
-      c.request_id = request_id;
+      c.request_id = rec->request_id;
       c.epoch = pinned_epoch;
       c.seconds = exec_seconds;
       c.sojourn_seconds = query_sojourn;
@@ -451,7 +444,7 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       // Delivered once: free the answer and the request now, so a
       // long-lived stream holds only each item's small per-item facts.
       *community = Community{};
-      *item = ServeItem{};
+      rec->item = ServeItem{};
     }
   }
 }
@@ -501,30 +494,24 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
     // producers — a query's id depends only on its admission position,
     // exactly as in a serialized replay.
     id = s.engine->next_request_id_.fetch_add(1);
-    s.items.push_back(std::move(item));
-    StreamState::Slot slot;
-    slot.admit_seconds = s.wall.Seconds();
-    if (const auto* q = std::get_if<QueryRequest>(&s.items.back())) {
+    StreamState::ItemRecord& rec = s.records.emplace_back();
+    rec.item = std::move(item);
+    rec.admit_seconds = s.wall.Seconds();
+    rec.callback = std::move(on_complete);
+    if (const auto* q = std::get_if<QueryRequest>(&rec.item)) {
       if (q->request_id != 0) id = q->request_id;
       lane = q->lane;
-      slot.lane = static_cast<int>(q->lane);
+      rec.lane = static_cast<int>(q->lane);
       ++s.history[s.updates_admitted].pending;
     } else {
       s.update_outcomes.emplace_back();
       s.history.emplace_back();  // the slot this update will publish
       ++s.updates_admitted;
     }
-    slot.request_id = id;
-    s.slots.push_back(slot);
-    s.communities.emplace_back();
-    s.stats.emplace_back();
-    s.seconds.push_back(0);
-    s.sojourn.push_back(0);
-    s.epoch_of.push_back(0);
-    s.callbacks.push_back(std::move(on_complete));
+    rec.request_id = id;
     // Admit under the same lock (after the bookkeeping above): with
     // multiple producers the queue's dense admission index must be assigned
-    // in the order the container slots were pushed, or a worker would read
+    // in the order the records were pushed, or a worker would read
     // another producer's item. Lock order stream mutex -> queue mutex;
     // workers never hold both (Pop returns before they take the stream
     // mutex), so the nesting is acyclic (DESIGN.md, serving contract 5).
@@ -539,7 +526,7 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
 
 std::size_t ServeEngine::Stream::Submitted() const {
   MutexLock lock(state_->mutex);
-  return state_->slots.size();
+  return state_->records.size();
 }
 
 BatchResult ServeEngine::Stream::Finish() {
@@ -572,23 +559,27 @@ BatchResult ServeEngine::Stream::Finish() {
     BCCS_DCHECK(audit.ok) << "epoch history audit: " << audit.reason;
   }
 #endif
-  const std::size_t count = s.slots.size();
-  out.communities.assign(s.communities.begin(), s.communities.end());
-  out.stats.assign(s.stats.begin(), s.stats.end());
-  out.seconds.assign(s.seconds.begin(), s.seconds.end());
-  out.sojourn_seconds.assign(s.sojourn.begin(), s.sojourn.end());
-  out.epoch_of.assign(s.epoch_of.begin(), s.epoch_of.end());
-  out.updates.assign(s.update_outcomes.begin(), s.update_outcomes.end());
-  out.threads_used = s.engine->runner_->NumThreads();
-
-  // The latency/qps summary describes query serving only — update slots
+  const std::size_t count = s.records.size();
+  out.communities.reserve(count);
+  out.stats.reserve(count);
+  out.seconds.reserve(count);
+  out.sojourn_seconds.reserve(count);
+  out.epoch_of.reserve(count);
+  // The latency/qps summary describes query serving only — update records
   // (whose seconds hold the preparation duration) would otherwise smear a
   // slow repair into the query percentiles the lane summaries exclude.
   std::vector<double> query_seconds;
   query_seconds.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (s.slots[i].lane >= 0) query_seconds.push_back(out.seconds[i]);
+  for (StreamState::ItemRecord& r : s.records) {
+    out.communities.push_back(std::move(r.community));
+    out.stats.push_back(r.stats);
+    out.seconds.push_back(r.seconds);
+    out.sojourn_seconds.push_back(r.sojourn);
+    out.epoch_of.push_back(r.epoch);
+    if (r.lane >= 0) query_seconds.push_back(r.seconds);
   }
+  out.updates.assign(s.update_outcomes.begin(), s.update_outcomes.end());
+  out.threads_used = s.engine->runner_->NumThreads();
   out.latency = SummarizeLatency(query_seconds, wall_seconds);
   out.workspace_stats = s.drain_stats;
   out.result_cache_enabled = s.engine->result_cache_ != nullptr;
@@ -604,10 +595,8 @@ BatchResult ServeEngine::Stream::Finish() {
   std::vector<double> lane_sojourn;
   for (Lane lane : {Lane::kInteractive, Lane::kBulk}) {
     lane_sojourn.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (s.slots[i].lane == static_cast<int>(lane)) {
-        lane_sojourn.push_back(out.sojourn_seconds[i]);
-      }
+    for (const StreamState::ItemRecord& r : s.records) {
+      if (r.lane == static_cast<int>(lane)) lane_sojourn.push_back(r.sojourn);
     }
     if (lane_sojourn.empty()) continue;
     LaneSummary summary;

@@ -115,8 +115,6 @@ struct UpdateRequest {
   /// whole batch is one atomic epoch transition — it applies fully or, on a
   /// validation error, not at all.
   std::vector<EdgeUpdate> updates;
-  /// Incremental-repair fallback thresholds for BcIndex::ApplyUpdates.
-  UpdateRepairOptions repair;
 };
 
 /// One serving-stream item.

@@ -20,6 +20,9 @@ namespace {
 constexpr char kSegmentMagic[8] = {'B', 'C', 'C', 'S', 'L', 'O', 'G', '1'};
 constexpr char kRecordMagic[8] = {'B', 'C', 'C', 'S', 'R', 'E', 'C', '1'};
 constexpr std::uint32_t kSegmentFormatVersion = 1;
+/// The writer seals and rotates a segment once its file reaches this many
+/// bytes, whatever ChangelogOptions::segment_blocks says.
+constexpr std::size_t kSegmentMaxBytes = 4u << 20;
 
 struct SegmentHeader {
   char magic[8];
@@ -308,9 +311,7 @@ bool ScanSegments(const std::string& snapshot_path, std::uint64_t base_seq,
   return true;
 }
 
-#if BCCS_HAVE_POSIX_IO
 using internal::FullWrite;
-#endif
 
 }  // namespace
 
@@ -337,34 +338,22 @@ bool ParseFsyncPolicy(const std::string& text, FsyncPolicy* out) {
 }
 
 bool FsyncFile(const std::string& path, std::string* error) {
-#if BCCS_HAVE_POSIX_IO
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Fail(error, "cannot open " + path + " for fsync");
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   if (!ok) return Fail(error, "fsync failed for " + path);
-#else
-  (void)path;
-#endif
   return true;
 }
 
 bool FsyncParentDir(const std::string& path, std::string* error) {
-#if BCCS_HAVE_POSIX_IO
   std::filesystem::path dir = std::filesystem::path(path).parent_path();
   if (dir.empty()) dir = ".";
-  int flags = O_RDONLY;
-#ifdef O_DIRECTORY
-  flags |= O_DIRECTORY;
-#endif
-  const int fd = ::open(dir.c_str(), flags);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return Fail(error, "cannot open directory " + dir.string() + " for fsync");
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   if (!ok) return Fail(error, "fsync failed for directory " + dir.string());
-#else
-  (void)path;
-#endif
   return true;
 }
 
@@ -422,23 +411,13 @@ Changelog::Changelog(std::string snapshot_path, std::uint64_t base_seq,
 }
 
 Changelog::~Changelog() {
-#if BCCS_HAVE_POSIX_IO
   if (tail_fd_ >= 0) ::close(tail_fd_);
-#endif
 }
 
 std::unique_ptr<Changelog> Changelog::Open(const std::string& snapshot_path,
                                            std::uint64_t base_seq,
                                            const ChangelogOptions& opts,
                                            ChangelogStatus* status, std::string* error) {
-#if !BCCS_HAVE_POSIX_IO
-  (void)snapshot_path;
-  (void)base_seq;
-  (void)opts;
-  (void)status;
-  Fail(error, "changelog requires POSIX file I/O on this platform");
-  return nullptr;
-#else
   ScanResult scan;
   if (!ScanSegments(snapshot_path, base_seq, &scan, error)) return nullptr;
 
@@ -524,7 +503,6 @@ std::unique_ptr<Changelog> Changelog::Open(const std::string& snapshot_path,
   for (const ScanSeg& seg : live) st.updates += seg.updates;
   if (status != nullptr) *status = st;
   return log;
-#endif
 }
 
 std::size_t Changelog::sealed_segments() const {
@@ -540,9 +518,6 @@ bool Changelog::Broken(std::string* error) const {
 }
 
 bool Changelog::RollbackTail(std::string* error, const std::string& what) {
-#if !BCCS_HAVE_POSIX_IO
-  return Fail(error, what);
-#else
   if (::ftruncate(tail_fd_, static_cast<off_t>(tail_bytes_)) != 0) {
     broken_ = true;
     return Fail(error, what + " (and rollback failed: the segment is now torn; "
@@ -555,13 +530,9 @@ bool Changelog::RollbackTail(std::string* error, const std::string& what) {
   // (DESIGN.md, durability contract).
   (void)::fdatasync(tail_fd_);
   return Fail(error, what);
-#endif
 }
 
 bool Changelog::OpenNewTail(std::string* error) {
-#if !BCCS_HAVE_POSIX_IO
-  return Fail(error, "changelog requires POSIX file I/O on this platform");
-#else
   const std::uint64_t seq = last_seq_ + 1;
   const std::string path = SegmentPath(snapshot_path_, seq);
   // O_APPEND (matching the recovery reopen in Open): every write lands at
@@ -601,16 +572,10 @@ bool Changelog::OpenNewTail(std::string* error) {
   last_seq_ = seq;
   segments_.push_back(Segment{seq, path, false});
   return true;
-#endif
 }
 
 bool Changelog::Append(std::span<const EdgeUpdate> updates, const SourceGraphInfo& stamp,
                        std::string* error) {
-#if !BCCS_HAVE_POSIX_IO
-  (void)updates;
-  (void)stamp;
-  return Fail(error, "changelog requires POSIX file I/O on this platform");
-#else
   if (Broken(error)) return false;
   if (updates.size() > std::numeric_limits<std::uint32_t>::max()) {
     return Fail(error, "changelog record cannot hold more than 2^32-1 updates");
@@ -647,11 +612,10 @@ bool Changelog::Append(std::span<const EdgeUpdate> updates, const SourceGraphInf
   updates_appended_ += updates.size();
   tail_hash_.Update(buf.data(), buf.size());
 
-  if (tail_records_ >= opts_.segment_blocks || tail_bytes_ >= opts_.segment_bytes) {
+  if (tail_records_ >= opts_.segment_blocks || tail_bytes_ >= kSegmentMaxBytes) {
     return SealTailLocked(error);
   }
   return true;
-#endif
 }
 
 bool Changelog::SealTail(std::string* error) {
@@ -660,9 +624,6 @@ bool Changelog::SealTail(std::string* error) {
 }
 
 bool Changelog::SealTailLocked(std::string* error) {
-#if !BCCS_HAVE_POSIX_IO
-  return Fail(error, "changelog requires POSIX file I/O on this platform");
-#else
   if (tail_fd_ < 0 || tail_records_ == 0) return true;  // nothing worth sealing
 
   RecordHeader rec = {};
@@ -685,7 +646,6 @@ bool Changelog::SealTailLocked(std::string* error) {
   segments_.back().sealed = true;
   sealed_seq_ = segments_.back().seq;
   return true;
-#endif
 }
 
 bool Changelog::DropSegmentsThrough(std::uint64_t through_seq, std::string* error) {

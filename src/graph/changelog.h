@@ -43,9 +43,9 @@ namespace bccs {
 /// A *seal* record (kind 1, zero entries) marks the segment complete; its
 /// body checksum covers every byte of the segment before the seal, so a
 /// sealed segment is verifiable end to end. The writer seals and rotates
-/// once a segment exceeds the block-count or byte thresholds; the
-/// background compactor (graph/compactor.h) folds sealed segments into a
-/// new base snapshot and advances the watermark.
+/// once a segment reaches ChangelogOptions::segment_blocks records or
+/// 4 MiB; the background compactor (graph/compactor.h) folds sealed
+/// segments into a new base snapshot and advances the watermark.
 ///
 /// Recovery discipline (ARIES-style, prefix-consistent): only the unsealed
 /// tail can legitimately be torn by a crash, so recovery scans segments in
@@ -84,10 +84,9 @@ bool ParseFsyncPolicy(const std::string& text, FsyncPolicy* out);
 
 struct ChangelogOptions {
   FsyncPolicy fsync = FsyncPolicy::kOnRotation;
-  /// Seal + rotate after this many update records (--segment-blocks).
+  /// Seal + rotate after this many update records (--segment-blocks), or
+  /// once the segment file reaches 4 MiB.
   std::size_t segment_blocks = 64;
-  /// ... or once the segment file exceeds this many bytes.
-  std::size_t segment_bytes = 4u << 20;
 };
 
 /// What recovery found and did, plus live counters (bccs_update/bccs_serve
@@ -155,8 +154,8 @@ bool RemoveChangelogSegments(const std::string& snapshot_path,
                              std::string* error = nullptr);
 
 /// fsync a file / the parent directory of `path` (directory sync is what
-/// makes a create/rename/unlink durable). No-ops returning true on
-/// platforms without POSIX fds.
+/// makes a create/rename/unlink durable). Returns false and sets `error`
+/// when the open or the fsync fails.
 bool FsyncFile(const std::string& path, std::string* error = nullptr);
 bool FsyncParentDir(const std::string& path, std::string* error = nullptr);
 

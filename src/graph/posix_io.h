@@ -2,16 +2,16 @@
 #define BCCS_GRAPH_POSIX_IO_H_
 
 /// Raw POSIX file-descriptor I/O helpers shared by the durability layer
-/// (graph/snapshot.cc, graph/changelog.cc). The durability code writes
-/// through fds instead of iostreams on purpose: fdatasync needs the fd,
-/// and the fault-injection harness (tests/fault_fs) interposes the libc
+/// (graph/snapshot.cc, graph/changelog.cc). Every durable write and sync
+/// there goes through an fd, and snapshots load through mmap; the build is
+/// POSIX-only (CMakeLists.txt), so there is no portable fallback. Fds rather
+/// than iostreams on purpose: fdatasync needs the fd, and the
+/// fault-injection harness (tests/fault_fs) interposes the libc
 /// write/fsync/rename symbols — which buffered stdio bypasses internally.
 
+#include <cerrno>
 #include <cstddef>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define BCCS_HAVE_POSIX_IO 1
-#include <cerrno>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -50,6 +50,5 @@ inline bool FullWriteAt(int fd, std::size_t offset, const void* data, std::size_
 }
 
 }  // namespace bccs::internal
-#endif
 
 #endif  // BCCS_GRAPH_POSIX_IO_H_

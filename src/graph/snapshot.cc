@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -17,10 +16,7 @@
 #include "graph/graph_delta.h"
 #include "graph/posix_io.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define BCCS_HAVE_MMAP 1
 #include <sys/mman.h>
-#endif
 
 namespace bccs {
 
@@ -158,9 +154,9 @@ bool IoFail(std::string* error, const std::string& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Writer. Raw POSIX fds where available: fdatasync needs the fd, and the
-// fault-injection harness interposes the libc write symbol — which
-// buffered iostreams bypass internally (glibc stdio calls hidden aliases).
+// Writer. Raw POSIX fds: fdatasync needs the fd, and the fault-injection
+// harness interposes the libc write symbol — which buffered iostreams
+// bypass internally (glibc stdio calls hidden aliases).
 // ---------------------------------------------------------------------------
 
 class FileSink {
@@ -169,61 +165,32 @@ class FileSink {
   FileSink(const FileSink&) = delete;
   FileSink& operator=(const FileSink&) = delete;
   ~FileSink() {
-#if BCCS_HAVE_POSIX_IO
     if (fd_ >= 0) ::close(fd_);
-#endif
   }
 
   bool Open(const std::string& path) {
-#if BCCS_HAVE_POSIX_IO
     fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     return fd_ >= 0;
-#else
-    out_.open(path, std::ios::binary | std::ios::trunc);
-    return static_cast<bool>(out_);
-#endif
   }
 
   bool Write(const void* data, std::size_t len) {
-#if BCCS_HAVE_POSIX_IO
     return internal::FullWrite(fd_, data, len);
-#else
-    out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(len));
-    return static_cast<bool>(out_);
-#endif
   }
 
   /// Patches previously written bytes (the checksum back-fill).
   bool WriteAt(std::size_t offset, const void* data, std::size_t len) {
-#if BCCS_HAVE_POSIX_IO
     return internal::FullWriteAt(fd_, offset, data, len);
-#else
-    out_.seekp(static_cast<std::streamoff>(offset), std::ios::beg);
-    out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(len));
-    return static_cast<bool>(out_);
-#endif
   }
 
   bool Close() {
-#if BCCS_HAVE_POSIX_IO
     if (fd_ < 0) return false;
     const bool ok = ::close(fd_) == 0;
     fd_ = -1;
     return ok;
-#else
-    out_.flush();
-    const bool ok = static_cast<bool>(out_);
-    out_.close();
-    return ok;
-#endif
   }
 
  private:
-#if BCCS_HAVE_POSIX_IO
   int fd_ = -1;
-#else
-  std::ofstream out_;
-#endif
 };
 
 class SnapshotWriter {
@@ -274,85 +241,49 @@ class SnapshotWriter {
 };
 
 // ---------------------------------------------------------------------------
-// File mapping (mmap with a read() fallback).
+// File mapping.
 // ---------------------------------------------------------------------------
 
+/// A read-only private mapping of a whole snapshot file. An empty file has
+/// no mapping (mmap rejects length 0): data stays null and size 0, which the
+/// loader rejects as a truncated header.
 struct MappedFile {
   const std::byte* data = nullptr;
   std::size_t size = 0;
-  bool mapped = false;
-
-#if BCCS_HAVE_MMAP
-  void* map_base = nullptr;
-#endif
-  std::vector<std::byte> heap;  // read() fallback storage
 
   MappedFile() = default;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
   ~MappedFile() {
-#if BCCS_HAVE_MMAP
-    if (map_base != nullptr) ::munmap(map_base, size);
-#endif
+    if (data != nullptr) ::munmap(const_cast<std::byte*>(data), size);
   }
 };
 
-std::shared_ptr<MappedFile> OpenSnapshotFile(const std::string& path, bool allow_mmap,
-                                             std::string* error) {
+std::shared_ptr<MappedFile> OpenSnapshotFile(const std::string& path, std::string* error) {
   auto file = std::make_shared<MappedFile>();
-#if BCCS_HAVE_MMAP
-  if (allow_mmap) {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      IoFail(error, "cannot open " + path);
-      return nullptr;
-    }
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      IoFail(error, "cannot stat " + path);
-      return nullptr;
-    }
-    file->size = static_cast<std::size_t>(st.st_size);
-    if (file->size > 0) {
-      void* base = ::mmap(nullptr, file->size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (base == MAP_FAILED) {
-        IoFail(error, "mmap failed for " + path);
-        return nullptr;
-      }
-      file->map_base = base;
-      file->data = static_cast<const std::byte*>(base);
-    } else {
-      ::close(fd);
-    }
-    file->mapped = true;
-    return file;
-  }
-#else
-  (void)allow_mmap;
-#endif
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     IoFail(error, "cannot open " + path);
     return nullptr;
   }
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (end < 0) {
-    IoFail(error, "cannot read " + path);
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+    ::close(fd);
+    IoFail(error, "cannot stat " + path);
     return nullptr;
   }
-  file->heap.resize(static_cast<std::size_t>(end));
-  if (!file->heap.empty() &&
-      !in.read(reinterpret_cast<char*>(file->heap.data()),
-               static_cast<std::streamsize>(file->heap.size()))) {
-    IoFail(error, "cannot read " + path);
-    return nullptr;
+  file->size = static_cast<std::size_t>(st.st_size);
+  if (file->size > 0) {
+    void* base = ::mmap(nullptr, file->size, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (base == MAP_FAILED) {
+      IoFail(error, "mmap failed for " + path);
+      return nullptr;
+    }
+    file->data = static_cast<const std::byte*>(base);
+  } else {
+    ::close(fd);
   }
-  file->data = file->heap.data();
-  file->size = file->heap.size();
   return file;
 }
 
@@ -471,7 +402,7 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
     return std::nullopt;
   };
 
-  std::shared_ptr<MappedFile> file = OpenSnapshotFile(path, opts.allow_mmap, error);
+  std::shared_ptr<MappedFile> file = OpenSnapshotFile(path, error);
   if (file == nullptr) return std::nullopt;
   if (file->size < sizeof(SnapshotHeader)) {
     return fail("truncated snapshot: " + std::to_string(file->size) +
@@ -548,12 +479,8 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
   // check below can compare against the EFFECTIVE stamp (last record wins).
   SourceGraphInfo effective{header.source_graph_size, header.source_graph_mtime_ns};
   ChangelogReplay clog;
-  if (opts.replay_changelog) {
-    if (!ScanChangelog(path, header.base_changelog_seq, &clog, error)) {
-      return std::nullopt;
-    }
-    if (clog.has_stamp) effective = clog.effective;
-  }
+  if (!ScanChangelog(path, header.base_changelog_seq, &clog, error)) return std::nullopt;
+  if (clog.has_stamp) effective = clog.effective;
 
   if (opts.expected_source.Known() && effective.Known() &&
       !(effective == opts.expected_source)) {
@@ -627,7 +554,6 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path, std::string*
 
   SnapshotBundle bundle;
   bundle.loaded_from_snapshot = true;
-  bundle.mapped = file->mapped;
   bundle.snapshot_bytes = file->size;
   bundle.base_changelog_seq = header.base_changelog_seq;
   bundle.changelog_segments = clog.segments;

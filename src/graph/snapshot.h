@@ -39,9 +39,8 @@ namespace bccs {
 /// array is cache-line aligned and can be used in place: LoadSnapshot
 /// reconstructs the graph and index as zero-copy views over the mapping
 /// (the only copied data are the per-pair chi arrays, which are
-/// re-scattered into dense vectors). On platforms without mmap — or with
-/// allow_mmap = false — the loader falls back to one read() of the file
-/// into an owned buffer and builds the same views over it.
+/// re-scattered into dense vectors). The file is always mmap'ed; there is
+/// no read() loader.
 ///
 /// A snapshot may be accompanied by rotated changelog segment files
 /// (`<path>.log.NNNNNN`, graph/changelog.h) — the one update log.
@@ -92,17 +91,14 @@ SourceGraphInfo StatSourceGraph(const std::string& path);
 /// A loaded (or freshly built, for BcIndex::BuildOrLoad) graph + index. The
 /// graph shared_ptr owns the file mapping; the index points into the graph,
 /// so keep the bundle together (or at least the graph) while the index is
-/// in use.
+/// in use. A loaded bundle's arrays are zero-copy views over the mapping;
+/// with a replayed changelog, the label arrays remain mapped views while
+/// the adjacency and index arrays are rebuilt in memory.
 struct SnapshotBundle {
   std::shared_ptr<const LabeledGraph> graph;
   std::unique_ptr<BcIndex> index;
   /// True when the bundle came from a snapshot file rather than a build.
   bool loaded_from_snapshot = false;
-  /// True when the arrays are zero-copy views over an mmap'ed file (false
-  /// for the read() fallback and for built bundles). With a replayed
-  /// changelog, the label arrays remain mapped views; adjacency and index
-  /// arrays are rebuilt in memory.
-  bool mapped = false;
   /// Snapshot file size in bytes (0 for built bundles that failed to save).
   std::size_t snapshot_bytes = 0;
   /// Changelog updates replayed onto the loaded state (0 for a bare
@@ -122,17 +118,11 @@ struct SnapshotLoadOptions {
   /// pass over the payload; disable only for trusted files where pure
   /// page-fault cold start matters.
   bool verify_checksum = true;
-  /// Use mmap when the platform has it; false forces the read() path.
-  bool allow_mmap = true;
   /// When Known(), reject snapshots whose stamped source-graph identity is
   /// also known and differs ("stale snapshot"). Snapshots stamped as
   /// unknown skip the check. The comparison uses the EFFECTIVE stamp: the
   /// last replayed changelog record's, else the header's.
   SourceGraphInfo expected_source;
-  /// Replay rotated changelog segments (`<path>.log.NNNNNN`) on top of the
-  /// payload. Disable only to inspect the bare base state (the
-  /// recovery-time bench does, to separate base load from replay).
-  bool replay_changelog = true;
 };
 
 /// Serializes `index.graph()` plus `index` (coreness arrays and the

@@ -100,11 +100,7 @@ NetParseStatus ParseNetRequest(std::string_view line, std::size_t num_vertices,
     std::size_t pos = 3;
     if (pos < tokens.size() && tokens[pos].substr(0, 3) != "id=") {
       const std::string_view lane = tokens[pos];
-      if (lane == "interactive" || lane == "i") {
-        out->lane = Lane::kInteractive;
-      } else if (lane == "bulk" || lane == "b") {
-        out->lane = Lane::kBulk;
-      } else {
+      if (!ParseLane(lane, &out->lane)) {
         *error = "unknown lane '" + std::string(lane) + "' (interactive|bulk)";
         return NetParseStatus::kError;
       }

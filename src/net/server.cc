@@ -19,6 +19,11 @@ namespace bccs {
 
 namespace {
 
+/// Per-connection response backlog bound: a client that stops reading
+/// while submitting is disconnected once this many unsent bytes queue up
+/// (kept responses for id= requests survive in the ResponseKeeper).
+constexpr std::size_t kMaxOutboxBytes = 4u << 20;
+
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -143,7 +148,7 @@ void NetServer::Deliver(const std::shared_ptr<Connection>& conn, std::string_vie
       // A client that submits without reading cannot queue unbounded
       // response bytes: flag it and let the loop disconnect it. (Kept id=
       // responses survive in the ResponseKeeper for the reconnect.)
-      if (conn->outbox.size() > opts_.max_outbox_bytes) conn->overflowed = true;
+      if (conn->outbox.size() > kMaxOutboxBytes) conn->overflowed = true;
       wake = true;
     }
   }

@@ -26,10 +26,6 @@ struct NetServerOptions {
   /// A request line longer than this loses the frame boundary; the
   /// connection is answered with one final error and closed.
   std::size_t max_line_bytes = 4096;
-  /// Per-connection response backlog bound: a client that stops reading
-  /// while submitting is disconnected once this many unsent bytes queue up
-  /// (kept responses for id= requests survive in the ResponseKeeper).
-  std::size_t max_outbox_bytes = 4u << 20;
   /// ResponseKeeper capacity: how many completed id= responses are kept for
   /// idempotent retries before the oldest is evicted.
   std::size_t keeper_capacity = 4096;

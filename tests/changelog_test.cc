@@ -7,6 +7,7 @@
 
 #include "graph/changelog.h"
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,10 +15,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
 #include <sys/resource.h>
-#endif
 
 #include <gtest/gtest.h>
 
@@ -263,7 +261,6 @@ TEST_F(ChangelogTest, TornTailTruncatedAtEveryByteOffset) {
   fs::remove(pristine);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 // A transient append failure must not poison the segment for later appends:
 // the rollback truncates the torn fragment away, and the NEXT acknowledged
 // append must continue exactly at the rolled-back offset (O_APPEND), never
@@ -315,7 +312,6 @@ TEST_F(ChangelogTest, AppendAfterRolledBackFailureLeavesNoHole) {
   const std::vector<std::vector<EdgeUpdate>> acked = {batches[0], batches[2]};
   ExpectSameGraph(*recovered->bundle.graph, ApplyPrefix(g, acked, 2));
 }
-#endif  // defined(__unix__) || defined(__APPLE__)
 
 TEST_F(ChangelogTest, NonTailCorruptionIsAHardError) {
   LabeledGraph g = MakeRandomGraph(24, 0.2, 3, 902);

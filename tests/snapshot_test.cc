@@ -80,16 +80,12 @@ TEST(SnapshotTest, RoundTripIsBitIdentical) {
   std::string error;
   ASSERT_TRUE(SaveSnapshot(built, path, &error)) << error;
 
-  for (bool allow_mmap : {true, false}) {
-    SnapshotLoadOptions opts;
-    opts.allow_mmap = allow_mmap;
-    auto loaded = LoadSnapshot(path, &error, opts);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_TRUE(loaded->loaded_from_snapshot);
-    EXPECT_GT(loaded->snapshot_bytes, 0u);
-    ExpectSameGraph(pg.graph, *loaded->graph);
-    ExpectSameIndex(built, *loaded->index);
-  }
+  auto loaded = LoadSnapshot(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->loaded_from_snapshot);
+  EXPECT_GT(loaded->snapshot_bytes, 0u);
+  ExpectSameGraph(pg.graph, *loaded->graph);
+  ExpectSameIndex(built, *loaded->index);
   std::remove(path.c_str());
 }
 
@@ -257,17 +253,11 @@ class SnapshotRejectionTest : public ::testing::Test {
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
   }
 
-  /// Expect both load paths (mmap and read fallback) to reject, with the
-  /// reason mentioning `needle`.
+  /// Expect the load to reject, with the reason mentioning `needle`.
   void ExpectRejected(const std::string& needle) {
-    for (bool allow_mmap : {true, false}) {
-      SnapshotLoadOptions opts;
-      opts.allow_mmap = allow_mmap;
-      std::string error;
-      EXPECT_FALSE(LoadSnapshot(path_, &error, opts).has_value());
-      EXPECT_NE(error.find(needle), std::string::npos)
-          << "mmap=" << allow_mmap << ": " << error;
-    }
+    std::string error;
+    EXPECT_FALSE(LoadSnapshot(path_, &error).has_value());
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
   }
 
   /// Byte offset of the first SnapshotPairEntry (walks the 64-byte-aligned
@@ -300,6 +290,9 @@ TEST_F(SnapshotRejectionTest, MissingFile) {
 
 TEST_F(SnapshotRejectionTest, TruncatedHeader) {
   WriteBytes(bytes_.substr(0, 40));
+  ExpectRejected("truncated");
+  // An empty file has nothing to map; it is rejected the same way.
+  WriteBytes("");
   ExpectRejected("truncated");
 }
 
@@ -406,15 +399,11 @@ TEST_F(SnapshotRejectionTest, ChiLenSumOverflowRejected) {
   ASSERT_LT(chi_len_off + 8, corrupt.size());
   corrupt[chi_len_off + 7] = '\x20';  // top byte of the little-endian uint64
   WriteBytes(corrupt);
-  for (bool allow_mmap : {true, false}) {
-    SnapshotLoadOptions opts;
-    opts.allow_mmap = allow_mmap;
-    opts.verify_checksum = false;  // the size checks must catch it on their own
-    std::string error;
-    EXPECT_FALSE(LoadSnapshot(path_, &error, opts).has_value());
-    EXPECT_NE(error.find("chi lengths"), std::string::npos)
-        << "mmap=" << allow_mmap << ": " << error;
-  }
+  SnapshotLoadOptions opts;
+  opts.verify_checksum = false;  // the size checks must catch it on their own
+  std::string error;
+  EXPECT_FALSE(LoadSnapshot(path_, &error, opts).has_value());
+  EXPECT_NE(error.find("chi lengths"), std::string::npos) << error;
 }
 
 TEST_F(SnapshotRejectionTest, StaleSourceGraphRejected) {

@@ -126,18 +126,6 @@ bool ParseQueryPair(const bccs::ArgParser& args, std::size_t num_vertices,
          ParseVertexFlag("qr", args.GetStringOr("qr", ""), num_vertices, &q->qr);
 }
 
-bool ParseLane(const std::string& s, bccs::Lane* lane) {
-  if (s == "interactive" || s == "i") {
-    *lane = bccs::Lane::kInteractive;
-    return true;
-  }
-  if (s == "bulk" || s == "b") {
-    *lane = bccs::Lane::kBulk;
-    return true;
-  }
-  return false;
-}
-
 struct BatchLine {
   bccs::BccQuery query;
   bool has_lane = false;
@@ -175,7 +163,7 @@ std::vector<BatchLine> ReadBatchFile(const std::string& path, std::size_t num_ve
     bl.query = {static_cast<bccs::VertexId>(ql), static_cast<bccs::VertexId>(qr)};
     std::string lane_token;
     if (ls >> lane_token) {
-      if (!ParseLane(lane_token, &bl.lane)) {
+      if (!bccs::ParseLane(lane_token, &bl.lane)) {
         std::fprintf(stderr, "%s:%zu: unknown lane '%s' (interactive|bulk), skipped\n",
                      path.c_str(), line_no, lane_token.c_str());
         continue;
@@ -310,7 +298,7 @@ int main(int argc, char** argv) {
   }
   const bool batch_mode = args.Has("batch-file") || args.Has("repeat");
   cfg.lane = batch_mode ? bccs::Lane::kBulk : bccs::Lane::kInteractive;
-  if (args.Has("lane") && !ParseLane(args.GetStringOr("lane", ""), &cfg.lane)) {
+  if (args.Has("lane") && !bccs::ParseLane(args.GetStringOr("lane", ""), &cfg.lane)) {
     std::fprintf(stderr, "invalid --lane '%s' (valid lanes: interactive, bulk)\n",
                  args.GetStringOr("lane", "").c_str());
     return 2;

@@ -22,9 +22,8 @@
 //
 // Reporting is batch-style: per-item results are printed in admission
 // order after the stream ends (EOF) and the pool drains, and memory is
-// proportional to the stream length — so feed this tool finite streams. A
-// socket front-end replying per item as it completes is the intended next
-// layer on Stream::Submit (see ROADMAP.md), not this CLI.
+// proportional to the stream length — so feed this tool finite streams, or
+// use --listen, which replies per item as it completes.
 //
 // Stream format, one item per line ('#' comments and blank lines allowed):
 //   q <ql> <qr> [interactive|bulk]   two-label query (lane default: bulk)
@@ -110,33 +109,16 @@ void HandleStopSignal(int sig) {
   if (server != nullptr) server->RequestShutdown();
 }
 
-/// SIGINT/SIGTERM → stop admission and drain. Installed WITHOUT SA_RESTART
-/// where sigaction exists, so a blocking stdin read returns early instead
-/// of riding out a slow producer.
+/// SIGINT/SIGTERM → stop admission and drain. Installed WITHOUT
+/// SA_RESTART, so a blocking stdin read returns early instead of riding out
+/// a slow producer.
 void InstallStopHandlers() {
-#if defined(__unix__) || defined(__APPLE__)
   struct sigaction sa = {};
   sa.sa_handler = HandleStopSignal;
   sigemptyset(&sa.sa_mask);
   sa.sa_flags = 0;  // no SA_RESTART: interrupt the getline read
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-#else
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-#endif
-}
-
-bool ParseLane(const std::string& s, bccs::Lane* lane) {
-  if (s == "interactive" || s == "i") {
-    *lane = bccs::Lane::kInteractive;
-    return true;
-  }
-  if (s == "bulk" || s == "b") {
-    *lane = bccs::Lane::kBulk;
-    return true;
-  }
-  return false;
 }
 
 struct StreamLine {
@@ -169,7 +151,7 @@ LineStatus ParseStreamLine(std::string line, std::size_t line_no, std::size_t nu
     req.query = bccs::BccQuery{static_cast<bccs::VertexId>(ql),
                                static_cast<bccs::VertexId>(qr)};
     std::string lane_token;
-    if (ls >> lane_token && !ParseLane(lane_token, &req.lane)) {
+    if (ls >> lane_token && !bccs::ParseLane(lane_token, &req.lane)) {
       std::fprintf(stderr, "stream:%zu: unknown lane '%s' (interactive|bulk)\n", line_no,
                    lane_token.c_str());
       return LineStatus::kError;

@@ -110,20 +110,12 @@ bool AppendAckLine(const std::string& path, std::size_t count) {
   char line[64];
   const int len = std::snprintf(line, sizeof(line), "acked %zu\n", count);
   if (len <= 0) return false;
-#if BCCS_HAVE_POSIX_IO
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return false;
   bool ok = bccs::internal::FullWrite(fd, line, static_cast<std::size_t>(len));
   if (::fsync(fd) != 0) ok = false;
   if (::close(fd) != 0) ok = false;
   return ok;
-#else
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(line, 1, static_cast<std::size_t>(len), f) ==
-                  static_cast<std::size_t>(len);
-  return ok && std::fclose(f) == 0;
-#endif
 }
 
 // The "snapshot: N vertices, E edges" prefix is parsed by
