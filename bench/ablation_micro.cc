@@ -49,7 +49,8 @@ struct BipartiteFixture {
       in_right[v] = 1;
     }
     const std::span<const VertexId> groups[2] = {left, right};
-    cg.Build(g, groups);
+    QueryWorkspace ws;
+    cg.Build(g, groups, ws);
     alive.assign(cg.NumVertices(), 1);
   }
 };
@@ -293,7 +294,7 @@ void BM_CandidateGraphBuild(benchmark::State& state) {
   QueryWorkspace ws;
   std::unique_ptr<CandidateGraph> cg = ws.AcquireCandidateGraph();
   for (auto _ : state) {
-    cg->Build(f.pg.graph, groups, &ws);
+    cg->Build(f.pg.graph, groups, ws);
     benchmark::DoNotOptimize(cg->NumVertices());
   }
   state.counters["g0"] = static_cast<double>(cg->NumVertices());
@@ -308,7 +309,7 @@ void BM_SeedCount(benchmark::State& state) {
   ButterflyCounts counts;
   counts.chi = ws.U64ZeroPool().Acquire(f.g0.graph->NumVertices());
   for (auto _ : state) {
-    CountButterfliesInto(*f.g0.graph, 0, 1, nullptr, &ws, &counts);
+    CountButterfliesInto(*f.g0.graph, 0, 1, nullptr, ws, &counts);
     benchmark::DoNotOptimize(counts.total);
   }
   state.counters["butterflies"] = static_cast<double>(counts.total);
@@ -324,7 +325,7 @@ void BM_ResolveQueryGroup(benchmark::State& state) {
   std::vector<VertexId> side;
   for (auto _ : state) {
     const std::uint32_t k =
-        ResolveQueryGroup(f.pg.graph, f.q.ql, 0, nullptr, &f.index, &ws, &side);
+        ResolveQueryGroup(f.pg.graph, f.q.ql, 0, nullptr, &f.index, ws, &side);
     benchmark::DoNotOptimize(k);
     benchmark::DoNotOptimize(side.data());
     benchmark::ClobberMemory();

@@ -95,13 +95,13 @@ MethodAggregate RunMethodBatch(PreparedDataset& ds, Method m, const BccParams& p
       break;
     }
     case Method::kOnlineBcc:
-      result = runner.RunBccBatch(ds.planted.graph, raw, params, OnlineBccOptions());
+      result = runner.RunBccBatch(ds.planted.graph, raw, params, QueryMethod::kOnlineBcc);
       break;
     case Method::kLpBcc:
-      result = runner.RunBccBatch(ds.planted.graph, raw, params, LpBccOptions());
+      result = runner.RunBccBatch(ds.planted.graph, raw, params, QueryMethod::kLpBcc);
       break;
     case Method::kL2pBcc:
-      result = runner.RunL2pBatch(ds.planted.graph, *ds.index, raw, params, {});
+      result = runner.RunL2pBatch(ds.planted.graph, *ds.index, raw, params);
       break;
   }
 

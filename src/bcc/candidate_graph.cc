@@ -13,8 +13,8 @@ namespace {
 // allocating max(size, reserve) (see GrowScratch), so a build never holds
 // both.
 template <typename T>
-void Fit(std::vector<T>* buf, std::size_t size, std::size_t reserve, QueryWorkspace* ws) {
-  if (buf->capacity() < size && ws != nullptr) ws->CountBulkInit();
+void Fit(std::vector<T>* buf, std::size_t size, std::size_t reserve, QueryWorkspace& ws) {
+  if (buf->capacity() < size) ws.CountBulkInit();
   GrowScratch(buf, size, reserve, T{});
   buf->resize(size);
 }
@@ -23,17 +23,14 @@ void Fit(std::vector<T>* buf, std::size_t size, std::size_t reserve, QueryWorksp
 
 void CandidateGraph::Build(const LabeledGraph& g,
                            std::span<const std::span<const VertexId>> groups,
-                           QueryWorkspace* ws) {
+                           QueryWorkspace& ws) {
   const std::size_t m = groups.size();
   std::size_t total = 0;
   for (std::span<const VertexId> grp : groups) total += grp.size();
-  // A pooled graph reserves for the largest candidate `g` allows, and so do
-  // the workspace's candidate-sized buffers: each grows at most once.
-  std::size_t reserve = 0;
-  if (ws != nullptr) {
-    ws->SetVertexReserve(g.NumVertices());
-    reserve = g.NumVertices() + 1;
-  }
+  // The graph reserves for the largest candidate `g` allows, and so do the
+  // workspace's candidate-sized buffers: each grows at most once.
+  ws.SetVertexReserve(g.NumVertices());
+  const std::size_t reserve = g.NumVertices() + 1;
 
   // Local numbering: groups in order, each ascending by global id.
   Fit(&to_global_, total, reserve, ws);
@@ -56,9 +53,7 @@ void CandidateGraph::Build(const LabeledGraph& g,
     std::iota(identity_.begin(), identity_.end(), 0);
   }
 
-  std::vector<VertexId> local_of =
-      ws != nullptr ? ws->U32InfPool().Acquire(g.NumVertices())
-                    : std::vector<VertexId>(g.NumVertices(), kInvalidVertex);
+  std::vector<VertexId> local_of = ws.U32InfPool().Acquire(g.NumVertices());
   for (VertexId v = 0; v < total; ++v) {
     BCCS_CHECK_EQ(local_of[to_global_[v]], kInvalidVertex)
         << "vertex " << to_global_[v] << " in two candidate groups";
@@ -71,18 +66,15 @@ void CandidateGraph::Build(const LabeledGraph& g,
   // is ascending by local id too. The copies are branch-free: each entry is
   // written at the cursor, which advances only past the group's own, so
   // the adjacency array (at least the members' total global degree plus one
-  // slot of slack; a pooled graph reserves g's whole adjacency) needs no
+  // slot of slack; the mapping reserves g's whole adjacency) needs no
   // bounds checks. Only the entries written are ever touched.
   Fit(&offsets_, total + 1, reserve, ws);
   Fit(&splits_, m > 0 ? total * (m - 1) : 0, m > 0 ? reserve * (m - 1) : 0, ws);
   std::uint64_t bound = 1;
   for (VertexId v = 0; v < total; ++v) bound += g.Degree(to_global_[v]);
   if (adjacency_.capacity() < bound) {
-    if (ws != nullptr) {
-      ws->CountBulkInit();
-      bound = std::max<std::uint64_t>(bound, 2 * g.NumEdges() + 1);
-    }
-    adjacency_.Map(bound);
+    ws.CountBulkInit();
+    adjacency_.Map(std::max<std::uint64_t>(bound, 2 * g.NumEdges() + 1));
   }
   if (scratch_.size() < g.MaxDegree()) Fit(&scratch_, g.MaxDegree(), 0, ws);
   VertexId* const adj = adjacency_.data();
@@ -119,9 +111,7 @@ void CandidateGraph::Build(const LabeledGraph& g,
   offsets_[total] = pos;
   adjacency_.Trim(pos + 1);  // the cursor's slot may have been written
 
-  if (ws != nullptr) {
-    ws->U32InfPool().Release(std::move(local_of), {to_global_.data(), total});
-  }
+  ws.U32InfPool().Release(std::move(local_of), {to_global_.data(), total});
 
   view_ = LabeledGraph();
   view_.offsets_ = ArrayRef<std::uint64_t>::View(offsets_.data(), total + 1);

@@ -45,16 +45,16 @@ class CandidateGraph {
 
   /// Builds G[groups[0] ∪ ... ∪ groups[m-1]] over `g`. Groups must be
   /// disjoint; each is sorted here if it is not already. One pass over the
-  /// members' adjacency. `ws` (optional) lends the n-sized global-to-local
-  /// scratch map and is charged a bulk init whenever a buffer must grow.
+  /// members' adjacency. `ws` lends the n-sized global-to-local scratch map
+  /// and is charged a bulk init whenever a buffer must grow.
   ///
-  /// The adjacency lives in an anonymous mapping; with `ws`, the mapping
-  /// reserves address space for all of g's adjacency, so it is made once.
-  /// Pages that an earlier, larger candidate wrote past this one's entries
-  /// are returned to the OS: a worker's resident adjacency follows its
-  /// current candidate, not the largest it has built.
+  /// The adjacency lives in an anonymous mapping that reserves address space
+  /// for all of g's adjacency, so it is made once. Pages that an earlier,
+  /// larger candidate wrote past this one's entries are returned to the OS:
+  /// a worker's resident adjacency follows its current candidate, not the
+  /// largest it has built.
   void Build(const LabeledGraph& g, std::span<const std::span<const VertexId>> groups,
-             QueryWorkspace* ws = nullptr);
+             QueryWorkspace& ws);
 
   std::size_t NumVertices() const { return to_global_.size(); }
   std::size_t NumGroups() const { return group_offsets_.size() - 1; }

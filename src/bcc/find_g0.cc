@@ -1,7 +1,6 @@
 #include "bcc/find_g0.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "bcc/bc_index.h"
 #include "common/check.h"
@@ -31,11 +30,11 @@ void AuditIndexGroup(const LabeledGraph& g, VertexId q, std::uint32_t k_arg,
 
 std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t k,
                                 const std::vector<char>* restrict_to, const BcIndex* index,
-                                QueryWorkspace* ws, std::vector<VertexId>* side) {
+                                QueryWorkspace& ws, std::vector<VertexId>* side) {
   if (side != nullptr) side->clear();
   std::span<const VertexId> group = g.VerticesWithLabel(g.LabelOf(q));
-  CoreScratch& cs = ws->core_scratch();
-  std::vector<VertexId>* members = ws->AcquireIdVec();
+  CoreScratch& cs = ws.core_scratch();
+  std::vector<VertexId>* members = ws.AcquireIdVec();
   if (index != nullptr && restrict_to == nullptr) {
     const std::uint32_t k_arg = k;
     if (k == 0) k = index->Coreness(q);
@@ -59,13 +58,13 @@ std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t
     }
     if (k == 0) k = SubsetCorenessOfScoped(g, group, q, &cs);
     if (k > 0 && side != nullptr) {
-      std::vector<VertexId>* core = ws->AcquireIdVec();
+      std::vector<VertexId>* core = ws.AcquireIdVec();
       KCoreOfSubsetScoped(g, group, k, &cs, core);
       ComponentContainingScoped(g, *core, q, &cs, side);
-      ws->ReleaseIdVec(core);
+      ws.ReleaseIdVec(core);
     }
   }
-  ws->ReleaseIdVec(members);
+  ws.ReleaseIdVec(members);
   return k;
 }
 
@@ -78,16 +77,10 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
   if (q.ql >= g.NumVertices() || q.qr >= g.NumVertices()) return out;
   if (g.LabelOf(q.ql) == g.LabelOf(q.qr)) return out;
 
-  // Without a caller workspace, run on a scoped one (same engine, cold
-  // cost comparable to the old per-call allocations). The candidate graph
-  // and chi buffer it pools into the result are simply owned by the result
-  // afterwards — ReleaseG0Counts with a null ws is a no-op.
-  std::unique_ptr<QueryWorkspace> scoped_ws;
-  QueryWorkspace* active_ws = ws;
-  if (active_ws == nullptr) {
-    scoped_ws = std::make_unique<QueryWorkspace>();
-    active_ws = scoped_ws.get();
-  }
+  // Without a caller workspace, the candidate graph and chi buffer that the
+  // scoped one pools into the result are simply owned by the result
+  // afterwards: ReleaseG0Counts with a null ws is a no-op.
+  const ScopedWorkspace scoped(ws);
 
   // Left and right cores, restricted to the component containing the
   // query; auto core parameters resolve to the query coreness inside its
@@ -95,8 +88,8 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
   // is empty. Then G[left ∪ right], which the seed count and the peel read.
   {
     ScopedAccumulator t(&stats->find_g0_seconds);
-    out.k1 = ResolveQueryGroup(g, q.ql, p.k1, restrict_to, index, active_ws, &out.left);
-    out.k2 = ResolveQueryGroup(g, q.qr, p.k2, restrict_to, index, active_ws,
+    out.k1 = ResolveQueryGroup(g, q.ql, p.k1, restrict_to, index, *scoped, &out.left);
+    out.k2 = ResolveQueryGroup(g, q.qr, p.k2, restrict_to, index, *scoped,
                                out.left.empty() ? nullptr : &out.right);
     if (out.left.empty() || out.right.empty()) {
       out.left.clear();
@@ -104,15 +97,15 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
       return out;
     }
     const std::span<const VertexId> groups[2] = {out.left, out.right};
-    out.graph = active_ws->AcquireCandidateGraph();
-    out.graph->Build(g, groups, active_ws);
+    out.graph = scoped->AcquireCandidateGraph();
+    out.graph->Build(g, groups, *scoped);
   }
 
   // Butterfly check over B = cross edges between the two cores.
-  out.counts.chi = active_ws->U64ZeroPool().Acquire(out.graph->NumVertices());
+  out.counts.chi = scoped->U64ZeroPool().Acquire(out.graph->NumVertices());
   {
     ScopedAccumulator t(&stats->butterfly_seconds);
-    CountButterfliesInto(*out.graph, 0, 1, nullptr, active_ws, &out.counts);
+    CountButterfliesInto(*out.graph, 0, 1, nullptr, *scoped, &out.counts);
   }
   ++stats->butterfly_counting_calls;
   if (out.counts.max_left < p.b || out.counts.max_right < p.b) return out;

@@ -41,10 +41,11 @@ struct G0Result {
 /// embedded Algorithm 3 run, so the two phases are exclusive. `stats` may be
 /// null.
 ///
-/// With a workspace, the core/component/butterfly scratch comes from its
-/// pools, and `graph` and `counts.chi` of the result are pooled — the caller
-/// must hand the finished result to ReleaseG0Counts(ws, &g0) (results are
-/// identical with or without a workspace).
+/// The core/component/butterfly scratch comes from the workspace's pools.
+/// With a caller's `ws`, `graph` and `counts.chi` of the result are pooled:
+/// the caller must hand the finished result to ReleaseG0Counts(ws, &g0).
+/// Without one, the call runs on a scoped workspace (ScopedWorkspace) and the
+/// result owns them; results are identical either way.
 ///
 /// With an `index` built over `g`, the two query groups resolve from its
 /// stored coreness instead of a peel (ResolveQueryGroup); the result is
@@ -66,7 +67,7 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
 /// `side` is non-null, writes the component containing `q` of the group's
 /// k-core, sorted ascending. Returns the resolved k; with 0 (no usable core)
 /// `side` stays empty. The group is q's label group, intersected with
-/// `restrict_to` when non-null. `ws` (required) supplies the scratch.
+/// `restrict_to` when non-null. `ws` supplies the scratch.
 ///
 /// The single place where Find-G0 chooses between the BC-index and the
 /// paper's peel: with an `index` over `g` and no restriction, auto-k is
@@ -76,7 +77,7 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
 /// with the paper routines and CHECKs equality (DESIGN.md contract 10).
 std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t k,
                                 const std::vector<char>* restrict_to, const BcIndex* index,
-                                QueryWorkspace* ws, std::vector<VertexId>* side);
+                                QueryWorkspace& ws, std::vector<VertexId>* side);
 
 /// Returns a workspace-pooled `g0->counts.chi` buffer and candidate graph to
 /// the pools (no-op for results produced without a workspace).

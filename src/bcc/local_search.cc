@@ -23,7 +23,7 @@ struct HeapEntry {
 
 std::vector<VertexId> ButterflyCorePath(const LabeledGraph& g, const BcIndex& index,
                                         const BccQuery& q, double gamma1, double gamma2,
-                                        QueryWorkspace* ws) {
+                                        QueryWorkspace& ws) {
   const Label al = g.LabelOf(q.ql), ar = g.LabelOf(q.qr);
   if (al == ar) return {};
   const ButterflyCounts& pair = index.PairButterflies(al, ar);
@@ -39,18 +39,15 @@ std::vector<VertexId> ButterflyCorePath(const LabeledGraph& g, const BcIndex& in
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = g.NumVertices();
-  // Pooled (default +inf / kInvalidVertex) when a workspace is supplied;
-  // `reached` records every entry written so release is O(touched).
-  std::vector<double> cost =
-      ws != nullptr ? ws->DoubleInfPool().Acquire(n) : std::vector<double>(n, kInf);
-  std::vector<VertexId> parent = ws != nullptr
-                                     ? ws->U32InfPool().Acquire(n)
-                                     : std::vector<VertexId>(n, kInvalidVertex);
-  std::vector<VertexId>* reached = ws != nullptr ? ws->AcquireIdVec() : nullptr;
+  // Pooled (default +inf / kInvalidVertex); `reached` records every entry
+  // written so release is O(touched).
+  std::vector<double> cost = ws.DoubleInfPool().Acquire(n);
+  std::vector<VertexId> parent = ws.U32InfPool().Acquire(n);
+  std::vector<VertexId>* reached = ws.AcquireIdVec();
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
   cost[q.ql] = 0.0;
-  if (reached != nullptr) reached->push_back(q.ql);
+  reached->push_back(q.ql);
   heap.push({0.0, q.ql});
 
   while (!heap.empty()) {
@@ -63,7 +60,7 @@ std::vector<VertexId> ButterflyCorePath(const LabeledGraph& g, const BcIndex& in
       if (lw != al && lw != ar) continue;
       double nc = c + entry_cost(w);
       if (nc < cost[w]) {
-        if (reached != nullptr && cost[w] == kInf) reached->push_back(w);
+        if (cost[w] == kInf) reached->push_back(w);
         cost[w] = nc;
         parent[w] = v;
         heap.push({nc, w});
@@ -76,11 +73,9 @@ std::vector<VertexId> ButterflyCorePath(const LabeledGraph& g, const BcIndex& in
     for (VertexId v = q.qr; v != kInvalidVertex; v = parent[v]) path.push_back(v);
     std::reverse(path.begin(), path.end());
   }
-  if (ws != nullptr) {
-    ws->DoubleInfPool().Release(std::move(cost), *reached);
-    ws->U32InfPool().Release(std::move(parent), *reached);
-    ws->ReleaseIdVec(reached);
-  }
+  ws.DoubleInfPool().Release(std::move(cost), *reached);
+  ws.U32InfPool().Release(std::move(parent), *reached);
+  ws.ReleaseIdVec(reached);
   return path;
 }
 
@@ -152,9 +147,11 @@ Community L2pBcc(const LabeledGraph& g, const BcIndex& index, const BccQuery& q,
   if (q.ql >= g.NumVertices() || q.qr >= g.NumVertices()) return out;
   const Label al = g.LabelOf(q.ql), ar = g.LabelOf(q.qr);
   if (al == ar) return out;
+  const ScopedWorkspace scoped(ws);
 
   // Line 1: weighted shortest path connecting the queries.
-  std::vector<VertexId> path = ButterflyCorePath(g, index, q, opts.gamma1, opts.gamma2, ws);
+  std::vector<VertexId> path =
+      ButterflyCorePath(g, index, q, opts.gamma1, opts.gamma2, *scoped);
   if (path.empty()) {
     stats->total_seconds += total.Seconds();
     return out;
@@ -182,26 +179,22 @@ Community L2pBcc(const LabeledGraph& g, const BcIndex& index, const BccQuery& q,
   // community the peel produced before timing out.
   std::size_t eta = opts.eta;
   for (std::size_t attempt = 0; attempt <= opts.max_retries; ++attempt) {
-    if (ws != nullptr && ws->deadline().Expired()) {
+    if (scoped->deadline().Expired()) {
       stats->timed_out = true;
       break;
     }
-    std::vector<char> in_gt = ws != nullptr ? ws->CharPool().Acquire(g.NumVertices())
-                                            : std::vector<char>(g.NumVertices(), 0);
-    std::vector<VertexId> owned_selected;
-    std::vector<VertexId>* selected_list = ws != nullptr ? ws->AcquireIdVec() : &owned_selected;
+    std::vector<char> in_gt = scoped->CharPool().Acquire(g.NumVertices());
+    std::vector<VertexId>* selected_list = scoped->AcquireIdVec();
     // If the BFS drained without hitting the budget, the candidate already
     // contains every admissible vertex reachable from the path.
     const bool saturated = ExpandCandidate(g, path, eta, admissible, &in_gt, selected_list);
 
-    G0Result g0 = FindG0Restricted(g, q, p, &in_gt, stats, ws);
+    G0Result g0 = FindG0Restricted(g, q, p, &in_gt, stats, scoped.get());
     const bool found = g0.found;
-    if (found) out = PeelToBcc(g, g0, q, opts.search, p.b, stats, ws);
-    ReleaseG0Counts(ws, &g0);
-    if (ws != nullptr) {
-      ws->CharPool().Release(std::move(in_gt), *selected_list);
-      ws->ReleaseIdVec(selected_list);
-    }
+    if (found) out = PeelToBcc(g, g0, q, opts.search, p.b, stats, scoped.get());
+    ReleaseG0Counts(scoped.get(), &g0);
+    scoped->CharPool().Release(std::move(in_gt), *selected_list);
+    scoped->ReleaseIdVec(selected_list);
     if (found || stats->timed_out) {
       stats->total_seconds += total.Seconds();
       return out;
@@ -226,8 +219,9 @@ Community L2pMbcc(const LabeledGraph& g, const BcIndex& index, const MbccQuery& 
     if (v >= g.NumVertices()) return out;
   }
 
+  const ScopedWorkspace scoped(ws);
   // Per-label admission threshold: the group's resolved core parameter.
-  std::vector<std::uint32_t> ks = ResolveMbccCores(g, q, p, ws, &index);
+  std::vector<std::uint32_t> ks = ResolveMbccCores(g, q, p, scoped.get(), &index);
   std::vector<std::uint32_t> min_core_for_label(g.NumLabels(), kInvalidVertex);
   for (std::size_t i = 0; i < m; ++i) {
     min_core_for_label[g.LabelOf(q.vertices[i])] = ks[i];
@@ -239,22 +233,18 @@ Community L2pMbcc(const LabeledGraph& g, const BcIndex& index, const MbccQuery& 
 
   std::size_t eta = opts.eta;
   for (std::size_t attempt = 0; attempt <= opts.max_retries; ++attempt) {
-    if (ws != nullptr && ws->deadline().Expired()) {
+    if (scoped->deadline().Expired()) {
       stats->timed_out = true;
       break;
     }
-    std::vector<char> in_gt = ws != nullptr ? ws->CharPool().Acquire(g.NumVertices())
-                                            : std::vector<char>(g.NumVertices(), 0);
-    std::vector<VertexId> owned_selected;
-    std::vector<VertexId>* selected_list = ws != nullptr ? ws->AcquireIdVec() : &owned_selected;
+    std::vector<char> in_gt = scoped->CharPool().Acquire(g.NumVertices());
+    std::vector<VertexId>* selected_list = scoped->AcquireIdVec();
     const bool saturated =
         ExpandCandidate(g, q.vertices, eta, admissible, &in_gt, selected_list);
 
-    Community c = MbccSearch(g, q, p, opts.search, stats, &in_gt, ws);
-    if (ws != nullptr) {
-      ws->CharPool().Release(std::move(in_gt), *selected_list);
-      ws->ReleaseIdVec(selected_list);
-    }
+    Community c = MbccSearch(g, q, p, opts.search, stats, &in_gt, scoped.get());
+    scoped->CharPool().Release(std::move(in_gt), *selected_list);
+    scoped->ReleaseIdVec(selected_list);
     if (!c.Empty() || stats->timed_out) return c;
     if (saturated) break;
     eta *= 2;

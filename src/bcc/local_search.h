@@ -35,9 +35,10 @@ struct L2pOptions {
 ///   1 + gamma1*(dmax - delta(v))/max(1,dmax) + gamma2*(xmax - chi(v))/max(1,xmax),
 /// see DESIGN.md deviation 1). Traversal is restricted to the two query
 /// labels. Returns the vertex sequence from q_l to q_r, empty if none.
+/// `ws` lends the cost and parent maps.
 std::vector<VertexId> ButterflyCorePath(const LabeledGraph& g, const BcIndex& index,
                                         const BccQuery& q, double gamma1, double gamma2,
-                                        QueryWorkspace* ws = nullptr);
+                                        QueryWorkspace& ws);
 
 /// Exact Definition 6 weight of a path (for reporting and tests):
 /// dist + gamma1*(dmax - min delta) + gamma2*(xmax - min chi).
@@ -47,7 +48,8 @@ double ButterflyCorePathWeight(const LabeledGraph& g, const BcIndex& index,
 
 /// Paper's L2P-BCC: index-based local exploration (Algorithm 8) followed by
 /// leader-pair bulk-deletion peeling. Does not carry the 2-approximation
-/// guarantee but is the fastest variant in practice.
+/// guarantee but is the fastest variant in practice. The path, every eta
+/// retry and its peel share one workspace: `ws`, or a ScopedWorkspace.
 Community L2pBcc(const LabeledGraph& g, const BcIndex& index, const BccQuery& q,
                  const BccParams& p, const L2pOptions& opts = {},
                  SearchStats* stats = nullptr, QueryWorkspace* ws = nullptr);
@@ -56,7 +58,7 @@ Community L2pBcc(const LabeledGraph& g, const BcIndex& index, const BccQuery& q,
 /// candidate around the m query vertices (admitting vertices of the query
 /// labels whose label-coreness reaches the group's resolved k), then runs
 /// the restricted mBCC search with the LP strategies. Doubles the budget on
-/// failure, like L2pBcc.
+/// failure, and shares one workspace across the retries, like L2pBcc.
 Community L2pMbcc(const LabeledGraph& g, const BcIndex& index, const MbccQuery& q,
                   const MbccParams& p, const L2pOptions& opts = {},
                   SearchStats* stats = nullptr, QueryWorkspace* ws = nullptr);

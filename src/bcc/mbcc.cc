@@ -32,23 +32,19 @@ struct PairState {
 std::vector<std::uint32_t> ResolveMbccCores(const LabeledGraph& g, const MbccQuery& q,
                                             const MbccParams& p, QueryWorkspace* ws,
                                             const BcIndex* index) {
-  std::unique_ptr<QueryWorkspace> scoped_ws;
-  if (ws == nullptr) {
-    scoped_ws = std::make_unique<QueryWorkspace>();
-    ws = scoped_ws.get();
-  }
+  const ScopedWorkspace scoped(ws);
   const std::size_t m = q.vertices.size();
   std::vector<std::uint32_t> ks(m, 0);
   for (std::size_t i = 0; i < m; ++i) {
     const std::uint32_t k = i < p.k.size() ? p.k[i] : 0;
-    ks[i] = ResolveQueryGroup(g, q.vertices[i], k, nullptr, index, ws, nullptr);
+    ks[i] = ResolveQueryGroup(g, q.vertices[i], k, nullptr, index, *scoped, nullptr);
   }
   return ks;
 }
 
 Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
                      const std::vector<VertexId>& queries, const SearchOptions& opts,
-                     std::uint64_t b, SearchStats* stats, QueryWorkspace* ws,
+                     std::uint64_t b, SearchStats* stats, QueryWorkspace& ws,
                      const ButterflyCounts* seed) {
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -57,13 +53,6 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
   BCCS_CHECK_EQ(queries.size(), m);
   BCCS_CHECK(seed == nullptr || m == 2) << "a seed count needs exactly one label pair";
 
-  // Callers without a warm workspace still run through the same engine on a
-  // scoped one (cold start costs what the old per-query allocations did).
-  std::unique_ptr<QueryWorkspace> scoped_ws;
-  if (ws == nullptr) {
-    scoped_ws = std::make_unique<QueryWorkspace>();
-    ws = scoped_ws.get();
-  }
   // Every id below is local to the candidate; `g` is its LabeledGraph view
   // for the kernels that read whole adjacency lists (distances and their
   // audit).
@@ -75,7 +64,7 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     BCCS_CHECK(lq[i] != kInvalidVertex && cg.GroupOf(lq[i]) == i)
         << "query " << queries[i] << " is not in candidate group " << i;
   }
-  const Deadline& deadline = ws->deadline();
+  const Deadline& deadline = ws.deadline();
   const Deadline* cascade_deadline = deadline.unlimited() ? nullptr : &deadline;
 
   // Phase-boundary deadline check: a query that already expired during
@@ -85,13 +74,13 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     return out;
   }
 
-  GroupedCandidate cand(cg, std::move(ks), *ws);
+  GroupedCandidate cand(cg, std::move(ks), ws);
 
   // --- Pair states and initial cross-group connectivity. ---
   // One pooled counts buffer serves every per-pair (re)count; chi entries
   // are only ever written for candidate members and scrubbed on release.
   ButterflyCounts counts;
-  counts.chi = ws->U64ZeroPool().Acquire(n);
+  counts.chi = ws.U64ZeroPool().Acquire(n);
   std::vector<PairState> pairs;
   auto count_pair = [&](std::size_t i, std::size_t j) {
     ScopedAccumulator t(&stats->butterfly_seconds);
@@ -110,7 +99,7 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
   };
 
   auto release_buffers = [&] {
-    ws->U64ZeroPool().Release(std::move(counts.chi), cg.Vertices());
+    ws.U64ZeroPool().Release(std::move(counts.chi), cg.Vertices());
   };
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i + 1; j < m; ++j) {
@@ -131,9 +120,9 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
       if (ps.active && opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
         ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[i], opts.leader_rho, b, initial,
-                                     initial.max_left, initial.argmax_left, *ws);
+                                     initial.max_left, initial.argmax_left, ws);
         ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[j], opts.leader_rho, b, initial,
-                                     initial.max_right, initial.argmax_right, *ws);
+                                     initial.max_right, initial.argmax_right, ws);
       }
       pairs.push_back(ps);
     }
@@ -151,7 +140,7 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
   {
     ScopedAccumulator t(&stats->query_distance_seconds);
     for (std::size_t i = 0; i < m; ++i) {
-      dist[i] = ws->AcquireDistance();
+      dist[i] = ws.AcquireDistance();
       BfsDistances(g, cand.alive(), lq[i], dist[i]);
     }
   }
@@ -172,14 +161,14 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
     return true;
   };
 
-  LeaderButterflyUpdater updater(cg, ws->LeaderStamp(n), ws->LeaderStampCounter());
+  LeaderButterflyUpdater updater(cg, ws.LeaderStamp(n), ws.LeaderStampCounter());
   // removal_round defaults to 0xffffffff = "never removed" (the pool default).
-  std::vector<std::uint32_t> removal_round = ws->U32InfPool().Acquire(n);
+  std::vector<std::uint32_t> removal_round = ws.U32InfPool().Acquire(n);
   std::vector<std::uint32_t> round_qd;
 
   // Bucketed farthest-vertex selection: every alive member is queued at its
   // query distance; each round pops the maximum level.
-  PeelQueue& queue = ws->peel_queue();
+  PeelQueue& queue = ws.peel_queue();
   queue.Reset(n);
   for (VertexId v = 0; v < n; ++v) queue.Update(v, query_distance(v));
   auto is_query = [&](VertexId v) {
@@ -273,9 +262,9 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
       if (opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
         ps.leader_i = IdentifyLeader(cg, cand.alive(), lq[ps.i], opts.leader_rho, b, counts,
-                                     counts.max_left, counts.argmax_left, *ws);
+                                     counts.max_left, counts.argmax_left, ws);
         ps.leader_j = IdentifyLeader(cg, cand.alive(), lq[ps.j], opts.leader_rho, b, counts,
-                                     counts.max_right, counts.argmax_right, *ws);
+                                     counts.max_right, counts.argmax_right, ws);
       }
     }
     // The meta-graph only loses edges, so it can disconnect only in a round
@@ -334,8 +323,8 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
   }
 
   release_buffers();
-  ws->U32InfPool().Release(std::move(removal_round), cg.Vertices());
-  for (std::size_t i = 0; i < m; ++i) ws->ReleaseDistance(dist[i]);
+  ws.U32InfPool().Release(std::move(removal_round), cg.Vertices());
+  for (std::size_t i = 0; i < m; ++i) ws.ReleaseDistance(dist[i]);
   return out;
 }
 
@@ -361,11 +350,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     }
   }
 
-  std::unique_ptr<QueryWorkspace> scoped_ws;
-  if (ws == nullptr) {
-    scoped_ws = std::make_unique<QueryWorkspace>();
-    ws = scoped_ws.get();
-  }
+  const ScopedWorkspace scoped(ws);
 
   // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components, and
   // G[G0] over them. ---
@@ -377,18 +362,18 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     bool dead_end = false;
     for (std::size_t i = 0; i < m && !dead_end; ++i) {
       const std::uint32_t k = i < p.k.size() ? p.k[i] : 0;
-      ks[i] = ResolveQueryGroup(g, q.vertices[i], k, restrict_to, index, ws, &groups[i]);
+      ks[i] = ResolveQueryGroup(g, q.vertices[i], k, restrict_to, index, *scoped, &groups[i]);
       dead_end = groups[i].empty();
     }
     if (!dead_end) {
       const std::vector<std::span<const VertexId>> spans(groups.begin(), groups.end());
-      cg = ws->AcquireCandidateGraph();
-      cg->Build(g, spans, ws);
+      cg = scoped->AcquireCandidateGraph();
+      cg->Build(g, spans, *scoped);
     }
   }
   if (cg != nullptr) {
-    out = PeelToMbcc(*cg, std::move(ks), q.vertices, opts, p.b, stats, ws);
-    ws->ReleaseCandidateGraph(std::move(cg));
+    out = PeelToMbcc(*cg, std::move(ks), q.vertices, opts, p.b, stats, *scoped);
+    scoped->ReleaseCandidateGraph(std::move(cg));
   }
   stats->total_seconds += total.Seconds();
   return out;

@@ -38,7 +38,7 @@ struct MbccParams {
 /// then resolve within the restriction.
 ///
 /// Pass a warm `ws` for allocation-free steady-state execution, or nullptr
-/// for a scoped one.
+/// for a ScopedWorkspace that Find-G0 and the peel share.
 ///
 /// With an `index` built over `g` and no restriction, the per-group cores
 /// resolve from its stored coreness instead of a peel; the result is
@@ -74,12 +74,11 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
 /// candidate over `cg`'s local ids, e.g. Find-G0's; it replaces the
 /// engine's own initial count. The farthest batch comes from an
 /// epoch-stamped bucket queue, so a round costs O(batch + distance
-/// changes); a warm `ws` makes the run allocation-free, nullptr uses a
-/// scoped one (identical results). `stats` may be null; total_seconds is
-/// not accumulated (callers own end-to-end timing).
+/// changes); a warm `ws` makes the run allocation-free. `stats` may be
+/// null; total_seconds is not accumulated (callers own end-to-end timing).
 Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
                      const std::vector<VertexId>& queries, const SearchOptions& opts,
-                     std::uint64_t b, SearchStats* stats, QueryWorkspace* ws = nullptr,
+                     std::uint64_t b, SearchStats* stats, QueryWorkspace& ws,
                      const ButterflyCounts* seed = nullptr);
 
 /// The resolved per-group core parameters (auto entries replaced by query

@@ -10,7 +10,8 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
                     QueryWorkspace* ws) {
   static_cast<void>(g);  // FindG0 already built G[G0] from it: g0.graph
   if (!g0.found) return {};
-  return PeelToMbcc(*g0.graph, {g0.k1, g0.k2}, {q.ql, q.qr}, opts, b, stats, ws,
+  const ScopedWorkspace scoped(ws);
+  return PeelToMbcc(*g0.graph, {g0.k1, g0.k2}, {q.ql, q.qr}, opts, b, stats, *scoped,
                     &g0.counts);
 }
 
@@ -20,9 +21,10 @@ Community BccSearch(const LabeledGraph& g, const BccQuery& q, const BccParams& p
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Timer total;
-  G0Result g0 = FindG0(g, q, p, stats, ws, index);
-  Community out = PeelToBcc(g, g0, q, opts, p.b, stats, ws);
-  ReleaseG0Counts(ws, &g0);
+  const ScopedWorkspace scoped(ws);
+  G0Result g0 = FindG0(g, q, p, stats, scoped.get(), index);
+  Community out = PeelToBcc(g, g0, q, opts, p.b, stats, scoped.get());
+  ReleaseG0Counts(scoped.get(), &g0);
   stats->total_seconds += total.Seconds();
   return out;
 }

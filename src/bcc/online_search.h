@@ -17,14 +17,15 @@ namespace bccs {
 /// Used by Online-BCC, LP-BCC (this header) and L2P-BCC (local_search.h).
 /// `b` is the butterfly threshold; `stats` may be null. Does not accumulate
 /// total_seconds (callers own end-to-end timing). `ws` may be null (a
-/// scoped workspace is used; identical results).
+/// ScopedWorkspace is used; identical results).
 Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q,
                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
                     QueryWorkspace* ws = nullptr);
 
-/// Full search: Find-G0 then peel. Respects every option combination.
-/// `index` (optional, built over `g`) lets Find-G0 read the query groups'
-/// coreness instead of peeling them; the result is identical.
+/// Full search: Find-G0 then peel, both on one workspace (the caller's, or
+/// one scoped to the call). Respects every option combination. `index`
+/// (optional, built over `g`) lets Find-G0 read the query groups' coreness
+/// instead of peeling them; the result is identical.
 Community BccSearch(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                     const SearchOptions& opts, SearchStats* stats,
                     QueryWorkspace* ws = nullptr, const BcIndex* index = nullptr);

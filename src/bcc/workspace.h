@@ -453,6 +453,28 @@ class QueryWorkspace {
   std::uint64_t local_bulk_inits_ = 0;
 };
 
+/// The workspace a public search entry point runs on: the caller's, or,
+/// when the caller passes none, a cold one owned for the call's duration.
+/// Every kernel below the entry points takes a QueryWorkspace&, so this is
+/// the one place a missing workspace is resolved.
+class ScopedWorkspace {
+ public:
+  explicit ScopedWorkspace(QueryWorkspace* ws) : ws_(ws) {
+    if (ws == nullptr) {
+      owned_ = std::make_unique<QueryWorkspace>();
+      ws_ = owned_.get();
+    }
+  }
+
+  QueryWorkspace& operator*() const { return *ws_; }
+  QueryWorkspace* operator->() const { return ws_; }
+  QueryWorkspace* get() const { return ws_; }
+
+ private:
+  QueryWorkspace* ws_;
+  std::unique_ptr<QueryWorkspace> owned_;
+};
+
 }  // namespace bccs
 
 #endif  // BCCS_BCC_WORKSPACE_H_

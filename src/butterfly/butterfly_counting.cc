@@ -62,14 +62,11 @@ void CountSide(const CandidateGraph& cg, std::size_t side, std::size_t other,
 
 template <typename IsAlive>
 void CountPair(const CandidateGraph& cg, std::size_t a, std::size_t b, IsAlive is_alive,
-               QueryWorkspace* ws, ButterflyCounts* out) {
+               QueryWorkspace& ws, ButterflyCounts* out) {
   const std::size_t n = cg.NumVertices();
   if (out->chi.size() < n) out->chi.resize(n, 0);
-  std::vector<std::uint32_t> local_paths;
-  std::vector<VertexId> local_touched;
-  std::vector<std::uint32_t>& paths = ws != nullptr ? ws->WedgePaths(n) : local_paths;
-  std::vector<VertexId>& touched = ws != nullptr ? ws->WedgeTouched() : local_touched;
-  if (ws == nullptr) local_paths.assign(n, 0);
+  std::vector<std::uint32_t>& paths = ws.WedgePaths(n);
+  std::vector<VertexId>& touched = ws.WedgeTouched();
 
   CountSide(cg, a, b, is_alive, &out->chi, &paths, &touched);
   CountSide(cg, b, a, is_alive, &out->chi, &paths, &touched);
@@ -96,7 +93,7 @@ void CountPair(const CandidateGraph& cg, std::size_t a, std::size_t b, IsAlive i
 }  // namespace
 
 void CountButterfliesInto(const CandidateGraph& cg, std::size_t a, std::size_t b,
-                          const std::vector<char>* alive, QueryWorkspace* ws,
+                          const std::vector<char>* alive, QueryWorkspace& ws,
                           ButterflyCounts* out) {
   if (alive == nullptr) {
     CountPair(cg, a, b, [](VertexId) { return true; }, ws, out);
@@ -117,10 +114,11 @@ ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId
     if (in_right[v]) members[1].push_back(v);
   }
   const std::span<const VertexId> groups[2] = {members[0], members[1]};
+  QueryWorkspace ws;
   CandidateGraph cg;
-  cg.Build(g, groups);
+  cg.Build(g, groups, ws);
   ButterflyCounts local;
-  CountButterfliesInto(cg, 0, 1, nullptr, nullptr, &local);
+  CountButterfliesInto(cg, 0, 1, nullptr, ws, &local);
 
   // Local order within a group is ascending global id, so the kernel's
   // argmax is the first strict maximum in ascending global id too.

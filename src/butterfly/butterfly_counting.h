@@ -41,18 +41,18 @@ struct ButterflyCounts {
 /// `out->chi` is rewritten on the two groups' local ranges only (dead
 /// members get 0); it is grown to cg.NumVertices() when smaller, so a
 /// workspace-pooled buffer that is all-zero elsewhere stays that way. The
-/// wedge counter comes from `ws` when given. The argmax of a side is its
-/// first strict maximum in local order, i.e. in ascending global id, and is
-/// valid for every side with an alive vertex even when all its chi are 0.
+/// wedge counter comes from `ws`. The argmax of a side is its first strict
+/// maximum in local order, i.e. in ascending global id, and is valid for
+/// every side with an alive vertex even when all its chi are 0.
 void CountButterfliesInto(const CandidateGraph& cg, std::size_t a, std::size_t b,
-                          const std::vector<char>* alive, QueryWorkspace* ws,
+                          const std::vector<char>* alive, QueryWorkspace& ws,
                           ButterflyCounts* out);
 
 /// Algorithm 3 over graph ids: the alive members of `left` / `right` (masks
 /// `in_left` / `in_right`, disjoint) are built into a two-group
-/// CandidateGraph and counted by the kernel above; chi is returned indexed
-/// by graph vertex id (n entries). The argmax of a side is its first strict
-/// maximum in ascending vertex id.
+/// CandidateGraph and counted by the kernel above, both on a workspace local
+/// to the call; chi is returned indexed by graph vertex id (n entries). The
+/// argmax of a side is its first strict maximum in ascending vertex id.
 ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId> left,
                                  std::span<const VertexId> right,
                                  const std::vector<char>& in_left,

@@ -44,6 +44,20 @@ inline bool ParseLane(std::string_view text, Lane* lane) {
   return true;
 }
 
+/// The paper's search variants as planner targets. kMbcc serves the
+/// Section 7 multi-labeled model; the other three serve two-label queries.
+enum class QueryMethod : std::uint8_t { kOnlineBcc, kLpBcc, kL2pBcc, kMbcc };
+
+inline const char* Name(QueryMethod m) {
+  switch (m) {
+    case QueryMethod::kOnlineBcc: return "online";
+    case QueryMethod::kLpBcc: return "lp";
+    case QueryMethod::kL2pBcc: return "l2p";
+    case QueryMethod::kMbcc: return "mbcc";
+  }
+  return "?";
+}
+
 /// Latency/throughput summary of one batch execution.
 struct BatchLatency {
   double wall_seconds = 0;
@@ -150,22 +164,22 @@ class BatchRunner {
 
   // Compatibility shims over the unified serving engine. Each builds one
   // QueryRequest per query (bulk lane, no deadline) and routes it through
-  // ServeEngine — the single dispatch path for all four methods. Defined in
-  // serve_engine.cc; prefer ServeEngine directly for new code (lanes,
-  // deadlines, mixed-method batches).
+  // ServeEngine — the single dispatch path for all four methods, each with
+  // the paper's options. Defined in serve_engine.cc; prefer ServeEngine
+  // directly for new code (lanes, deadlines, mixed-method batches).
 
-  /// Batch Online-BCC / LP-BCC (per `opts`) over one graph.
+  /// Batch Online-BCC or LP-BCC (`method` kOnlineBcc or kLpBcc) over one
+  /// graph.
   BatchResult RunBccBatch(const LabeledGraph& g, std::span<const BccQuery> queries,
-                          const BccParams& params, const SearchOptions& opts);
+                          const BccParams& params, QueryMethod method);
 
   /// Batch L2P-BCC. The index's lazy pair table is internally synchronized.
   BatchResult RunL2pBatch(const LabeledGraph& g, const BcIndex& index,
-                          std::span<const BccQuery> queries, const BccParams& params,
-                          const L2pOptions& opts);
+                          std::span<const BccQuery> queries, const BccParams& params);
 
   /// Batch multi-label search.
   BatchResult RunMbccBatch(const LabeledGraph& g, std::span<const MbccQuery> queries,
-                           const MbccParams& params, const SearchOptions& opts);
+                           const MbccParams& params);
 
  private:
   void WorkerLoop(std::size_t tid);

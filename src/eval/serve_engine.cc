@@ -17,16 +17,6 @@
 
 namespace bccs {
 
-const char* Name(QueryMethod m) {
-  switch (m) {
-    case QueryMethod::kOnlineBcc: return "online";
-    case QueryMethod::kLpBcc: return "lp";
-    case QueryMethod::kL2pBcc: return "l2p";
-    case QueryMethod::kMbcc: return "mbcc";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Wraps a caller-owned object in a non-owning shared_ptr (the legacy
@@ -217,24 +207,24 @@ void ServeEngine::Dispatch(const QueryRequest& req, const LabeledGraph& g,
   if (req.method == QueryMethod::kMbcc) {
     const auto* q = std::get_if<MbccQuery>(&req.query);
     if (q == nullptr) return;  // variant/method mismatch: empty answer
-    *community = MbccSearch(g, *q, req.mbcc_params, opts_.mbcc, stats, nullptr, &ws, index);
+    *community = MbccSearch(g, *q, req.mbcc_params, LpBccOptions(), stats, nullptr, &ws, index);
     return;
   }
   const auto* q = std::get_if<BccQuery>(&req.query);
   if (q == nullptr) return;
   switch (req.method) {
     case QueryMethod::kOnlineBcc:
-      *community = BccSearch(g, *q, req.params, opts_.online, stats, &ws, index);
+      *community = BccSearch(g, *q, req.params, OnlineBccOptions(), stats, &ws, index);
       break;
     case QueryMethod::kLpBcc:
-      *community = BccSearch(g, *q, req.params, opts_.lp, stats, &ws, index);
+      *community = BccSearch(g, *q, req.params, LpBccOptions(), stats, &ws, index);
       break;
     case QueryMethod::kL2pBcc:
       if (index != nullptr) {
-        *community = L2pBcc(g, *index, *q, req.params, opts_.l2p, stats, &ws);
+        *community = L2pBcc(g, *index, *q, req.params, L2pOptions{}, stats, &ws);
       } else {
         // Planned degradation: no index in this process, serve via LP.
-        *community = BccSearch(g, *q, req.params, opts_.lp, stats, &ws);
+        *community = BccSearch(g, *q, req.params, LpBccOptions(), stats, &ws);
       }
       break;
     case QueryMethod::kMbcc:
@@ -673,13 +663,8 @@ BatchResult ServeEngine::Serve(std::span<const QueryRequest> requests) {
 // ---------------------------------------------------------------------------
 
 BatchResult BatchRunner::RunBccBatch(const LabeledGraph& g, std::span<const BccQuery> queries,
-                                     const BccParams& params, const SearchOptions& opts) {
-  ServeOptions so;
-  so.online = opts;
-  so.lp = opts;
-  const QueryMethod method =
-      opts.use_leader_pair ? QueryMethod::kLpBcc : QueryMethod::kOnlineBcc;
-  ServeEngine engine(*this, g, nullptr, so);
+                                     const BccParams& params, QueryMethod method) {
+  ServeEngine engine(*this, g);
   std::vector<QueryRequest> requests(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     requests[i].query = queries[i];
@@ -691,10 +676,8 @@ BatchResult BatchRunner::RunBccBatch(const LabeledGraph& g, std::span<const BccQ
 
 BatchResult BatchRunner::RunL2pBatch(const LabeledGraph& g, const BcIndex& index,
                                      std::span<const BccQuery> queries,
-                                     const BccParams& params, const L2pOptions& opts) {
-  ServeOptions so;
-  so.l2p = opts;
-  ServeEngine engine(*this, g, &index, so);
+                                     const BccParams& params) {
+  ServeEngine engine(*this, g, &index);
   std::vector<QueryRequest> requests(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     requests[i].query = queries[i];
@@ -706,10 +689,8 @@ BatchResult BatchRunner::RunL2pBatch(const LabeledGraph& g, const BcIndex& index
 
 BatchResult BatchRunner::RunMbccBatch(const LabeledGraph& g,
                                       std::span<const MbccQuery> queries,
-                                      const MbccParams& params, const SearchOptions& opts) {
-  ServeOptions so;
-  so.mbcc = opts;
-  ServeEngine engine(*this, g, nullptr, so);
+                                      const MbccParams& params) {
+  ServeEngine engine(*this, g);
   std::vector<QueryRequest> requests(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     requests[i].query = queries[i];

@@ -75,12 +75,6 @@ class Changelog;
 ///      community is empty), UpdateOutcomes for updates, per-lane sojourn
 ///      percentiles, and the epoch each item executed in (epoch_of).
 
-/// The paper's search variants as planner targets. kMbcc serves the
-/// Section 7 multi-labeled model; the other three serve two-label queries.
-enum class QueryMethod : std::uint8_t { kOnlineBcc, kLpBcc, kL2pBcc, kMbcc };
-
-const char* Name(QueryMethod m);
-
 /// A method-erased serving request: what to search for, which algorithm to
 /// plan it onto, how urgent it is, and how long it may run.
 struct QueryRequest {
@@ -154,13 +148,10 @@ struct ItemCompletion {
 /// different workers concurrently.
 using CompletionFn = std::function<void(const ItemCompletion&)>;
 
-/// Engine-wide planning configuration: per-method search options plus the
-/// streaming scheduler's knobs.
+/// Engine-wide configuration: the streaming scheduler's knobs and the
+/// result cache. Every method runs with the paper's options
+/// (OnlineBccOptions, LpBccOptions, L2pOptions{}; mBCC with LpBccOptions).
 struct ServeOptions {
-  SearchOptions online = OnlineBccOptions();
-  SearchOptions lp = LpBccOptions();
-  L2pOptions l2p;
-  SearchOptions mbcc = LpBccOptions();
   /// Every (aging_period + 1)-th query dequeue goes to the oldest waiting
   /// bulk query even while interactive queries remain (0 disables aging).
   std::size_t aging_period = 8;
@@ -273,8 +264,6 @@ class ServeEngine {
   const BcIndex* index() const;
   std::shared_ptr<const LabeledGraph> graph_ptr() const;
   std::shared_ptr<const BcIndex> index_ptr() const;
-
-  const ServeOptions& options() const { return opts_; }
 
   /// Durable serving: every applied UpdateRequest is appended to `log`
   /// before its new epoch publishes — append and publish happen together

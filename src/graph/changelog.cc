@@ -148,6 +148,9 @@ struct ScanSeg {
   std::uint64_t valid_bytes = 0;  // end offset of the last valid record
   std::uint64_t file_bytes = 0;
   bool torn = false;  // valid_bytes < file_bytes (tail tear)
+  // Hash of [0, valid_bytes) when unsealed: what the next seal record of a
+  // reopened tail continues from.
+  Fnv1a64 hash;
 };
 
 struct ScanResult {
@@ -299,6 +302,7 @@ bool ScanSegments(const std::string& snapshot_path, std::uint64_t base_seq,
       off += sizeof(RecordHeader) + body;
       seg.valid_bytes = off;
     }
+    seg.hash = running;
     if (torn) {
       if (!is_last) {
         return Fail(error, "corrupt changelog record in sealed/non-tail segment " +
@@ -479,12 +483,10 @@ std::unique_ptr<Changelog> Changelog::Open(const std::string& snapshot_path,
     log->sealed_seq_ = seg.file.seq;
   }
 
-  // Reopen an unsealed tail for appending, rebuilding the running
-  // whole-segment checksum the next seal record will stamp.
+  // Reopen an unsealed tail for appending, carrying over the scan's running
+  // whole-segment checksum, which the next seal record will stamp.
   if (!live.empty() && !live.back().sealed) {
     const ScanSeg& tail = live.back();
-    std::vector<unsigned char> bytes;
-    if (!ReadWholeFile(tail.file.path, &bytes, error)) return nullptr;
     const int fd = ::open(tail.file.path.c_str(), O_WRONLY | O_APPEND);
     if (fd < 0) {
       Fail(error, "cannot reopen changelog tail " + tail.file.path);
@@ -493,8 +495,7 @@ std::unique_ptr<Changelog> Changelog::Open(const std::string& snapshot_path,
     log->tail_fd_ = fd;
     log->tail_bytes_ = tail.valid_bytes;
     log->tail_records_ = tail.records;
-    log->tail_hash_ = Fnv1a64();
-    log->tail_hash_.Update(bytes.data(), tail.valid_bytes);
+    log->tail_hash_ = tail.hash;
   }
 
   st.segments = log->segments_.size();

@@ -138,6 +138,19 @@ NetParseStatus ParseNetRequest(std::string_view line, std::size_t num_vertices,
   return NetParseStatus::kError;
 }
 
+ServeItem ToServeItem(const NetRequest& req, const QueryRequest& proto) {
+  if (req.kind == NetRequestKind::kUpdate) {
+    UpdateRequest u;
+    u.updates.push_back(req.update);
+    return u;
+  }
+  QueryRequest q = proto;
+  q.query = BccQuery{req.ql, req.qr};
+  q.lane = req.lane;
+  q.request_id = req.id;
+  return q;
+}
+
 bool LineSplitter::Feed(std::string_view bytes) {
   // Compact lazily: once everything buffered has been handed out as lines,
   // drop it, so a long-lived connection's buffer stays proportional to the

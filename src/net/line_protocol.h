@@ -78,6 +78,12 @@ enum class NetParseStatus : std::uint8_t {
 NetParseStatus ParseNetRequest(std::string_view line, std::size_t num_vertices,
                                NetRequest* out, std::string* error);
 
+/// The serving item of a parsed query or update request (kind kQuery or
+/// kUpdate): a copy of `proto` with the query pair, lane and request id (0 =
+/// engine-assigned), or a one-edge UpdateRequest. Shared by the socket
+/// server and `bccs_serve --stream`.
+ServeItem ToServeItem(const NetRequest& req, const QueryRequest& proto);
+
 /// Incremental line framing over torn reads: Feed() appends raw bytes as
 /// they arrive from the socket (any chunking — 1-byte reads reassemble
 /// identically), Next() extracts complete lines. Feed returns false once

@@ -234,18 +234,7 @@ void NetServer::HandleLine(const std::shared_ptr<Connection>& conn,
     if (start != ResponseKeeper::Start::kStarted) return;
   }
 
-  ServeItem item;
-  if (req.kind == NetRequestKind::kQuery) {
-    QueryRequest q = opts_.query_proto;
-    q.query = BccQuery{req.ql, req.qr};
-    q.lane = req.lane;
-    q.request_id = client_id;  // 0 = engine-assigned
-    item = std::move(q);
-  } else {
-    UpdateRequest u;
-    u.updates.push_back(req.update);
-    item = std::move(u);
-  }
+  ServeItem item = ToServeItem(req, opts_.query_proto);
 
   ++stats_.requests_submitted;
   {

@@ -90,7 +90,7 @@ TEST(BatchRunnerTest, MbccBatchEqualsSequential) {
   for (const auto& g : gt) queries.push_back(g.query);
 
   BatchRunner runner(3);
-  BatchResult batch = runner.RunMbccBatch(pg.graph, queries, MbccParams{}, LpBccOptions());
+  BatchResult batch = runner.RunMbccBatch(pg.graph, queries, MbccParams{});
   ASSERT_EQ(batch.communities.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     Community c = MbccSearch(pg.graph, queries[i], MbccParams{}, LpBccOptions());
@@ -113,9 +113,9 @@ TEST(BatchRunnerTest, SteadyStateBatchesStayAllocationFree) {
   // One worker makes the claim distribution (and hence the per-workspace
   // warm-up) deterministic; per-thread behavior is identical by symmetry.
   BatchRunner runner(1);
-  runner.RunBccBatch(ds.planted.graph, raw, {}, LpBccOptions());  // warm-up
+  runner.RunBccBatch(ds.planted.graph, raw, {}, QueryMethod::kLpBcc);  // warm-up
   const std::uint64_t warm = runner.AggregateWorkspaceStats().bulk_inits;
-  BatchResult again = runner.RunBccBatch(ds.planted.graph, raw, {}, LpBccOptions());
+  BatchResult again = runner.RunBccBatch(ds.planted.graph, raw, {}, QueryMethod::kLpBcc);
   EXPECT_EQ(again.workspace_stats.bulk_inits, warm);
   EXPECT_EQ(runner.AggregateWorkspaceStats().bulk_inits, warm);
 }

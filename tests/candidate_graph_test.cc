@@ -118,10 +118,9 @@ void ExpectInducedSubgraph(const LabeledGraph& g, const std::vector<std::vector<
 
 std::unique_ptr<CandidateGraph> Build(const LabeledGraph& g,
                                       const std::vector<std::vector<VertexId>>& groups,
-                                      QueryWorkspace* ws) {
+                                      QueryWorkspace& ws) {
   const std::vector<std::span<const VertexId>> spans(groups.begin(), groups.end());
-  std::unique_ptr<CandidateGraph> cg =
-      ws != nullptr ? ws->AcquireCandidateGraph() : std::make_unique<CandidateGraph>();
+  std::unique_ptr<CandidateGraph> cg = ws.AcquireCandidateGraph();
   cg->Build(g, spans, ws);
   return cg;
 }
@@ -134,10 +133,7 @@ TEST_P(CandidateGraphTest, InducedSubgraphOfPlantedGroups) {
     const PlantedGraph pg = MakePlanted(m, seed);
     const auto groups = PlantedGroups(pg, m, 4);
     QueryWorkspace ws;
-    auto cg = Build(pg.graph, groups, &ws);
-    ExpectInducedSubgraph(pg.graph, groups, *cg);
-    // The same graph without a workspace.
-    ExpectInducedSubgraph(pg.graph, groups, *Build(pg.graph, groups, nullptr));
+    ExpectInducedSubgraph(pg.graph, groups, *Build(pg.graph, groups, ws));
   }
 }
 
@@ -153,7 +149,7 @@ TEST_P(CandidateGraphTest, RebuildOverDifferentGroupsReusesBuffers) {
   auto cg = ws.AcquireCandidateGraph();
   for (const auto* groups : {&small, &large, &small}) {
     const std::vector<std::span<const VertexId>> spans(groups->begin(), groups->end());
-    cg->Build(pg.graph, spans, &ws);
+    cg->Build(pg.graph, spans, ws);
     ExpectInducedSubgraph(pg.graph, *groups, *cg);
   }
   ws.ReleaseCandidateGraph(std::move(cg));
@@ -167,7 +163,7 @@ TEST_P(CandidateGraphTest, BulkInitsFlatAfterWarmUp) {
   QueryWorkspace ws;
   auto cycle = [&] {
     for (const auto* groups : {&large, &small}) {
-      ws.ReleaseCandidateGraph(Build(pg.graph, *groups, &ws));
+      ws.ReleaseCandidateGraph(Build(pg.graph, *groups, ws));
     }
   };
   cycle();  // warm-up
@@ -187,7 +183,8 @@ TEST(CandidateGraphIsolatedTest, IsolatedAndUnsortedMembers) {
   const LabeledGraph g = LabeledGraph::FromEdges(7, std::move(edges), {0, 0, 1, 1, 0, 1, 1});
   const std::vector<std::vector<VertexId>> unsorted = {{4, 1, 0}, {5, 3, 2}};
   const std::vector<std::vector<VertexId>> sorted = {{0, 1, 4}, {2, 3, 5}};
-  auto cg = Build(g, unsorted, nullptr);
+  QueryWorkspace ws;
+  auto cg = Build(g, unsorted, ws);
   ExpectInducedSubgraph(g, sorted, *cg);
   EXPECT_TRUE(cg->Neighbors(cg->ToLocal(4)).empty());
   EXPECT_TRUE(cg->Neighbors(cg->ToLocal(5)).empty());
@@ -202,7 +199,8 @@ TEST(CandidateGraphIsolatedTest, IsolatedAndUnsortedMembers) {
 
 TEST(CandidateGraphIsolatedTest, EmptyCandidate) {
   const LabeledGraph g = testing::MakePath(4);
-  auto cg = Build(g, {{}, {}}, nullptr);
+  QueryWorkspace ws;
+  auto cg = Build(g, {{}, {}}, ws);
   EXPECT_EQ(cg->NumVertices(), 0u);
   EXPECT_EQ(cg->NumGroups(), 2u);
   EXPECT_EQ(cg->graph().NumVertices(), 0u);

@@ -373,8 +373,8 @@ TEST(DynamicIndexTest, QueriesBitIdenticalToFreshIndex) {
   }
   BatchRunner runner(2);
   const BccParams params;
-  const BatchResult from_repaired = runner.RunL2pBatch(updated, *repaired, queries, params, {});
-  const BatchResult from_fresh = runner.RunL2pBatch(updated, fresh, queries, params, {});
+  const BatchResult from_repaired = runner.RunL2pBatch(updated, *repaired, queries, params);
+  const BatchResult from_fresh = runner.RunL2pBatch(updated, fresh, queries, params);
   ASSERT_EQ(from_repaired.communities.size(), from_fresh.communities.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(from_repaired.communities[i].vertices, from_fresh.communities[i].vertices)

@@ -19,7 +19,8 @@ struct CandidateSetup {
   CandidateSetup(const LabeledGraph& g, const std::vector<VertexId>& left,
                  const std::vector<VertexId>& right)
       : cg(testing::MakeCandidate(g, {left, right})), alive(cg->NumVertices(), 1) {
-    CountButterfliesInto(*cg, 0, 1, nullptr, nullptr, &counts);
+    QueryWorkspace ws;
+    CountButterfliesInto(*cg, 0, 1, nullptr, ws, &counts);
   }
 
   /// Leader of graph vertex `q`'s side, reported as a graph id.

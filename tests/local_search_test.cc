@@ -15,7 +15,8 @@ namespace {
 TEST(ButterflyCorePathTest, EndpointsAndContiguity) {
   Figure1Graph f = MakeFigure1Graph();
   BcIndex index(f.graph);
-  auto path = ButterflyCorePath(f.graph, index, BccQuery{f.ql, f.qr}, 0.5, 0.5);
+  QueryWorkspace ws;
+  auto path = ButterflyCorePath(f.graph, index, BccQuery{f.ql, f.qr}, 0.5, 0.5, ws);
   ASSERT_GE(path.size(), 2u);
   EXPECT_EQ(path.front(), f.ql);
   EXPECT_EQ(path.back(), f.qr);
@@ -34,7 +35,8 @@ TEST(ButterflyCorePathTest, PrefersHighCoreHighButterflyVertices) {
   // weighted path must not be longer than a detour (weight-wise).
   Figure1Graph f = MakeFigure1Graph();
   BcIndex index(f.graph);
-  auto path = ButterflyCorePath(f.graph, index, BccQuery{f.ql, f.qr}, 0.5, 0.5);
+  QueryWorkspace ws;
+  auto path = ButterflyCorePath(f.graph, index, BccQuery{f.ql, f.qr}, 0.5, 0.5, ws);
   double w = ButterflyCorePathWeight(f.graph, index, path, 0.5, 0.5);
   // Any alternative path through the periphery must weigh at least as much.
   std::vector<VertexId> detour = {f.ql, f.u3, f.qr};
@@ -46,7 +48,8 @@ TEST(ButterflyCorePathTest, NoPathBetweenDisconnectedLabels) {
   std::vector<Edge> edges = {{0, 1}, {2, 3}};
   LabeledGraph g = LabeledGraph::FromEdges(4, std::move(edges), {0, 0, 1, 1});
   BcIndex index(g);
-  EXPECT_TRUE(ButterflyCorePath(g, index, BccQuery{0, 2}, 0.5, 0.5).empty());
+  QueryWorkspace ws;
+  EXPECT_TRUE(ButterflyCorePath(g, index, BccQuery{0, 2}, 0.5, 0.5, ws).empty());
 }
 
 TEST(L2pBccTest, PaperFigure1Answer) {

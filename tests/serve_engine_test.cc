@@ -272,7 +272,7 @@ TEST(ServeEngineTest, ShimsRouteThroughTheEngine) {
   BcIndex index(pg.graph);
   BatchRunner runner(2);
 
-  BatchResult shim = runner.RunL2pBatch(pg.graph, index, queries, {}, {});
+  BatchResult shim = runner.RunL2pBatch(pg.graph, index, queries, {});
   ServeEngine engine(runner, pg.graph, &index);
   std::vector<QueryRequest> requests(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {

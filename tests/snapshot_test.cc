@@ -140,8 +140,8 @@ TEST(SnapshotTest, BatchRunnerSharesOneLoadedIndexAcrossWorkers) {
 
   BatchRunner seq(1);
   BatchRunner par(4);
-  BatchResult a = seq.RunL2pBatch(pg.graph, built, queries, params, {});
-  BatchResult b = par.RunL2pBatch(*loaded->graph, *loaded->index, queries, params, {});
+  BatchResult a = seq.RunL2pBatch(pg.graph, built, queries, params);
+  BatchResult b = par.RunL2pBatch(*loaded->graph, *loaded->index, queries, params);
   ASSERT_EQ(a.communities.size(), b.communities.size());
   for (std::size_t i = 0; i < a.communities.size(); ++i) {
     EXPECT_EQ(a.communities[i].vertices, b.communities[i].vertices);

@@ -14,6 +14,7 @@
 
 #include "bcc/bc_index.h"
 #include "bcc/candidate_graph.h"
+#include "bcc/workspace.h"
 #include "graph/graph_delta.h"
 #include "graph/labeled_graph.h"
 
@@ -125,7 +126,8 @@ inline std::unique_ptr<CandidateGraph> MakeCandidate(
     const LabeledGraph& g, const std::vector<std::vector<VertexId>>& groups) {
   const std::vector<std::span<const VertexId>> spans(groups.begin(), groups.end());
   auto cg = std::make_unique<CandidateGraph>();
-  cg->Build(g, spans);
+  QueryWorkspace ws;
+  cg->Build(g, spans, ws);
   return cg;
 }
 

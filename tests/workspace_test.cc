@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -328,9 +329,9 @@ TEST(ButterflyWorkspaceTest, MatchesBruteForceRandomized) {
     QueryWorkspace ws;
     ButterflyCounts fast;
     fast.chi = ws.U64ZeroPool().Acquire(cg->NumVertices());
-    CountButterfliesInto(*cg, 0, 1, &alive, &ws, &fast);
+    CountButterfliesInto(*cg, 0, 1, &alive, ws, &fast);
     // Recount over the same buffer (the steady-state path) must stay exact.
-    CountButterfliesInto(*cg, 0, 1, &alive, &ws, &fast);
+    CountButterfliesInto(*cg, 0, 1, &alive, ws, &fast);
 
     EXPECT_EQ(fast.total, brute.total) << "seed " << seed;
     EXPECT_EQ(fast.max_left, brute.max_left);
@@ -361,6 +362,16 @@ TEST(ButterflyWorkspaceTest, ArgmaxValidForZeroChiSides) {
   EXPECT_EQ(fast.argmax_right, brute.argmax_right);
 }
 
+// The counters a cold call (no workspace) and a warm one must agree on.
+void ExpectSameCounters(const SearchStats& cold, const SearchStats& warm,
+                        const std::string& note) {
+  EXPECT_EQ(cold.rounds, warm.rounds) << note;
+  EXPECT_EQ(cold.butterfly_counting_calls, warm.butterfly_counting_calls) << note;
+  EXPECT_EQ(cold.leader_rebuilds, warm.leader_rebuilds) << note;
+  EXPECT_EQ(cold.g0_size, warm.g0_size) << note;
+  EXPECT_EQ(cold.vertices_removed, warm.vertices_removed) << note;
+}
+
 TEST(WorkspaceSearchTest, WorkspaceResultsEqualLegacyAcrossOptionGrid) {
   PlantedConfig cfg;
   cfg.num_communities = 5;
@@ -381,11 +392,15 @@ TEST(WorkspaceSearchTest, WorkspaceResultsEqualLegacyAcrossOptionGrid) {
           opts.bulk_delete = bulk;
           opts.fast_query_distance = fast;
           opts.use_leader_pair = leader;
-          Community legacy = BccSearch(pg.graph, q, p, opts, nullptr);
-          Community warm = BccSearch(pg.graph, q, p, opts, nullptr, &ws);
-          EXPECT_EQ(legacy.vertices, warm.vertices)
-              << "seed=" << seed << " bulk=" << bulk << " fast=" << fast
-              << " leader=" << leader;
+          SearchStats legacy_stats, warm_stats;
+          Community legacy = BccSearch(pg.graph, q, p, opts, &legacy_stats);
+          Community warm = BccSearch(pg.graph, q, p, opts, &warm_stats, &ws);
+          const std::string note = "seed=" + std::to_string(seed) +
+                                   " bulk=" + std::to_string(bulk) +
+                                   " fast=" + std::to_string(fast) +
+                                   " leader=" + std::to_string(leader);
+          EXPECT_EQ(legacy.vertices, warm.vertices) << note;
+          ExpectSameCounters(legacy_stats, warm_stats, note);
         }
       }
     }
@@ -469,6 +484,53 @@ TEST(WorkspaceSearchTest, SteadyStateL2pPerformsNoBulkInits) {
   EXPECT_EQ(ws.Stats().bulk_inits, warm);
 }
 
+TEST(WorkspaceSearchTest, L2pColdEqualsWarmAcrossSeeds) {
+  // A small eta makes the expansion retry (doubling eta) before the
+  // candidate holds a BCC; the default one finds it on the first attempt.
+  // One warm workspace serves every query of a graph, as a worker's does.
+  PlantedConfig cfg;
+  cfg.num_communities = 5;
+  cfg.groups_per_community = 3;
+  cfg.num_labels = 3;
+  cfg.mixed_group_counts = true;
+  cfg.min_group_size = 8;
+  cfg.max_group_size = 14;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    cfg.seed = seed + 700;
+    PlantedGraph pg = GeneratePlanted(cfg);
+    BcIndex index(pg.graph);
+    QueryWorkspace ws;
+    std::size_t nonempty = 0;
+    for (std::size_t eta : {std::size_t{4}, std::size_t{1024}}) {
+      L2pOptions opts;
+      opts.eta = eta;
+      for (const PlantedCommunity& comm : pg.communities) {
+        const std::string note = "seed=" + std::to_string(seed) + " eta=" +
+                                 std::to_string(eta) + " groups=" +
+                                 std::to_string(comm.groups.size());
+        BccQuery q{comm.groups[0][0], comm.groups[1][0]};
+        SearchStats cold_stats, warm_stats;
+        Community cold = L2pBcc(pg.graph, index, q, BccParams{}, opts, &cold_stats);
+        Community warm = L2pBcc(pg.graph, index, q, BccParams{}, opts, &warm_stats, &ws);
+        EXPECT_EQ(cold.vertices, warm.vertices) << note;
+        ExpectSameCounters(cold_stats, warm_stats, "L2pBcc " + note);
+        nonempty += !cold.Empty();
+        if (comm.groups.size() < 3) continue;
+
+        MbccQuery mq{{comm.groups[0][0], comm.groups[1][0], comm.groups[2][0]}};
+        SearchStats mcold_stats, mwarm_stats;
+        Community mcold = L2pMbcc(pg.graph, index, mq, MbccParams{}, opts, &mcold_stats);
+        Community mwarm =
+            L2pMbcc(pg.graph, index, mq, MbccParams{}, opts, &mwarm_stats, &ws);
+        EXPECT_EQ(mcold.vertices, mwarm.vertices) << note;
+        ExpectSameCounters(mcold_stats, mwarm_stats, "L2pMbcc " + note);
+        nonempty += !mcold.Empty();
+      }
+    }
+    EXPECT_GT(nonempty, 0u) << "seed " << seed;
+  }
+}
+
 TEST(WorkspaceSearchTest, MbccWorkspaceEqualsLegacy) {
   PlantedConfig cfg;
   cfg.num_communities = 4;
@@ -491,9 +553,12 @@ TEST(WorkspaceSearchTest, MbccWorkspaceEqualsLegacy) {
     MbccQuery mq{{comm3->groups[0][0], comm3->groups[1][0], comm3->groups[2][0]}};
     QueryWorkspace ws;
     for (const SearchOptions& opts : {OnlineBccOptions(), LpBccOptions()}) {
-      Community legacy = MbccSearch(pg.graph, mq, MbccParams{}, opts);
-      Community warm = MbccSearch(pg.graph, mq, MbccParams{}, opts, nullptr, nullptr, &ws);
+      SearchStats legacy_stats, warm_stats;
+      Community legacy = MbccSearch(pg.graph, mq, MbccParams{}, opts, &legacy_stats);
+      Community warm =
+          MbccSearch(pg.graph, mq, MbccParams{}, opts, &warm_stats, nullptr, &ws);
       EXPECT_EQ(legacy.vertices, warm.vertices) << "seed " << seed;
+      ExpectSameCounters(legacy_stats, warm_stats, "seed " + std::to_string(seed));
     }
   }
 }

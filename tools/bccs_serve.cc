@@ -26,11 +26,13 @@
 // use --listen, which replies per item as it completes.
 //
 // Stream format, one item per line ('#' comments and blank lines allowed):
-//   q <ql> <qr> [interactive|bulk]   two-label query (lane default: bulk)
-//   u <+|-> <a> <b>                  one-edge update batch (insert/delete)
+// the `q` and `u` requests of the wire protocol (net/line_protocol.h),
+// parsed by the same strict codec, so trailing tokens are an error:
+//   q <ql> <qr> [interactive|bulk] [id=N]   two-label query (default: bulk)
+//   u <+|-> <a> <b> [id=N]                  one-edge update batch
 //
 // Output: one line per item, in admission order, tagged with the epoch the
-// item executed in:
+// item executed in (an update's edge is printed with a < b):
 //   [i] epoch=E query (ql, qr) -> N members  (T s)
 //   [i] epoch=E update +(a, b) applied       (T s)
 // followed by the per-lane sojourn summaries and totals.
@@ -60,7 +62,6 @@
 // summary, and exit 0. Incompatible with --stream (one front-end at a
 // time).
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -69,7 +70,6 @@
 #include <iostream>
 #include <istream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,6 +79,7 @@
 #include "graph/compactor.h"
 #include "graph/graph_io.h"
 #include "graph/snapshot.h"
+#include "net/line_protocol.h"
 #include "net/server.h"
 #include "tools/arg_parser.h"
 
@@ -130,57 +131,38 @@ enum class LineStatus { kItem, kBlank, kError };
 
 /// Parses ONE stream line (so the main loop can Submit each item as it
 /// arrives instead of slurping the input to EOF — a live producer on a
-/// pipe is served while it is still writing). Malformed lines are a hard
-/// error with the line number: a serving stream with a typo'd update must
-/// not half-apply.
+/// pipe is served while it is still writing) with the wire codec, after
+/// stripping a trailing '#' comment. Malformed lines, and the
+/// connection-level `ping`/`quit`, are a hard error with the line number: a
+/// serving stream with a typo'd update must not half-apply.
 LineStatus ParseStreamLine(std::string line, std::size_t line_no, std::size_t num_vertices,
                            const bccs::QueryRequest& proto, StreamLine* out) {
   std::size_t hash = line.find('#');
   if (hash != std::string::npos) line.resize(hash);
-  std::istringstream ls(line);
-  std::string kind;
-  if (!(ls >> kind)) return LineStatus::kBlank;
-  if (kind == "q") {
-    std::uint64_t ql = 0, qr = 0;
-    if (!(ls >> ql >> qr) || ql >= num_vertices || qr >= num_vertices) {
-      std::fprintf(stderr, "stream:%zu: expected 'q <ql> <qr> [lane]' with ids below %zu\n",
-                   line_no, num_vertices);
+  bccs::NetRequest req;
+  std::string error;
+  switch (bccs::ParseNetRequest(line, num_vertices, &req, &error)) {
+    case bccs::NetParseStatus::kBlank:
+      return LineStatus::kBlank;
+    case bccs::NetParseStatus::kError:
+      std::fprintf(stderr, "stream:%zu: %s\n", line_no, error.c_str());
       return LineStatus::kError;
-    }
-    bccs::QueryRequest req = proto;
-    req.query = bccs::BccQuery{static_cast<bccs::VertexId>(ql),
-                               static_cast<bccs::VertexId>(qr)};
-    std::string lane_token;
-    if (ls >> lane_token && !bccs::ParseLane(lane_token, &req.lane)) {
-      std::fprintf(stderr, "stream:%zu: unknown lane '%s' (interactive|bulk)\n", line_no,
-                   lane_token.c_str());
-      return LineStatus::kError;
-    }
-    out->text = "query (" + std::to_string(ql) + ", " + std::to_string(qr) + ")";
-    out->item = std::move(req);
-    return LineStatus::kItem;
+    case bccs::NetParseStatus::kOk:
+      break;
   }
-  if (kind == "u") {
-    std::string sign;
-    std::uint64_t a = 0, b = 0;
-    if (!(ls >> sign >> a >> b) || (sign != "+" && sign != "-") || a >= num_vertices ||
-        b >= num_vertices) {
-      std::fprintf(stderr, "stream:%zu: expected 'u <+|-> <a> <b>' with ids below %zu\n",
-                   line_no, num_vertices);
-      return LineStatus::kError;
-    }
-    bccs::UpdateRequest req;
-    bccs::EdgeUpdate u;
-    u.kind = sign == "+" ? bccs::EdgeUpdateKind::kInsert : bccs::EdgeUpdateKind::kDelete;
-    u.edge = {static_cast<bccs::VertexId>(std::min(a, b)),
-              static_cast<bccs::VertexId>(std::max(a, b))};
-    req.updates.push_back(u);
-    out->text = "update " + sign + "(" + std::to_string(a) + ", " + std::to_string(b) + ")";
-    out->item = std::move(req);
-    return LineStatus::kItem;
+  if (req.kind == bccs::NetRequestKind::kQuery) {
+    out->text = "query (" + std::to_string(req.ql) + ", " + std::to_string(req.qr) + ")";
+  } else if (req.kind == bccs::NetRequestKind::kUpdate) {
+    out->text = std::string("update ") +
+                (req.update.kind == bccs::EdgeUpdateKind::kInsert ? "+" : "-") + "(" +
+                std::to_string(req.update.edge.u) + ", " + std::to_string(req.update.edge.v) +
+                ")";
+  } else {
+    std::fprintf(stderr, "stream:%zu: ping and quit are socket requests (q|u)\n", line_no);
+    return LineStatus::kError;
   }
-  std::fprintf(stderr, "stream:%zu: unknown item kind '%s' (q|u)\n", line_no, kind.c_str());
-  return LineStatus::kError;
+  out->item = bccs::ToServeItem(req, proto);
+  return LineStatus::kItem;
 }
 
 }  // namespace

@@ -424,12 +424,15 @@ graph_members="$("$bin/bccs_query" --graph "$tmp/g2.txt" --ql "$q1" --qr "$q2" \
 [ "$serve_members" = "$graph_members" ] \
   || fail "streamed post-update answer differs: $serve_members vs $graph_members"
 
-# Malformed stream lines and invalid numeric flags are rejected upfront.
-printf 'x nonsense\n' > "$tmp/bad_stream.txt"
-if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/bad_stream.txt" \
-    >/dev/null 2>&1; then
-  fail "malformed stream line was accepted"
-fi
+# Malformed stream lines (trailing tokens included, as the wire codec
+# parses them) and invalid numeric flags are rejected upfront.
+for bad in 'x nonsense' "q $q1 $q2 bulk extra" "u - $eu $ev junk" 'ping'; do
+  printf '%s\n' "$bad" > "$tmp/bad_stream.txt"
+  if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/bad_stream.txt" \
+      >/dev/null 2>&1; then
+    fail "malformed stream line was accepted: $bad"
+  fi
+done
 if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" \
     --bulk-cap -1 >/dev/null 2>&1; then
   fail "negative --bulk-cap was accepted"
