@@ -2,9 +2,10 @@
 // choices: Algorithm 3 butterfly counting, Algorithm 5 vs full BFS
 // distance maintenance, Algorithm 7 vs full recount, and bulk vs
 // single-vertex deletion; plus the query-distance repair kernel alone,
-// Find-G0 with and without the BC-index, and the index-backed query-group
-// resolve, candidate-graph build, seed butterfly count and initial
-// query-distance BFS on one Find-G0 candidate.
+// Find-G0 with and without the BC-index, one label's k-core forest build,
+// and the index-backed query-group resolve, candidate-graph build, seed
+// butterfly count, first core cascade and initial query-distance BFS on one
+// Find-G0 candidate.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,8 @@
 #include "bcc/workspace.h"
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/butterfly_update.h"
+#include "core/core_decomposition.h"
+#include "core/core_forest.h"
 #include "eval/datasets.h"
 #include "graph/generators.h"
 
@@ -317,8 +320,9 @@ void BM_SeedCount(benchmark::State& state) {
 BENCHMARK(BM_SeedCount)->Unit(benchmark::kMillisecond);
 
 // One query group from the BC-index (Find-G0's index path, the left side of
-// the same query): the k-core members by stored coreness, then the
-// component containing q by one scan over them.
+// the same query): auto-k from stored coreness, then the component of q in
+// the label's k-core forest by one ancestor walk and one scan of the label
+// group. The forest is built on the first iteration and kept by the index.
 void BM_ResolveQueryGroup(benchmark::State& state) {
   const OrkutG0& f = SharedOrkutG0();
   QueryWorkspace ws;
@@ -333,6 +337,68 @@ void BM_ResolveQueryGroup(benchmark::State& state) {
   state.counters["side"] = static_cast<double>(side.size());
 }
 BENCHMARK(BM_ResolveQueryGroup)->Unit(benchmark::kMillisecond);
+
+// Building one label's k-core forest (BcIndex::LabelForest's first use):
+// the union-find pass over the orkut query's left label group in descending
+// coreness, then the preorder numbering.
+void BM_LabelForestBuild(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  const LabeledGraph& g = f.pg.graph;
+  static const std::vector<std::uint32_t> coreness = LabelCoreness(g);
+  const std::span<const VertexId> members = g.VerticesWithLabel(g.LabelOf(f.q.ql));
+  std::size_t nodes = 0, bytes = 0;
+  for (auto _ : state) {
+    const CoreForest forest(g, members, coreness);
+    nodes = forest.NumNodes();
+    bytes = forest.MemoryBytes();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["members"] = static_cast<double>(members.size());
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_LabelForestBuild)->Unit(benchmark::kMillisecond);
+
+// The peel's first deletion on the shared G0: every vertex at the farthest
+// query distance, and the per-group core cascade it sets off
+// (GroupedCandidate::RemoveAndMaintain, without leaders). Each iteration
+// times the cascade alone on a fresh candidate.
+void BM_CoreCascade(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  const CandidateGraph& cg = *f.g0.graph;
+  const LabeledGraph& g = cg.graph();
+  const std::vector<char> alive(cg.NumVertices(), 1);
+  const VertexId ql = cg.ToLocal(f.q.ql), qr = cg.ToLocal(f.q.qr);
+  DistanceMap dl, dr;
+  BfsDistances(g, alive, ql, &dl);
+  BfsDistances(g, alive, qr, &dr);
+  std::vector<VertexId> batch;
+  std::uint32_t far = 0;
+  for (VertexId v = 0; v < cg.NumVertices(); ++v) {
+    if (v == ql || v == qr) continue;
+    const std::uint32_t qd = std::max(dl.Get(v), dr.Get(v));  // kInfDistance is the max
+    if (qd > far) {
+      batch.clear();
+      far = qd;
+    }
+    if (qd == far) batch.push_back(v);
+  }
+  QueryWorkspace ws;
+  std::size_t removed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      GroupedCandidate cand(cg, {f.g0.k1, f.g0.k2}, ws);
+      state.ResumeTiming();
+      removed = cand.RemoveAndMaintain(batch).size();
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  state.counters["batch"] = static_cast<double>(batch.size());
+  state.counters["removed"] = static_cast<double>(removed);
+}
+BENCHMARK(BM_CoreCascade)->Unit(benchmark::kMillisecond);
 
 // The peel's two initial query-distance BFS (distances and support counts)
 // from q_l and q_r over the whole shared G0.

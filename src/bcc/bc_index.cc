@@ -91,6 +91,30 @@ BlockCacheStats BcIndex::PairCacheStats() const {
           pair_misses_.load(std::memory_order_relaxed), CachedPairCount()};
 }
 
+const CoreForest& BcIndex::LabelForest(Label l) const {
+  {
+    MutexLock lock(forests_mu_);
+    const auto it = forests_.find(l);
+    if (it != forests_.end()) return *it->second;
+  }
+  // Build outside the lock, as PairButterflies counts: concurrent first
+  // calls for one label waste one build, and the first insert wins.
+  auto forest =
+      std::make_shared<const CoreForest>(*g_, g_->VerticesWithLabel(l), label_coreness_.span());
+  MutexLock lock(forests_mu_);
+  return *forests_.try_emplace(l, std::move(forest)).first->second;
+}
+
+std::size_t BcIndex::ForestCount() const {
+  MutexLock lock(forests_mu_);
+  return forests_.size();
+}
+
+BcIndex::ForestMap BcIndex::CopyForests() const {
+  MutexLock lock(forests_mu_);
+  return forests_;
+}
+
 namespace {
 
 /// One label's (or one pair's) slice of the delta.
@@ -179,6 +203,14 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   {
     MutexLock lock(out->pairs_mu_);
     out->pairs_ = std::move(pairs);
+  }
+  // Forests: a label's forest depends only on its group's same-label edges
+  // and coreness, so it carries over unless the delta touched the label.
+  ForestMap forests = CopyForests();
+  for (const auto& entry : intra) forests.erase(entry.first);
+  {
+    MutexLock lock(out->forests_mu_);
+    out->forests_ = std::move(forests);
   }
   out->pair_hits_.store(pair_hits_.load(std::memory_order_relaxed), std::memory_order_relaxed);
   out->pair_misses_.store(pair_misses_.load(std::memory_order_relaxed),

@@ -14,6 +14,7 @@
 #include "butterfly/butterfly_counting.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "core/core_forest.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs {
@@ -68,10 +69,17 @@ struct BlockCacheStats {
 /// at most every label pair, which is what MaterializeAllPairs (and hence
 /// every snapshot bccs_build writes by default) holds resident anyway.
 ///
+/// Beside the two stored components the index keeps, per label, the k-core
+/// forest of the label group (core/core_forest.h), which turns "the
+/// component of q in the k-core" into an ancestor walk. A forest is derived
+/// from the coreness and the graph, so it is built on a label's first use
+/// and never stored in a snapshot.
+///
 /// The index is share-safe and const-usable: all query entry points are
-/// const (the lazily filled pair table is logically immutable state behind
-/// one leaf mutex), so one index instance — freshly built or reconstructed
-/// from a snapshot — can serve every worker thread of a BatchRunner. The
+/// const (the lazily filled pair and forest tables are logically immutable
+/// state behind one leaf mutex each), so one index instance — freshly built
+/// or reconstructed from a snapshot — can serve every worker thread of a
+/// BatchRunner. The
 /// coreness arrays live in ArrayRef storage so a snapshot load keeps them as
 /// zero-copy views over the mapped file.
 class BcIndex {
@@ -79,6 +87,9 @@ class BcIndex {
   /// The pair table: (a, b) with a < b to that pair's butterfly degrees.
   /// Blocks are shared by pointer with indexes repaired from this one.
   using PairMap = std::map<std::pair<Label, Label>, std::shared_ptr<const ButterflyCounts>>;
+  /// The forest table: label to its group's k-core forest, shared by
+  /// pointer with indexes repaired from this one.
+  using ForestMap = std::map<Label, std::shared_ptr<const CoreForest>>;
 
   explicit BcIndex(const LabeledGraph& g);
 
@@ -111,6 +122,16 @@ class BcIndex {
 
   /// Hit/miss/entry counters of the pair table.
   BlockCacheStats PairCacheStats() const;
+
+  /// The k-core forest of label `l`'s group over this index's coreness,
+  /// built on the first call for the label. The reference stays valid for
+  /// the index's lifetime. Thread-safe like PairButterflies: the build runs
+  /// outside the lock and the first insert wins.
+  const CoreForest& LabelForest(Label l) const;
+
+  /// Number of label forests built so far (or shared from the index this
+  /// one was repaired from).
+  std::size_t ForestCount() const;
 
   /// Loads the snapshot at `path` (graph + index, see graph/snapshot.h); on
   /// any load failure (absent, truncated, corrupt, version mismatch, stale
@@ -145,8 +166,10 @@ class BcIndex {
   /// repair, scoped recount past the cap) in a clone, so this index keeps
   /// its own blocks. Untouched blocks are shared by pointer; untouched
   /// labels and pairs not yet counted (they count lazily against the new
-  /// graph) cost nothing beyond the copy. The copied coreness array lives in
-  /// its own page mapping, like ApplyGraphDelta's CSR: releasing the
+  /// graph) cost nothing beyond the copy. Label forests are shared by
+  /// pointer for every label without an intra-label update and dropped for
+  /// the others, which rebuild on first use. The copied coreness array lives
+  /// in its own page mapping, like ApplyGraphDelta's CSR: releasing the
   /// returned index hands its pages back to the OS.
   std::unique_ptr<BcIndex> ApplyUpdates(const LabeledGraph& updated, const GraphDelta& delta,
                                         const UpdateRepairOptions& opts = {},
@@ -166,6 +189,7 @@ class BcIndex {
   /// returns the resident block.
   const ButterflyCounts& InsertPair(Label a, Label b, ButterflyCounts counts) const;
   PairMap CopyPairs() const;
+  ForestMap CopyForests() const;
 
   const LabeledGraph* g_ = nullptr;
   ArrayRef<std::uint32_t> label_coreness_;
@@ -175,6 +199,9 @@ class BcIndex {
   mutable PairMap pairs_ GUARDED_BY(pairs_mu_);
   mutable std::atomic<std::uint64_t> pair_hits_{0};
   mutable std::atomic<std::uint64_t> pair_misses_{0};
+  // Leaf lock: never held across a forest build or any other lock.
+  mutable Mutex forests_mu_;
+  mutable ForestMap forests_ GUARDED_BY(forests_mu_);
 };
 
 }  // namespace bccs

@@ -48,7 +48,8 @@ class GroupedCandidate {
   /// Union of the alive masks of all groups.
   const std::vector<char>& alive() const { return alive_; }
 
-  std::uint32_t GroupDegree(VertexId v) const { return group_deg_[v]; }
+  /// Same-group degree of an alive vertex among alive vertices.
+  std::uint32_t GroupDegree(VertexId v) const { return state_[v] & ~kGone; }
 
   /// Alive local ids, ascending.
   std::vector<VertexId> AliveVertices() const;
@@ -70,36 +71,42 @@ class GroupedCandidate {
   std::vector<VertexId> RemoveAndMaintain(std::span<const VertexId> batch, OnRemove on_remove,
                                           const Deadline* deadline = nullptr,
                                           bool* expired = nullptr) {
-    std::vector<VertexId> queue;
+    // queue_ holds one slot per vertex plus one: each vertex is pushed at
+    // most once (the gone bit), and the tail write of a rejected push lands
+    // one past the last accepted one.
+    VertexId* const queue = queue_->data();
+    std::size_t tail = 0;
     for (VertexId v : batch) {
-      if (IsAlive(v) && !queued_[v]) {
-        queued_[v] = 1;
-        queue.push_back(v);
-      }
+      if (state_[v] & kGone) continue;  // dead, or a duplicate
+      state_[v] |= kGone;
+      queue[tail++] = v;
     }
     std::size_t head = 0;
-    while (head < queue.size()) {
+    while (head < tail) {
       if (deadline != nullptr && (head & 2047u) == 2047u && deadline->Expired()) {
         if (expired != nullptr) *expired = true;
-        for (VertexId v : queue) queued_[v] = 0;
-        queue.resize(head);
-        return queue;
+        // Queued but unprocessed vertices stay alive with their degrees.
+        for (std::size_t i = head; i < tail; ++i) state_[queue[i]] &= ~kGone;
+        tail = head;
+        break;
       }
-      VertexId v = queue[head++];
+      const VertexId v = queue[head++];
       on_remove(v);
       const std::uint32_t gi = GroupOf(v);
+      const std::uint32_t k = ks_[gi];
       alive_[v] = 0;
       --num_alive_;
+      // Every same-group edge debits its far end once. A gone word stays
+      // >= kGone, so it never pushes twice and never borrows into the bit.
       for (VertexId w : cg_->NeighborsIn(v, gi)) {
-        if (!alive_[w] || queued_[w]) continue;
-        if (--group_deg_[w] < ks_[gi]) {
-          queued_[w] = 1;
-          queue.push_back(w);
-        }
+        const std::uint32_t d = state_[w] - 1;
+        const bool push = d < k;
+        state_[w] = d | (push ? kGone : 0u);
+        queue[tail] = w;
+        tail += push;
       }
     }
-    for (VertexId v : queue) queued_[v] = 0;
-    return queue;
+    return std::vector<VertexId>(queue, queue + tail);
   }
 
   std::vector<VertexId> RemoveAndMaintain(std::span<const VertexId> batch) {
@@ -107,12 +114,17 @@ class GroupedCandidate {
   }
 
  private:
+  // Set in a vertex's state word once it is queued for removal or removed.
+  static constexpr std::uint32_t kGone = 0x80000000u;
+
   const CandidateGraph* cg_;
   QueryWorkspace* ws_;
   std::vector<std::uint32_t> ks_;
   std::vector<char> alive_;
-  std::vector<std::uint32_t> group_deg_;
-  std::vector<char> queued_;
+  // Per vertex: same-group degree (debited once per removed same-group
+  // neighbour), plus kGone.
+  std::vector<std::uint32_t> state_;
+  std::vector<VertexId>* queue_ = nullptr;  // borrowed from the workspace
   std::size_t num_alive_ = 0;
 };
 

@@ -32,37 +32,33 @@ std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t
                                 const std::vector<char>* restrict_to, const BcIndex* index,
                                 QueryWorkspace& ws, std::vector<VertexId>* side) {
   if (side != nullptr) side->clear();
-  std::span<const VertexId> group = g.VerticesWithLabel(g.LabelOf(q));
-  CoreScratch& cs = ws.core_scratch();
-  std::vector<VertexId>* members = ws.AcquireIdVec();
+  const Label label = g.LabelOf(q);
+  std::span<const VertexId> group = g.VerticesWithLabel(label);
   if (index != nullptr && restrict_to == nullptr) {
     const std::uint32_t k_arg = k;
     if (k == 0) k = index->Coreness(q);
-    if (k > 0 && side != nullptr) {
-      for (VertexId v : group) {
-        if (index->Coreness(v) >= k) members->push_back(v);
-      }
-      ComponentContainingScoped(g, *members, q, &cs, side);
-    }
+    if (k > 0 && side != nullptr) index->LabelForest(label).Component(group, q, k, side);
 #if BCCS_DCHECK_IS_ON
     AuditIndexGroup(g, q, k_arg, k, side);
 #else
     (void)k_arg;
 #endif
-  } else {
-    if (restrict_to != nullptr) {
-      for (VertexId v : group) {
-        if ((*restrict_to)[v]) members->push_back(v);
-      }
-      group = *members;
+    return k;
+  }
+  CoreScratch& cs = ws.core_scratch();
+  std::vector<VertexId>* members = ws.AcquireIdVec();
+  if (restrict_to != nullptr) {
+    for (VertexId v : group) {
+      if ((*restrict_to)[v]) members->push_back(v);
     }
-    if (k == 0) k = SubsetCorenessOfScoped(g, group, q, &cs);
-    if (k > 0 && side != nullptr) {
-      std::vector<VertexId>* core = ws.AcquireIdVec();
-      KCoreOfSubsetScoped(g, group, k, &cs, core);
-      ComponentContainingScoped(g, *core, q, &cs, side);
-      ws.ReleaseIdVec(core);
-    }
+    group = *members;
+  }
+  if (k == 0) k = SubsetCorenessOfScoped(g, group, q, &cs);
+  if (k > 0 && side != nullptr) {
+    std::vector<VertexId>* core = ws.AcquireIdVec();
+    KCoreOfSubsetScoped(g, group, k, &cs, core);
+    ComponentContainingScoped(g, *core, q, &cs, side);
+    ws.ReleaseIdVec(core);
   }
   ws.ReleaseIdVec(members);
   return k;

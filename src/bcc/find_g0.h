@@ -71,10 +71,13 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
 ///
 /// The single place where Find-G0 chooses between the BC-index and the
 /// paper's peel: with an `index` over `g` and no restriction, auto-k is
-/// index->Coreness(q) and the k-core is {v in group : Coreness(v) >= k}
-/// (Batagelj-Zaversnik), so no peel runs. Otherwise it runs the bucket peel
-/// and k-core peel. In BCCS_DCHECK builds the index path recomputes both
-/// with the paper routines and CHECKs equality (DESIGN.md contract 10).
+/// index->Coreness(q), and the component is the subtree of q's highest
+/// ancestor at level >= k in the label's k-core forest
+/// (BcIndex::LabelForest), read by one scan of the label group, so neither
+/// a peel nor a traversal runs. Otherwise it runs the bucket peel, the
+/// k-core peel and a component search. In BCCS_DCHECK builds the index path
+/// recomputes both with the paper routines and CHECKs equality (DESIGN.md
+/// contract 10).
 std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t k,
                                 const std::vector<char>* restrict_to, const BcIndex* index,
                                 QueryWorkspace& ws, std::vector<VertexId>* side);

@@ -33,20 +33,24 @@ void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexI
   dm->Set(source, 0, 1);  // the virtual parent
   std::vector<VertexId>& queue = dm->queue();
   queue.assign(1, source);
+  // Pull-style supports: when v (level d) is dequeued, every vertex of
+  // level d-1 is already labelled, so the scan that discovers level d+1
+  // also counts v's parents, one read per edge.
   for (std::size_t i = 0; i < queue.size(); ++i) {
     const VertexId v = queue[i];
-    const std::uint32_t next = dm->Get(v) + 1;
+    const std::uint32_t d = dm->Get(v);
+    std::uint32_t parents = 0;
     for (VertexId w : g.Neighbors(v)) {
       if (!alive[w]) continue;
       const std::uint32_t dw = dm->Get(w);
       if (dw == kInfDistance) {
-        dm->Set(w, next, 1);
+        dm->Set(w, d + 1, 0);
         queue.push_back(w);
       }
-      // Branch-free: whether a reached neighbour is one level further is
-      // data-dependent and mispredicts often.
-      dm->AddSupport(w, dw == next);
+      // Branch-free: whether a neighbour is a parent is data-dependent.
+      parents += dw + 1 == d;
     }
+    if (i != 0) dm->Set(v, d, parents);
   }
 }
 

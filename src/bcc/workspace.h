@@ -186,11 +186,6 @@ class DistanceMap {
   void Set(VertexId v, std::uint32_t d, std::uint32_t support) { slots_[v] = Slot{d, support}; }
   void SetUnreachable(VertexId v) { Set(v, kInfDistance, 0); }
 
-  /// Credits v with `parents` more parents (the BFS adds 0 or 1 per edge).
-  void AddSupport(VertexId v, std::uint32_t parents) {
-    BCCS_DCHECK_NE(slots_[v].dist, kInfDistance) << "support for unreached vertex " << v;
-    slots_[v].support += parents;
-  }
   /// Debits one parent; true when v has none left (v is orphaned).
   bool DropSupport(VertexId v) {
     BCCS_DCHECK_GT(slots_[v].support, 0u) << "support underflow at vertex " << v;

@@ -1,5 +1,5 @@
-// Caching layer: BcIndex's lazily filled pair table, the epoch-keyed result
-// cache, and their serving-engine wiring.
+// Caching layer: BcIndex's lazily filled pair and forest tables, the
+// epoch-keyed result cache, and their serving-engine wiring.
 // The load-bearing property is DESIGN.md serving contract 6: a cache hit is
 // indistinguishable from re-executing the query at its pinned epoch —
 // mixed query/update streams must answer bit-identically with the cache on
@@ -101,6 +101,46 @@ TEST(PairTableTest, ConcurrentFaultsConvergeOnOneBlock) {
   EXPECT_EQ(s.entries, pairs);
   EXPECT_EQ(s.hits + s.misses, kThreads * kRounds * pairs + pairs);
   EXPECT_GE(s.misses, pairs);
+}
+
+// Threads that make the first use of one label's core forest at once
+// converge on one resident forest, and every component they read from it
+// equals a fresh index's.
+TEST(ForestTableTest, ConcurrentFirstUseConvergesOnOneForest) {
+  PlantedGraph pg = MakeGraph(6, 23);
+  const LabeledGraph& g = pg.graph;
+  const auto group = g.VerticesWithLabel(0);
+  BcIndex fresh(g);
+  const CoreForest& want_forest = fresh.LabelForest(0);
+  BcIndex lazy(g);
+
+  constexpr int kThreads = 4;
+  std::vector<const CoreForest*> seen(kThreads, nullptr);
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const CoreForest& forest = lazy.LabelForest(0);
+      seen[t] = &forest;
+      std::vector<VertexId> got, want;
+      for (VertexId q : group) {
+        for (std::uint32_t k = 1; k <= lazy.Coreness(q); ++k) {
+          forest.Component(group, q, k, &got);
+          want_forest.Component(group, q, k, &want);
+          mismatches[t] += got != want;
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], &lazy.LabelForest(0)) << "thread " << t;
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  EXPECT_EQ(lazy.ForestCount(), 1u);
 }
 
 // --------------------------------------------------------------------------

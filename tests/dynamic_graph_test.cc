@@ -8,11 +8,14 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bcc/bc_index.h"
+#include "bcc/find_g0.h"
 #include "eval/serve_engine.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
@@ -197,11 +200,25 @@ UpdateRepairStats RepairAndCheck(const LabeledGraph& g, const std::vector<EdgeUp
                                  const UpdateRepairOptions& opts, const char* note) {
   BcIndex index(g);
   index.MaterializeAllPairs();
+  for (Label l = 0; l < g.NumLabels(); ++l) index.LabelForest(l);
   auto delta = BuildGraphDelta(g, updates);
   EXPECT_TRUE(delta.has_value());
   const LabeledGraph updated = ApplyGraphDelta(g, *delta);
   UpdateRepairStats stats;
   const auto repaired = index.ApplyUpdates(updated, *delta, opts, &stats);
+  // Forests: shared by pointer for every label the delta leaves without an
+  // intra-label edge, dropped (and rebuilt on first use) for the others.
+  std::set<Label> intra_labels;
+  for (const auto* edges : {&delta->inserts, &delta->deletes}) {
+    for (const Edge& e : *edges) {
+      if (g.LabelOf(e.u) == g.LabelOf(e.v)) intra_labels.insert(g.LabelOf(e.u));
+    }
+  }
+  EXPECT_EQ(repaired->ForestCount(), g.NumLabels() - intra_labels.size()) << note;
+  for (Label l = 0; l < g.NumLabels(); ++l) {
+    const bool shared = &repaired->LabelForest(l) == &index.LabelForest(l);
+    EXPECT_EQ(shared, intra_labels.count(l) == 0) << note << " forest of label " << l;
+  }
   EXPECT_EQ(repaired->CachedPairCount(), index.CachedPairCount()) << note;
   ExpectIndexMatchesFreshBuild(*repaired, updated, note);
   // Copy-on-write: the base index still answers for the base graph, the
@@ -346,6 +363,53 @@ TEST(DynamicIndexTest, NewestEpochOutlivesReleasedAncestors) {
   ExpectSameGraph(*chain.back().graph, want, "newest epoch");
   ExpectIndexMatchesFreshBuild(*chain.back().index, *chain.back().graph, "newest epoch");
   EXPECT_GT(chain.back().index->CachedPairCount(), 0u);
+}
+
+// An intra-label update drops that label's forest from the new epoch, which
+// rebuilds it on first use while the old epoch keeps answering from its own
+// forest. Both run at once here, one thread per epoch, and every
+// index-resolved query group must equal a fresh index's over that epoch's
+// graph (ResolveQueryGroup, with its DCHECK audit in dev builds).
+TEST(DynamicIndexTest, NewEpochRebuildsForestWhileOldEpochServes) {
+  std::mt19937_64 rng(29);
+  const PlantedGraph pg = SmallPlanted(19, 2);
+  const LabeledGraph& g = pg.graph;
+  BcIndex base(g);
+  for (Label l = 0; l < g.NumLabels(); ++l) base.LabelForest(l);
+  std::vector<EdgeUpdate> updates;
+  for (const EdgeUpdate& u : RandomDelta(g, rng, 20, 20)) {
+    if (g.LabelOf(u.edge.u) == 0 && g.LabelOf(u.edge.v) == 0) updates.push_back(u);
+  }
+  ASSERT_FALSE(updates.empty());
+  const auto delta = BuildGraphDelta(g, updates);
+  ASSERT_TRUE(delta.has_value());
+  const LabeledGraph updated = ApplyGraphDelta(g, *delta);
+  const auto repaired = base.ApplyUpdates(updated, *delta);
+  EXPECT_EQ(repaired->ForestCount(), g.NumLabels() - 1) << "label 0's forest is dropped";
+
+  // Reference answers per epoch: (k, side) for every vertex at auto k.
+  using Answers = std::vector<std::pair<std::uint32_t, std::vector<VertexId>>>;
+  auto resolve_all = [](const LabeledGraph& graph, const BcIndex& index) {
+    QueryWorkspace ws;
+    Answers out(graph.NumVertices());
+    for (VertexId q = 0; q < graph.NumVertices(); ++q) {
+      out[q].first = ResolveQueryGroup(graph, q, 0, nullptr, &index, ws, &out[q].second);
+    }
+    return out;
+  };
+  const Answers want_old = resolve_all(g, BcIndex(g));
+  const Answers want_new = resolve_all(updated, BcIndex(updated));
+  Answers got_old, got_new;
+  std::thread old_epoch([&] {
+    for (int round = 0; round < 3; ++round) got_old = resolve_all(g, base);
+  });
+  std::thread new_epoch([&] { got_new = resolve_all(updated, *repaired); });
+  old_epoch.join();
+  new_epoch.join();
+  EXPECT_EQ(got_old, want_old);
+  EXPECT_EQ(got_new, want_new);
+  EXPECT_NE(&repaired->LabelForest(0), &base.LabelForest(0));
+  EXPECT_EQ(&repaired->LabelForest(1), &base.LabelForest(1));
 }
 
 // ---------------------------------------------------------------------------

@@ -41,6 +41,41 @@ TEST(BfsDistancesTest, MaskBlocksPaths) {
   EXPECT_EQ(dist[4], kInfDistance);
 }
 
+class DistanceMapBfsTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DistanceMapBfsTest, MatchesVectorBfsAndParentCounts) {
+  // Random graphs with a random dead set in the mask (sometimes the source
+  // itself): the support-counting BFS must give the std::vector BFS's
+  // distances, one virtual parent at the source, the number of alive
+  // neighbours one level closer at every other reached vertex, and no
+  // support at unreached ones.
+  const std::uint64_t seed = GetParam();
+  std::mt19937_64 rng(seed * 31 + 7);
+  LabeledGraph g = MakeRandomGraph(80, 0.04 + 0.01 * static_cast<double>(seed % 5), 1, seed);
+  const auto n = static_cast<VertexId>(g.NumVertices());
+  DistanceMap dm;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<char> alive(n, 1);
+    for (VertexId v = 0; v < n; ++v) alive[v] = rng() % 5 != 0;
+    const VertexId source = static_cast<VertexId>(rng() % n);
+    std::vector<std::uint32_t> want;
+    BfsDistances(g, alive, source, &want);
+    BfsDistances(g, alive, source, &dm);
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(dm.Get(v), want[v]) << "seed " << seed << " vertex " << v;
+      std::uint32_t parents = 0;
+      if (v == source && alive[v]) {
+        parents = 1;
+      } else if (want[v] != kInfDistance) {
+        for (VertexId u : g.Neighbors(v)) parents += alive[u] && want[u] + 1 == want[v];
+      }
+      ASSERT_EQ(dm.Support(v), parents) << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DistanceMapBfsTest, ::testing::Range<std::uint64_t>(0, 10));
+
 TEST(FastQueryDistanceTest, PaperTable2) {
   Figure3Graph f = MakeFigure3Graph();
   const LabeledGraph& g = f.graph;

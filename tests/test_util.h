@@ -20,10 +20,30 @@
 
 namespace bccs::testing {
 
+/// Every k-core forest component of `got` equals `want`'s: for each label,
+/// each member q and each k in 1..coreness(q) (CoreForest::Component).
+inline void ExpectForestsMatch(const BcIndex& got, const BcIndex& want, const LabeledGraph& g,
+                               const char* note) {
+  std::vector<VertexId> a, b;
+  for (Label l = 0; l < g.NumLabels(); ++l) {
+    const auto members = g.VerticesWithLabel(l);
+    if (members.empty()) continue;
+    const CoreForest& fa = got.LabelForest(l);
+    const CoreForest& fb = want.LabelForest(l);
+    for (VertexId q : members) {
+      for (std::uint32_t k = 1; k <= want.Coreness(q); ++k) {
+        fa.Component(members, q, k, &a);
+        fb.Component(members, q, k, &b);
+        ASSERT_EQ(a, b) << note << " forest component of " << q << " at k=" << k;
+      }
+    }
+  }
+}
+
 /// The acceptance check for incremental repair and replay: `repaired` must
 /// be bit-identical to a freshly built index of `updated` — coreness,
-/// per-label maxima, and every cached pair entry (chi, total, max, argmax
-/// on both sides).
+/// per-label maxima, every cached pair entry (chi, total, max, argmax
+/// on both sides), and every label forest's components.
 inline void ExpectIndexMatchesFreshBuild(const BcIndex& repaired, const LabeledGraph& updated,
                                          const char* note) {
   BcIndex fresh(updated);
@@ -46,6 +66,7 @@ inline void ExpectIndexMatchesFreshBuild(const BcIndex& repaired, const LabeledG
           << note << " chi of " << v << " in pair " << a << "," << b;
     }
   });
+  ExpectForestsMatch(repaired, fresh, updated, note);
 }
 
 /// Complete graph K_n, single label.
