@@ -19,8 +19,6 @@
 
 namespace bccs {
 
-struct SnapshotBundle;    // graph/snapshot.h
-struct SourceGraphInfo;   // graph/snapshot.h
 struct GraphDelta;        // graph/graph_delta.h
 
 /// Fallback thresholds of BcIndex::ApplyUpdates. A batch is repaired
@@ -133,25 +131,6 @@ class BcIndex {
   /// one was repaired from).
   std::size_t ForestCount() const;
 
-  /// Loads the snapshot at `path` (graph + index, see graph/snapshot.h); on
-  /// any load failure (absent, truncated, corrupt, version mismatch, stale
-  /// source-graph stamp) builds a fresh index from `g`, materializes all
-  /// pairs, and best-effort saves a new snapshot to `path`. `error`, when
-  /// non-null, receives the load failure reason (empty when the snapshot
-  /// loaded cleanly).
-  ///
-  /// The overload taking `source` (the identity of the graph file `g` was
-  /// read from) rejects snapshots stamped with a different source graph and
-  /// stamps `source` into any snapshot it writes.
-  ///
-  /// When the snapshot loads, the returned bundle's graph is the snapshot's
-  /// own (mapped) graph and `g` is ignored — callers must query through
-  /// `bundle.graph`, not `g`.
-  static SnapshotBundle BuildOrLoad(const LabeledGraph& g, const std::string& path,
-                                    std::string* error = nullptr);
-  static SnapshotBundle BuildOrLoad(const LabeledGraph& g, const std::string& path,
-                                    std::string* error, const SourceGraphInfo& source);
-
   /// Incrementally repairs this index for an edge-update batch and returns
   /// the repaired index over `updated`, which must be the result of
   /// ApplyGraphDelta(graph(), delta) (or an equal graph that outlives the
@@ -160,7 +139,7 @@ class BcIndex {
   ///
   /// The repaired index answers every query bit-identically to a freshly
   /// built BcIndex(updated): intra-label updates repair only their label's
-  /// coreness (core/core_maintenance.h level passes driving KCoreMaintainer,
+  /// coreness (core/core_maintenance.h level passes over KCoreOfSubset,
   /// scoped rebuild past the cap), cross-label updates repair only their
   /// pair's counted butterfly block (butterfly/butterfly_update.h per-edge
   /// repair, scoped recount past the cap) in a clone, so this index keeps

@@ -53,7 +53,7 @@ std::uint32_t ResolveQueryGroup(const LabeledGraph& g, VertexId q, std::uint32_t
     }
     group = *members;
   }
-  if (k == 0) k = SubsetCorenessOfScoped(g, group, q, &cs);
+  if (k == 0) k = PeelCoreness(g, group, q, &cs);
   if (k > 0 && side != nullptr) {
     std::vector<VertexId>* core = ws.AcquireIdVec();
     KCoreOfSubsetScoped(g, group, k, &cs, core);

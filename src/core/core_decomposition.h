@@ -23,6 +23,10 @@ std::vector<std::uint32_t> LabelCoreness(const LabeledGraph& g);
 /// Coreness within the subgraph induced by an arbitrary vertex subset.
 /// The result is indexed by graph vertex id; entries for vertices outside
 /// `members` are 0 and meaningless.
+///
+/// This and the two routines below allocate a CoreScratch per call; the
+/// query path runs the scratch routines further down on its workspace's
+/// CoreScratch instead.
 std::vector<std::uint32_t> SubsetCoreness(const LabeledGraph& g,
                                           std::span<const VertexId> members);
 
@@ -33,14 +37,16 @@ std::vector<VertexId> KCoreOfSubset(const LabeledGraph& g, std::span<const Verte
                                     std::uint32_t k);
 
 /// The connected component containing `q` of the subgraph induced by
-/// `members`. Empty if `q` is not in `members`. Returned sorted ascending.
+/// `members` (any order, duplicates allowed). Empty if `q` is not in
+/// `members`. Returned sorted ascending.
 std::vector<VertexId> ComponentContaining(const LabeledGraph& g,
                                           std::span<const VertexId> members, VertexId q);
 
-/// Reusable scratch for the *Scoped core routines below. The vertex-indexed
-/// arrays (`mask`, `num_a`, `num_b`) are maintained all-zero between calls,
-/// so a warm scratch serves a query in O(|members|) with no O(n) work; the
-/// small vectors just keep their capacity. Owned per query workspace.
+/// Reusable scratch for PeelCoreness and the *Scoped routines below. The
+/// vertex-indexed arrays (`mask`, `num_a`, `num_b`) are maintained all-zero
+/// between calls, so a warm scratch serves a query in O(|members|) with no
+/// O(n) work; the small vectors just keep their capacity. Owned per query
+/// workspace.
 class CoreScratch {
  public:
   void EnsureSize(std::size_t n) {
@@ -64,21 +70,25 @@ class CoreScratch {
   std::uint64_t bulk_inits_ = 0;
 };
 
-/// Coreness of `v` within the subgraph induced by `members`, computed with
-/// the same bucket peeling as SubsetCoreness but stopping as soon as v is
-/// peeled and touching only scratch entries of `members`. Returns 0 when v
-/// is not a member.
-std::uint32_t SubsetCorenessOfScoped(const LabeledGraph& g, std::span<const VertexId> members,
-                                     VertexId v, CoreScratch* scratch);
+/// Batagelj-Zaversnik bucket peeling of the subgraph induced by `members`
+/// (O(|members| + their degrees), touching only scratch entries of
+/// `members`). Returns the coreness of `target` there, 0 when it is not a
+/// member. Without `all` the peel stops as soon as `target` is peeled, and
+/// does not run when `target` is no member. With `all` (sized to
+/// g.NumVertices()) it peels every member and writes each member's coreness
+/// into (*all)[v], leaving other entries untouched.
+std::uint32_t PeelCoreness(const LabeledGraph& g, std::span<const VertexId> members,
+                           VertexId target, CoreScratch* scratch,
+                           std::vector<std::uint32_t>* all = nullptr);
 
-/// KCoreOfSubset into a reused output vector, using `scratch` instead of
-/// fresh O(n) arrays. Identical result to KCoreOfSubset.
+/// The k-core of the subgraph induced by `members` into a reused output
+/// vector (sorted ascending), using `scratch` instead of fresh O(n) arrays.
 void KCoreOfSubsetScoped(const LabeledGraph& g, std::span<const VertexId> members,
                          std::uint32_t k, CoreScratch* scratch, std::vector<VertexId>* out);
 
-/// ComponentContaining into a reused output vector via `scratch`. Identical
-/// result to ComponentContaining. `members` must be strictly ascending: the
-/// component is collected by one scan over them, with no sort.
+/// ComponentContaining into a reused output vector via `scratch`. `members`
+/// must be strictly ascending: the component is collected by one scan over
+/// them, with no sort.
 void ComponentContainingScoped(const LabeledGraph& g, std::span<const VertexId> members,
                                VertexId q, CoreScratch* scratch, std::vector<VertexId>* out);
 

@@ -101,22 +101,22 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
   if (!deleted.empty()) {
     // Delete-only: coreness never rises. Descending passes maintain the
     // invariant that after pass k, {v : cur[v] >= k} is exactly the new
-    // k-core of the group's induced subgraph: the KCoreMaintainer
-    // construction peels the old k-core (within the updated adjacency) back
-    // to the new one, and every peeled vertex drops to k-1. A level is
-    // skipped when no deleted edge sits at it and the level above dropped
-    // nobody — no cascade can reach it.
+    // k-core of the group's induced subgraph: KCoreOfSubset peels the old
+    // k-core (within the updated adjacency) back to the new one, and every
+    // peeled vertex drops to k-1. A level is skipped when no deleted edge
+    // sits at it and the level above dropped nobody — no cascade can reach
+    // it.
     std::uint32_t k_hi = 0;
     for (const Edge& e : deleted) k_hi = std::max(k_hi, EdgeLevel(e, cur));
     bool dropped_above = false;
     for (std::uint32_t k = k_hi; k >= 1; --k) {
       if (!dropped_above && !AnyEdgeAtLevel(deleted, cur, k)) continue;
       CollectAtLeast(members, cur, k, &region);
-      KCoreMaintainer peel(updated, region, k);
+      const std::vector<VertexId> core = KCoreOfSubset(updated, region, k);
       ++out.passes;
       dropped_above = false;
       for (VertexId v : region) {
-        if (!peel.Contains(v)) {
+        if (!std::binary_search(core.begin(), core.end(), v)) {
           cur[v] = k - 1;
           dropped_above = true;
         }

@@ -28,9 +28,9 @@ struct LabelCorenessRepair {
 /// `updated` is the graph with the whole delta applied; `inserted`/`deleted`
 /// are the group's net intra-label updates (each edge at most once, see
 /// BuildGraphDelta). The incremental path runs level-by-level peel passes —
-/// descending for delete-only batches (each pass drives a KCoreMaintainer
-/// whose construction peels {coreness >= k} back to the new k-core),
-/// ascending for insert-only batches (each pass grows the (k+1)-core) — and
+/// descending for delete-only batches (each pass peels {coreness >= k} back
+/// to the new k-core with KCoreOfSubset), ascending for insert-only batches
+/// (each pass grows the (k+1)-core) — and
 /// skips levels no update can reach. Mixed batches, or batches larger than
 /// `incremental_cap`, fall back to the scoped rebuild (see DESIGN.md,
 /// serving contract 3).
@@ -46,8 +46,7 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
 /// On construction the given member set is peeled to its maximal k-core.
 /// Each Remove() deletes one vertex and cascades: every surviving vertex
 /// whose induced degree drops below k is deleted too. Used by the PSA
-/// baseline and as the reference oracle for the BCC candidate's side
-/// maintenance tests.
+/// baseline.
 class KCoreMaintainer {
  public:
   KCoreMaintainer(const LabeledGraph& g, std::span<const VertexId> members, std::uint32_t k);

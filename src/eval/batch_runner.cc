@@ -1,6 +1,7 @@
 #include "eval/batch_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -60,65 +61,41 @@ BatchRunner::~BatchRunner() {
 void BatchRunner::WorkerLoop(std::size_t tid) {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(std::size_t, QueryWorkspace&)>* job;
-    std::size_t count;
+    const Job* job;
     {
       MutexLock lock(mutex_);
       while (!stop_ && generation_ == seen_generation) work_cv_.Wait(mutex_);
       if (stop_) return;
       seen_generation = generation_;
-      job = job_;
-      count = job_count_;
+      // job_ stays put until Wait returns, which needs this worker back.
+      job = &job_;
     }
-    QueryWorkspace& ws = *workspaces_[tid];
-    for (;;) {
-      // Generation-checked claim: a straggler from an older batch sees the
-      // generation mismatch and backs off without consuming an index of the
-      // new batch.
-      std::uint64_t cur = cursor_.load(std::memory_order_acquire);
-      if ((cur >> 32) != (seen_generation & 0xffffffff)) break;
-      std::uint64_t i = cur & 0xffffffff;
-      if (i >= count) break;
-      if (!cursor_.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel)) continue;
-      (*job)(static_cast<std::size_t>(i), ws);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(mutex_);
-        done_cv_.NotifyAll();
-      }
-    }
+    (*job)(*workspaces_[tid]);
+    MutexLock lock(mutex_);
+    if (--running_ == 0) done_cv_.NotifyAll();
   }
 }
 
-void BatchRunner::AcquireBusy() {
-  if (busy_.exchange(true, std::memory_order_acquire)) {
-    // The pool runs one job at a time: a second Run would clobber
-    // job_/generation_/pending_ while workers still drain the first (the
-    // waiter releases mutex_ inside done_cv_.wait), silently corrupting
-    // both batches — a ServeEngine stream on this runner counts as a
-    // running job for its whole lifetime.
-    std::fprintf(stderr, "BatchRunner: concurrent Run on one worker pool\n");
+void BatchRunner::Start(Job fn) {
+  MutexLock lock(mutex_);
+  if (job_) {
+    std::fprintf(stderr,
+                 "BatchRunner: Start while a job is running (one job at a time)\n");
     std::abort();
   }
+  job_ = std::move(fn);
+  running_ = threads_.size();
+  ++generation_;
+  work_cv_.NotifyAll();
 }
 
-void BatchRunner::Run(std::size_t count,
-                      const std::function<void(std::size_t, QueryWorkspace&)>& fn,
-                      WorkspaceStats* stats_after) {
-  if (count == 0) return;
-  AcquireBusy();
+void BatchRunner::Wait(WorkspaceStats* stats_after) {
   MutexLock lock(mutex_);
-  job_ = &fn;
-  job_count_ = count;
-  pending_.store(count, std::memory_order_relaxed);
-  ++generation_;
-  cursor_.store((generation_ & 0xffffffff) << 32, std::memory_order_release);
-  work_cv_.NotifyAll();
-  while (pending_.load(std::memory_order_acquire) != 0) done_cv_.Wait(mutex_);
-  job_ = nullptr;
+  while (running_ != 0) done_cv_.Wait(mutex_);
   // Workers are parked and the pool is still ours: the one point where the
   // workspace stats are safe to read on a shared runner.
   if (stats_after != nullptr) *stats_after = AggregateWorkspaceStats();
-  busy_.store(false, std::memory_order_release);
+  job_ = nullptr;
 }
 
 WorkspaceStats BatchRunner::AggregateWorkspaceStats() const {
@@ -134,14 +111,15 @@ BatchResult BatchRunner::RunCustomBatch(std::size_t count, const RunTimedFn& que
   out.seconds.resize(count, 0);
   out.threads_used = NumThreads();
   Timer wall;
-  Run(
-      count,
-      [&](std::size_t i, QueryWorkspace& ws) {
-        Timer t;
-        query_fn(i, ws, &out.communities[i], &out.stats[i]);
-        out.seconds[i] = t.Seconds();
-      },
-      &out.workspace_stats);
+  std::atomic<std::size_t> next{0};
+  Start([&](QueryWorkspace& ws) {
+    for (std::size_t i = next++; i < count; i = next++) {
+      Timer t;
+      query_fn(i, ws, &out.communities[i], &out.stats[i]);
+      out.seconds[i] = t.Seconds();
+    }
+  });
+  Wait(&out.workspace_stats);
   out.latency = SummarizeLatency(out.seconds, wall.Seconds());
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef BCCS_EVAL_BATCH_RUNNER_H_
 #define BCCS_EVAL_BATCH_RUNNER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -56,6 +55,22 @@ inline const char* Name(QueryMethod m) {
     case QueryMethod::kMbcc: return "mbcc";
   }
   return "?";
+}
+
+/// Parses a two-label method token: "online", "lp" or "l2p" (an mBCC query
+/// is chosen by its shape, not by name). Returns false, leaving `*method`
+/// as it was, for anything else.
+inline bool ParseMethod(std::string_view text, QueryMethod* method) {
+  if (text == "online") {
+    *method = QueryMethod::kOnlineBcc;
+  } else if (text == "lp") {
+    *method = QueryMethod::kLpBcc;
+  } else if (text == "l2p") {
+    *method = QueryMethod::kL2pBcc;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 /// Latency/throughput summary of one batch execution.
@@ -125,12 +140,15 @@ struct BatchResult {
   BlockCacheStats pair_cache;
 };
 
-/// Thread-pool batch-query engine. Each worker owns a persistent
-/// QueryWorkspace, so per-worker steady state performs no O(n) allocations;
-/// queries of a batch are claimed dynamically over an atomic cursor.
+/// Fixed worker pool. Each worker owns a persistent QueryWorkspace, so
+/// per-worker steady state performs no O(n) allocations. The pool runs one
+/// job at a time: Start hands the job to every worker, each worker runs it
+/// once on its own workspace, and Wait collects them. Scheduling *within* a
+/// job belongs to the job — ServeEngine's workers drain its AdmissionQueue,
+/// RunCustomBatch's claim indices from a counter.
 ///
-/// The pool threads persist across Run() calls (construction cost is paid
-/// once per runner, matching a long-lived serving process).
+/// The pool threads persist across jobs (construction cost is paid once per
+/// runner, matching a long-lived serving process).
 class BatchRunner {
  public:
   /// num_threads == 0 picks std::thread::hardware_concurrency().
@@ -141,16 +159,22 @@ class BatchRunner {
 
   std::size_t NumThreads() const { return threads_.size(); }
 
-  /// Generic fan-out: invokes fn(index, workspace) for every index in
-  /// [0, count), distributing indices over the pool. fn must only touch
-  /// shared state in a thread-safe way; the workspace is exclusive to the
-  /// calling worker. Blocks until the batch drains. A non-null
-  /// `stats_after` receives AggregateWorkspaceStats() captured *before*
-  /// the pool is released to the next job — the only race-free point when
-  /// the runner is shared between engines (a post-Run aggregation could
-  /// interleave with the next job's workspace writes).
-  void Run(std::size_t count, const std::function<void(std::size_t, QueryWorkspace&)>& fn,
-           WorkspaceStats* stats_after = nullptr);
+  using Job = std::function<void(QueryWorkspace&)>;
+
+  /// Runs fn(workspace) once on every worker and returns at once. fn must
+  /// only touch shared state in a thread-safe way; the workspace is
+  /// exclusive to its worker. Starting a job before the previous one was
+  /// waited for aborts with a message: the pool cannot run two jobs, and
+  /// the failure mode would otherwise be a silent deadlock. A ServeEngine
+  /// stream on this runner is one job for its whole lifetime.
+  void Start(Job fn);
+
+  /// Blocks until every worker has returned from the started job, then
+  /// releases the pool. A non-null `stats_after` receives
+  /// AggregateWorkspaceStats() captured *before* the release — the only
+  /// race-free point when the runner is shared between engines (a later
+  /// aggregation could interleave with the next job's workspace writes).
+  void Wait(WorkspaceStats* stats_after = nullptr);
 
   /// Aggregated workspace stats over all workers (for allocation tests).
   WorkspaceStats AggregateWorkspaceStats() const;
@@ -158,8 +182,9 @@ class BatchRunner {
   /// Per-query callable of the timed batch wrappers.
   using RunTimedFn = std::function<void(std::size_t, QueryWorkspace&, Community*, SearchStats*)>;
 
-  /// Timed fan-out of an arbitrary per-query function (used for methods not
-  /// covered by the convenience wrappers, e.g. the CTC/PSA baselines).
+  /// Timed fan-out of an arbitrary per-query function over [0, count)
+  /// (used for methods not covered by the convenience wrappers, e.g. the
+  /// CTC/PSA baselines). Blocks until the batch drains.
   BatchResult RunCustomBatch(std::size_t count, const RunTimedFn& fn);
 
   // Compatibility shims over the unified serving engine. Each builds one
@@ -183,26 +208,16 @@ class BatchRunner {
 
  private:
   void WorkerLoop(std::size_t tid);
-  /// One job at a time: aborts (with a message) on a concurrent Run — the
-  /// shared job state cannot hold two batches, and the failure mode would
-  /// otherwise be silent corruption or a deadlock.
-  void AcquireBusy();
 
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
-  std::atomic<bool> busy_{false};
 
   Mutex mutex_;
   CondVar work_cv_;
   CondVar done_cv_;
-  const std::function<void(std::size_t, QueryWorkspace&)>* job_ GUARDED_BY(mutex_) = nullptr;
-  std::size_t job_count_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
-  // (generation & 0xffffffff) << 32 | next_index; see WorkerLoop. Atomics
-  // are deliberately outside the mutex capability: the claim loop reads
-  // them lock-free.
-  std::atomic<std::uint64_t> cursor_{0};
-  std::atomic<std::size_t> pending_{0};
+  Job job_ GUARDED_BY(mutex_);  // set by Start, cleared by Wait
+  std::size_t running_ GUARDED_BY(mutex_) = 0;  // workers not yet back from job_
+  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;  // bumped by every Start
   bool stop_ GUARDED_BY(mutex_) = false;
 };
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <deque>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,8 +77,7 @@ struct StreamState {
 
   ServeEngine* engine;
   AdmissionQueue queue;
-  Timer wall;           // stream-open reference clock (admit/sojourn times)
-  std::thread pump;     // blocks in BatchRunner::Run while workers drain
+  Timer wall;  // stream-open reference clock (admit/sojourn times)
 
   Mutex mutex;  // guards every container below
   /// What the stream keeps per admitted item: the request, its admission
@@ -122,8 +120,8 @@ struct StreamState {
   /// first); atomic so concurrent producers' contract-violation check in
   /// Submit reads a coherent value rather than a torn one.
   std::atomic<bool> finished{false};
-  /// Captured by BatchRunner::Run before the pool is released — reading
-  /// the workspaces after Run returns would race the next job on a shared
+  /// Captured by BatchRunner::Wait before the pool is released — reading
+  /// the workspaces after Wait returns would race the next job on a shared
   /// runner.
   WorkspaceStats drain_stats;
 
@@ -175,11 +173,6 @@ std::uint64_t ServeEngine::epoch() const {
 const LabeledGraph& ServeEngine::graph() const {
   MutexLock lock(state_mutex_);
   return *current_.graph;
-}
-
-const BcIndex* ServeEngine::index() const {
-  MutexLock lock(state_mutex_);
-  return current_.index.get();
 }
 
 std::shared_ptr<const LabeledGraph> ServeEngine::graph_ptr() const {
@@ -447,17 +440,6 @@ ServeEngine::Stream::Stream(std::unique_ptr<StreamState> state) : state_(std::mo
 
 ServeEngine::Stream::Stream(Stream&&) noexcept = default;
 
-ServeEngine::Stream& ServeEngine::Stream::operator=(Stream&& other) noexcept {
-  if (this != &other) {
-    // Finish an unfinished target first — destroying its state outright
-    // would run std::thread's destructor on the joinable pump
-    // (std::terminate) and leak the engine's stream_open_ flag.
-    if (state_ != nullptr && !state_->finished) Finish();
-    state_ = std::move(other.state_);
-  }
-  return *this;
-}
-
 ServeEngine::Stream::~Stream() {
   if (state_ != nullptr && !state_->finished) Finish();
 }
@@ -514,21 +496,16 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
   return id;
 }
 
-std::size_t ServeEngine::Stream::Submitted() const {
-  MutexLock lock(state_->mutex);
-  return state_->records.size();
-}
-
 BatchResult ServeEngine::Stream::Finish() {
   StreamState& s = *state_;
   BatchResult out;
   if (s.finished) return out;
   s.queue.Close();
-  if (s.pump.joinable()) s.pump.join();
+  s.engine->runner_->Wait(&s.drain_stats);
   s.finished = true;
   const double wall_seconds = s.wall.Seconds();
 
-  // Workers are gone (the pump join above is the synchronization point), but
+  // Workers are gone (Wait above is the synchronization point), but
   // the containers are GUARDED_BY the stream mutex — hold it (uncontended)
   // for the aggregation so the annotation holds here too.
   MutexLock lock(s.mutex);
@@ -596,21 +573,10 @@ BatchResult ServeEngine::Stream::Finish() {
     summary.max_inflight = s.queue.max_inflight(lane);
     out.lanes.push_back(summary);
   }
-  // Release the engine only after every read of shared state above — a
-  // stream opened the instant this clears must not race the aggregation.
-  s.engine->stream_open_.store(false);
   return out;
 }
 
 std::unique_ptr<StreamState> ServeEngine::MakeStreamState() {
-  if (stream_open_.exchange(true)) {
-    // The alternative is a silent deadlock: two drains would clobber the
-    // shared worker pool's job state and neither would ever complete.
-    std::fprintf(stderr,
-                 "ServeEngine: a stream is already open on this engine/runner "
-                 "(one drain at a time)\n");
-    std::abort();
-  }
   auto state = std::make_unique<StreamState>(this, opts_.aging_period, opts_.caps);
   StreamState::HistorySlot slot0;
   {
@@ -622,35 +588,24 @@ std::unique_ptr<StreamState> ServeEngine::MakeStreamState() {
   return state;
 }
 
+void ServeEngine::StartDrain(StreamState& state) {
+  runner_->Start([this, &state](QueryWorkspace& ws) { RunWorker(state, ws); });
+}
+
 ServeEngine::Stream ServeEngine::OpenStream() {
   auto state = MakeStreamState();
-  // The pump thread parks the pool in the drain loop so the caller's thread
-  // stays free to Submit while workers serve.
-  StreamState* raw = state.get();
-  state->pump = std::thread([this, raw] {
-    runner_->Run(
-        runner_->NumThreads(),
-        [this, raw](std::size_t, QueryWorkspace& ws) { RunWorker(*raw, ws); },
-        &raw->drain_stats);
-  });
+  StartDrain(*state);
   return Stream(std::move(state));
 }
 
 BatchResult ServeEngine::RunStream(std::span<const ServeItem> items) {
-  // All items are known up front: no pump thread — admit, close, and drain
-  // on the calling thread, sparing the batch shims (and single-query tools)
-  // a thread spawn+join per call.
+  // All items are known up front: admit them all before the drain starts,
+  // so the first claims already see the whole batch.
   Stream stream(MakeStreamState());
   for (const ServeItem& item : items) stream.Submit(item);
-  StreamState& s = *stream.state_;
-  s.queue.Close();
-  runner_->Run(
-      runner_->NumThreads(),
-      [this, &s](std::size_t, QueryWorkspace& ws) { RunWorker(s, ws); }, &s.drain_stats);
+  StartDrain(*stream.state_);
   return stream.Finish();
 }
-
-BatchResult ServeEngine::Serve(std::span<const ServeItem> items) { return RunStream(items); }
 
 BatchResult ServeEngine::Serve(std::span<const QueryRequest> requests) {
   std::vector<ServeItem> items(requests.begin(), requests.end());

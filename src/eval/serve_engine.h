@@ -29,13 +29,15 @@ class Changelog;
 /// here, through the streaming serve loop. The life of a served item:
 ///
 ///   1. **Admission.** OpenStream() starts the persistent worker pool
-///      draining an AdmissionQueue; Stream::Submit admits items — each a
+///      (one BatchRunner job: every worker runs the drain loop) on an
+///      AdmissionQueue and returns; Stream::Submit admits items — each a
 ///      QueryRequest (what to search for, which algorithm, how urgent, how
 ///      long it may run) or an UpdateRequest (an edge-update batch) — while
 ///      workers are already serving earlier ones. Items without an explicit
 ///      request id are assigned one (stable per engine: the i-th item of
-///      the first stream gets 1 + i). RunStream()/Serve() are the
-///      submit-everything-then-drain conveniences over the same loop.
+///      the first stream gets 1 + i). RunStream() is the
+///      submit-everything-then-drain convenience over the same loop (and
+///      Serve() its query-only shim).
 ///   2. **Epoch tagging.** Each admitted query is stamped with its *epoch
 ///      slot*: the number of updates admitted before it. The query will
 ///      execute against exactly that slot's published (graph, index) state,
@@ -69,7 +71,7 @@ class Changelog;
 ///      once, to its callback; when the callback returns, the worker frees
 ///      the item's community and request, so a long-lived stream (the
 ///      socket server's) holds only small per-item facts. Stream::Finish()
-///      (and the RunStream/Serve shims, whose items have no callback)
+///      (and RunStream/Serve, whose items have no callback)
 ///      returns a BatchResult with per-item outputs in admission order:
 ///      communities/stats/latency for queries (a delivered query's
 ///      community is empty), UpdateOutcomes for updates, per-lane sojourn
@@ -173,10 +175,11 @@ struct ServeOptions {
 ///
 /// This is the single dispatch path for all four methods — the
 /// BatchRunner::Run*Batch entry points and Serve() are thin shims over
-/// OpenStream/RunStream.
+/// RunStream.
 ///
-/// One stream (or Serve call) at a time per engine: the stream occupies the
-/// runner's worker pool until finished.
+/// One stream (or RunStream/Serve call) at a time per runner: the stream is
+/// the runner's one job until finished (BatchRunner::Start aborts on a
+/// second).
 class ServeEngine {
  public:
   /// Non-owning: `g` (and `index`, when given) must outlive the engine.
@@ -207,7 +210,6 @@ class ServeEngine {
   class Stream {
    public:
     Stream(Stream&&) noexcept;
-    Stream& operator=(Stream&&) noexcept;
     ~Stream();
 
     /// Admits one item; returns the request id it will execute under.
@@ -219,8 +221,6 @@ class ServeEngine {
     /// callback is the item's one delivery: once it returns, the item's
     /// community and request are freed.
     std::uint64_t Submit(ServeItem item, CompletionFn on_complete);
-    /// Items admitted so far.
-    std::size_t Submitted() const;
     /// Closes admission, waits for the drain, and collects the results.
     /// Items submitted with a callback report an empty community (it was
     /// delivered); their stats, timings, epoch and outcome are kept.
@@ -232,36 +232,29 @@ class ServeEngine {
     std::unique_ptr<struct StreamState> state_;
   };
 
-  /// Opens a stream: the runner's workers start draining immediately
-  /// (behind a pump thread, so this caller stays free to Submit) and block
-  /// on the admission queue until items arrive. Opening a second stream —
-  /// or calling RunStream/Serve — while one is open aborts with a message
-  /// (the shared worker pool cannot run two drains; the failure mode would
-  /// otherwise be a silent deadlock). The same guard lives on BatchRunner
-  /// itself, so a *different* engine sharing this runner aborts too.
+  /// Opens a stream: the runner's workers start draining at once and block
+  /// on the admission queue until items arrive, while this caller stays
+  /// free to Submit. Opening a second stream — or calling RunStream/Serve —
+  /// while one is open on the same runner, from this engine or another,
+  /// aborts with a message in BatchRunner::Start.
   Stream OpenStream();
 
-  /// Submit-everything-then-finish convenience: admits all items, then
-  /// drains on the calling thread (no pump thread — the items are known up
-  /// front, so there is nothing to overlap admission with). Update
-  /// preparation still interleaves with old-epoch queries on the pool.
+  /// Submit-everything-then-finish convenience: admits all items before the
+  /// drain starts, so workers claim in the queue's policy order over the
+  /// whole batch. Update preparation still interleaves with
+  /// old-epoch queries on the pool.
   BatchResult RunStream(std::span<const ServeItem> items);
 
-  /// Compatibility shim over RunStream (the historical batch entry point).
-  BatchResult Serve(std::span<const ServeItem> items);
-
-  /// Query-only convenience shim.
+  /// Query-only convenience shim over RunStream.
   BatchResult Serve(std::span<const QueryRequest> requests);
 
   /// Current epoch (starts at 1; each applied UpdateRequest increments it).
   std::uint64_t epoch() const;
 
   /// The newest published epoch's graph and index (index may be null).
-  /// graph()/index() are valid until the next applied update; callers
-  /// holding across updates should copy the shared_ptrs via
-  /// graph_ptr()/index_ptr().
+  /// graph() is valid until the next applied update; callers holding across
+  /// updates should copy the shared_ptrs via graph_ptr()/index_ptr().
   const LabeledGraph& graph() const;
-  const BcIndex* index() const;
   std::shared_ptr<const LabeledGraph> graph_ptr() const;
   std::shared_ptr<const BcIndex> index_ptr() const;
 
@@ -276,10 +269,8 @@ class ServeEngine {
   /// represents after replay). `log` must outlive the engine; pass nullptr
   /// to detach. Call while no stream is open.
   void AttachDurability(Changelog* log, const SourceGraphInfo& stamp = {});
-  Changelog* durability_log() const { return durability_log_; }
 
   /// Result-cache counters (all-zero when caching is off).
-  bool result_cache_enabled() const { return result_cache_ != nullptr; }
   ResultCacheStats result_cache_stats() const;
 
   /// Pair-table counters of the newest published index (all-zero when
@@ -306,6 +297,8 @@ class ServeEngine {
   };
 
   std::unique_ptr<struct StreamState> MakeStreamState();
+  /// Starts the runner's drain job on `state` (every worker runs RunWorker).
+  void StartDrain(StreamState& state);
   void Dispatch(const QueryRequest& req, const LabeledGraph& g, const BcIndex* index,
                 QueryWorkspace& ws, Community* community, SearchStats* stats) const;
   /// Validates and prepares `req` against `base` (off-thread safe: touches
@@ -328,9 +321,6 @@ class ServeEngine {
   /// The published head: the newest epoch's (graph, index).
   EpochState current_ GUARDED_BY(state_mutex_);
   std::atomic<std::uint64_t> next_request_id_{1};
-  /// One stream at a time: the worker pool cannot run two drains. Set by
-  /// MakeStreamState, cleared by Stream::Finish.
-  std::atomic<bool> stream_open_{false};
 };
 
 }  // namespace bccs

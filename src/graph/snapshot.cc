@@ -648,29 +648,4 @@ SnapshotBundle BuildSnapshotBundle(const LabeledGraph& g, const std::string& pat
   return out;
 }
 
-SnapshotBundle BcIndex::BuildOrLoad(const LabeledGraph& g, const std::string& path,
-                                    std::string* error) {
-  return BuildOrLoad(g, path, error, SourceGraphInfo{});
-}
-
-SnapshotBundle BcIndex::BuildOrLoad(const LabeledGraph& g, const std::string& path,
-                                    std::string* error, const SourceGraphInfo& source) {
-  std::string load_err;
-  SnapshotLoadOptions opts;
-  opts.expected_source = source;
-  if (auto bundle = LoadSnapshot(path, &load_err, opts)) {
-    if (error != nullptr) error->clear();
-    return std::move(*bundle);
-  }
-
-  std::string build_err;
-  SnapshotBundle out = BuildSnapshotBundle(g, path, &build_err, source);
-  if (!build_err.empty()) {
-    if (!load_err.empty()) load_err += "; ";
-    load_err += build_err;
-  }
-  if (error != nullptr) *error = load_err;
-  return out;
-}
-
 }  // namespace bccs

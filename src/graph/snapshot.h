@@ -88,7 +88,7 @@ struct SourceGraphInfo {
 /// unreadable.
 SourceGraphInfo StatSourceGraph(const std::string& path);
 
-/// A loaded (or freshly built, for BcIndex::BuildOrLoad) graph + index. The
+/// A loaded (or freshly built, by BuildSnapshotBundle) graph + index. The
 /// graph shared_ptr owns the file mapping; the index points into the graph,
 /// so keep the bundle together (or at least the graph) while the index is
 /// in use. A loaded bundle's arrays are zero-copy views over the mapping;
@@ -145,9 +145,8 @@ std::optional<SnapshotBundle> LoadSnapshot(const std::string& path,
 
 /// Builds a fresh index from `g` (materializing every cross-label pair) and
 /// best-effort saves it to `path` stamped with `source`; `error` reports a
-/// failed save. This is the build half of BcIndex::BuildOrLoad — call it
-/// directly when a load of `path` was already attempted and failed, to
-/// avoid re-reading the file.
+/// failed save. Call it when a LoadSnapshot of `path` failed: the pair is
+/// the load-or-rebuild path (see tools/bccs_query.cc).
 SnapshotBundle BuildSnapshotBundle(const LabeledGraph& g, const std::string& path,
                                    std::string* error = nullptr,
                                    const SourceGraphInfo& source = {});

@@ -1,6 +1,9 @@
 #include "eval/batch_runner.h"
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,20 +19,47 @@ using bench::MethodAggregate;
 using bench::Prepare;
 using bench::PreparedDataset;
 
-TEST(BatchRunnerTest, GenericRunCoversEveryIndexOnce) {
+TEST(BatchRunnerTest, JobsRunOnceOnEveryWorker) {
   BatchRunner runner(4);
   EXPECT_EQ(runner.NumThreads(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  runner.Run(hits.size(), [&](std::size_t i, QueryWorkspace&) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  // Back-to-back batches reuse the same pool (regression for straggler
-  // claims leaking across generations).
+
+  // Start returns while the job still runs: every worker blocks on the gate
+  // until the test opens it, after Start has returned.
+  std::atomic<bool> gate{false};
+  std::atomic<int> entered{0};
+  runner.Start([&](QueryWorkspace&) {
+    entered.fetch_add(1);
+    while (!gate.load()) std::this_thread::yield();
+  });
+  while (entered.load() < 4) std::this_thread::yield();
+  gate.store(true);
+  runner.Wait();
+
+  // Back-to-back jobs reuse the same pool; each runs once per worker, on
+  // that worker's own workspace.
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> count{0};
-    runner.Run(31, [&](std::size_t, QueryWorkspace&) { count.fetch_add(1); });
-    ASSERT_EQ(count.load(), 31);
+    std::vector<QueryWorkspace*> seen(4, nullptr);
+    std::atomic<std::size_t> slot{0};
+    runner.Start([&](QueryWorkspace& ws) {
+      count.fetch_add(1);
+      seen[slot.fetch_add(1)] = &ws;
+    });
+    runner.Wait();
+    ASSERT_EQ(count.load(), 4) << round;
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end()) << round;
   }
+
+  // RunCustomBatch claims every index exactly once.
+  std::vector<std::atomic<int>> hits(257);
+  for (auto& h : hits) h.store(0);
+  BatchResult r = runner.RunCustomBatch(
+      hits.size(), [&](std::size_t i, QueryWorkspace&, Community*, SearchStats*) {
+        hits[i].fetch_add(1);
+      });
+  EXPECT_EQ(r.seconds.size(), hits.size());
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(BatchRunnerTest, BatchEqualsSequentialForAllMethods) {

@@ -477,7 +477,7 @@ TEST(ServeUpdateTest, QueriesObserveTheirEpoch) {
   items.emplace_back(query);
   items.emplace_back(update);
   items.emplace_back(query);
-  const BatchResult result = engine.Serve(std::span<const ServeItem>(items));
+  const BatchResult result = engine.RunStream(items);
 
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_TRUE(result.updates[0].applied) << result.updates[0].error;
@@ -509,7 +509,7 @@ TEST(ServeUpdateTest, RejectedUpdateLeavesEpochUntouched) {
   std::vector<ServeItem> items;
   items.emplace_back(bad);
   items.emplace_back(query);
-  const BatchResult result = engine.Serve(std::span<const ServeItem>(items));
+  const BatchResult result = engine.RunStream(items);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_FALSE(result.updates[0].applied);
   EXPECT_NE(result.updates[0].error.find("insert of existing edge"), std::string::npos)
@@ -529,7 +529,7 @@ TEST(ServeUpdateTest, UpdateOnlyStreamHasNoQueryLatency) {
   update.updates = MakeInsert({{0, 3}});
   std::vector<ServeItem> items;
   items.emplace_back(update);
-  const BatchResult result = engine.Serve(std::span<const ServeItem>(items));
+  const BatchResult result = engine.RunStream(items);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_TRUE(result.updates[0].applied) << result.updates[0].error;
   EXPECT_EQ(result.latency.qps, 0);
@@ -561,7 +561,7 @@ TEST(ServeUpdateTest, L2pServesRepairedIndexAcrossEpochs) {
     query.query = BccQuery{c.groups[0][0], c.groups[1][0]};
     items.emplace_back(query);
   }
-  const BatchResult served = engine.Serve(std::span<const ServeItem>(items));
+  const BatchResult served = engine.RunStream(items);
   ASSERT_TRUE(served.updates[0].applied) << served.updates[0].error;
 
   // Reference: fresh index on the updated graph, same request ids.

@@ -416,7 +416,7 @@ TEST(NetServeTest, HundredConnectionsMatchSerializedReplay) {
       q.query = req->query;
       q.lane = req->lane;
       ServeItem item = q;
-      BatchResult one = replay.Serve(std::span<const ServeItem>(&item, 1));
+      BatchResult one = replay.RunStream(std::span<const ServeItem>(&item, 1));
       ASSERT_EQ(one.epoch_of[0], e);
       EXPECT_EQ(one.communities[0].Size(), req->response.n) << "id " << req->id;
       EXPECT_EQ(CommunityHash(one.communities[0]), req->response.hash)
@@ -427,7 +427,7 @@ TEST(NetServeTest, HundredConnectionsMatchSerializedReplay) {
       UpdateRequest u;
       u.updates.push_back(applied_updates[e - 1]->update);
       ServeItem item = std::move(u);
-      BatchResult one = replay.Serve(std::span<const ServeItem>(&item, 1));
+      BatchResult one = replay.RunStream(std::span<const ServeItem>(&item, 1));
       ASSERT_EQ(one.updates.size(), 1u);
       ASSERT_TRUE(one.updates[0].applied) << "replay update at epoch " << e + 1;
       ASSERT_EQ(one.updates[0].epoch, e + 1);

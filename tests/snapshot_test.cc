@@ -30,6 +30,16 @@ PlantedGraph MakePlanted(std::size_t communities = 6, std::size_t labels = 3) {
 
 std::string TempPath(const std::string& name) { return ::testing::TempDir() + "/" + name; }
 
+// The load-or-rebuild pair bccs_query runs for --graph plus --index-file:
+// LoadSnapshot, and BuildSnapshotBundle when the load fails.
+SnapshotBundle LoadOrBuild(const LabeledGraph& g, const std::string& path,
+                           std::string* error, const SourceGraphInfo& source = {}) {
+  SnapshotLoadOptions opts;
+  opts.expected_source = source;
+  if (auto loaded = LoadSnapshot(path, error, opts)) return std::move(*loaded);
+  return BuildSnapshotBundle(g, path, error, source);
+}
+
 void ExpectSameGraph(const LabeledGraph& a, const LabeledGraph& b) {
   ASSERT_EQ(a.NumVertices(), b.NumVertices());
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
@@ -166,43 +176,43 @@ TEST(SnapshotTest, LazyPairsStillComputeAfterLoad) {
   EXPECT_EQ(fresh.chi, lazy.chi);
 }
 
-TEST(SnapshotTest, BuildOrLoadBuildsThenLoads) {
+TEST(SnapshotTest, LoadOrBuildBuildsThenLoads) {
   PlantedGraph pg = MakePlanted(4, 2);
   const std::string path = TempPath("build_or_load.snap");
   std::remove(path.c_str());
 
   std::string error;
-  SnapshotBundle first = BcIndex::BuildOrLoad(pg.graph, path, &error);
+  SnapshotBundle first = LoadOrBuild(pg.graph, path, &error);
   EXPECT_FALSE(first.loaded_from_snapshot);
   EXPECT_GT(first.snapshot_bytes, 0u) << error;
   ASSERT_NE(first.index, nullptr);
   EXPECT_GT(first.index->CachedPairCount(), 0u);  // materialized before save
 
-  SnapshotBundle second = BcIndex::BuildOrLoad(pg.graph, path, &error);
+  SnapshotBundle second = LoadOrBuild(pg.graph, path, &error);
   EXPECT_TRUE(second.loaded_from_snapshot) << error;
   ExpectSameGraph(*first.graph, *second.graph);
   ExpectSameIndex(*first.index, *second.index);
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, BuildOrLoadRebuildsWhenSourceChanges) {
+TEST(SnapshotTest, LoadOrBuildRebuildsWhenSourceChanges) {
   PlantedGraph pg = MakePlanted(4, 2);
   const std::string path = TempPath("build_or_load_stale.snap");
   std::remove(path.c_str());
 
   std::string error;
   const SourceGraphInfo v1{100, 200};
-  SnapshotBundle first = BcIndex::BuildOrLoad(pg.graph, path, &error, v1);
+  SnapshotBundle first = LoadOrBuild(pg.graph, path, &error, v1);
   EXPECT_FALSE(first.loaded_from_snapshot);
-  SnapshotBundle again = BcIndex::BuildOrLoad(pg.graph, path, &error, v1);
+  SnapshotBundle again = LoadOrBuild(pg.graph, path, &error, v1);
   EXPECT_TRUE(again.loaded_from_snapshot) << error;
 
   // A changed source identity makes the snapshot stale: rebuilt and
   // restamped, after which loads succeed again.
   const SourceGraphInfo v2{101, 201};
-  SnapshotBundle rebuilt = BcIndex::BuildOrLoad(pg.graph, path, &error, v2);
+  SnapshotBundle rebuilt = LoadOrBuild(pg.graph, path, &error, v2);
   EXPECT_FALSE(rebuilt.loaded_from_snapshot);
-  SnapshotBundle reloaded = BcIndex::BuildOrLoad(pg.graph, path, &error, v2);
+  SnapshotBundle reloaded = LoadOrBuild(pg.graph, path, &error, v2);
   EXPECT_TRUE(reloaded.loaded_from_snapshot) << error;
   std::remove(path.c_str());
 }

@@ -279,7 +279,7 @@ BatchResult SerializedReplay(const PlantedGraph& pg, std::span<const ServeItem> 
   ServeEngine engine(runner, pg.graph, nullptr, opts);
   BatchResult merged;
   for (const ServeItem& item : items) {
-    BatchResult one = engine.Serve(std::span<const ServeItem>(&item, 1));
+    BatchResult one = engine.RunStream(std::span<const ServeItem>(&item, 1));
     merged.communities.push_back(std::move(one.communities[0]));
     merged.stats.push_back(one.stats[0]);
     merged.epoch_of.push_back(one.epoch_of[0]);
@@ -374,8 +374,8 @@ TEST(StreamServeTest, SessionSubmitWhileDrainingMatchesReplay) {
     stream.Submit(item);
     std::this_thread::yield();  // let workers interleave with admission
   }
-  EXPECT_EQ(stream.Submitted(), items.size());
   BatchResult got = stream.Finish();
+  EXPECT_EQ(got.communities.size(), items.size());
   ExpectSameAnswers(got, want);
 }
 
@@ -492,7 +492,7 @@ TEST(StreamServeTest, IndexedStreamRepairsAndPinsEpochs) {
     ServeEngine base_engine(seq, pg.graph, &index, {});
     std::vector<ServeItem> head(items.begin(),
                                 items.begin() + static_cast<std::ptrdiff_t>(queries.size()));
-    BatchResult base = base_engine.Serve(head);
+    BatchResult base = base_engine.RunStream(head);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(got.communities[i].vertices, base.communities[i].vertices) << i;
     }
@@ -505,7 +505,7 @@ TEST(StreamServeTest, IndexedStreamRepairsAndPinsEpochs) {
     ServeEngine updated_engine(seq, updated, &fresh, {});
     std::vector<ServeItem> tail(items.end() - static_cast<std::ptrdiff_t>(queries.size()),
                                 items.end());
-    BatchResult fresh_result = updated_engine.Serve(tail);
+    BatchResult fresh_result = updated_engine.RunStream(tail);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(got.communities[queries.size() + 1 + i].vertices,
                 fresh_result.communities[i].vertices)
@@ -542,29 +542,30 @@ TEST(StreamServeTest, RejectedUpdatePublishesUnchangedEpoch) {
   EXPECT_EQ(got.communities[0].vertices, got.communities[2].vertices);
 }
 
-// Move-assignment over an unfinished stream must finish it (join the pump,
-// release the engine) rather than destroying a joinable thread — and the
-// overwritten engine must accept a new stream afterwards.
-TEST(StreamServeTest, MoveAssignFinishesTheTargetStream) {
+// Destroying an unfinished stream finishes it: the drain job ends, so the
+// runner accepts the next stream, and the moved-from handle does nothing.
+TEST(StreamServeTest, DestructorFinishesAnOpenStream) {
   PlantedGraph pg = MakeGraph();
   std::vector<BccQuery> queries = SampleQueries(pg, 2);
   ASSERT_FALSE(queries.empty());
   QueryRequest q;
   q.query = queries[0];
 
-  BatchRunner r1(1), r2(1);
-  ServeEngine e1(r1, pg.graph), e2(r2, pg.graph);
-  ServeEngine::Stream stream = e1.OpenStream();
-  stream.Submit(q);
-  stream = e2.OpenStream();  // finishes (and discards) e1's stream
-  stream.Submit(q);
-  BatchResult res = stream.Finish();
-  EXPECT_EQ(res.communities.size(), 1u);
-  EXPECT_FALSE(res.communities[0].Empty());
+  BatchRunner runner(1);
+  ServeEngine engine(runner, pg.graph);
+  {
+    ServeEngine::Stream stream = engine.OpenStream();
+    stream.Submit(q);
+    ServeEngine::Stream moved(std::move(stream));
+    moved.Submit(q);
+  }  // both handles go out of scope unfinished
 
-  // e1 released its stream slot: it can open (and run) another one.
-  BatchResult again = e1.RunStream({});
+  BatchResult again = engine.RunStream({});
   EXPECT_TRUE(again.communities.empty());
+  std::vector<ServeItem> items{ServeItem(q)};
+  BatchResult res = engine.RunStream(items);
+  ASSERT_EQ(res.communities.size(), 1u);
+  EXPECT_FALSE(res.communities[0].Empty());
 }
 
 // Back-to-back streams on one engine: state carries over (epochs advance

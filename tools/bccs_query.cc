@@ -27,7 +27,7 @@
 //     loaded when valid AND its effective source stamp matches the graph
 //     file's current size/mtime; otherwise (corrupt, stale, absent) the
 //     index is rebuilt from the graph and saved to the snapshot path
-//     (BcIndex::BuildOrLoad).
+//     (LoadSnapshot, then BuildSnapshotBundle on failure).
 //
 // Dynamic graphs:
 //   bccs_query ... --updates-file u.txt
@@ -284,13 +284,7 @@ int main(int argc, char** argv) {
   }
   const std::string method_name = args.GetStringOr("method", "lp");
   ServeConfig cfg;
-  if (method_name == "online") {
-    cfg.method = bccs::QueryMethod::kOnlineBcc;
-  } else if (method_name == "lp") {
-    cfg.method = bccs::QueryMethod::kLpBcc;
-  } else if (method_name == "l2p") {
-    cfg.method = bccs::QueryMethod::kL2pBcc;
-  } else {
+  if (!bccs::ParseMethod(method_name, &cfg.method)) {
     std::fprintf(stderr, "unknown method '%s' (valid methods: online, lp, l2p)\n",
                  method_name.c_str());
     PrintUsage();
@@ -435,7 +429,7 @@ int main(int argc, char** argv) {
     update_request.updates = std::move(*updates);
     std::vector<bccs::ServeItem> items;
     items.emplace_back(std::move(update_request));
-    const bccs::BatchResult update_result = update_engine.Serve(items);
+    const bccs::BatchResult update_result = update_engine.RunStream(items);
     const bccs::UpdateOutcome& outcome = update_result.updates[0];
     if (!outcome.applied) {
       std::fprintf(stderr, "cannot apply %s: %s\n", updates_path->c_str(),

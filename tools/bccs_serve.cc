@@ -241,13 +241,7 @@ int main(int argc, char** argv) {
 
   const std::string method_name = args.GetStringOr("method", "lp");
   bccs::QueryMethod method;
-  if (method_name == "online") {
-    method = bccs::QueryMethod::kOnlineBcc;
-  } else if (method_name == "lp") {
-    method = bccs::QueryMethod::kLpBcc;
-  } else if (method_name == "l2p") {
-    method = bccs::QueryMethod::kL2pBcc;
-  } else {
+  if (!bccs::ParseMethod(method_name, &method)) {
     std::fprintf(stderr, "unknown method '%s' (valid methods: online, lp, l2p)\n",
                  method_name.c_str());
     return 2;
