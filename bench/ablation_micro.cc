@@ -5,7 +5,8 @@
 // Find-G0 with and without the BC-index, one label's k-core forest build,
 // and the index-backed query-group resolve, candidate-graph build, seed
 // butterfly count, first core cascade and initial query-distance BFS on one
-// Find-G0 candidate.
+// Find-G0 candidate; the BC-index's incremental update repair; and the
+// serving admission queue.
 
 #include <benchmark/benchmark.h>
 
@@ -23,8 +24,11 @@
 #include "butterfly/butterfly_update.h"
 #include "core/core_decomposition.h"
 #include "core/core_forest.h"
+#include "eval/admission_queue.h"
 #include "eval/datasets.h"
+#include "eval/serve_engine.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
 
 namespace {
 
@@ -69,7 +73,9 @@ BENCHMARK(BM_ButterflyCountingHashmap)->Arg(200)->Arg(400)->Arg(800);
 
 void BM_LeaderUpdateAlgorithm7(benchmark::State& state) {
   BipartiteFixture f(static_cast<std::size_t>(state.range(0)), 0.05);
-  LeaderButterflyUpdater updater(f.cg);
+  QueryWorkspace ws;
+  LeaderButterflyUpdater updater(f.cg, ws.LeaderStamp(f.cg.NumVertices()),
+                                 ws.LeaderStampCounter());
   VertexId leader = f.left[0];
   for (auto _ : state) {
     std::uint64_t loss = 0;
@@ -418,6 +424,73 @@ void BM_InitialBfs(benchmark::State& state) {
   state.counters["g0"] = static_cast<double>(g.NumVertices());
 }
 BENCHMARK(BM_InitialBfs)->Unit(benchmark::kMillisecond);
+
+// One intra-label delete and its reinsert on the orkut stand-in, through
+// the BC-index's incremental repair (the serve loop's update preparation
+// after the graph rebuild): the coreness level passes of the query's left
+// label group. The updated graphs are built once; each iteration times the
+// two ApplyUpdates calls.
+void BM_ApplyUpdates(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  const LabeledGraph& g = f.pg.graph;
+  Edge e{f.q.ql, kInvalidVertex};
+  for (VertexId w : g.Neighbors(f.q.ql)) {
+    if (g.LabelOf(w) == g.LabelOf(f.q.ql)) {
+      e = {std::min(f.q.ql, w), std::max(f.q.ql, w)};
+      break;
+    }
+  }
+  if (e.v == kInvalidVertex) {
+    state.SkipWithError("q_l has no same-label neighbour");
+    return;
+  }
+  const EdgeUpdate del[] = {{EdgeUpdateKind::kDelete, e}};
+  const EdgeUpdate ins[] = {{EdgeUpdateKind::kInsert, e}};
+  const GraphDelta delete_delta = *BuildGraphDelta(g, del);
+  const LabeledGraph without = ApplyGraphDelta(g, delete_delta);
+  const GraphDelta insert_delta = *BuildGraphDelta(without, ins);
+  const LabeledGraph with = ApplyGraphDelta(without, insert_delta);
+  UpdateRepairStats deleted, inserted;
+  for (auto _ : state) {
+    const auto after_delete = f.index.ApplyUpdates(without, delete_delta, {}, &deleted);
+    const auto after_insert = after_delete->ApplyUpdates(with, insert_delta, {}, &inserted);
+    benchmark::DoNotOptimize(after_insert.get());
+  }
+  state.counters["delete_passes"] = static_cast<double>(deleted.core_passes);
+  state.counters["insert_passes"] = static_cast<double>(inserted.core_passes);
+  state.counters["incremental"] =
+      static_cast<double>(deleted.labels_incremental + inserted.labels_incremental);
+}
+BENCHMARK(BM_ApplyUpdates)->Unit(benchmark::kMillisecond);
+
+// The admission queue's cost per served item, single-threaded: admit one
+// query carrying the serving stream's payload shape (request, completion,
+// request id, admit time, two epoch pins), pop it and release its lane slot.
+void BM_AdmissionQueue(benchmark::State& state) {
+  struct StreamItem {
+    ServeItem request;
+    CompletionFn done;
+    std::uint64_t request_id = 0;
+    double admit_seconds = 0;
+    std::shared_ptr<int> epoch;
+    std::shared_ptr<int> publish;
+  };
+  AdmissionQueue<StreamItem> queue(/*aging_period=*/8, {});
+  QueryRequest q;
+  q.query = BccQuery{0, 1};
+  q.lane = Lane::kInteractive;
+  const auto pin = std::make_shared<int>(0);
+  std::uint64_t id = 0;
+  AdmissionQueue<StreamItem>::Ticket t;
+  for (auto _ : state) {
+    queue.AdmitQuery(q.lane, {q, [](const ItemCompletion&) {}, ++id, 0.0, pin, nullptr});
+    queue.Pop(&t);
+    queue.CompleteQuery(t.lane);
+    benchmark::DoNotOptimize(t.item.request_id);
+    t.item = {};
+  }
+}
+BENCHMARK(BM_AdmissionQueue);
 
 }  // namespace
 

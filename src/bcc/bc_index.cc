@@ -1,7 +1,6 @@
 #include "bcc/bc_index.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "butterfly/butterfly_update.h"
@@ -20,20 +19,6 @@ BcIndex::BcIndex(const LabeledGraph& g) : g_(&g), label_coreness_(LabelCoreness(
   }
   max_core_per_label_ = std::move(max_core);
 }
-
-namespace {
-
-ButterflyCounts ComputePairButterflies(const LabeledGraph& g, Label a, Label b) {
-  auto left = g.VerticesWithLabel(a);
-  auto right = g.VerticesWithLabel(b);
-  std::vector<char> in_left(g.NumVertices(), 0), in_right(g.NumVertices(), 0);
-  for (VertexId v : left) in_left[v] = 1;
-  for (VertexId v : right) in_right[v] = 1;
-  return CountButterflies(g, {left.begin(), left.end()}, {right.begin(), right.end()}, in_left,
-                          in_right);
-}
-
-}  // namespace
 
 const ButterflyCounts* BcIndex::FindPair(Label a, Label b) const {
   MutexLock lock(pairs_mu_);
@@ -62,7 +47,7 @@ const ButterflyCounts& BcIndex::PairButterflies(Label a, Label b) const {
   // Count outside the lock so lookups of other pairs never block behind a
   // cold count; concurrent first calls for one pair waste one count, and the
   // first insert wins.
-  return InsertPair(a, b, ComputePairButterflies(*g_, a, b));
+  return InsertPair(a, b, CountPairButterflies(*g_, a, b));
 }
 
 void BcIndex::MaterializeAllPairs() {
@@ -71,7 +56,7 @@ void BcIndex::MaterializeAllPairs() {
     if (g_->VerticesWithLabel(a).empty()) continue;
     for (Label b = a + 1; b < num_labels; ++b) {
       if (g_->VerticesWithLabel(b).empty() || FindPair(a, b) != nullptr) continue;
-      InsertPair(a, b, ComputePairButterflies(*g_, a, b));
+      InsertPair(a, b, CountPairButterflies(*g_, a, b));
     }
   }
 }
@@ -115,34 +100,6 @@ BcIndex::ForestMap BcIndex::CopyForests() const {
   return forests_;
 }
 
-namespace {
-
-/// One label's (or one pair's) slice of the delta.
-struct EdgeBucket {
-  std::vector<Edge> inserts;
-  std::vector<Edge> deletes;
-};
-
-/// Splits the delta into per-label intra-label buckets (they repair
-/// coreness) and per-pair cross-label buckets (they repair counted
-/// butterflies) — the two effects are disjoint by construction: coreness is
-/// computed within a label group, pair butterflies over cross edges only.
-void BucketDelta(const LabeledGraph& g, const GraphDelta& delta,
-                 std::map<Label, EdgeBucket>* intra,
-                 std::map<std::pair<Label, Label>, EdgeBucket>* cross) {
-  auto route = [&](const Edge& e, bool insert) {
-    const Label a = g.LabelOf(e.u);
-    const Label b = g.LabelOf(e.v);
-    EdgeBucket& bucket =
-        a == b ? (*intra)[a] : (*cross)[std::minmax(a, b)];
-    (insert ? bucket.inserts : bucket.deletes).push_back(e);
-  };
-  for (const Edge& e : delta.inserts) route(e, true);
-  for (const Edge& e : delta.deletes) route(e, false);
-}
-
-}  // namespace
-
 std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
                                                const GraphDelta& delta,
                                                const UpdateRepairOptions& opts,
@@ -151,9 +108,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   UpdateRepairStats& st = stats != nullptr ? *stats : local;
   st = UpdateRepairStats{};
 
-  std::map<Label, EdgeBucket> intra;
-  std::map<std::pair<Label, Label>, EdgeBucket> cross;
-  BucketDelta(*g_, delta, &intra, &cross);
+  const LabelRouting routed = RouteByLabel(*g_, delta);
 
   // Coreness: copy into the new epoch's own mapping (released to the OS
   // with the epoch), then patch only the touched labels.
@@ -163,7 +118,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   std::copy(label_coreness_.begin(), label_coreness_.end(), coreness.begin());
   std::vector<std::uint32_t> max_core(max_core_per_label_.begin(),
                                       max_core_per_label_.end());
-  for (const auto& [label, bucket] : intra) {
+  for (const auto& [label, bucket] : routed.intra) {
     ++st.labels_touched;
     const auto members = updated.VerticesWithLabel(label);
     const LabelCorenessRepair repair =
@@ -188,7 +143,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   // The hit/miss counters carry over so stream-level serving stats stay
   // cumulative across the epoch swap.
   PairMap pairs = CopyPairs();
-  for (const auto& [key, bucket] : cross) {
+  for (const auto& [key, bucket] : routed.cross) {
     const auto it = pairs.find(key);
     if (it == pairs.end()) continue;
     ++st.pairs_touched;
@@ -207,7 +162,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   // Forests: a label's forest depends only on its group's same-label edges
   // and coreness, so it carries over unless the delta touched the label.
   ForestMap forests = CopyForests();
-  for (const auto& entry : intra) forests.erase(entry.first);
+  for (const auto& entry : routed.intra) forests.erase(entry.first);
   {
     MutexLock lock(out->forests_mu_);
     out->forests_ = std::move(forests);

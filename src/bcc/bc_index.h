@@ -42,7 +42,7 @@ struct UpdateRepairStats {
   std::size_t core_passes = 0;         // level passes across all labels
   std::size_t pairs_touched = 0;       // cached pairs with cross updates
   std::size_t pairs_incremental = 0;   // repaired edge-by-edge
-  std::size_t pairs_recounted = 0;     // scoped CountButterflies recount
+  std::size_t pairs_recounted = 0;     // CountPairButterflies recount
   std::size_t cross_edges_applied = 0;
 };
 

@@ -90,6 +90,32 @@ void CountPair(const CandidateGraph& cg, std::size_t a, std::size_t b, IsAlive i
   out->total = sum / 4;  // every butterfly contains exactly four vertices
 }
 
+/// Counts the two member lists (ascending vertex ids) as one two-group
+/// CandidateGraph on a workspace local to the call; the prologue of
+/// CountButterflies and CountPairButterflies.
+ButterflyCounts CountGroups(const LabeledGraph& g, std::span<const VertexId> left,
+                            std::span<const VertexId> right) {
+  const std::span<const VertexId> groups[2] = {left, right};
+  QueryWorkspace ws;
+  CandidateGraph cg;
+  cg.Build(g, groups, ws);
+  ButterflyCounts local;
+  CountButterfliesInto(cg, 0, 1, nullptr, ws, &local);
+
+  // Local order within a group is ascending global id, so the kernel's
+  // argmax is the first strict maximum in ascending global id too.
+  auto to_global = [&cg](VertexId v) { return v == kInvalidVertex ? v : cg.ToGlobal(v); };
+  ButterflyCounts out;
+  out.chi.assign(g.NumVertices(), 0);
+  for (VertexId v = 0; v < cg.NumVertices(); ++v) out.chi[cg.ToGlobal(v)] = local.chi[v];
+  out.total = local.total;
+  out.max_left = local.max_left;
+  out.max_right = local.max_right;
+  out.argmax_left = to_global(local.argmax_left);
+  out.argmax_right = to_global(local.argmax_right);
+  return out;
+}
+
 }  // namespace
 
 void CountButterfliesInto(const CandidateGraph& cg, std::size_t a, std::size_t b,
@@ -113,25 +139,11 @@ ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId
   for (VertexId v : right) {
     if (in_right[v]) members[1].push_back(v);
   }
-  const std::span<const VertexId> groups[2] = {members[0], members[1]};
-  QueryWorkspace ws;
-  CandidateGraph cg;
-  cg.Build(g, groups, ws);
-  ButterflyCounts local;
-  CountButterfliesInto(cg, 0, 1, nullptr, ws, &local);
+  return CountGroups(g, members[0], members[1]);
+}
 
-  // Local order within a group is ascending global id, so the kernel's
-  // argmax is the first strict maximum in ascending global id too.
-  auto to_global = [&cg](VertexId v) { return v == kInvalidVertex ? v : cg.ToGlobal(v); };
-  ButterflyCounts out;
-  out.chi.assign(g.NumVertices(), 0);
-  for (VertexId v = 0; v < cg.NumVertices(); ++v) out.chi[cg.ToGlobal(v)] = local.chi[v];
-  out.total = local.total;
-  out.max_left = local.max_left;
-  out.max_right = local.max_right;
-  out.argmax_left = to_global(local.argmax_left);
-  out.argmax_right = to_global(local.argmax_right);
-  return out;
+ButterflyCounts CountPairButterflies(const LabeledGraph& g, Label a, Label b) {
+  return CountGroups(g, g.VerticesWithLabel(a), g.VerticesWithLabel(b));
 }
 
 ButterflyCounts CountButterfliesBruteForce(const LabeledGraph& g,

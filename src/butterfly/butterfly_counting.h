@@ -58,6 +58,11 @@ ButterflyCounts CountButterflies(const LabeledGraph& g, std::span<const VertexId
                                  const std::vector<char>& in_left,
                                  const std::vector<char>& in_right);
 
+/// CountButterflies over two whole label groups: `a` is the left side, `b`
+/// the right. What the BC-index stores per label pair, and what its repair
+/// and audit recount.
+ButterflyCounts CountPairButterflies(const LabeledGraph& g, Label a, Label b);
+
 /// O(|L|^2 d) reference oracle that enumerates same-side pairs and their
 /// common neighborhoods. For tests only.
 ButterflyCounts CountButterfliesBruteForce(const LabeledGraph& g,

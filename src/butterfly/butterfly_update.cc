@@ -122,12 +122,7 @@ PairButterflyRepair RepairPairButterflies(const LabeledGraph& base,
 
   if (inserted.size() + deleted.size() > incremental_cap || counts->chi.size() != n) {
     out.recounted = true;
-    const auto left = updated.VerticesWithLabel(a);
-    const auto right = updated.VerticesWithLabel(b);
-    std::vector<char> in_left(n, 0), in_right(n, 0);
-    for (VertexId v : left) in_left[v] = 1;
-    for (VertexId v : right) in_right[v] = 1;
-    *counts = CountButterflies(updated, left, right, in_left, in_right);
+    *counts = CountPairButterflies(updated, a, b);
     return out;
   }
 

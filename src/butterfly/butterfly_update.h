@@ -62,19 +62,12 @@ PairButterflyRepair RepairPairButterflies(const LabeledGraph& base,
 /// `alive`.
 class LeaderButterflyUpdater {
  public:
-  explicit LeaderButterflyUpdater(const CandidateGraph& cg)
-      : cg_(&cg), own_stamp_(cg.NumVertices(), 0), stamp_(&own_stamp_),
-        counter_(&own_counter_) {}
-
   /// Borrows the stamp scratch (sized >= cg.NumVertices(), monotone counter)
-  /// from a caller that keeps it alive across queries — no allocation here.
+  /// from a caller that keeps it alive across queries — a QueryWorkspace's
+  /// LeaderStamp(n) and LeaderStampCounter() — so no allocation here.
   LeaderButterflyUpdater(const CandidateGraph& cg, std::vector<std::uint32_t>* stamp,
                          std::uint32_t* counter)
       : cg_(&cg), stamp_(stamp), counter_(counter) {}
-
-  // stamp_ may point into own_stamp_; copying would dangle.
-  LeaderButterflyUpdater(const LeaderButterflyUpdater&) = delete;
-  LeaderButterflyUpdater& operator=(const LeaderButterflyUpdater&) = delete;
 
   /// Returns the number of butterflies of B that contain both `leader` and
   /// `removed`, i.e. how much chi(leader) drops when `removed` is deleted.
@@ -102,8 +95,6 @@ class LeaderButterflyUpdater {
                           const std::vector<char>& alive);
 
   const CandidateGraph* cg_;
-  std::vector<std::uint32_t> own_stamp_;
-  std::uint32_t own_counter_ = 0;
   std::vector<std::uint32_t>* stamp_;
   std::uint32_t* counter_;
   std::vector<Marking> markings_;  // at most one per group

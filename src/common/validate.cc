@@ -263,13 +263,7 @@ ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
   const std::size_t stride = std::max<std::size_t>(1, keys.size() / sample_pairs);
   for (std::size_t i = 0; i < keys.size() && i / stride < sample_pairs; i += stride) {
     const Label a = keys[i].a, b = keys[i].b;
-    const auto left = g.VerticesWithLabel(a);
-    const auto right = g.VerticesWithLabel(b);
-    std::vector<char> in_left(n, 0), in_right(n, 0);
-    for (VertexId v : left) in_left[v] = 1;
-    for (VertexId v : right) in_right[v] = 1;
-    const ButterflyCounts want_counts = CountButterflies(
-        g, {left.begin(), left.end()}, {right.begin(), right.end()}, in_left, in_right);
+    const ButterflyCounts want_counts = CountPairButterflies(g, a, b);
     const ButterflyCounts& got = index.PairButterflies(a, b);
     if (got.total != want_counts.total || got.chi != want_counts.chi) {
       return ValidationResult::Fail("cached butterfly counts for pair (" +
@@ -303,58 +297,6 @@ ValidationResult ValidateChangelogChain(const std::string& snapshot_path,
     }
     if (!is_tail && seg.torn) {
       return ValidationResult::Fail("torn non-tail changelog segment " + seg.path);
-    }
-  }
-  return ValidationResult::Ok();
-}
-
-ValidationResult ValidateEpochHistory(const EpochHistoryView& h) {
-  if (h.published == 0) {
-    return ValidationResult::Fail("no published epoch slot (slot 0 is published at open)");
-  }
-  if (h.slots.size() != h.updates_admitted + 1) {
-    return ValidationResult::Fail(
-        "history has " + std::to_string(h.slots.size()) + " slots, want one per admitted "
-        "update plus the base slot (" + std::to_string(h.updates_admitted + 1) + ")");
-  }
-  if (h.published > h.slots.size()) {
-    return ValidationResult::Fail("published count " + std::to_string(h.published) +
-                                  " exceeds slot count " + std::to_string(h.slots.size()));
-  }
-  if (h.release_cursor >= h.published) {
-    return ValidationResult::Fail("release cursor " + std::to_string(h.release_cursor) +
-                                  " at or past the published head " +
-                                  std::to_string(h.published));
-  }
-  for (std::size_t i = 0; i < h.release_cursor; ++i) {
-    if (h.slots[i].pending != 0) {
-      return ValidationResult::Fail("released slot " + std::to_string(i) + " still has " +
-                                    std::to_string(h.slots[i].pending) +
-                                    " pinned queries");
-    }
-    if (h.slots[i].has_state) {
-      return ValidationResult::Fail("released slot " + std::to_string(i) +
-                                    " still holds epoch state");
-    }
-  }
-  std::uint64_t prev_epoch = 0;
-  for (std::size_t i = h.release_cursor; i < h.published; ++i) {
-    if (!h.slots[i].has_state) {
-      return ValidationResult::Fail("published slot " + std::to_string(i) +
-                                    " lost its epoch state before draining");
-    }
-    if (h.slots[i].epoch < prev_epoch) {
-      return ValidationResult::Fail("epoch numbers not monotone at slot " +
-                                    std::to_string(i) + ": " +
-                                    std::to_string(h.slots[i].epoch) + " after " +
-                                    std::to_string(prev_epoch));
-    }
-    prev_epoch = h.slots[i].epoch;
-  }
-  for (std::size_t i = h.published; i < h.slots.size(); ++i) {
-    if (h.slots[i].has_state) {
-      return ValidationResult::Fail("unpublished slot " + std::to_string(i) +
-                                    " already holds epoch state");
     }
   }
   return ValidationResult::Ok();

@@ -97,11 +97,14 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
     return out;
   }
 
-  std::vector<VertexId> region;
+  // One scratch for every level pass: each pass then costs O(|region|)
+  // instead of a fresh zeroed graph-sized set of arrays.
+  CoreScratch scratch;
+  std::vector<VertexId> region, core;
   if (!deleted.empty()) {
     // Delete-only: coreness never rises. Descending passes maintain the
     // invariant that after pass k, {v : cur[v] >= k} is exactly the new
-    // k-core of the group's induced subgraph: KCoreOfSubset peels the old
+    // k-core of the group's induced subgraph: each pass peels the old
     // k-core (within the updated adjacency) back to the new one, and every
     // peeled vertex drops to k-1. A level is skipped when no deleted edge
     // sits at it and the level above dropped nobody — no cascade can reach
@@ -112,7 +115,7 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
     for (std::uint32_t k = k_hi; k >= 1; --k) {
       if (!dropped_above && !AnyEdgeAtLevel(deleted, cur, k)) continue;
       CollectAtLeast(members, cur, k, &region);
-      const std::vector<VertexId> core = KCoreOfSubset(updated, region, k);
+      KCoreOfSubsetScoped(updated, region, k, &scratch, &core);
       ++out.passes;
       dropped_above = false;
       for (VertexId v : region) {
@@ -136,7 +139,7 @@ LabelCorenessRepair RepairLabelCoreness(const LabeledGraph& updated,
       bool promoted = false;
       if (promoted_below || AnyEdgeAtLevel(inserted, cur, k)) {
         CollectAtLeast(members, cur, k, &region);
-        const std::vector<VertexId> core = KCoreOfSubset(updated, region, k + 1);
+        KCoreOfSubsetScoped(updated, region, k + 1, &scratch, &core);
         ++out.passes;
         for (VertexId v : core) {
           if (cur[v] == k) {

@@ -29,7 +29,7 @@ struct LabelCorenessRepair {
 /// are the group's net intra-label updates (each edge at most once, see
 /// BuildGraphDelta). The incremental path runs level-by-level peel passes —
 /// descending for delete-only batches (each pass peels {coreness >= k} back
-/// to the new k-core with KCoreOfSubset), ascending for insert-only batches
+/// to the new k-core), ascending for insert-only batches
 /// (each pass grows the (k+1)-core) — and
 /// skips levels no update can reach. Mixed batches, or batches larger than
 /// `incremental_cap`, fall back to the scoped rebuild (see DESIGN.md,

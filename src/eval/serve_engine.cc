@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/validate.h"
 #include "eval/timer.h"
 #include "graph/changelog.h"
 #include "graph/graph_delta.h"
@@ -61,61 +60,51 @@ bool BuildCacheKey(const QueryRequest& req, const LabeledGraph& g, ResultCacheKe
 
 }  // namespace
 
-/// All mutable state of one stream. Producers (Stream::Submit — any number
-/// of threads, one per connection in the socket front-end) append one
-/// ItemRecord per item under `mutex`; a worker takes a stable pointer to its
-/// exclusive record under the same mutex and then executes unlocked
-/// (std::deque growth never moves existing elements). The admission queue
-/// provides the cross-thread ordering: a worker only learns an index from
-/// Pop(), which happens-after the producer's bookkeeping for that index —
-/// admission into the queue happens under `mutex` too, so the queue's dense
-/// admission indices always match the record indices even with racing
-/// producers.
+/// All mutable state of one stream. An admitted item lives in its admission
+/// ticket (Item) until a worker pops it, runs it on locals and reports it
+/// through its completion; what stays behind is the summary fold below.
+///
+/// Epoch slots are shared EpochStates: each query ticket holds the slot it
+/// pins, each update ticket its base slot and the slot it publishes. A slot
+/// is released with its last ticket, so an old epoch goes as soon as the
+/// update built on it and the queries pinned to it have completed. The
+/// queue's epoch gating orders every write of a slot (the update's, before
+/// PublishUpdate) before every read (after Pop).
 struct StreamState {
-  StreamState(ServeEngine* e, std::size_t aging_period, AdmissionCaps caps)
-      : engine(e), queue(aging_period, caps) {}
+  using Slot = std::shared_ptr<ServeEngine::EpochState>;
 
-  ServeEngine* engine;
-  AdmissionQueue queue;
-  Timer wall;  // stream-open reference clock (admit/sojourn times)
-
-  Mutex mutex;  // guards every container below
-  /// What the stream keeps per admitted item: the request, its admission
-  /// facts, and the result its worker writes.
-  struct ItemRecord {
-    ServeItem item;
+  /// What an admission ticket carries from Submit to the worker.
+  struct Item {
+    ServeItem request;
+    CompletionFn done;
     std::uint64_t request_id = 0;
     double admit_seconds = 0;
-    int lane = -1;  // -1 = update (excluded from query latency)
-    Community community;
-    SearchStats stats;
-    double seconds = 0;
-    double sojourn = 0;
-    std::uint64_t epoch = 0;
-    /// Completion callback (empty function = none). Moved out by the
-    /// executing worker and invoked exactly once, outside every lock.
-    CompletionFn callback;
+    /// A query's pinned slot; an update's base slot.
+    Slot epoch;
+    /// Updates: the slot this update publishes.
+    Slot publish;
   };
-  std::deque<ItemRecord> records GUARDED_BY(mutex);  // by admission index
-  // One per update, by ordinal.
-  std::deque<UpdateOutcome> update_outcomes GUARDED_BY(mutex);
 
-  /// Copy-on-write epoch history: history[s] is the state observed by
-  /// queries admitted after s updates. Slot 0 is published at open; slot
-  /// u+1 is published when the u-th update resolves. `pending` counts
-  /// admitted-but-not-completed queries pinned to the slot; a drained slot
-  /// older than the newest published one releases its shared_ptrs (the
-  /// copy-on-write garbage collection).
-  struct HistorySlot {
-    ServeEngine::EpochState state;
-    std::size_t pending = 0;
-  };
-  std::deque<HistorySlot> history GUARDED_BY(mutex);
-  // Number of published history slots.
-  std::size_t published GUARDED_BY(mutex) = 1;
-  // First slot that may still hold state.
-  std::size_t release_cursor GUARDED_BY(mutex) = 0;
-  std::size_t updates_admitted GUARDED_BY(mutex) = 0;
+  StreamState(ServeEngine* e, std::size_t aging_period, AdmissionCaps caps, Slot head)
+      : engine(e), queue(aging_period, caps), newest(std::move(head)) {}
+
+  ServeEngine* engine;
+  AdmissionQueue<Item> queue;
+  Timer wall;  // stream-open reference clock (admit/sojourn times)
+
+  Mutex mutex;  // guards everything below
+  /// The slot the next admitted query pins: the one the newest admitted
+  /// update publishes, or the engine head at open.
+  Slot newest GUARDED_BY(mutex);
+  // The summary fold: two samples per query, counters otherwise. Deques
+  // grow in fixed blocks, so a long-lived stream holds 16 bytes per query
+  // and no reallocation slack.
+  std::deque<double> query_seconds GUARDED_BY(mutex);
+  std::deque<double> lane_sojourn[2] GUARDED_BY(mutex);  // indexed by Lane
+  SearchStats totals GUARDED_BY(mutex);
+  std::size_t timed_out GUARDED_BY(mutex) = 0;
+  std::size_t updates_applied GUARDED_BY(mutex) = 0;
+  std::size_t updates_rejected GUARDED_BY(mutex) = 0;
   /// Set by Finish (which must not race Submit — stop every producer
   /// first); atomic so concurrent producers' contract-violation check in
   /// Submit reads a coherent value rather than a torn one.
@@ -124,16 +113,6 @@ struct StreamState {
   /// the workspaces after Wait returns would race the next job on a shared
   /// runner.
   WorkspaceStats drain_stats;
-
-  /// Releases drained old epochs. Slots gain pending queries only while
-  /// they are the newest admitted slot, so a drained slot behind the
-  /// published head can never be pinned again.
-  void ReleaseDrainedHistory() REQUIRES(mutex) {
-    while (release_cursor + 1 < published && history[release_cursor].pending == 0) {
-      history[release_cursor].state = ServeEngine::EpochState{};
-      ++release_cursor;
-    }
-  }
 };
 
 ServeEngine::ServeEngine(BatchRunner& runner, const LabeledGraph& g, const BcIndex* index,
@@ -237,28 +216,12 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
     outcome->error = error;
     return base;
   }
-  if (touch != nullptr) {
-    // Labels never change across edge updates, so the base graph's labeling
-    // identifies exactly which label groups (and cross pairs) the batch
-    // repairs — the result cache invalidates only those.
-    for (const auto* edges : {&delta->inserts, &delta->deletes}) {
-      for (const Edge& e : *edges) {
-        const Label a = base.graph->LabelOf(e.u);
-        const Label b = base.graph->LabelOf(e.v);
-        if (a == b) {
-          touch->intra.push_back(a);
-        } else {
-          touch->cross.push_back(std::minmax(a, b));
-        }
-      }
-    }
-    std::sort(touch->intra.begin(), touch->intra.end());
-    touch->intra.erase(std::unique(touch->intra.begin(), touch->intra.end()),
-                       touch->intra.end());
-    std::sort(touch->cross.begin(), touch->cross.end());
-    touch->cross.erase(std::unique(touch->cross.begin(), touch->cross.end()),
-                       touch->cross.end());
-  }
+  // Labels never change across edge updates, so the base graph's labeling
+  // identifies exactly which label groups (and cross pairs) the batch
+  // repairs — the result cache invalidates only those.
+  const LabelRouting routed = RouteByLabel(*base.graph, *delta);
+  for (const auto& [label, slice] : routed.intra) touch->intra.push_back(label);
+  for (const auto& [pair, slice] : routed.cross) touch->cross.push_back(pair);
   EpochState next;
   next.graph = std::make_shared<const LabeledGraph>(ApplyGraphDelta(*base.graph, *delta));
   next.epoch = base.epoch + 1;
@@ -266,7 +229,7 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
   outcome->deletes = delta->deletes.size();
   if (base.index != nullptr) {
     // Repair against the pinned base graph/index (both kept alive by the
-    // epoch history while old-epoch queries drain).
+    // base slot while old-epoch queries drain).
     next.index = base.index->ApplyUpdates(*next.graph, *delta, {}, &outcome->repair);
   }
   outcome->applied = true;
@@ -274,27 +237,28 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
 }
 
 void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
-  AdmissionQueue::Ticket t;
-  while (state.queue.Pop(&t)) {
-    if (t.kind == AdmissionQueue::Ticket::Kind::kUpdate) {
-      const std::size_t u = t.update_ordinal;
-      EpochState base;
-      StreamState::ItemRecord* rec;
-      UpdateOutcome* outcome;
-      CompletionFn done;
-      {
-        MutexLock lock(state.mutex);
-        base = state.history[u].state;
-        rec = &state.records[t.index];
-        outcome = &state.update_outcomes[u];
-        done = std::move(rec->callback);
-      }
-      outcome->item_index = t.index;
+  using Ticket = AdmissionQueue<StreamState::Item>::Ticket;
+  for (;;) {
+    // A fresh ticket per item: the previous one's pins and callback are
+    // released at the end of its iteration, outside every lock.
+    Ticket t;
+    if (!state.queue.Pop(&t)) return;
+    StreamState::Item& item = t.item;
+    ItemCompletion c;
+    c.index = t.index;
+    c.request_id = item.request_id;
+
+    if (t.kind == Ticket::Kind::kUpdate) {
+      // The base slot was published before the queue handed this update
+      // out (one update in flight, in order).
+      const EpochState& base = *item.epoch;
+      UpdateOutcome outcome;
+      outcome.item_index = t.index;
       Timer apply;
       RepairTouch touch;
-      const auto& update_req = std::get<UpdateRequest>(rec->item);
-      EpochState next = PrepareUpdate(base, update_req, outcome, &touch);
-      if (durability_log_ != nullptr && outcome->applied) {
+      const auto& update_req = std::get<UpdateRequest>(item.request);
+      EpochState next = PrepareUpdate(base, update_req, &outcome, &touch);
+      if (durability_log_ != nullptr && outcome.applied) {
         // The durable commit: changelog append and epoch publish happen
         // together under the log's commit lock, so the log and the
         // published head never disagree — and a compactor capturing state
@@ -302,13 +266,12 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         // append rejects the batch; the un-durable state never publishes.
         MutexLock commit(durability_log_->commit_mutex());
         std::string err;
-        if (!durability_log_->Append(
-                std::span<const EdgeUpdate>(update_req.updates), durability_stamp_,
-                &err)) {
-          outcome->applied = false;
-          outcome->error = "durability append failed: " + err;
-          outcome->inserts = 0;
-          outcome->deletes = 0;
+        if (!durability_log_->Append(std::span<const EdgeUpdate>(update_req.updates),
+                                     durability_stamp_, &err)) {
+          outcome.applied = false;
+          outcome.error = "durability append failed: " + err;
+          outcome.inserts = 0;
+          outcome.deletes = 0;
           next = base;
         } else {
           MutexLock lock(state_mutex_);
@@ -318,64 +281,45 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         MutexLock lock(state_mutex_);
         current_ = next;
       }
-      if (outcome->applied && result_cache_ != nullptr) {
+      if (outcome.applied && result_cache_ != nullptr) {
         // Invalidate BEFORE the queue releases epoch-(u+1) queries (the
         // PublishUpdate below): any query that can observe the new graph
         // observes the repair marks first, so no stale entry can be served
         // at — or inserted above — the new epoch for a touched label set.
         result_cache_->NoteRepairs(touch.intra, touch.cross, next.epoch);
       }
-      outcome->seconds = apply.Seconds();
-      outcome->epoch = next.epoch;
-      double update_sojourn;
+      outcome.seconds = apply.Seconds();
+      outcome.epoch = next.epoch;
+      *item.publish = std::move(next);
       {
         MutexLock lock(state.mutex);
-        state.history[u + 1].state = next;
-        state.published = u + 2;
-        state.ReleaseDrainedHistory();
-        rec->seconds = outcome->seconds;
-        update_sojourn = state.wall.Seconds() - rec->admit_seconds;
-        rec->sojourn = update_sojourn;
-        rec->epoch = next.epoch;
+        ++(outcome.applied ? state.updates_applied : state.updates_rejected);
       }
-      // Resolve on the queue AFTER the history write: Pop()'s mutex
+      c.sojourn_seconds = state.wall.Seconds() - item.admit_seconds;
+      item.epoch.reset();
+      item.publish.reset();
+      // Resolve on the queue AFTER the slot write: Pop()'s mutex
       // acquisition gives any worker that observes the resolution a
       // happens-before edge to the new state.
       state.queue.PublishUpdate();
-      if (done) {
-        // Streaming completion, after the publish: when the callback fires,
-        // the new epoch is already observable by later admissions — an ack
-        // the socket layer relays (and keeps for idempotent retries) is
-        // never ahead of the state it describes.
-        ItemCompletion c;
-        c.index = t.index;
-        c.request_id = rec->request_id;
-        c.epoch = outcome->epoch;
-        c.seconds = outcome->seconds;
-        c.sojourn_seconds = update_sojourn;
-        c.is_update = true;
-        c.outcome = outcome;
-        done(c);
-        rec->item = ServeItem{};  // delivered: the batch is not needed again
-      }
+      // The report comes after the publish: when the callback fires, the
+      // new epoch is already observable by later admissions — an ack the
+      // socket layer relays (and keeps for idempotent retries) is never
+      // ahead of the state it describes.
+      c.epoch = outcome.epoch;
+      c.seconds = outcome.seconds;
+      c.is_update = true;
+      c.outcome = &outcome;
+      item.done(c);
       continue;
     }
 
-    // Query: pin the admission-time epoch (the queue guarantees it is
-    // published by now), then execute against it unlocked — a concurrent
-    // update publish cannot invalidate the pinned shared_ptrs.
-    EpochState pinned;
-    StreamState::ItemRecord* rec;
-    CompletionFn done;
-    {
-      MutexLock lock(state.mutex);
-      pinned = state.history[t.epoch_slot].state;
-      rec = &state.records[t.index];
-      done = std::move(rec->callback);
-    }
-    const QueryRequest& req = std::get<QueryRequest>(rec->item);
-    Community* community = &rec->community;
-    SearchStats* stats = &rec->stats;
+    // Query: the queue releases it only once its slot is published, so the
+    // pinned state is complete; execute against it unlocked.
+    const EpochState& pinned = *item.epoch;
+    const QueryRequest& req = std::get<QueryRequest>(item.request);
+    Community community;
+    SearchStats stats;
     ResultCacheKey cache_key;
     std::vector<Label> cache_labels;
     // Deadline-bearing requests bypass the cache: a timed-out partial answer
@@ -386,49 +330,36 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     Timer exec;
     const bool cache_hit =
         cacheable &&
-        result_cache_->Lookup(cache_key, pinned.epoch, lane_idx, community, stats);
+        result_cache_->Lookup(cache_key, pinned.epoch, lane_idx, &community, &stats);
     if (!cache_hit) {
       if (req.deadline_seconds > 0) ws.SetDeadline(Deadline::After(req.deadline_seconds));
-      Dispatch(req, *pinned.graph, pinned.index.get(), ws, community, stats);
+      Dispatch(req, *pinned.graph, pinned.index.get(), ws, &community, &stats);
       ws.SetDeadline(Deadline{});
       // Timed-out partial answers are timing-dependent, never cached (the
       // deadline gate above already excludes them; keep the belt with the
       // suspenders in case a search ever times out without a deadline).
-      if (cacheable && !stats->timed_out) {
-        result_cache_->Insert(cache_key, cache_labels, pinned.epoch, *community, *stats);
+      if (cacheable && !stats.timed_out) {
+        result_cache_->Insert(cache_key, cache_labels, pinned.epoch, community, stats);
       }
     }
-    const double exec_seconds = exec.Seconds();
-    const std::uint64_t pinned_epoch = pinned.epoch;
-    double query_sojourn;
+    c.seconds = exec.Seconds();
+    c.sojourn_seconds = state.wall.Seconds() - item.admit_seconds;
+    c.epoch = pinned.epoch;
     {
       MutexLock lock(state.mutex);
-      rec->seconds = exec_seconds;
-      query_sojourn = state.wall.Seconds() - rec->admit_seconds;
-      rec->sojourn = query_sojourn;
-      rec->epoch = pinned.epoch;
-      if (--state.history[t.epoch_slot].pending == 0) state.ReleaseDrainedHistory();
+      state.query_seconds.push_back(c.seconds);
+      state.lane_sojourn[static_cast<std::size_t>(t.lane)].push_back(c.sojourn_seconds);
+      state.totals += stats;
+      state.timed_out += stats.timed_out ? 1 : 0;
     }
-    pinned = EpochState{};  // drop the pin before (not while) holding queue locks
+    item.epoch.reset();  // unpin: the epoch may be released now
+    // After CompleteQuery: the lane slot is free while the caller's
+    // callback runs, so a slow consumer delays only this worker's next
+    // dequeue, never the lane's concurrency budget.
     state.queue.CompleteQuery(t.lane);
-    if (done) {
-      // After CompleteQuery: the lane slot is free while the caller's
-      // callback runs, so a slow consumer delays only this worker's next
-      // dequeue, never the lane's concurrency budget.
-      ItemCompletion c;
-      c.index = t.index;
-      c.request_id = rec->request_id;
-      c.epoch = pinned_epoch;
-      c.seconds = exec_seconds;
-      c.sojourn_seconds = query_sojourn;
-      c.community = community;
-      c.stats = stats;
-      done(c);
-      // Delivered once: free the answer and the request now, so a
-      // long-lived stream holds only each item's small per-item facts.
-      *community = Community{};
-      rec->item = ServeItem{};
-    }
+    c.community = &community;
+    c.stats = &stats;
+    item.done(c);
   }
 }
 
@@ -444,10 +375,6 @@ ServeEngine::Stream::~Stream() {
   if (state_ != nullptr && !state_->finished) Finish();
 }
 
-std::uint64_t ServeEngine::Stream::Submit(ServeItem item) {
-  return Submit(std::move(item), CompletionFn());
-}
-
 std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_complete) {
   StreamState& s = *state_;
   if (s.finished.load(std::memory_order_acquire)) {
@@ -456,136 +383,86 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
     std::fprintf(stderr, "ServeEngine::Stream: Submit after Finish\n");
     std::abort();
   }
-  const bool is_update = std::holds_alternative<UpdateRequest>(item);
-  std::uint64_t id = 0;
-  Lane lane = Lane::kBulk;
-  {
-    MutexLock lock(s.mutex);
-    // Every item consumes one request id (updates too), drawn under the
-    // stream lock so ids follow the admission order even with racing
-    // producers — a query's id depends only on its admission position,
-    // exactly as in a serialized replay.
-    id = s.engine->next_request_id_.fetch_add(1);
-    StreamState::ItemRecord& rec = s.records.emplace_back();
-    rec.item = std::move(item);
-    rec.admit_seconds = s.wall.Seconds();
-    rec.callback = std::move(on_complete);
-    if (const auto* q = std::get_if<QueryRequest>(&rec.item)) {
-      if (q->request_id != 0) id = q->request_id;
-      lane = q->lane;
-      rec.lane = static_cast<int>(q->lane);
-      ++s.history[s.updates_admitted].pending;
-    } else {
-      s.update_outcomes.emplace_back();
-      s.history.emplace_back();  // the slot this update will publish
-      ++s.updates_admitted;
-    }
-    rec.request_id = id;
-    // Admit under the same lock (after the bookkeeping above): with
-    // multiple producers the queue's dense admission index must be assigned
-    // in the order the records were pushed, or a worker would read
-    // another producer's item. Lock order stream mutex -> queue mutex;
-    // workers never hold both (Pop returns before they take the stream
-    // mutex), so the nesting is acyclic (DESIGN.md, serving contract 5).
-    if (is_update) {
-      s.queue.AdmitUpdate();
-    } else {
-      s.queue.AdmitQuery(lane);
-    }
+  BCCS_CHECK(on_complete != nullptr) << "Stream::Submit needs a completion";
+  StreamState::Item ticket;
+  ticket.request = std::move(item);
+  ticket.done = std::move(on_complete);
+  const auto* q = std::get_if<QueryRequest>(&ticket.request);
+  const Lane lane = q != nullptr ? q->lane : Lane::kBulk;
+  const std::uint64_t client_id = q != nullptr ? q->request_id : 0;
+  if (q == nullptr) ticket.publish = std::make_shared<EpochState>();
+  // Request ids, epoch slots and queue positions all follow one admission
+  // order: the order producers win this lock. So a query's id and epoch
+  // depend only on its admission position, exactly as in a serialized
+  // replay. Lock order stream mutex -> queue mutex; a worker never holds
+  // both (Pop returns before it takes the stream mutex), so the nesting is
+  // acyclic (DESIGN.md, serving contract 5).
+  MutexLock lock(s.mutex);
+  // Every item consumes one request id (updates too).
+  const std::uint64_t id = s.engine->next_request_id_.fetch_add(1);
+  ticket.request_id = client_id != 0 ? client_id : id;
+  ticket.admit_seconds = s.wall.Seconds();
+  ticket.epoch = s.newest;
+  const std::uint64_t reported = ticket.request_id;
+  if (q != nullptr) {
+    s.queue.AdmitQuery(lane, std::move(ticket));
+  } else {
+    s.newest = ticket.publish;
+    s.queue.AdmitUpdate(std::move(ticket));
   }
-  return id;
+  return reported;
 }
 
-BatchResult ServeEngine::Stream::Finish() {
+StreamSummary ServeEngine::Stream::Finish() {
   StreamState& s = *state_;
-  BatchResult out;
+  StreamSummary out;
   if (s.finished) return out;
   s.queue.Close();
   s.engine->runner_->Wait(&s.drain_stats);
   s.finished = true;
   const double wall_seconds = s.wall.Seconds();
 
-  // Workers are gone (Wait above is the synchronization point), but
-  // the containers are GUARDED_BY the stream mutex — hold it (uncontended)
-  // for the aggregation so the annotation holds here too.
+  // Workers are gone (Wait above is the synchronization point), but the
+  // fold is GUARDED_BY the stream mutex — hold it (uncontended) so the
+  // annotation holds here too.
   MutexLock lock(s.mutex);
-#if BCCS_DCHECK_IS_ON
-  {
-    // The drained stream must leave the copy-on-write bookkeeping coherent:
-    // every admitted query completed, so every slot behind the published
-    // head is released and the head still holds state.
-    EpochHistoryView view;
-    view.published = s.published;
-    view.release_cursor = s.release_cursor;
-    view.updates_admitted = s.updates_admitted;
-    for (const StreamState::HistorySlot& slot : s.history) {
-      view.slots.push_back(
-          {slot.state.epoch, slot.pending, slot.state.graph != nullptr});
-    }
-    const ValidationResult audit = ValidateEpochHistory(view);
-    BCCS_DCHECK(audit.ok) << "epoch history audit: " << audit.reason;
-  }
-#endif
-  const std::size_t count = s.records.size();
-  out.communities.reserve(count);
-  out.stats.reserve(count);
-  out.seconds.reserve(count);
-  out.sojourn_seconds.reserve(count);
-  out.epoch_of.reserve(count);
-  // The latency/qps summary describes query serving only — update records
-  // (whose seconds hold the preparation duration) would otherwise smear a
-  // slow repair into the query percentiles the lane summaries exclude.
-  std::vector<double> query_seconds;
-  query_seconds.reserve(count);
-  for (StreamState::ItemRecord& r : s.records) {
-    out.communities.push_back(std::move(r.community));
-    out.stats.push_back(r.stats);
-    out.seconds.push_back(r.seconds);
-    out.sojourn_seconds.push_back(r.sojourn);
-    out.epoch_of.push_back(r.epoch);
-    if (r.lane >= 0) query_seconds.push_back(r.seconds);
-  }
-  out.updates.assign(s.update_outcomes.begin(), s.update_outcomes.end());
-  out.threads_used = s.engine->runner_->NumThreads();
-  out.latency = SummarizeLatency(query_seconds, wall_seconds);
-  out.workspace_stats = s.drain_stats;
-  out.result_cache_enabled = s.engine->result_cache_ != nullptr;
-  out.result_cache = s.engine->result_cache_stats();
-  // The newest published slot of this stream IS the engine's current state;
-  // read it here (under s.mutex) rather than through the engine head to keep
-  // the lock sets disjoint.
-  if (const auto& head = s.history[s.published - 1].state; head.index != nullptr) {
-    out.pair_cache = head.index->PairCacheStats();
-  }
-  for (const SearchStats& st : out.stats) out.timed_out += st.timed_out ? 1 : 0;
-
-  std::vector<double> lane_sojourn;
+  // Every update has resolved, so the newest slot is the published head.
+  BCCS_DCHECK(s.newest->graph != nullptr) << "stream finished with an unpublished slot";
+  out.items = s.queue.admitted();
+  out.updates_applied = s.updates_applied;
+  out.updates_rejected = s.updates_rejected;
+  out.timed_out = s.timed_out;
+  out.totals = s.totals;
+  auto summarize = [wall_seconds](const std::deque<double>& samples) {
+    const std::vector<double> flat(samples.begin(), samples.end());
+    return SummarizeLatency(flat, wall_seconds);
+  };
+  out.latency = summarize(s.query_seconds);
   for (Lane lane : {Lane::kInteractive, Lane::kBulk}) {
-    lane_sojourn.clear();
-    for (const StreamState::ItemRecord& r : s.records) {
-      if (r.lane == static_cast<int>(lane)) lane_sojourn.push_back(r.sojourn);
-    }
-    if (lane_sojourn.empty()) continue;
+    const std::deque<double>& sojourn = s.lane_sojourn[static_cast<std::size_t>(lane)];
+    if (sojourn.empty()) continue;
     LaneSummary summary;
     summary.lane = lane;
-    summary.queries = lane_sojourn.size();
-    summary.latency = SummarizeLatency(lane_sojourn, wall_seconds);
+    summary.queries = sojourn.size();
+    summary.latency = summarize(sojourn);
     summary.max_inflight = s.queue.max_inflight(lane);
     out.lanes.push_back(summary);
   }
+  out.threads_used = s.engine->runner_->NumThreads();
+  out.workspace_stats = s.drain_stats;
+  out.result_cache_enabled = s.engine->result_cache_ != nullptr;
+  out.result_cache = s.engine->result_cache_stats();
+  // The newest slot IS the engine's current state; read it here (under
+  // s.mutex) rather than through the engine head to keep the lock sets
+  // disjoint.
+  if (s.newest->index != nullptr) out.pair_cache = s.newest->index->PairCacheStats();
   return out;
 }
 
 std::unique_ptr<StreamState> ServeEngine::MakeStreamState() {
-  auto state = std::make_unique<StreamState>(this, opts_.aging_period, opts_.caps);
-  StreamState::HistorySlot slot0;
-  {
-    MutexLock lock(state_mutex_);
-    slot0.state = current_;
-  }
-  MutexLock lock(state->mutex);
-  state->history.push_back(std::move(slot0));
-  return state;
+  MutexLock lock(state_mutex_);
+  return std::make_unique<StreamState>(this, opts_.aging_period, opts_.caps,
+                                       std::make_shared<EpochState>(current_));
 }
 
 void ServeEngine::StartDrain(StreamState& state) {
@@ -599,12 +476,46 @@ ServeEngine::Stream ServeEngine::OpenStream() {
 }
 
 BatchResult ServeEngine::RunStream(std::span<const ServeItem> items) {
+  const std::size_t n = items.size();
+  BatchResult out;
+  out.communities.resize(n);
+  out.stats.resize(n);
+  out.seconds.resize(n);
+  out.sojourn_seconds.resize(n);
+  out.epoch_of.resize(n);
+  out.updates.resize(static_cast<std::size_t>(std::count_if(
+      items.begin(), items.end(),
+      [](const ServeItem& item) { return std::holds_alternative<UpdateRequest>(item); })));
   // All items are known up front: admit them all before the drain starts,
-  // so the first claims already see the whole batch.
+  // so the first claims already see the whole batch. Each completion writes
+  // only its own item's slots; Finish orders those writes before the return.
   Stream stream(MakeStreamState());
-  for (const ServeItem& item : items) stream.Submit(item);
+  UpdateOutcome* next_update = out.updates.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    UpdateOutcome* outcome_slot =
+        std::holds_alternative<UpdateRequest>(items[i]) ? next_update++ : nullptr;
+    stream.Submit(items[i], [&out, i, outcome_slot](const ItemCompletion& c) {
+      out.seconds[i] = c.seconds;
+      out.sojourn_seconds[i] = c.sojourn_seconds;
+      out.epoch_of[i] = c.epoch;
+      if (c.community != nullptr) {
+        out.communities[i] = std::move(*c.community);
+        out.stats[i] = *c.stats;
+      }
+      if (c.outcome != nullptr) *outcome_slot = *c.outcome;
+    });
+  }
   StartDrain(*stream.state_);
-  return stream.Finish();
+  StreamSummary summary = stream.Finish();
+  out.latency = summary.latency;
+  out.threads_used = summary.threads_used;
+  out.workspace_stats = summary.workspace_stats;
+  out.lanes = std::move(summary.lanes);
+  out.timed_out = summary.timed_out;
+  out.result_cache_enabled = summary.result_cache_enabled;
+  out.result_cache = summary.result_cache;
+  out.pair_cache = summary.pair_cache;
+  return out;
 }
 
 BatchResult ServeEngine::Serve(std::span<const QueryRequest> requests) {

@@ -67,15 +67,15 @@ class Changelog;
 ///      unchanged state (epoch not incremented) and reports the reason in
 ///      its UpdateOutcome. Old epoch states are released as soon as their
 ///      last pinned query completes.
-///   7. **Reporting.** An item submitted with a CompletionFn is delivered
-///      once, to its callback; when the callback returns, the worker frees
-///      the item's community and request, so a long-lived stream (the
-///      socket server's) holds only small per-item facts. Stream::Finish()
-///      (and RunStream/Serve, whose items have no callback)
-///      returns a BatchResult with per-item outputs in admission order:
-///      communities/stats/latency for queries (a delivered query's
-///      community is empty), UpdateOutcomes for updates, per-lane sojourn
-///      percentiles, and the epoch each item executed in (epoch_of).
+///   7. **Reporting.** Every item is submitted with a CompletionFn and
+///      reports exactly once, to it, on the worker that ran it: the answer,
+///      stats and timings of a query, the UpdateOutcome of an update, and
+///      the epoch either executed in. Until a worker pops it, the item lives
+///      only in its admission ticket; after the callback it is gone, so a
+///      long-lived stream (the socket server's) keeps nothing per item but
+///      two latency samples per query. Stream::Finish() returns a
+///      StreamSummary folded from the same completions. RunStream/Serve
+///      collect their per-item BatchResult through a collecting completion.
 
 /// A method-erased serving request: what to search for, which algorithm to
 /// plan it onto, how urgent it is, and how long it may run.
@@ -118,18 +118,17 @@ using ServeItem = std::variant<QueryRequest, UpdateRequest>;
 
 /// Per-item completion notification of the streaming serve loop: what a
 /// submitted item resolved to, delivered on the worker thread that executed
-/// it the moment the result is written — the socket front-end's hook for
+/// it the moment the result is ready — the socket front-end's hook for
 /// streaming each response back on its originating connection while the
-/// stream is still admitting (instead of reporting everything at drain).
+/// stream is still admitting.
 ///
-/// The pointers alias the stream's result slots. A result is delivered
-/// once: `community` is valid only during the callback (the worker frees it
-/// when the callback returns, and Finish reports the item with an empty
-/// community); `stats` and `outcome` stay valid until Finish returns. The
-/// callback must not block — it runs inside a serving worker, so a slow
-/// callback stalls one worker's dequeue loop.
+/// The pointers refer to the worker's own copies of the result and are
+/// valid only during the callback. A collector may move the community out
+/// (`std::move(*c.community)`); nothing reads it after the callback
+/// returns. The callback must not block — it runs inside a serving worker,
+/// so a slow callback stalls one worker's dequeue loop.
 struct ItemCompletion {
-  /// Admission index within the stream (the Finish() result slot).
+  /// Admission index within the stream (0, 1, 2, ... across both kinds).
   std::size_t index = 0;
   std::uint64_t request_id = 0;
   /// Epoch the item executed in (queries) or produced (updates; a rejected
@@ -139,7 +138,7 @@ struct ItemCompletion {
   double sojourn_seconds = 0;  // admission -> completion
   bool is_update = false;
   // Queries (null for updates):
-  const Community* community = nullptr;
+  Community* community = nullptr;
   const SearchStats* stats = nullptr;
   // Updates (null for queries):
   const UpdateOutcome* outcome = nullptr;
@@ -149,6 +148,27 @@ struct ItemCompletion {
 /// against other completions: items finish out of admission order and on
 /// different workers concurrently.
 using CompletionFn = std::function<void(const ItemCompletion&)>;
+
+/// What a finished stream reports: totals folded from its items'
+/// completions, the query latency percentiles, and the engine's counters
+/// at finish. Nothing in it grows with the number of items.
+struct StreamSummary {
+  std::size_t items = 0;  // queries and updates admitted (all completed)
+  std::size_t updates_applied = 0;
+  std::size_t updates_rejected = 0;
+  std::size_t timed_out = 0;  // queries whose deadline expired
+  SearchStats totals;         // summed over the queries
+  /// Over query execution times only: an update's preparation would smear
+  /// a slow repair into the query percentiles.
+  BatchLatency latency;
+  std::vector<LaneSummary> lanes;  // per-lane percentiles over sojourn
+  std::size_t threads_used = 0;
+  WorkspaceStats workspace_stats;  // aggregated over worker workspaces
+  // Caching-tier counters at finish, as in BatchResult.
+  bool result_cache_enabled = false;
+  ResultCacheStats result_cache;
+  BlockCacheStats pair_cache;
+};
 
 /// Engine-wide configuration: the streaming scheduler's knobs and the
 /// result cache. Every method runs with the paper's options
@@ -197,7 +217,7 @@ class ServeEngine {
 
   /// A live serving session: Submit admits items while the worker pool is
   /// already draining earlier ones; Finish closes admission, drains
-  /// gracefully, and returns the per-item results in admission order.
+  /// gracefully, and returns the stream's summary.
   /// Submit is multi-producer: any number of threads may admit concurrently
   /// (each connection of the socket front-end is one producer), and the
   /// admission order — the order that fixes epoch slots, request ids, and
@@ -213,18 +233,14 @@ class ServeEngine {
     ~Stream();
 
     /// Admits one item; returns the request id it will execute under.
-    std::uint64_t Submit(ServeItem item);
-
-    /// Admits one item with a per-item completion callback, invoked on the
-    /// executing worker the moment the result lands (streaming completions:
-    /// the caller hears about each item as it finishes, not at drain). The
-    /// callback is the item's one delivery: once it returns, the item's
-    /// community and request are freed.
+    /// `on_complete` (required) is the item's one report: it is invoked
+    /// once, on the executing worker, the moment the result is ready —
+    /// the caller hears about each item as it finishes, not at drain.
     std::uint64_t Submit(ServeItem item, CompletionFn on_complete);
-    /// Closes admission, waits for the drain, and collects the results.
-    /// Items submitted with a callback report an empty community (it was
-    /// delivered); their stats, timings, epoch and outcome are kept.
-    BatchResult Finish();
+
+    /// Closes admission, waits for the drain, and returns the totals of
+    /// every item's completion.
+    StreamSummary Finish();
 
    private:
     friend class ServeEngine;
@@ -303,10 +319,10 @@ class ServeEngine {
                 QueryWorkspace& ws, Community* community, SearchStats* stats) const;
   /// Validates and prepares `req` against `base` (off-thread safe: touches
   /// no engine state) and returns the successor state — `base` itself when
-  /// the batch is rejected. `touch`, when non-null, receives the repaired
-  /// labels of an applied batch.
+  /// the batch is rejected. `touch` receives the repaired labels of an
+  /// applied batch.
   EpochState PrepareUpdate(const EpochState& base, const UpdateRequest& req,
-                           UpdateOutcome* outcome, RepairTouch* touch = nullptr) const;
+                           UpdateOutcome* outcome, RepairTouch* touch) const;
   void RunWorker(StreamState& state, QueryWorkspace& ws);
 
   BatchRunner* runner_;

@@ -86,6 +86,19 @@ std::optional<GraphDelta> BuildGraphDelta(const LabeledGraph& g,
   return delta;
 }
 
+LabelRouting RouteByLabel(const LabeledGraph& g, const GraphDelta& delta) {
+  LabelRouting out;
+  auto route = [&](const Edge& e, bool insert) {
+    const Label a = g.LabelOf(e.u);
+    const Label b = g.LabelOf(e.v);
+    DeltaSlice& slice = a == b ? out.intra[a] : out.cross[std::minmax(a, b)];
+    (insert ? slice.inserts : slice.deletes).push_back(e);
+  };
+  for (const Edge& e : delta.inserts) route(e, true);
+  for (const Edge& e : delta.deletes) route(e, false);
+  return out;
+}
+
 LabeledGraph ApplyGraphDelta(const LabeledGraph& g, const GraphDelta& delta) {
   if (delta.Empty()) return g;  // shares every array with the base
 

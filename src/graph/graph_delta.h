@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/labeled_graph.h"
@@ -64,6 +66,27 @@ struct GraphDelta {
 std::optional<GraphDelta> BuildGraphDelta(const LabeledGraph& g,
                                           std::span<const EdgeUpdate> updates,
                                           std::string* error = nullptr);
+
+/// The edges of a delta that fall in one label group, or between one pair of
+/// label groups.
+struct DeltaSlice {
+  std::vector<Edge> inserts;
+  std::vector<Edge> deletes;
+};
+
+/// A delta split by the labels its edges join. Intra-label edges are keyed
+/// by their label: they change that group's coreness. Cross-label edges are
+/// keyed by their canonical (first < second) label pair: they change that
+/// pair's butterflies. The two effects are disjoint. Both maps iterate in
+/// ascending key order, and each slice keeps the delta's edge order.
+struct LabelRouting {
+  std::map<Label, DeltaSlice> intra;
+  std::map<std::pair<Label, Label>, DeltaSlice> cross;
+};
+
+/// Routes `delta` by the labels of `g`. Edge updates never relabel, so any
+/// graph the delta was built against or applied to gives the same routing.
+LabelRouting RouteByLabel(const LabeledGraph& g, const GraphDelta& delta);
 
 /// Applies a delta built against `g` and returns the updated graph. The
 /// adjacency CSR is rebuilt in O(V + E + |delta| log d_max), straight into

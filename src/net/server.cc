@@ -424,7 +424,7 @@ void NetServer::FlushTails() {
   }
 }
 
-BatchResult NetServer::Run() {
+StreamSummary NetServer::Run() {
   BCCS_CHECK(listen_fd_ >= 0) << "NetServer::Run before Start";
   ServeEngine::Stream stream = engine_->OpenStream();
   stream_ = &stream;
@@ -441,14 +441,14 @@ BatchResult NetServer::Run() {
   listen_fd_ = -1;
   for (const auto& conn : conns_) conn->read_closed = true;
   stream_ = nullptr;  // no further Submits (the loop thread is here)
-  BatchResult result = stream.Finish();  // completions keep delivering to outboxes
+  StreamSummary summary = stream.Finish();  // completions keep delivering to outboxes
   FlushTails();
   for (const auto& conn : conns_) {
     if (conn->fd >= 0) HardClose(*conn);
   }
   conns_.clear();
   stats_.keeper = keeper_.stats();
-  return result;
+  return summary;
 }
 
 }  // namespace bccs

@@ -68,7 +68,7 @@ struct NetServerStats {
 /// Shutdown (RequestShutdown, async-signal-safe): stop accepting, stop
 /// reading, drain every admitted item through Stream::Finish (completions
 /// keep streaming out), flush each connection's response tail, close, and
-/// return the drained stream's BatchResult.
+/// return the drained stream's summary.
 class NetServer {
  public:
   NetServer(ServeEngine& engine, NetServerOptions opts);
@@ -83,9 +83,9 @@ class NetServer {
   int port() const { return port_; }
 
   /// Runs the serve loop on the calling thread until RequestShutdown (or a
-  /// fatal listener error); returns the drained stream's per-item results.
-  /// Call once, after Start.
-  BatchResult Run();
+  /// fatal listener error); returns the drained stream's summary. Call
+  /// once, after Start.
+  StreamSummary Run();
 
   /// Stops the loop from any thread or signal handler: lock-free flag store
   /// plus a self-pipe write, both async-signal-safe.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bcc/workspace.h"
 #include "butterfly/butterfly_update.h"
 #include "graph/generators.h"
 #include "graph/paper_graphs.h"
@@ -122,7 +123,9 @@ TEST_P(ButterflyPropertyTest, LeaderUpdateMatchesRecount) {
   auto cg = testing::MakeCandidate(g, {left, right});
   std::vector<char> alive(20, 1);
 
-  LeaderButterflyUpdater updater(*cg);
+  QueryWorkspace ws;
+  LeaderButterflyUpdater updater(*cg, ws.LeaderStamp(cg->NumVertices()),
+                                 ws.LeaderStampCounter());
   std::mt19937_64 rng(GetParam());
   // Track one leader per side through a random deletion sequence.
   VertexId leader_l = left[rng() % left.size()];
@@ -181,7 +184,9 @@ TEST_P(ButterflyPropertyTest, CachedLeaderMarksMatchRecountAcrossThreePairs) {
   // The updater runs on candidate-local ids; group i is label i.
   auto cg = testing::MakeCandidate(g, groups);
   std::vector<char> alive(g.NumVertices(), 1);
-  LeaderButterflyUpdater updater(*cg);
+  QueryWorkspace ws;
+  LeaderButterflyUpdater updater(*cg, ws.LeaderStamp(cg->NumVertices()),
+                                 ws.LeaderStampCounter());
   std::vector<VertexId> order = testing::AllVertices(g);
   std::shuffle(order.begin(), order.end(), rng);
   for (VertexId victim : order) {
@@ -220,7 +225,9 @@ TEST(ButterflyUpdateTest, PaperExample6) {
   auto cg = testing::MakeCandidate(f.graph, {left, right});
   auto local = [&](VertexId v) { return cg->ToLocal(v); };
   std::vector<char> alive(cg->NumVertices(), 1);
-  LeaderButterflyUpdater updater(*cg);
+  QueryWorkspace ws;
+  LeaderButterflyUpdater updater(*cg, ws.LeaderStamp(cg->NumVertices()),
+                                 ws.LeaderStampCounter());
 
   // Deleting u9 has no influence on butterfly degrees.
   EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, local(f.u2), local(f.u9)), 0u);
@@ -239,7 +246,9 @@ TEST(ButterflyUpdateTest, NoEdgeNoLoss) {
   LabeledGraph g = LabeledGraph::FromEdges(4, std::move(edges), {0, 0, 1, 1});
   auto cg = testing::MakeCandidate(g, {{0, 1}, {2, 3}});  // local ids = graph ids
   std::vector<char> alive(4, 1);
-  LeaderButterflyUpdater updater(*cg);
+  QueryWorkspace ws;
+  LeaderButterflyUpdater updater(*cg, ws.LeaderStamp(cg->NumVertices()),
+                                 ws.LeaderStampCounter());
   EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, 0, 3), 0u);
   EXPECT_EQ(updater.LossOnDeletion(alive, 0, 1, 0, 0), 0u);  // self
 }

@@ -62,7 +62,7 @@ struct ServerHarness {
 
   ~ServerHarness() { Stop(); }
 
-  const BatchResult& Stop() {
+  const StreamSummary& Stop() {
     if (started && loop.joinable()) {
       server.RequestShutdown();
       loop.join();
@@ -81,7 +81,7 @@ struct ServerHarness {
   ServeEngine engine;
   NetServer server;
   std::thread loop;
-  BatchResult result;
+  StreamSummary result;
   bool started = false;
 };
 
@@ -171,10 +171,10 @@ TEST(NetServeTest, PingQueryUpdatePipelinedRoundtrip) {
   EXPECT_EQ(u1.deletes, 1u);
   EXPECT_EQ(q2.epoch, 2u);  // same connection: sees its own update
 
-  const BatchResult& result = harness.Stop();
-  EXPECT_EQ(result.epoch_of.size(), 3u);
-  ASSERT_EQ(result.updates.size(), 1u);
-  EXPECT_TRUE(result.updates[0].applied);
+  const StreamSummary& result = harness.Stop();
+  EXPECT_EQ(result.items, 3u);
+  EXPECT_EQ(result.updates_applied, 1u);
+  EXPECT_EQ(result.updates_rejected, 0u);
 }
 
 // Responses must stream back while the server keeps serving — reading a
@@ -192,8 +192,8 @@ TEST(NetServeTest, CompletionsStreamBeforeDrain) {
     EXPECT_EQ(r.status, "ok");
     EXPECT_EQ(r.id, static_cast<std::uint64_t>(round + 1));
   }
-  const BatchResult& result = harness.Stop();
-  EXPECT_EQ(result.epoch_of.size(), 5u);
+  const StreamSummary& result = harness.Stop();
+  EXPECT_EQ(result.items, 5u);
 }
 
 TEST(NetServeTest, MalformedLinesAnsweredConnectionStaysUsable) {
@@ -279,9 +279,10 @@ TEST(NetServeTest, EngineCompletionsFireBeforeFinishMultiProducer) {
   }
   EXPECT_EQ(completed.load(), kTotal);
 
-  BatchResult result = stream.Finish();
-  EXPECT_EQ(result.epoch_of.size(), static_cast<std::size_t>(kTotal));
-  EXPECT_EQ(result.updates.size(), static_cast<std::size_t>(kProducers));
+  const StreamSummary result = stream.Finish();
+  EXPECT_EQ(result.items, static_cast<std::size_t>(kTotal));
+  EXPECT_EQ(result.updates_applied + result.updates_rejected,
+            static_cast<std::size_t>(kProducers));
   EXPECT_EQ(order_violations.load(), 0u);
 }
 
@@ -375,9 +376,9 @@ TEST(NetServeTest, HundredConnectionsMatchSerializedReplay) {
   }
   for (auto& t : clients) t.join();
   ASSERT_EQ(failures.load(), 0);
-  const BatchResult& live = harness.Stop();
+  const StreamSummary& live = harness.Stop();
   ASSERT_EQ(all.size(), kConns * kPerConn);
-  ASSERT_EQ(live.epoch_of.size(), kConns * kPerConn);
+  ASSERT_EQ(live.items, kConns * kPerConn);
 
   // Every request got an "ok" response (all updates here are valid by
   // construction), and every applied update owns a unique epoch.
@@ -490,10 +491,10 @@ TEST(NetServeTest, ResentUpdateIdAppliesExactlyOnce) {
     EXPECT_EQ(replayed.raw, first.raw);
   }
 
-  const BatchResult& result = harness.Stop();
+  const StreamSummary& result = harness.Stop();
   // Exactly one update reached the engine; the epoch advanced exactly once.
-  ASSERT_EQ(result.updates.size(), 1u);
-  EXPECT_TRUE(result.updates[0].applied);
+  EXPECT_EQ(result.updates_applied, 1u);
+  EXPECT_EQ(result.updates_rejected, 0u);
   EXPECT_EQ(harness.engine.epoch(), 2u);
   EXPECT_EQ(harness.server.stats().keeper.replayed, 1u);
 }
@@ -521,9 +522,9 @@ TEST(NetServeTest, RetryAfterSilentDeathAppliesOnce) {
   EXPECT_EQ(r.epoch, 2u);
   retry.Close();
 
-  const BatchResult& result = harness.Stop();
-  ASSERT_EQ(result.updates.size(), 1u);
-  EXPECT_TRUE(result.updates[0].applied);
+  const StreamSummary& result = harness.Stop();
+  EXPECT_EQ(result.updates_applied, 1u);
+  EXPECT_EQ(result.updates_rejected, 0u);
   EXPECT_EQ(harness.engine.epoch(), 2u);
 }
 
@@ -631,8 +632,9 @@ TEST(NetServeTest, TornMidRequestFragmentNeverApplies) {
     ASSERT_TRUE(barrier.ReadLine(&line));
     EXPECT_EQ(line, "pong");
   }
-  const BatchResult& result = harness.Stop();
-  EXPECT_EQ(result.updates.size(), 0u);  // the torn update never reached the engine
+  const StreamSummary& result = harness.Stop();
+  // The torn update never reached the engine.
+  EXPECT_EQ(result.updates_applied + result.updates_rejected, 0u);
   EXPECT_EQ(harness.engine.epoch(), 1u);
   EXPECT_EQ(harness.server.stats().torn_disconnects, 1u);
 }
@@ -652,12 +654,12 @@ TEST(NetServeTest, ShutdownDrainsAndFlushesTails) {
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
   int got = ParseResponse(line).status == "ok" ? 1 : 0;
-  const BatchResult& result = harness.Stop();
+  const StreamSummary& result = harness.Stop();
   while (client.ReadLine(&line, 5.0)) {
     if (ParseResponse(line).status == "ok") ++got;
   }
   // Every ADMITTED item drained and its response was flushed before close.
-  EXPECT_EQ(got, static_cast<int>(result.epoch_of.size()));
+  EXPECT_EQ(got, static_cast<int>(result.items));
   EXPECT_GE(got, 1);
 }
 

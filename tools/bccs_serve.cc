@@ -66,12 +66,13 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "eval/serve_engine.h"
 #include "eval/timer.h"
@@ -123,8 +124,14 @@ void InstallStopHandlers() {
 }
 
 struct StreamLine {
-  bccs::ServeItem item;
-  std::string text;  // echoed back next to the result
+  bccs::ServeItem item;  // moved into Stream::Submit
+  std::string text;      // echoed back next to the result
+  // Written by the line's completion, read after Finish:
+  std::uint64_t epoch = 0;
+  double seconds = 0;
+  std::size_t members = 0;
+  bool timed_out = false;
+  std::optional<bccs::UpdateOutcome> outcome;  // updates only
 };
 
 enum class LineStatus { kItem, kBlank, kError };
@@ -366,10 +373,11 @@ int main(int argc, char** argv) {
   }
 
   InstallStopHandlers();
-  std::vector<StreamLine> lines;
+  // Stable addresses: each line's completion writes into its own element
+  // while later lines are still being appended.
+  std::deque<StreamLine> lines;
   bool parse_ok = true;
-  bccs::BatchResult result;
-  std::size_t served_count = 0;
+  bccs::StreamSummary summary;
   if (listen_mode) {
     // TCP server mode: the socket front-end drives the same stream — each
     // connection is one producer into Stream::Submit, each completed item
@@ -393,12 +401,11 @@ int main(int argc, char** argv) {
     std::printf("listening on %s:%d (max %zu connections)\n", nopts.bind_address.c_str(),
                 server.port(), nopts.max_connections);
     std::fflush(stdout);
-    result = server.Run();
+    summary = server.Run();
     g_server.store(nullptr, std::memory_order_release);
-    served_count = result.epoch_of.size();
     if (g_stop_signal != 0) {
       std::printf("signal %d: drained %zu admitted items and flushed tails\n",
-                  static_cast<int>(g_stop_signal), served_count);
+                  static_cast<int>(g_stop_signal), summary.items);
     }
     const bccs::NetServerStats& net = server.stats();
     std::printf("net: %llu connections accepted (%llu over capacity), %llu requests, "
@@ -437,16 +444,23 @@ int main(int argc, char** argv) {
           parse_ok = false;
           break;
         }
-        stream.Submit(sl.item);
-        lines.push_back(std::move(sl));
+        StreamLine* slot = &lines.emplace_back(std::move(sl));
+        stream.Submit(std::move(slot->item), [slot](const bccs::ItemCompletion& c) {
+          slot->epoch = c.epoch;
+          slot->seconds = c.seconds;
+          if (c.community != nullptr) {
+            slot->members = c.community->Size();
+            slot->timed_out = c.stats->timed_out;
+          }
+          if (c.outcome != nullptr) slot->outcome = *c.outcome;
+        });
       }
     }
     if (g_stop_signal != 0) {
       std::printf("signal %d: admission stopped, draining %zu admitted items\n",
                   static_cast<int>(g_stop_signal), lines.size());
     }
-    result = stream.Finish();
-    served_count = lines.size();
+    summary = stream.Finish();
   }
   if (compactor != nullptr) {
     // One last threshold check on this thread: a short-lived stream can end
@@ -460,34 +474,28 @@ int main(int argc, char** argv) {
   if (!parse_ok && lines.empty()) return 2;
 
   if (!args.Has("quiet")) {
-    std::size_t next_update = 0;  // result.updates is in admission order
     for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (std::holds_alternative<bccs::QueryRequest>(lines[i].item)) {
+      const StreamLine& l = lines[i];
+      if (!l.outcome) {
         std::printf("[%zu] epoch=%llu %s -> %zu members%s  (%.6f s)\n", i,
-                    static_cast<unsigned long long>(result.epoch_of[i]),
-                    lines[i].text.c_str(), result.communities[i].Size(),
-                    result.stats[i].timed_out ? " (timed out)" : "", result.seconds[i]);
+                    static_cast<unsigned long long>(l.epoch), l.text.c_str(), l.members,
+                    l.timed_out ? " (timed out)" : "", l.seconds);
       } else {
-        const bccs::UpdateOutcome* outcome =
-            next_update < result.updates.size() ? &result.updates[next_update++] : nullptr;
-        if (outcome == nullptr || outcome->item_index != i) continue;
         std::printf("[%zu] epoch=%llu %s %s%s%s  (%.6f s)\n", i,
-                    static_cast<unsigned long long>(result.epoch_of[i]),
-                    lines[i].text.c_str(), outcome->applied ? "applied" : "rejected: ",
-                    outcome->applied ? "" : outcome->error.c_str(),
-                    outcome->applied ? "" : " (epoch unchanged)", result.seconds[i]);
+                    static_cast<unsigned long long>(l.epoch), l.text.c_str(),
+                    l.outcome->applied ? "applied" : "rejected: ",
+                    l.outcome->applied ? "" : l.outcome->error.c_str(),
+                    l.outcome->applied ? "" : " (epoch unchanged)", l.seconds);
       }
     }
   }
 
-  std::size_t applied = 0;
-  for (const auto& u : result.updates) applied += u.applied ? 1 : 0;
   std::printf("served %zu items (%zu updates, %zu applied) on %zu workers in %.4fs; "
               "final epoch %llu; %zu timed out\n",
-              served_count, result.updates.size(), applied, result.threads_used,
-              result.latency.wall_seconds, static_cast<unsigned long long>(engine.epoch()),
-              result.timed_out);
-  for (const bccs::LaneSummary& lane : result.lanes) {
+              summary.items, summary.updates_applied + summary.updates_rejected,
+              summary.updates_applied, summary.threads_used, summary.latency.wall_seconds,
+              static_cast<unsigned long long>(engine.epoch()), summary.timed_out);
+  for (const bccs::LaneSummary& lane : summary.lanes) {
     std::printf("lane %-11s %zu queries  max_inflight=%zu  sojourn p50=%.6fs p90=%.6fs "
                 "p99=%.6fs\n",
                 bccs::Name(lane.lane), lane.queries, lane.max_inflight,
@@ -495,16 +503,15 @@ int main(int argc, char** argv) {
                 lane.latency.p99_seconds);
   }
   {
-    bccs::SearchStats sum;
-    for (const auto& s : result.stats) sum += s;
+    const bccs::SearchStats& sum = summary.totals;
     std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs leader=%.4fs  "
                 "(counting calls=%zu)\n",
                 sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
                 sum.leader_update_seconds, sum.butterfly_counting_calls);
   }
-  if (result.result_cache_enabled) {
-    const bccs::ResultCacheStats& rc = result.result_cache;
-    const bccs::BlockCacheStats& pc = result.pair_cache;
+  if (summary.result_cache_enabled) {
+    const bccs::ResultCacheStats& rc = summary.result_cache;
+    const bccs::BlockCacheStats& pc = summary.pair_cache;
     const std::uint64_t rc_total = rc.hits + rc.misses;
     std::printf("cache: result %llu/%llu hits (%.1f%%), %zu entries, %llu evictions, "
                 "%llu stale; pairs %llu/%llu hits\n",
