@@ -464,26 +464,17 @@ void BM_ApplyUpdates(benchmark::State& state) {
 BENCHMARK(BM_ApplyUpdates)->Unit(benchmark::kMillisecond);
 
 // The admission queue's cost per served item, single-threaded: admit one
-// query carrying the serving stream's payload shape (request, completion,
-// request id, admit time, two epoch pins), pop it and release its lane slot.
+// query carrying the serving stream's ticket payload (AdmittedItem: request,
+// completion, request id, admit time), pop it and release its lane slot.
 void BM_AdmissionQueue(benchmark::State& state) {
-  struct StreamItem {
-    ServeItem request;
-    CompletionFn done;
-    std::uint64_t request_id = 0;
-    double admit_seconds = 0;
-    std::shared_ptr<int> epoch;
-    std::shared_ptr<int> publish;
-  };
-  AdmissionQueue<StreamItem> queue(/*aging_period=*/8, {});
+  AdmissionQueue<AdmittedItem> queue(/*aging_period=*/8, {});
   QueryRequest q;
   q.query = BccQuery{0, 1};
   q.lane = Lane::kInteractive;
-  const auto pin = std::make_shared<int>(0);
   std::uint64_t id = 0;
-  AdmissionQueue<StreamItem>::Ticket t;
+  AdmissionQueue<AdmittedItem>::Ticket t;
   for (auto _ : state) {
-    queue.AdmitQuery(q.lane, {q, [](const ItemCompletion&) {}, ++id, 0.0, pin, nullptr});
+    queue.AdmitQuery(q.lane, {q, [](const ItemCompletion&) {}, ++id, 0.0});
     queue.Pop(&t);
     queue.CompleteQuery(t.lane);
     benchmark::DoNotOptimize(t.item.request_id);

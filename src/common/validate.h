@@ -55,6 +55,26 @@ ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs = 
 ValidationResult ValidateChangelogChain(const std::string& snapshot_path,
                                         std::uint64_t base_seq);
 
+/// A copy of the serve engine's epoch-history bookkeeping, snapshotted
+/// under the stream lock (the engine builds this; tests build it by hand).
+struct EpochHistoryView {
+  struct Slot {
+    std::uint64_t epoch = 0;  // meaningful when has_state
+    std::size_t pending = 0;  // queries pinned to the slot
+    bool has_state = false;   // slot still holds a (graph, index) pair
+  };
+  std::vector<Slot> slots;
+  std::size_t published = 0;       // leading slots with published state
+  std::size_t release_cursor = 0;  // first slot that may still hold state
+  std::size_t updates_admitted = 0;
+};
+
+/// Epoch-history invariants: one slot per admitted update plus the base
+/// slot, a released prefix that is fully drained and empty, a published
+/// window that still holds state with monotone epochs, and no state in
+/// slots not yet published.
+ValidationResult ValidateEpochHistory(const EpochHistoryView& h);
+
 /// Raw-array access and construction seams for the validators and their
 /// tests. The audits must read fields the public API hides (and the tests
 /// must build deliberately malformed structures the public constructors

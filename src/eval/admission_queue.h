@@ -50,10 +50,10 @@ struct AdmissionCaps {
 ///      workers never busy-wait on an epoch — blocked queries simply stay
 ///      queued while runnable ones behind *older* epochs drain.
 ///
-/// Each ticket carries its `Item` (the serving stream's: the request, its
-/// completion callback and admission facts) from Admit* to the one Pop that
-/// moves it out, so the queue is the item's only home until a worker runs
-/// it. Admission indices are dense stream positions (0, 1, 2, ...) shared
+/// Each ticket carries its `Item` (the serving stream's AdmittedItem: the
+/// request, its completion callback and admission facts) from Admit* to the
+/// one Pop that moves it out, so the queue is the item's only home until a
+/// worker runs it. Admission indices are dense stream positions (0, 1, 2, ...) shared
 /// by queries and updates.
 ///
 /// Thread safety: every method is safe to call concurrently. Close() makes
@@ -207,6 +207,14 @@ class AdmissionQueue {
   std::size_t admitted() const {
     MutexLock lock(mutex_);
     return admitted_;
+  }
+  std::size_t updates_admitted() const {
+    MutexLock lock(mutex_);
+    return updates_admitted_;
+  }
+  std::size_t resolved_updates() const {
+    MutexLock lock(mutex_);
+    return resolved_updates_;
   }
   /// High-water mark of concurrently executing queries per lane.
   std::size_t max_inflight(Lane lane) const {

@@ -110,26 +110,20 @@ struct UpdateOutcome {
   double seconds = 0;        // validation + graph rebuild + index repair
 };
 
-/// Result of a batch: per-item outputs in input order plus the summary.
-/// In a mixed query/update stream, `latency` (and the per-lane summaries)
-/// cover query items only; update slots report through `updates`, with
-/// their apply duration also mirrored into their `seconds` slot.
-struct BatchResult {
-  std::vector<Community> communities;
-  std::vector<SearchStats> stats;
-  std::vector<double> seconds;  // per-query execution latency
-  BatchLatency latency;
+/// What a finished serving stream reports (ServeEngine::Stream::Finish):
+/// totals folded from its items' completions, the per-lane sojourn
+/// percentiles, and the engine's counters at finish. Nothing in it grows
+/// with the number of items.
+struct StreamSummary {
+  std::size_t items = 0;  // queries and updates admitted (all completed)
+  std::size_t updates_applied = 0;
+  std::size_t updates_rejected = 0;
+  std::size_t timed_out = 0;  // queries whose deadline expired
+  SearchStats totals;         // summed over the queries
+  double wall_seconds = 0;    // stream open -> drained
+  std::vector<LaneSummary> lanes;  // per-lane percentiles over sojourn
   std::size_t threads_used = 0;
   WorkspaceStats workspace_stats;  // aggregated over worker workspaces
-
-  // Filled by ServeEngine::Serve only (empty for the raw Run* paths):
-  std::vector<double> sojourn_seconds;  // batch submission -> query completion
-  std::vector<LaneSummary> lanes;       // per-lane percentiles over sojourn
-  std::size_t timed_out = 0;            // queries whose deadline expired
-
-  // Filled by the mixed-stream ServeEngine::Serve only:
-  std::vector<UpdateOutcome> updates;    // per UpdateRequest, in stream order
-  std::vector<std::uint64_t> epoch_of;   // epoch each item executed in
 
   // Caching-tier counters at stream finish (ServeEngine streams only).
   // The result-cache counters are engine-cumulative (the cache outlives
@@ -138,6 +132,26 @@ struct BatchResult {
   bool result_cache_enabled = false;
   ResultCacheStats result_cache;
   BlockCacheStats pair_cache;
+};
+
+/// Result of a batch: the stream summary plus per-item outputs in input
+/// order. In a mixed query/update stream, `latency` (and the per-lane
+/// summaries) cover query items only; update slots report through
+/// `updates`, with their apply duration also mirrored into their `seconds`
+/// slot. The raw Run* paths fill only the per-item answers, `latency`,
+/// `threads_used` and `workspace_stats`.
+struct BatchResult : StreamSummary {
+  std::vector<Community> communities;
+  std::vector<SearchStats> stats;
+  std::vector<double> seconds;  // per-query execution latency
+  BatchLatency latency;
+
+  // Filled by ServeEngine::Serve only (empty for the raw Run* paths):
+  std::vector<double> sojourn_seconds;  // batch submission -> query completion
+
+  // Filled by the mixed-stream ServeEngine::Serve only:
+  std::vector<UpdateOutcome> updates;    // per UpdateRequest, in stream order
+  std::vector<std::uint64_t> epoch_of;   // epoch each item executed in
 };
 
 /// Fixed worker pool. Each worker owns a persistent QueryWorkspace, so

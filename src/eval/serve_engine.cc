@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/validate.h"
 #include "eval/timer.h"
 #include "graph/changelog.h"
 #include "graph/graph_delta.h"
@@ -61,45 +62,43 @@ bool BuildCacheKey(const QueryRequest& req, const LabeledGraph& g, ResultCacheKe
 }  // namespace
 
 /// All mutable state of one stream. An admitted item lives in its admission
-/// ticket (Item) until a worker pops it, runs it on locals and reports it
-/// through its completion; what stays behind is the summary fold below.
+/// ticket (AdmittedItem) until a worker pops it, runs it on locals and
+/// reports it through its completion; what stays behind per item is one
+/// sojourn sample per query and one history slot per update.
 ///
-/// Epoch slots are shared EpochStates: each query ticket holds the slot it
-/// pins, each update ticket its base slot and the slot it publishes. A slot
-/// is released with its last ticket, so an old epoch goes as soon as the
-/// update built on it and the queries pinned to it have completed. The
-/// queue's epoch gating orders every write of a slot (the update's, before
-/// PublishUpdate) before every read (after Pop).
+/// Producers (Stream::Submit — any number of threads, one per connection
+/// in the socket front-end) extend the epoch history and admit into the
+/// queue under `mutex`, so a query's ticket epoch slot always names the
+/// history slot that was newest at its admission. A worker learns a slot
+/// only from Pop(), which happens-after that bookkeeping.
 struct StreamState {
-  using Slot = std::shared_ptr<ServeEngine::EpochState>;
-
-  /// What an admission ticket carries from Submit to the worker.
-  struct Item {
-    ServeItem request;
-    CompletionFn done;
-    std::uint64_t request_id = 0;
-    double admit_seconds = 0;
-    /// A query's pinned slot; an update's base slot.
-    Slot epoch;
-    /// Updates: the slot this update publishes.
-    Slot publish;
-  };
-
-  StreamState(ServeEngine* e, std::size_t aging_period, AdmissionCaps caps, Slot head)
-      : engine(e), queue(aging_period, caps), newest(std::move(head)) {}
+  StreamState(ServeEngine* e, std::size_t aging_period, AdmissionCaps caps,
+              ServeEngine::EpochState head)
+      : engine(e), queue(aging_period, caps) {
+    history.push_back({std::move(head), 0});
+  }
 
   ServeEngine* engine;
-  AdmissionQueue<Item> queue;
+  AdmissionQueue<AdmittedItem> queue;
   Timer wall;  // stream-open reference clock (admit/sojourn times)
 
   Mutex mutex;  // guards everything below
-  /// The slot the next admitted query pins: the one the newest admitted
-  /// update publishes, or the engine head at open.
-  Slot newest GUARDED_BY(mutex);
-  // The summary fold: two samples per query, counters otherwise. Deques
-  // grow in fixed blocks, so a long-lived stream holds 16 bytes per query
+  /// Copy-on-write epoch history: history[s] is the state observed by
+  /// queries admitted after s updates. Slot 0 is published at open; slot
+  /// u+1 is written when the u-th update resolves, just before the queue
+  /// publishes it. `pending` counts admitted-but-not-completed queries
+  /// pinned to the slot; a drained slot whose successor is written releases
+  /// its shared_ptrs (the copy-on-write garbage collection).
+  struct HistorySlot {
+    ServeEngine::EpochState state;
+    std::size_t pending = 0;
+  };
+  std::deque<HistorySlot> history GUARDED_BY(mutex);
+  // First slot that may still hold state.
+  std::size_t release_cursor GUARDED_BY(mutex) = 0;
+  // The summary fold: one sample per query, counters otherwise. Deques
+  // grow in fixed blocks, so a long-lived stream holds 8 bytes per query
   // and no reallocation slack.
-  std::deque<double> query_seconds GUARDED_BY(mutex);
   std::deque<double> lane_sojourn[2] GUARDED_BY(mutex);  // indexed by Lane
   SearchStats totals GUARDED_BY(mutex);
   std::size_t timed_out GUARDED_BY(mutex) = 0;
@@ -113,6 +112,19 @@ struct StreamState {
   /// the workspaces after Wait returns would race the next job on a shared
   /// runner.
   WorkspaceStats drain_stats;
+
+  /// Releases drained old epochs. Slots gain pending queries only while
+  /// they are the newest admitted slot, so a drained slot whose successor
+  /// is already written can never be pinned again, and the update built on
+  /// it holds its own copy of the base state.
+  void ReleaseDrainedHistory() REQUIRES(mutex) {
+    while (release_cursor + 1 < history.size() &&
+           history[release_cursor + 1].state.graph != nullptr &&
+           history[release_cursor].pending == 0) {
+      history[release_cursor].state = ServeEngine::EpochState{};
+      ++release_cursor;
+    }
+  }
 };
 
 ServeEngine::ServeEngine(BatchRunner& runner, const LabeledGraph& g, const BcIndex* index,
@@ -237,21 +249,26 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
 }
 
 void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
-  using Ticket = AdmissionQueue<StreamState::Item>::Ticket;
+  using Ticket = AdmissionQueue<AdmittedItem>::Ticket;
   for (;;) {
-    // A fresh ticket per item: the previous one's pins and callback are
+    // A fresh ticket per item: the previous one's request and callback are
     // released at the end of its iteration, outside every lock.
     Ticket t;
     if (!state.queue.Pop(&t)) return;
-    StreamState::Item& item = t.item;
+    AdmittedItem& item = t.item;
     ItemCompletion c;
     c.index = t.index;
     c.request_id = item.request_id;
 
     if (t.kind == Ticket::Kind::kUpdate) {
-      // The base slot was published before the queue handed this update
-      // out (one update in flight, in order).
-      const EpochState& base = *item.epoch;
+      // The base slot was written before the queue handed this update out
+      // (one update in flight, in order).
+      const std::size_t u = t.update_ordinal;
+      EpochState base;
+      {
+        MutexLock lock(state.mutex);
+        base = state.history[u].state;
+      }
       UpdateOutcome outcome;
       outcome.item_index = t.index;
       Timer apply;
@@ -290,15 +307,15 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       }
       outcome.seconds = apply.Seconds();
       outcome.epoch = next.epoch;
-      *item.publish = std::move(next);
       {
         MutexLock lock(state.mutex);
+        state.history[u + 1].state = std::move(next);
+        state.ReleaseDrainedHistory();
         ++(outcome.applied ? state.updates_applied : state.updates_rejected);
       }
+      base = EpochState{};  // drop the base pin before the report
       c.sojourn_seconds = state.wall.Seconds() - item.admit_seconds;
-      item.epoch.reset();
-      item.publish.reset();
-      // Resolve on the queue AFTER the slot write: Pop()'s mutex
+      // Resolve on the queue AFTER the history write: Pop()'s mutex
       // acquisition gives any worker that observes the resolution a
       // happens-before edge to the new state.
       state.queue.PublishUpdate();
@@ -314,9 +331,14 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       continue;
     }
 
-    // Query: the queue releases it only once its slot is published, so the
-    // pinned state is complete; execute against it unlocked.
-    const EpochState& pinned = *item.epoch;
+    // Query: pin the admission-time epoch (the queue guarantees it is
+    // published by now), then execute against it unlocked — a concurrent
+    // update publish cannot invalidate the pinned shared_ptrs.
+    EpochState pinned;
+    {
+      MutexLock lock(state.mutex);
+      pinned = state.history[t.epoch_slot].state;
+    }
     const QueryRequest& req = std::get<QueryRequest>(item.request);
     Community community;
     SearchStats stats;
@@ -347,12 +369,12 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     c.epoch = pinned.epoch;
     {
       MutexLock lock(state.mutex);
-      state.query_seconds.push_back(c.seconds);
       state.lane_sojourn[static_cast<std::size_t>(t.lane)].push_back(c.sojourn_seconds);
       state.totals += stats;
       state.timed_out += stats.timed_out ? 1 : 0;
+      if (--state.history[t.epoch_slot].pending == 0) state.ReleaseDrainedHistory();
     }
-    item.epoch.reset();  // unpin: the epoch may be released now
+    pinned = EpochState{};  // drop the pin before (not while) holding queue locks
     // After CompleteQuery: the lane slot is free while the caller's
     // callback runs, so a slow consumer delays only this worker's next
     // dequeue, never the lane's concurrency budget.
@@ -384,30 +406,29 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
     std::abort();
   }
   BCCS_CHECK(on_complete != nullptr) << "Stream::Submit needs a completion";
-  StreamState::Item ticket;
+  AdmittedItem ticket;
   ticket.request = std::move(item);
   ticket.done = std::move(on_complete);
   const auto* q = std::get_if<QueryRequest>(&ticket.request);
-  const Lane lane = q != nullptr ? q->lane : Lane::kBulk;
-  const std::uint64_t client_id = q != nullptr ? q->request_id : 0;
-  if (q == nullptr) ticket.publish = std::make_shared<EpochState>();
-  // Request ids, epoch slots and queue positions all follow one admission
-  // order: the order producers win this lock. So a query's id and epoch
-  // depend only on its admission position, exactly as in a serialized
-  // replay. Lock order stream mutex -> queue mutex; a worker never holds
-  // both (Pop returns before it takes the stream mutex), so the nesting is
-  // acyclic (DESIGN.md, serving contract 5).
+  // Request ids, history slots and queue positions all follow one
+  // admission order: the order producers win this lock. So a query's id
+  // and epoch depend only on its admission position, exactly as in a
+  // serialized replay, and the queue's epoch slot of a query names the
+  // history slot counted here. Lock order stream mutex -> queue mutex; a
+  // worker never holds both (Pop returns before it takes the stream
+  // mutex), so the nesting is acyclic (DESIGN.md, serving contract 5).
   MutexLock lock(s.mutex);
   // Every item consumes one request id (updates too).
   const std::uint64_t id = s.engine->next_request_id_.fetch_add(1);
-  ticket.request_id = client_id != 0 ? client_id : id;
+  ticket.request_id = q != nullptr && q->request_id != 0 ? q->request_id : id;
   ticket.admit_seconds = s.wall.Seconds();
-  ticket.epoch = s.newest;
   const std::uint64_t reported = ticket.request_id;
   if (q != nullptr) {
+    ++s.history.back().pending;
+    const Lane lane = q->lane;
     s.queue.AdmitQuery(lane, std::move(ticket));
   } else {
-    s.newest = ticket.publish;
+    s.history.emplace_back();  // the slot this update will publish
     s.queue.AdmitUpdate(std::move(ticket));
   }
   return reported;
@@ -426,25 +447,36 @@ StreamSummary ServeEngine::Stream::Finish() {
   // fold is GUARDED_BY the stream mutex — hold it (uncontended) so the
   // annotation holds here too.
   MutexLock lock(s.mutex);
-  // Every update has resolved, so the newest slot is the published head.
-  BCCS_DCHECK(s.newest->graph != nullptr) << "stream finished with an unpublished slot";
+#if BCCS_DCHECK_IS_ON
+  {
+    // The drained stream must leave the copy-on-write bookkeeping coherent
+    // with the queue's counts: one slot per admitted update plus the base,
+    // every slot published, and every slot behind the head released.
+    EpochHistoryView view;
+    view.published = s.queue.resolved_updates() + 1;
+    view.release_cursor = s.release_cursor;
+    view.updates_admitted = s.queue.updates_admitted();
+    for (const StreamState::HistorySlot& slot : s.history) {
+      view.slots.push_back({slot.state.epoch, slot.pending, slot.state.graph != nullptr});
+    }
+    const ValidationResult audit = ValidateEpochHistory(view);
+    BCCS_DCHECK(audit.ok) << "epoch history audit: " << audit.reason;
+  }
+#endif
   out.items = s.queue.admitted();
   out.updates_applied = s.updates_applied;
   out.updates_rejected = s.updates_rejected;
   out.timed_out = s.timed_out;
   out.totals = s.totals;
-  auto summarize = [wall_seconds](const std::deque<double>& samples) {
-    const std::vector<double> flat(samples.begin(), samples.end());
-    return SummarizeLatency(flat, wall_seconds);
-  };
-  out.latency = summarize(s.query_seconds);
+  out.wall_seconds = wall_seconds;
   for (Lane lane : {Lane::kInteractive, Lane::kBulk}) {
     const std::deque<double>& sojourn = s.lane_sojourn[static_cast<std::size_t>(lane)];
     if (sojourn.empty()) continue;
     LaneSummary summary;
     summary.lane = lane;
     summary.queries = sojourn.size();
-    summary.latency = summarize(sojourn);
+    summary.latency =
+        SummarizeLatency(std::vector<double>(sojourn.begin(), sojourn.end()), wall_seconds);
     summary.max_inflight = s.queue.max_inflight(lane);
     out.lanes.push_back(summary);
   }
@@ -452,17 +484,18 @@ StreamSummary ServeEngine::Stream::Finish() {
   out.workspace_stats = s.drain_stats;
   out.result_cache_enabled = s.engine->result_cache_ != nullptr;
   out.result_cache = s.engine->result_cache_stats();
-  // The newest slot IS the engine's current state; read it here (under
-  // s.mutex) rather than through the engine head to keep the lock sets
-  // disjoint.
-  if (s.newest->index != nullptr) out.pair_cache = s.newest->index->PairCacheStats();
+  // Every update has resolved, so the newest slot IS the engine's current
+  // state; read it here (under s.mutex) rather than through the engine head
+  // to keep the lock sets disjoint.
+  if (const auto& head = s.history.back().state; head.index != nullptr) {
+    out.pair_cache = head.index->PairCacheStats();
+  }
   return out;
 }
 
 std::unique_ptr<StreamState> ServeEngine::MakeStreamState() {
   MutexLock lock(state_mutex_);
-  return std::make_unique<StreamState>(this, opts_.aging_period, opts_.caps,
-                                       std::make_shared<EpochState>(current_));
+  return std::make_unique<StreamState>(this, opts_.aging_period, opts_.caps, current_);
 }
 
 void ServeEngine::StartDrain(StreamState& state) {
@@ -475,46 +508,56 @@ ServeEngine::Stream ServeEngine::OpenStream() {
   return Stream(std::move(state));
 }
 
-BatchResult ServeEngine::RunStream(std::span<const ServeItem> items) {
+std::vector<CompletionFn> CollectInto(std::span<const ServeItem> items, BatchResult* out) {
   const std::size_t n = items.size();
-  BatchResult out;
-  out.communities.resize(n);
-  out.stats.resize(n);
-  out.seconds.resize(n);
-  out.sojourn_seconds.resize(n);
-  out.epoch_of.resize(n);
-  out.updates.resize(static_cast<std::size_t>(std::count_if(
+  out->communities.resize(n);
+  out->stats.resize(n);
+  out->seconds.resize(n);
+  out->sojourn_seconds.resize(n);
+  out->epoch_of.resize(n);
+  out->updates.resize(static_cast<std::size_t>(std::count_if(
       items.begin(), items.end(),
       [](const ServeItem& item) { return std::holds_alternative<UpdateRequest>(item); })));
-  // All items are known up front: admit them all before the drain starts,
-  // so the first claims already see the whole batch. Each completion writes
-  // only its own item's slots; Finish orders those writes before the return.
-  Stream stream(MakeStreamState());
-  UpdateOutcome* next_update = out.updates.data();
+  std::vector<CompletionFn> collect;
+  collect.reserve(n);
+  UpdateOutcome* next_update = out->updates.data();
   for (std::size_t i = 0; i < n; ++i) {
     UpdateOutcome* outcome_slot =
         std::holds_alternative<UpdateRequest>(items[i]) ? next_update++ : nullptr;
-    stream.Submit(items[i], [&out, i, outcome_slot](const ItemCompletion& c) {
-      out.seconds[i] = c.seconds;
-      out.sojourn_seconds[i] = c.sojourn_seconds;
-      out.epoch_of[i] = c.epoch;
+    collect.push_back([out, i, outcome_slot](const ItemCompletion& c) {
+      out->seconds[i] = c.seconds;
+      out->sojourn_seconds[i] = c.sojourn_seconds;
+      out->epoch_of[i] = c.epoch;
       if (c.community != nullptr) {
-        out.communities[i] = std::move(*c.community);
-        out.stats[i] = *c.stats;
+        out->communities[i] = std::move(*c.community);
+        out->stats[i] = *c.stats;
       }
       if (c.outcome != nullptr) *outcome_slot = *c.outcome;
     });
   }
+  return collect;
+}
+
+BatchResult ServeEngine::RunStream(std::span<const ServeItem> items) {
+  BatchResult out;
+  std::vector<CompletionFn> collect = CollectInto(items, &out);
+  // All items are known up front: admit them all before the drain starts,
+  // so the first claims already see the whole batch. Each completion writes
+  // only its own item's slots; Finish orders those writes before the reads
+  // below.
+  Stream stream(MakeStreamState());
+  for (std::size_t i = 0; i < items.size(); ++i) stream.Submit(items[i], std::move(collect[i]));
   StartDrain(*stream.state_);
-  StreamSummary summary = stream.Finish();
-  out.latency = summary.latency;
-  out.threads_used = summary.threads_used;
-  out.workspace_stats = summary.workspace_stats;
-  out.lanes = std::move(summary.lanes);
-  out.timed_out = summary.timed_out;
-  out.result_cache_enabled = summary.result_cache_enabled;
-  out.result_cache = summary.result_cache;
-  out.pair_cache = summary.pair_cache;
+  static_cast<StreamSummary&>(out) = stream.Finish();
+  // The latency summary describes query serving only: an update's seconds
+  // slot holds its preparation time, which would smear a slow repair into
+  // the query percentiles.
+  std::vector<double> query_seconds;
+  query_seconds.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (std::holds_alternative<QueryRequest>(items[i])) query_seconds.push_back(out.seconds[i]);
+  }
+  out.latency = SummarizeLatency(query_seconds, out.wall_seconds);
   return out;
 }
 

@@ -73,9 +73,10 @@ class Changelog;
 ///      the epoch either executed in. Until a worker pops it, the item lives
 ///      only in its admission ticket; after the callback it is gone, so a
 ///      long-lived stream (the socket server's) keeps nothing per item but
-///      two latency samples per query. Stream::Finish() returns a
-///      StreamSummary folded from the same completions. RunStream/Serve
-///      collect their per-item BatchResult through a collecting completion.
+///      one sojourn sample per query, and one epoch-history slot per update.
+///      Stream::Finish() returns a StreamSummary folded from the same
+///      completions. RunStream/Serve collect their per-item BatchResult
+///      through CollectInto's completions.
 
 /// A method-erased serving request: what to search for, which algorithm to
 /// plan it onto, how urgent it is, and how long it may run.
@@ -149,26 +150,21 @@ struct ItemCompletion {
 /// different workers concurrently.
 using CompletionFn = std::function<void(const ItemCompletion&)>;
 
-/// What a finished stream reports: totals folded from its items'
-/// completions, the query latency percentiles, and the engine's counters
-/// at finish. Nothing in it grows with the number of items.
-struct StreamSummary {
-  std::size_t items = 0;  // queries and updates admitted (all completed)
-  std::size_t updates_applied = 0;
-  std::size_t updates_rejected = 0;
-  std::size_t timed_out = 0;  // queries whose deadline expired
-  SearchStats totals;         // summed over the queries
-  /// Over query execution times only: an update's preparation would smear
-  /// a slow repair into the query percentiles.
-  BatchLatency latency;
-  std::vector<LaneSummary> lanes;  // per-lane percentiles over sojourn
-  std::size_t threads_used = 0;
-  WorkspaceStats workspace_stats;  // aggregated over worker workspaces
-  // Caching-tier counters at finish, as in BatchResult.
-  bool result_cache_enabled = false;
-  ResultCacheStats result_cache;
-  BlockCacheStats pair_cache;
+/// What an admitted item carries in its AdmissionQueue ticket from
+/// Stream::Submit to the worker that pops it. The queue ticket adds the
+/// item's admission index and epoch slot (or update ordinal).
+struct AdmittedItem {
+  ServeItem request;
+  CompletionFn done;
+  std::uint64_t request_id = 0;
+  double admit_seconds = 0;  // on the stream's clock
 };
+
+/// Sizes `out`'s per-item vectors for `items` and returns one collecting
+/// completion per item: item i's completion writes only item i's slots
+/// (moving the community out) and, for the k-th update of `items`,
+/// out->updates[k]. RunStream collects its BatchResult this way.
+std::vector<CompletionFn> CollectInto(std::span<const ServeItem> items, BatchResult* out);
 
 /// Engine-wide configuration: the streaming scheduler's knobs and the
 /// result cache. Every method runs with the paper's options

@@ -493,7 +493,7 @@ int main(int argc, char** argv) {
   std::printf("served %zu items (%zu updates, %zu applied) on %zu workers in %.4fs; "
               "final epoch %llu; %zu timed out\n",
               summary.items, summary.updates_applied + summary.updates_rejected,
-              summary.updates_applied, summary.threads_used, summary.latency.wall_seconds,
+              summary.updates_applied, summary.threads_used, summary.wall_seconds,
               static_cast<unsigned long long>(engine.epoch()), summary.timed_out);
   for (const bccs::LaneSummary& lane : summary.lanes) {
     std::printf("lane %-11s %zu queries  max_inflight=%zu  sojourn p50=%.6fs p90=%.6fs "
