@@ -5,12 +5,15 @@
 // Find-G0 with and without the BC-index, one label's k-core forest build,
 // and the index-backed query-group resolve, candidate-graph build, seed
 // butterfly count, first core cascade and initial query-distance BFS on one
-// Find-G0 candidate; the BC-index's incremental update repair; and the
-// serving admission queue.
+// Find-G0 candidate; the query-distance repairs of one orkut peel; the
+// BC-index's incremental update repair; and the serving admission queue,
+// request-line parser and result-cache lookup.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "bcc/bc_index.h"
 #include "bcc/candidate.h"
@@ -26,9 +29,11 @@
 #include "core/core_forest.h"
 #include "eval/admission_queue.h"
 #include "eval/datasets.h"
+#include "eval/result_cache.h"
 #include "eval/serve_engine.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
+#include "net/line_protocol.h"
 
 namespace {
 
@@ -155,33 +160,28 @@ void BM_SearchFastDistances(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchFastDistances);
 
-// One LP-shaped peel of PeelFixture's query on its candidate graph G[G0],
-// recorded once: every step deletes the farthest query-distance level plus
-// its core cascade (GroupedCandidate::RemoveAndMaintain), as PeelToMbcc does
-// when no butterfly check stops it early. Ids are candidate-local;
-// `alive[i]` is the candidate after step i (`alive[0]` is G0), `removed[i]`
-// the vertices step i deleted.
+// One LP-shaped peel of a query on its candidate graph G[G0], recorded
+// once: every step deletes the farthest query-distance level plus its core
+// cascade (GroupedCandidate::RemoveAndMaintain), as PeelToMbcc does when no
+// butterfly check stops it early. Ids are candidate-local; `alive[i]` is
+// the candidate after step i (`alive[0]` is G0), `removed[i]` the vertices
+// step i deleted.
 struct RepairReplay {
-  PeelFixture f;
-  G0Result g0;
+  const LabeledGraph* g = nullptr;
   VertexId ql = 0, qr = 0;
   std::vector<std::vector<char>> alive;
   std::vector<std::vector<VertexId>> removed;
 
-  const LabeledGraph& graph() const { return g0.graph->graph(); }
-
-  RepairReplay() {
-    g0 = FindG0(f.pg.graph, f.q, BccParams{}, nullptr);
-    const LabeledGraph& g = graph();
-    ql = g0.graph->ToLocal(f.q.ql);
-    qr = g0.graph->ToLocal(f.q.qr);
+  RepairReplay(const G0Result& g0, const BccQuery& q) : g(&g0.graph->graph()) {
+    ql = g0.graph->ToLocal(q.ql);
+    qr = g0.graph->ToLocal(q.qr);
     QueryWorkspace ws;
     GroupedCandidate cand(*g0.graph, {g0.k1, g0.k2}, ws);
     alive.push_back(cand.alive());
     DistanceMap dl, dr;
     std::vector<VertexId> changed;
-    BfsDistances(g, cand.alive(), ql, &dl);
-    BfsDistances(g, cand.alive(), qr, &dr);
+    BfsDistances(*g, cand.alive(), ql, &dl);
+    BfsDistances(*g, cand.alive(), qr, &dr);
     while (cand.IsAlive(ql) && cand.IsAlive(qr) && dl.Get(qr) != kInfDistance) {
       std::vector<VertexId> batch;
       std::uint32_t far = 0;
@@ -197,19 +197,18 @@ struct RepairReplay {
       if (batch.empty()) break;
       removed.push_back(cand.RemoveAndMaintain(batch, [](VertexId) {}));
       alive.push_back(cand.alive());
-      UpdateDistancesAfterDeletion(g, cand.alive(), removed.back(), &dl, &changed);
-      UpdateDistancesAfterDeletion(g, cand.alive(), removed.back(), &dr, &changed);
+      UpdateDistancesAfterDeletion(*g, cand.alive(), removed.back(), &dl, &changed);
+      UpdateDistancesAfterDeletion(*g, cand.alive(), removed.back(), &dr, &changed);
     }
   }
 };
 
-// The "BFS and the Algorithm 5 repair" kernel: replays RepairReplay's
+// The "BFS and the Algorithm 5 repair" kernel: replays a RepairReplay's
 // batches against both query distances, timing only the repairs (the
 // initial BFS per iteration is paused). `adjacency_reads` is the repair's
 // own work count per replay.
-void BM_QueryDistanceRepair(benchmark::State& state) {
-  RepairReplay r;
-  const LabeledGraph& g = r.graph();
+void RunRepairReplay(benchmark::State& state, const RepairReplay& r) {
+  const LabeledGraph& g = *r.g;
   DistanceMap dl, dr;
   std::vector<VertexId> changed;
   std::uint64_t reads = 0;
@@ -227,6 +226,14 @@ void BM_QueryDistanceRepair(benchmark::State& state) {
   }
   state.counters["batches"] = static_cast<double>(r.removed.size());
   state.counters["adjacency_reads"] = static_cast<double>(reads);
+}
+
+// On PeelFixture's planted graph.
+void BM_QueryDistanceRepair(benchmark::State& state) {
+  static const PeelFixture f;
+  static const G0Result g0 = FindG0(f.pg.graph, f.q, BccParams{}, nullptr);
+  static const RepairReplay r(g0, f.q);
+  RunRepairReplay(state, r);
 }
 BENCHMARK(BM_QueryDistanceRepair);
 
@@ -406,7 +413,7 @@ void BM_CoreCascade(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreCascade)->Unit(benchmark::kMillisecond);
 
-// The peel's two initial query-distance BFS (distances and support counts)
+// The peel's two initial query-distance BFS (distances and level counts)
 // from q_l and q_r over the whole shared G0.
 void BM_InitialBfs(benchmark::State& state) {
   const OrkutG0& f = SharedOrkutG0();
@@ -424,6 +431,15 @@ void BM_InitialBfs(benchmark::State& state) {
   state.counters["g0"] = static_cast<double>(g.NumVertices());
 }
 BENCHMARK(BM_InitialBfs)->Unit(benchmark::kMillisecond);
+
+// The same replay on the shared G0 (the orkut stand-in's two ~29k-vertex
+// label groups).
+void BM_QueryDistanceRepairOrkut(benchmark::State& state) {
+  const OrkutG0& f = SharedOrkutG0();
+  static const RepairReplay r(f.g0, f.q);
+  RunRepairReplay(state, r);
+}
+BENCHMARK(BM_QueryDistanceRepairOrkut)->Unit(benchmark::kMillisecond);
 
 // One intra-label delete and its reinsert on the orkut stand-in, through
 // the BC-index's incremental repair (the serve loop's update preparation
@@ -482,6 +498,50 @@ void BM_AdmissionQueue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmissionQueue);
+
+// One request line through the socket codec (ParseNetRequest, as the server
+// and `bccs_serve --stream` call it per line): Arg(0) a query line, Arg(1)
+// an update line.
+void BM_ParseNetRequest(benchmark::State& state) {
+  const std::string_view line =
+      state.range(0) == 0 ? "q 1234 56789 interactive id=42" : "u + 1234 56789 id=43";
+  NetRequest req;
+  std::string error;
+  for (auto _ : state) {
+    const NetParseStatus status = ParseNetRequest(line, 100000, &req, &error);
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(req.id);
+  }
+}
+BENCHMARK(BM_ParseNetRequest)->Arg(0)->Arg(1);
+
+// One result-cache lookup on a warm cache (1,024 two-label answers of 64
+// members each): Arg(0) a hit, which copies the stored community out,
+// Arg(1) a miss on an absent key.
+void BM_ResultCacheLookup(benchmark::State& state) {
+  constexpr VertexId kEntries = 1024;
+  ResultCache cache(kEntries);
+  auto key_of = [](VertexId i) {
+    ResultCacheKey key;
+    key.vertices = {i, i + kEntries};
+    key.ks = {2, 2};
+    return key;
+  };
+  const Label labels[] = {0, 1};
+  Community stored;
+  for (VertexId v = 0; v < 64; ++v) stored.vertices.push_back(v);
+  for (VertexId i = 0; i < kEntries; ++i) cache.Insert(key_of(i), labels, 0, stored, {});
+  const ResultCacheKey key = key_of(state.range(0) == 0 ? kEntries / 2 : 2 * kEntries);
+  Community community;
+  SearchStats stats;
+  for (auto _ : state) {
+    const bool hit = cache.Lookup(key, 0, 0, &community, &stats);
+    benchmark::DoNotOptimize(hit);
+    benchmark::DoNotOptimize(community.vertices.data());
+  }
+  state.counters["entries"] = static_cast<double>(cache.Stats().entries);
+}
+BENCHMARK(BM_ResultCacheLookup)->Arg(0)->Arg(1);
 
 }  // namespace
 

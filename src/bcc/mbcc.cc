@@ -283,7 +283,8 @@ Community PeelToMbcc(const CandidateGraph& cg, std::vector<std::uint32_t> ks,
           UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist[i], &changed);
 #if BCCS_DCHECK_IS_ON
           // Debug-level audit (DESIGN.md contract 9): repaired distances and
-          // support counts must match a fresh BFS after every round.
+          // level counts must match a fresh BFS after every round, with no
+          // repair mark left.
           AuditDistanceMap(g, cand.alive(), lq[i], *dist[i]);
 #endif
           changed_any.insert(changed_any.end(), changed.begin(), changed.end());

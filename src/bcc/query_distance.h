@@ -17,8 +17,8 @@ void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexI
                   std::vector<std::uint32_t>* dist);
 
 /// Workspace variant: resets `dm` to g's vertices (O(n)) and fills it with
-/// the same distances plus each reached vertex's support count (alive
-/// neighbours one level closer), which the repair below maintains.
+/// the same distances plus the number of reached vertices on each level,
+/// which the repair below maintains.
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                   DistanceMap* dm);
 
@@ -35,13 +35,17 @@ void UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vector<char>
                                   std::span<const VertexId> removed,
                                   std::vector<std::uint32_t>* dist);
 
-/// Support-counted decremental BFS (Even–Shiloach; Ramalingam–Reps): same
-/// distances as Algorithm 5, different work bound. Each removed vertex
-/// debits its children's support; a vertex left with none is orphaned and
-/// debits its own children. Only the orphans are re-reached, in level order
-/// from their non-orphaned neighbours, and their support is recounted. Cost
-/// O(Σdeg(removed) + Σdeg(orphans) + orphans·log orphans), independent of
-/// how much of the graph lies beyond d_min.
+/// Level-counted decremental BFS (Even–Shiloach; Ramalingam–Reps): same
+/// distances as Algorithm 5, different work bound. The removed vertices
+/// leave their levels; one whose next level is still non-empty marks its
+/// children there as suspects. Suspects are checked in level order for an
+/// alive, non-orphaned neighbour one level closer, stopping at the first;
+/// one without is orphaned, leaves its level and marks its own children.
+/// Only the orphans are re-reached, in level order from their non-orphaned
+/// neighbours, and rejoin their new levels. Cost O(Σdeg(removed with a
+/// non-empty next level) + Σ(suspect reads up to the first parent) +
+/// Σdeg(orphans) + (suspects + orphans)·log), independent of how much of
+/// the graph lies beyond d_min.
 ///
 /// `changed` (cleared first) receives exactly the alive vertices whose
 /// distance changed (grew, possibly to kInfDistance); the removed vertices
@@ -52,9 +56,10 @@ std::uint64_t UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vec
                                            std::vector<VertexId>* changed);
 
 /// Debug audit (DESIGN.md contract 9): `dm` must equal a fresh BFS from
-/// `source` over `alive`, and every reachable non-source vertex's support
-/// must equal its number of alive neighbours one level closer. Fails a
-/// BCCS_DCHECK otherwise; a no-op when DCHECKs are compiled out.
+/// `source` over `alive`, every level count must equal the number of
+/// vertices at that distance in the fresh BFS, and no vertex may keep a
+/// repair mark. Fails a BCCS_DCHECK otherwise; a no-op when DCHECKs are
+/// compiled out.
 void AuditDistanceMap(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                       const DistanceMap& dm);
 

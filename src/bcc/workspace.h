@@ -156,24 +156,30 @@ class ScratchPool {
   std::uint64_t acquires_ = 0;
 };
 
-/// Single-source BFS state: per vertex, its distance and its *support*, the
-/// number of alive neighbours exactly one level closer to the source. The
-/// source counts one virtual parent, so during a repair support 0 means "no
-/// shortest path left".
+/// Single-source BFS state: per vertex, its distance and a repair mark, and
+/// per level, the number of alive vertices at that distance. The level
+/// counts let the decremental repair (UpdateDistancesAfterDeletion) skip a
+/// deleted vertex whose next level is empty; the marks let it find exactly
+/// the vertices whose distance changed without revisiting the others.
+/// Marks are kNone outside a repair.
 ///
-/// Reset(n) marks vertices 0..n-1 unreached (kInfDistance, support 0) in
-/// O(n). The peel sizes its maps to the candidate (|G0|) and the BFS that
-/// follows a reset visits the whole candidate anyway, so the fill is not a
-/// bulk init and no per-vertex epoch stamp is kept. The support counts are
-/// what let the decremental repair (UpdateDistancesAfterDeletion) find
-/// exactly the vertices whose distance changed without revisiting the
-/// others.
+/// Reset(n) marks vertices 0..n-1 unreached (kInfDistance, kNone) in O(n)
+/// and empties every level; the level vector keeps its capacity. The peel
+/// sizes its maps to the candidate (|G0|) and the BFS that follows a reset
+/// visits the whole candidate anyway, so the fill is not a bulk init and no
+/// per-vertex epoch stamp is kept.
 class DistanceMap {
  public:
+  /// A vertex's state inside one repair: a suspect has lost a parent and
+  /// waits for its check, an orphan has no shortest path left and keeps
+  /// its old distance until it is re-reached.
+  enum class Mark : std::uint32_t { kNone, kSuspect, kOrphan };
+
   void Reset(std::size_t n) {
     // Growth may discard the old slots: all are overwritten below.
     if (GrowScratch(&slots_, n, reserve_, Slot{})) ++bulk_inits_;
     std::fill_n(slots_.begin(), n, Slot{});
+    levels_.clear();
     ++resets_;
   }
 
@@ -181,15 +187,23 @@ class DistanceMap {
   void SetReserve(std::size_t n) { reserve_ = n; }
 
   std::uint32_t Get(VertexId v) const { return slots_[v].dist; }
-  std::uint32_t Support(VertexId v) const { return slots_[v].support; }
+  Mark GetMark(VertexId v) const { return slots_[v].mark; }
 
-  void Set(VertexId v, std::uint32_t d, std::uint32_t support) { slots_[v] = Slot{d, support}; }
-  void SetUnreachable(VertexId v) { Set(v, kInfDistance, 0); }
+  void Set(VertexId v, std::uint32_t d, Mark mark = Mark::kNone) { slots_[v] = Slot{d, mark}; }
+  void SetUnreachable(VertexId v) { Set(v, kInfDistance); }
 
-  /// Debits one parent; true when v has none left (v is orphaned).
-  bool DropSupport(VertexId v) {
-    BCCS_DCHECK_GT(slots_[v].support, 0u) << "support underflow at vertex " << v;
-    return --slots_[v].support == 0;
+  /// Alive vertices at distance d (0 past the farthest level).
+  std::uint32_t LevelCount(std::uint32_t d) const { return d < levels_.size() ? levels_[d] : 0; }
+  /// Levels held, counting empty ones below the farthest that ever held a
+  /// vertex since Reset.
+  std::size_t NumLevels() const { return levels_.size(); }
+  void AddToLevel(std::uint32_t d, std::uint32_t count = 1) {
+    if (d >= levels_.size()) levels_.resize(std::size_t{d} + 1, 0);
+    levels_[d] += count;
+  }
+  void RemoveFromLevel(std::uint32_t d) {
+    BCCS_DCHECK_GT(LevelCount(d), 0u) << "level " << d << " underflow";
+    --levels_[d];
   }
 
   /// BFS queue scratch (capacity persists across resets). Maps handed out
@@ -202,14 +216,15 @@ class DistanceMap {
   std::uint64_t resets() const { return resets_; }
 
  private:
-  // One record per vertex so a BFS probe touches one cache line.
+  // One 8-byte record per vertex so a BFS probe touches one cache line.
   struct Slot {
     std::uint32_t dist = kInfDistance;
-    std::uint32_t support = 0;
+    Mark mark = Mark::kNone;
   };
 
   std::size_t reserve_ = 0;
   std::vector<Slot> slots_;
+  std::vector<std::uint32_t> levels_;
   std::vector<VertexId> queue_;
   std::vector<VertexId>* shared_queue_ = nullptr;
   std::uint64_t bulk_inits_ = 0;

@@ -518,13 +518,19 @@ std::vector<CompletionFn> CollectInto(std::span<const ServeItem> items, BatchRes
   out->updates.resize(static_cast<std::size_t>(std::count_if(
       items.begin(), items.end(),
       [](const ServeItem& item) { return std::holds_alternative<UpdateRequest>(item); })));
+  // Each closure captures `out` and one packed word (item index in the low
+  // half, update slot in the high half), 16 bytes: small enough for
+  // std::function to store it without a heap block per item.
+  BCCS_CHECK_LE(n, std::size_t{0xffffffff}) << "CollectInto: too many items";
   std::vector<CompletionFn> collect;
   collect.reserve(n);
-  UpdateOutcome* next_update = out->updates.data();
+  std::uint64_t next_update = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    UpdateOutcome* outcome_slot =
-        std::holds_alternative<UpdateRequest>(items[i]) ? next_update++ : nullptr;
-    collect.push_back([out, i, outcome_slot](const ItemCompletion& c) {
+    const std::uint64_t update_slot =
+        std::holds_alternative<UpdateRequest>(items[i]) ? next_update++ : 0;
+    const std::uint64_t packed = update_slot << 32 | i;
+    collect.push_back([out, packed](const ItemCompletion& c) {
+      const std::size_t i = packed & 0xffffffff;
       out->seconds[i] = c.seconds;
       out->sojourn_seconds[i] = c.sojourn_seconds;
       out->epoch_of[i] = c.epoch;
@@ -532,7 +538,7 @@ std::vector<CompletionFn> CollectInto(std::span<const ServeItem> items, BatchRes
         out->communities[i] = std::move(*c.community);
         out->stats[i] = *c.stats;
       }
-      if (c.outcome != nullptr) *outcome_slot = *c.outcome;
+      if (c.outcome != nullptr) out->updates[packed >> 32] = *c.outcome;
     });
   }
   return collect;

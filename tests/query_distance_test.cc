@@ -43,12 +43,11 @@ TEST(BfsDistancesTest, MaskBlocksPaths) {
 
 class DistanceMapBfsTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DistanceMapBfsTest, MatchesVectorBfsAndParentCounts) {
+TEST_P(DistanceMapBfsTest, MatchesVectorBfsAndLevelCounts) {
   // Random graphs with a random dead set in the mask (sometimes the source
-  // itself): the support-counting BFS must give the std::vector BFS's
-  // distances, one virtual parent at the source, the number of alive
-  // neighbours one level closer at every other reached vertex, and no
-  // support at unreached ones.
+  // itself): the level-counting BFS must give the std::vector BFS's
+  // distances, count every reached vertex on its level and nothing past the
+  // farthest, and leave no mark.
   const std::uint64_t seed = GetParam();
   std::mt19937_64 rng(seed * 31 + 7);
   LabeledGraph g = MakeRandomGraph(80, 0.04 + 0.01 * static_cast<double>(seed % 5), 1, seed);
@@ -61,15 +60,17 @@ TEST_P(DistanceMapBfsTest, MatchesVectorBfsAndParentCounts) {
     std::vector<std::uint32_t> want;
     BfsDistances(g, alive, source, &want);
     BfsDistances(g, alive, source, &dm);
+    std::vector<std::uint32_t> histogram;
     for (VertexId v = 0; v < n; ++v) {
       ASSERT_EQ(dm.Get(v), want[v]) << "seed " << seed << " vertex " << v;
-      std::uint32_t parents = 0;
-      if (v == source && alive[v]) {
-        parents = 1;
-      } else if (want[v] != kInfDistance) {
-        for (VertexId u : g.Neighbors(v)) parents += alive[u] && want[u] + 1 == want[v];
-      }
-      ASSERT_EQ(dm.Support(v), parents) << "seed " << seed << " vertex " << v;
+      ASSERT_EQ(dm.GetMark(v), DistanceMap::Mark::kNone) << "seed " << seed << " vertex " << v;
+      if (want[v] == kInfDistance) continue;
+      if (want[v] >= histogram.size()) histogram.resize(want[v] + 1, 0);
+      ++histogram[want[v]];
+    }
+    ASSERT_EQ(dm.NumLevels(), histogram.size()) << "seed " << seed;
+    for (std::uint32_t d = 0; d < histogram.size(); ++d) {
+      ASSERT_EQ(dm.LevelCount(d), histogram[d]) << "seed " << seed << " level " << d;
     }
   }
 }
@@ -112,7 +113,7 @@ TEST(FastQueryDistanceTest, PaperTable2) {
   for (VertexId v : {f.ql, f.v2, f.u6, f.u4, f.u7}) EXPECT_EQ(dr[v], 3u);
   EXPECT_EQ(dr[f.u9], kInfDistance);
 
-  // The support-counted DistanceMap repair gives the same rows and reports
+  // The level-counted DistanceMap repair gives the same rows and reports
   // exactly the moved vertices: u4 and u7 for q_r, none for q_l.
   const std::vector<char> all_alive(g.NumVertices(), 1);
   DistanceMap ml, mr;
@@ -130,6 +131,84 @@ TEST(FastQueryDistanceTest, PaperTable2) {
   std::sort(expected_r.begin(), expected_r.end());
   std::sort(changed_r.begin(), changed_r.end());
   EXPECT_EQ(changed_r, expected_r);
+}
+
+// Source 0; levels 1 = {1, 4}, 2 = {2, 5}, 3 = {3}. Vertex 3 sits alone on
+// the farthest level with 2 as its only parent, as a query vertex can sit
+// alone on the other query's farthest level when the peel deletes around it.
+LabeledGraph MakeLoneFarthestGraph() {
+  return LabeledGraph::FromEdges(6, {{0, 1}, {0, 4}, {1, 2}, {4, 5}, {2, 3}},
+                                 std::vector<Label>(6, 0));
+}
+
+TEST(DistanceMapRepairTest, LoneFarthestVertexLosingItsOnlyParentIsOrphaned) {
+  const LabeledGraph g = MakeLoneFarthestGraph();
+  std::vector<char> alive(6, 1);
+  DistanceMap dm;
+  BfsDistances(g, alive, 0, &dm);
+  ASSERT_EQ(dm.Get(3), 3u);
+  ASSERT_EQ(dm.LevelCount(3), 1u);
+
+  alive[2] = 0;
+  const VertexId removed[] = {2};
+  std::vector<VertexId> changed;
+  UpdateDistancesAfterDeletion(g, alive, removed, &dm, &changed);
+  EXPECT_EQ(changed, std::vector<VertexId>{3});
+  EXPECT_EQ(dm.Get(3), kInfDistance);
+  EXPECT_EQ(dm.GetMark(3), DistanceMap::Mark::kNone);
+  EXPECT_EQ(dm.LevelCount(2), 1u);  // 5 stays
+  EXPECT_EQ(dm.LevelCount(3), 0u);
+  for (VertexId v : {0u, 1u, 4u, 5u}) EXPECT_NE(dm.Get(v), kInfDistance) << v;
+}
+
+TEST(DistanceMapRepairTest, DeletingTheOutermostLevelReadsNoAdjacency) {
+  // Nothing lies one level beyond the deleted vertices, so no vertex can
+  // lose a parent: the repair reads no adjacency list and moves nothing.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const LabeledGraph g = MakeRandomGraph(80, 0.05, 1, seed);
+    std::vector<char> alive(g.NumVertices(), 1);
+    DistanceMap dm;
+    BfsDistances(g, alive, 0, &dm);
+    const auto outermost = static_cast<std::uint32_t>(dm.NumLevels() - 1);
+    ASSERT_GT(outermost, 0u) << "seed " << seed;
+    std::vector<VertexId> removed;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (dm.Get(v) == outermost) removed.push_back(v);
+    }
+    for (VertexId v : removed) alive[v] = 0;
+    std::vector<VertexId> changed;
+    EXPECT_EQ(UpdateDistancesAfterDeletion(g, alive, removed, &dm, &changed), 0u)
+        << "seed " << seed;
+    EXPECT_TRUE(changed.empty()) << "seed " << seed;
+    EXPECT_EQ(dm.LevelCount(outermost), 0u) << "seed " << seed;
+    std::vector<std::uint32_t> fresh;
+    BfsDistances(g, alive, 0, &fresh);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(dm.Get(v), fresh[v]) << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+TEST(DistanceMapAuditDeathTest, CorruptLevelCountOrLeftoverMarkAborts) {
+#if BCCS_DCHECK_IS_ON
+  const LabeledGraph g = MakeLoneFarthestGraph();
+  const std::vector<char> alive(6, 1);
+  DistanceMap dm;
+  BfsDistances(g, alive, 0, &dm);
+  AuditDistanceMap(g, alive, 0, dm);  // a fresh map passes
+
+  DistanceMap extra_count = dm;
+  extra_count.AddToLevel(2);
+  EXPECT_DEATH(AuditDistanceMap(g, alive, 0, extra_count), "level audit");
+  DistanceMap extra_level = dm;
+  extra_level.AddToLevel(5);
+  EXPECT_DEATH(AuditDistanceMap(g, alive, 0, extra_level), "level audit");
+  DistanceMap leftover_mark = dm;
+  leftover_mark.Set(3, 3, DistanceMap::Mark::kOrphan);
+  EXPECT_DEATH(AuditDistanceMap(g, alive, 0, leftover_mark), "mark audit");
+#else
+  GTEST_SKIP() << "AuditDistanceMap is compiled out without DCHECKs";
+#endif
 }
 
 class FastQueryDistancePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -43,16 +43,21 @@ TEST(ScratchPoolTest, ReusesBuffersWithoutBulkInits) {
   pool.ReleaseClean(std::move(c));
 }
 
-// Support(v) must count v's alive neighbours exactly one level closer to
-// the source, for every reachable non-source vertex.
-void ExpectSupportCounts(const LabeledGraph& g, const std::vector<char>& alive,
-                         VertexId source, const DistanceMap& dm) {
+// LevelCount(d) must count the alive vertices at distance d, for every
+// level up to the farthest the map holds, and no vertex may keep a repair
+// mark.
+void ExpectLevelCounts(const LabeledGraph& g, const std::vector<char>& alive,
+                       const DistanceMap& dm) {
+  std::vector<std::uint32_t> histogram;
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    EXPECT_EQ(dm.GetMark(v), DistanceMap::Mark::kNone) << "vertex " << v;
     const std::uint32_t d = dm.Get(v);
-    if (!alive[v] || v == source || d == kInfDistance) continue;
-    std::uint32_t parents = 0;
-    for (VertexId u : g.Neighbors(v)) parents += alive[u] && dm.Get(u) + 1 == d;
-    EXPECT_EQ(dm.Support(v), parents) << "vertex " << v;
+    if (!alive[v] || d == kInfDistance) continue;
+    if (d >= histogram.size()) histogram.resize(d + 1, 0);
+    ++histogram[d];
+  }
+  for (std::uint32_t d = 0; d < std::max(histogram.size(), dm.NumLevels()); ++d) {
+    EXPECT_EQ(dm.LevelCount(d), d < histogram.size() ? histogram[d] : 0u) << "level " << d;
   }
 }
 
@@ -65,16 +70,19 @@ TEST(DistanceMapTest, MatchesLegacyBfs) {
   DistanceMap dm;
   BfsDistances(g, alive, 1, &dm);
   EXPECT_EQ(Materialize(dm, 6), legacy);
-  ExpectSupportCounts(g, alive, 1, dm);
-  EXPECT_EQ(dm.Support(1), 1u);  // the source's virtual parent
+  ExpectLevelCounts(g, alive, dm);
+  EXPECT_EQ(dm.LevelCount(0), 1u);  // the source alone
 
-  // A vertex with two shortest-path parents: on the full 6-cycle, 4 is
+  // Two vertices per level on the full 6-cycle, one at the far side: 4 is
   // reached from 1 through both 3 and 5.
   alive[4] = 1;
   BfsDistances(g, alive, 1, &dm);
   EXPECT_EQ(dm.Get(4), 3u);
-  EXPECT_EQ(dm.Support(4), 2u);
-  ExpectSupportCounts(g, alive, 1, dm);
+  EXPECT_EQ(dm.LevelCount(1), 2u);
+  EXPECT_EQ(dm.LevelCount(2), 2u);
+  EXPECT_EQ(dm.LevelCount(3), 1u);
+  EXPECT_EQ(dm.NumLevels(), 4u);
+  ExpectLevelCounts(g, alive, dm);
 }
 
 // Random G(60, 0.08) with a 12-vertex tree hanging off vertex `hinge`, so
@@ -99,10 +107,10 @@ LabeledGraph MakeRandomGraphWithPendantTree(std::uint64_t seed, VertexId hinge) 
 }
 
 TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
-  // After every deletion batch, the support-counted repair must equal both
+  // After every deletion batch, the level-counted repair must equal both
   // the paper-literal Algorithm 5 repair and a fresh BFS over the surviving
   // subgraph, report exactly the vertices whose distance moved, and leave
-  // every support count exact. Rounds cycle through three batch shapes:
+  // every level count exact and no mark behind. Rounds cycle through three batch shapes:
   // random vertices, a parent-child pair on consecutive levels, and a cut
   // vertex whose removal sends a subtree to kInfDistance.
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
@@ -120,7 +128,7 @@ TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
     DistanceMap dm;
     BfsDistances(g, alive, source, &dm);
     ASSERT_EQ(Materialize(dm, n), legacy);
-    ExpectSupportCounts(g, alive, source, dm);
+    ExpectLevelCounts(g, alive, dm);
 
     auto strands_someone = [&](VertexId c) {
       alive[c] = 0;
@@ -173,7 +181,7 @@ TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
       std::vector<std::uint32_t> fresh;
       BfsDistances(g, alive, source, &fresh);
       ASSERT_EQ(Materialize(dm, n), fresh) << "seed " << seed << " round " << round;
-      ExpectSupportCounts(g, alive, source, dm);
+      ExpectLevelCounts(g, alive, dm);
 
       // `changed` is exactly the alive vertices whose distance moved.
       std::vector<VertexId> moved;
@@ -232,27 +240,35 @@ TEST(PeelQueueTest, PopsFarthestAndKeepsQueries) {
 }
 
 TEST(DistanceMapTest, ResetForgetsEveryEarlierEntry) {
+  using Mark = DistanceMap::Mark;
   DistanceMap dm;
   dm.Reset(8);
-  dm.Set(5, 3, 1);
-  dm.Set(7, 2, 2);
+  dm.Set(5, 3, Mark::kOrphan);
+  dm.AddToLevel(3);
+  dm.Set(7, 2, Mark::kSuspect);
+  dm.AddToLevel(2);
   dm.SetUnreachable(6);
   ASSERT_EQ(dm.Get(5), 3u);
 
   // A smaller reset, then a larger one within the same capacity: entries
-  // of every earlier use read as unreached, inside and past the small size.
+  // of every earlier use read as unreached and unmarked, inside and past
+  // the small size, and every level count is 0.
   dm.Reset(4);
-  dm.Set(2, 7, 1);
+  dm.Set(2, 7, Mark::kOrphan);
+  dm.AddToLevel(7);
   EXPECT_EQ(dm.Get(2), 7u);
   dm.Reset(8);
   for (VertexId v = 0; v < 8; ++v) {
     EXPECT_EQ(dm.Get(v), kInfDistance) << v;
-    EXPECT_EQ(dm.Support(v), 0u) << v;
+    EXPECT_EQ(dm.GetMark(v), Mark::kNone) << v;
   }
+  EXPECT_EQ(dm.NumLevels(), 0u);
+  for (std::uint32_t d = 0; d < 8; ++d) EXPECT_EQ(dm.LevelCount(d), 0u) << d;
 
-  dm.Set(5, 1, 1);
+  dm.Set(5, 1);
+  dm.AddToLevel(1);
   EXPECT_EQ(dm.Get(5), 1u);
-  EXPECT_EQ(dm.Support(5), 1u);
+  EXPECT_EQ(dm.LevelCount(1), 1u);
 }
 
 TEST(PeelQueueTest, ResetForgetsEveryEarlierEntry) {
