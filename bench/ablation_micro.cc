@@ -481,7 +481,8 @@ BENCHMARK(BM_ApplyUpdates)->Unit(benchmark::kMillisecond);
 
 // The admission queue's cost per served item, single-threaded: admit one
 // query carrying the serving stream's ticket payload (AdmittedItem: request,
-// completion, request id, admit time), pop it and release its lane slot.
+// completion, request id, admit time, and a null epoch slot), pop it and
+// release its lane slot.
 void BM_AdmissionQueue(benchmark::State& state) {
   AdmissionQueue<AdmittedItem> queue(/*aging_period=*/8, {});
   QueryRequest q;
@@ -490,7 +491,7 @@ void BM_AdmissionQueue(benchmark::State& state) {
   std::uint64_t id = 0;
   AdmissionQueue<AdmittedItem>::Ticket t;
   for (auto _ : state) {
-    queue.AdmitQuery(q.lane, {q, [](const ItemCompletion&) {}, ++id, 0.0});
+    queue.AdmitQuery(q.lane, {q, [](const ItemCompletion&) {}, ++id, 0.0, nullptr});
     queue.Pop(&t);
     queue.CompleteQuery(t.lane);
     benchmark::DoNotOptimize(t.item.request_id);

@@ -302,56 +302,4 @@ ValidationResult ValidateChangelogChain(const std::string& snapshot_path,
   return ValidationResult::Ok();
 }
 
-ValidationResult ValidateEpochHistory(const EpochHistoryView& h) {
-  if (h.published == 0) {
-    return ValidationResult::Fail("no published epoch slot (slot 0 is published at open)");
-  }
-  if (h.slots.size() != h.updates_admitted + 1) {
-    return ValidationResult::Fail(
-        "history has " + std::to_string(h.slots.size()) + " slots, want one per admitted "
-        "update plus the base slot (" + std::to_string(h.updates_admitted + 1) + ")");
-  }
-  if (h.published > h.slots.size()) {
-    return ValidationResult::Fail("published count " + std::to_string(h.published) +
-                                  " exceeds slot count " + std::to_string(h.slots.size()));
-  }
-  if (h.release_cursor >= h.published) {
-    return ValidationResult::Fail("release cursor " + std::to_string(h.release_cursor) +
-                                  " at or past the published head " +
-                                  std::to_string(h.published));
-  }
-  for (std::size_t i = 0; i < h.release_cursor; ++i) {
-    if (h.slots[i].pending != 0) {
-      return ValidationResult::Fail("released slot " + std::to_string(i) + " still has " +
-                                    std::to_string(h.slots[i].pending) +
-                                    " pinned queries");
-    }
-    if (h.slots[i].has_state) {
-      return ValidationResult::Fail("released slot " + std::to_string(i) +
-                                    " still holds epoch state");
-    }
-  }
-  std::uint64_t prev_epoch = 0;
-  for (std::size_t i = h.release_cursor; i < h.published; ++i) {
-    if (!h.slots[i].has_state) {
-      return ValidationResult::Fail("published slot " + std::to_string(i) +
-                                    " lost its epoch state before draining");
-    }
-    if (h.slots[i].epoch < prev_epoch) {
-      return ValidationResult::Fail("epoch numbers not monotone at slot " +
-                                    std::to_string(i) + ": " +
-                                    std::to_string(h.slots[i].epoch) + " after " +
-                                    std::to_string(prev_epoch));
-    }
-    prev_epoch = h.slots[i].epoch;
-  }
-  for (std::size_t i = h.published; i < h.slots.size(); ++i) {
-    if (h.slots[i].has_state) {
-      return ValidationResult::Fail("unpublished slot " + std::to_string(i) +
-                                    " already holds epoch state");
-    }
-  }
-  return ValidationResult::Ok();
-}
-
 }  // namespace bccs

@@ -69,12 +69,9 @@ class AdmissionQueue {
     Kind kind = Kind::kQuery;
     /// Admission index: position in the stream across both ticket kinds.
     std::size_t index = 0;
-    /// Queries: number of updates admitted before this query — the epoch
-    /// slot whose published state the query must observe.
+    /// Queries: number of updates admitted before this query — the query
+    /// is runnable once that many updates have been published.
     std::size_t epoch_slot = 0;
-    /// Updates: position among updates (0-based). The u-th update builds
-    /// epoch slot u+1 from slot u.
-    std::size_t update_ordinal = 0;
     Lane lane = Lane::kBulk;
     /// The admitted item, moved out of the queue by Pop.
     Item item{};
@@ -140,7 +137,6 @@ class AdmissionQueue {
       if (!updates_.empty() && claimed_updates_ == resolved_updates_) {
         out->kind = Ticket::Kind::kUpdate;
         out->index = updates_.front().index;
-        out->update_ordinal = claimed_updates_;
         out->item = std::move(updates_.front().item);
         updates_.pop_front();
         ++claimed_updates_;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/validate.h"
 #include "eval/timer.h"
 #include "graph/changelog.h"
 #include "graph/graph_delta.h"
@@ -61,41 +60,41 @@ bool BuildCacheKey(const QueryRequest& req, const LabeledGraph& g, ResultCacheKe
 
 }  // namespace
 
+/// A stream's epoch slot. Its state is written once, by the worker that
+/// resolves the slot's update, before the queue's PublishUpdate; queries of
+/// the slot read it only after Pop, which the queue releases after that
+/// publish, so the queue mutex orders the write before every read. The
+/// stream's base slot is written at open.
+struct EpochSlot {
+  ServeEngine::EpochState state;
+};
+
 /// All mutable state of one stream. An admitted item lives in its admission
 /// ticket (AdmittedItem) until a worker pops it, runs it on locals and
 /// reports it through its completion; what stays behind per item is one
-/// sojourn sample per query and one history slot per update.
+/// sojourn sample per query.
 ///
 /// Producers (Stream::Submit — any number of threads, one per connection
-/// in the socket front-end) extend the epoch history and admit into the
-/// queue under `mutex`, so a query's ticket epoch slot always names the
-/// history slot that was newest at its admission. A worker learns a slot
-/// only from Pop(), which happens-after that bookkeeping.
+/// in the socket front-end) hand each query the newest slot, and each
+/// update a fresh slot that becomes the newest, in the same critical
+/// section that admits the item into the queue. Tickets hold their slots,
+/// so an epoch slot (and its graph and index) is freed with the last
+/// ticket that needs it.
 struct StreamState {
   StreamState(ServeEngine* e, std::size_t aging_period, AdmissionCaps caps,
               ServeEngine::EpochState head)
-      : engine(e), queue(aging_period, caps) {
-    history.push_back({std::move(head), 0});
-  }
+      : engine(e),
+        queue(aging_period, caps),
+        newest(std::make_shared<EpochSlot>(EpochSlot{std::move(head)})) {}
 
   ServeEngine* engine;
   AdmissionQueue<AdmittedItem> queue;
   Timer wall;  // stream-open reference clock (admit/sojourn times)
 
   Mutex mutex;  // guards everything below
-  /// Copy-on-write epoch history: history[s] is the state observed by
-  /// queries admitted after s updates. Slot 0 is published at open; slot
-  /// u+1 is written when the u-th update resolves, just before the queue
-  /// publishes it. `pending` counts admitted-but-not-completed queries
-  /// pinned to the slot; a drained slot whose successor is written releases
-  /// its shared_ptrs (the copy-on-write garbage collection).
-  struct HistorySlot {
-    ServeEngine::EpochState state;
-    std::size_t pending = 0;
-  };
-  std::deque<HistorySlot> history GUARDED_BY(mutex);
-  // First slot that may still hold state.
-  std::size_t release_cursor GUARDED_BY(mutex) = 0;
+  /// The slot queries admitted now will observe: the base slot, or the
+  /// slot of the newest admitted update.
+  std::shared_ptr<EpochSlot> newest GUARDED_BY(mutex);
   // The summary fold: one sample per query, counters otherwise. Deques
   // grow in fixed blocks, so a long-lived stream holds 8 bytes per query
   // and no reallocation slack.
@@ -112,19 +111,6 @@ struct StreamState {
   /// the workspaces after Wait returns would race the next job on a shared
   /// runner.
   WorkspaceStats drain_stats;
-
-  /// Releases drained old epochs. Slots gain pending queries only while
-  /// they are the newest admitted slot, so a drained slot whose successor
-  /// is already written can never be pinned again, and the update built on
-  /// it holds its own copy of the base state.
-  void ReleaseDrainedHistory() REQUIRES(mutex) {
-    while (release_cursor + 1 < history.size() &&
-           history[release_cursor + 1].state.graph != nullptr &&
-           history[release_cursor].pending == 0) {
-      history[release_cursor].state = ServeEngine::EpochState{};
-      ++release_cursor;
-    }
-  }
 };
 
 ServeEngine::ServeEngine(BatchRunner& runner, const LabeledGraph& g, const BcIndex* index,
@@ -240,8 +226,8 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
   outcome->inserts = delta->inserts.size();
   outcome->deletes = delta->deletes.size();
   if (base.index != nullptr) {
-    // Repair against the pinned base graph/index (both kept alive by the
-    // base slot while old-epoch queries drain).
+    // Repair against the base graph/index (held by `base` for the
+    // duration, and by their slot while old-epoch queries drain).
     next.index = base.index->ApplyUpdates(*next.graph, *delta, {}, &outcome->repair);
   }
   outcome->applied = true;
@@ -261,13 +247,13 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     c.request_id = item.request_id;
 
     if (t.kind == Ticket::Kind::kUpdate) {
-      // The base slot was written before the queue handed this update out
-      // (one update in flight, in order).
-      const std::size_t u = t.update_ordinal;
+      // The base is the engine head: at most one update is in flight, and
+      // every resolved update, applied or not, left the head equal to the
+      // state it published.
       EpochState base;
       {
-        MutexLock lock(state.mutex);
-        base = state.history[u].state;
+        MutexLock lock(state_mutex_);
+        base = current_;
       }
       UpdateOutcome outcome;
       outcome.item_index = t.index;
@@ -307,15 +293,18 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       }
       outcome.seconds = apply.Seconds();
       outcome.epoch = next.epoch;
+      // No query of this slot is runnable before the PublishUpdate below,
+      // so the write needs no lock.
+      item.slot->state = std::move(next);
       {
         MutexLock lock(state.mutex);
-        state.history[u + 1].state = std::move(next);
-        state.ReleaseDrainedHistory();
         ++(outcome.applied ? state.updates_applied : state.updates_rejected);
       }
-      base = EpochState{};  // drop the base pin before the report
+      // Drop the base and slot pins outside every lock, before the report.
+      base = EpochState{};
+      item.slot = nullptr;
       c.sojourn_seconds = state.wall.Seconds() - item.admit_seconds;
-      // Resolve on the queue AFTER the history write: Pop()'s mutex
+      // Resolve on the queue AFTER the slot write: Pop()'s mutex
       // acquisition gives any worker that observes the resolution a
       // happens-before edge to the new state.
       state.queue.PublishUpdate();
@@ -325,20 +314,17 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       // ahead of the state it describes.
       c.epoch = outcome.epoch;
       c.seconds = outcome.seconds;
-      c.is_update = true;
       c.outcome = &outcome;
       item.done(c);
       continue;
     }
 
-    // Query: pin the admission-time epoch (the queue guarantees it is
-    // published by now), then execute against it unlocked — a concurrent
-    // update publish cannot invalidate the pinned shared_ptrs.
-    EpochState pinned;
-    {
-      MutexLock lock(state.mutex);
-      pinned = state.history[t.epoch_slot].state;
-    }
+    // Query: the ticket pins the admission-time slot, which the queue
+    // released only after its publish; execute against it unlocked — a
+    // concurrent update publish writes another slot.
+    std::shared_ptr<const EpochSlot> pinned = std::move(item.slot);
+    BCCS_DCHECK(pinned->state.graph != nullptr)
+        << "query popped before its epoch slot was published";
     const QueryRequest& req = std::get<QueryRequest>(item.request);
     Community community;
     SearchStats stats;
@@ -346,35 +332,39 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
     std::vector<Label> cache_labels;
     // Deadline-bearing requests bypass the cache: a timed-out partial answer
     // is timing-dependent.
-    const bool cacheable = result_cache_ != nullptr && req.deadline_seconds <= 0 &&
-                           BuildCacheKey(req, *pinned.graph, &cache_key, &cache_labels);
+    const bool cacheable =
+        result_cache_ != nullptr && req.deadline_seconds <= 0 &&
+        BuildCacheKey(req, *pinned->state.graph, &cache_key, &cache_labels);
     const auto lane_idx = static_cast<std::size_t>(req.lane);
     Timer exec;
     const bool cache_hit =
-        cacheable &&
-        result_cache_->Lookup(cache_key, pinned.epoch, lane_idx, &community, &stats);
+        cacheable && result_cache_->Lookup(cache_key, pinned->state.epoch, lane_idx,
+                                           &community, &stats);
     if (!cache_hit) {
       if (req.deadline_seconds > 0) ws.SetDeadline(Deadline::After(req.deadline_seconds));
-      Dispatch(req, *pinned.graph, pinned.index.get(), ws, &community, &stats);
+      Dispatch(req, *pinned->state.graph, pinned->state.index.get(), ws, &community,
+               &stats);
       ws.SetDeadline(Deadline{});
       // Timed-out partial answers are timing-dependent, never cached (the
       // deadline gate above already excludes them; keep the belt with the
       // suspenders in case a search ever times out without a deadline).
       if (cacheable && !stats.timed_out) {
-        result_cache_->Insert(cache_key, cache_labels, pinned.epoch, community, stats);
+        result_cache_->Insert(cache_key, cache_labels, pinned->state.epoch, community,
+                              stats);
       }
     }
     c.seconds = exec.Seconds();
     c.sojourn_seconds = state.wall.Seconds() - item.admit_seconds;
-    c.epoch = pinned.epoch;
+    c.epoch = pinned->state.epoch;
     {
       MutexLock lock(state.mutex);
       state.lane_sojourn[static_cast<std::size_t>(t.lane)].push_back(c.sojourn_seconds);
       state.totals += stats;
       state.timed_out += stats.timed_out ? 1 : 0;
-      if (--state.history[t.epoch_slot].pending == 0) state.ReleaseDrainedHistory();
     }
-    pinned = EpochState{};  // drop the pin before (not while) holding queue locks
+    // Drop the pin outside every lock, before the queue's: the last
+    // release of a slot can free a whole epoch.
+    pinned = nullptr;
     // After CompleteQuery: the lane slot is free while the caller's
     // callback runs, so a slow consumer delays only this worker's next
     // dequeue, never the lane's concurrency budget.
@@ -410,13 +400,13 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
   ticket.request = std::move(item);
   ticket.done = std::move(on_complete);
   const auto* q = std::get_if<QueryRequest>(&ticket.request);
-  // Request ids, history slots and queue positions all follow one
-  // admission order: the order producers win this lock. So a query's id
-  // and epoch depend only on its admission position, exactly as in a
-  // serialized replay, and the queue's epoch slot of a query names the
-  // history slot counted here. Lock order stream mutex -> queue mutex; a
-  // worker never holds both (Pop returns before it takes the stream
-  // mutex), so the nesting is acyclic (DESIGN.md, serving contract 5).
+  // Request ids, epoch slots and queue positions all follow one admission
+  // order: the order producers win this lock. So a query's id and epoch
+  // depend only on its admission position, exactly as in a serialized
+  // replay, and the queue gates a query on exactly the update whose slot
+  // it holds. Lock order stream mutex -> queue mutex; a worker never holds
+  // both (Pop returns before it takes the stream mutex), so the nesting is
+  // acyclic (DESIGN.md, serving contract 5).
   MutexLock lock(s.mutex);
   // Every item consumes one request id (updates too).
   const std::uint64_t id = s.engine->next_request_id_.fetch_add(1);
@@ -424,11 +414,12 @@ std::uint64_t ServeEngine::Stream::Submit(ServeItem item, CompletionFn on_comple
   ticket.admit_seconds = s.wall.Seconds();
   const std::uint64_t reported = ticket.request_id;
   if (q != nullptr) {
-    ++s.history.back().pending;
+    ticket.slot = s.newest;
     const Lane lane = q->lane;
     s.queue.AdmitQuery(lane, std::move(ticket));
   } else {
-    s.history.emplace_back();  // the slot this update will publish
+    s.newest = std::make_shared<EpochSlot>();  // the slot this update will publish
+    ticket.slot = s.newest;
     s.queue.AdmitUpdate(std::move(ticket));
   }
   return reported;
@@ -447,22 +438,12 @@ StreamSummary ServeEngine::Stream::Finish() {
   // fold is GUARDED_BY the stream mutex — hold it (uncontended) so the
   // annotation holds here too.
   MutexLock lock(s.mutex);
-#if BCCS_DCHECK_IS_ON
-  {
-    // The drained stream must leave the copy-on-write bookkeeping coherent
-    // with the queue's counts: one slot per admitted update plus the base,
-    // every slot published, and every slot behind the head released.
-    EpochHistoryView view;
-    view.published = s.queue.resolved_updates() + 1;
-    view.release_cursor = s.release_cursor;
-    view.updates_admitted = s.queue.updates_admitted();
-    for (const StreamState::HistorySlot& slot : s.history) {
-      view.slots.push_back({slot.state.epoch, slot.pending, slot.state.graph != nullptr});
-    }
-    const ValidationResult audit = ValidateEpochHistory(view);
-    BCCS_DCHECK(audit.ok) << "epoch history audit: " << audit.reason;
-  }
-#endif
+  // Every admitted update resolved, applied or rejected, exactly once.
+  BCCS_DCHECK(s.updates_applied + s.updates_rejected == s.queue.updates_admitted() &&
+              s.queue.updates_admitted() == s.queue.resolved_updates())
+      << "updates: " << s.updates_applied << " applied + " << s.updates_rejected
+      << " rejected, " << s.queue.updates_admitted() << " admitted, "
+      << s.queue.resolved_updates() << " resolved";
   out.items = s.queue.admitted();
   out.updates_applied = s.updates_applied;
   out.updates_rejected = s.updates_rejected;
@@ -487,7 +468,7 @@ StreamSummary ServeEngine::Stream::Finish() {
   // Every update has resolved, so the newest slot IS the engine's current
   // state; read it here (under s.mutex) rather than through the engine head
   // to keep the lock sets disjoint.
-  if (const auto& head = s.history.back().state; head.index != nullptr) {
+  if (const auto& head = s.newest->state; head.index != nullptr) {
     out.pair_cache = head.index->PairCacheStats();
   }
   return out;

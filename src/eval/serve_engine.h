@@ -38,11 +38,12 @@ class Changelog;
 ///      the first stream gets 1 + i). RunStream() is the
 ///      submit-everything-then-drain convenience over the same loop (and
 ///      Serve() its query-only shim).
-///   2. **Epoch tagging.** Each admitted query is stamped with its *epoch
-///      slot*: the number of updates admitted before it. The query will
-///      execute against exactly that slot's published (graph, index) state,
-///      so answers are bit-identical to a serialized replay of the
-///      admission order no matter how execution interleaves.
+///   2. **Epoch tagging.** Each admitted query's ticket holds its *epoch
+///      slot*: the slot of the newest update admitted before it (or the
+///      stream's base slot). The query will execute against exactly that
+///      slot's published (graph, index) state, so answers are
+///      bit-identical to a serialized replay of the admission order no
+///      matter how execution interleaves.
 ///   3. **Scheduling.** Workers dequeue under the two-lane policy
 ///      (interactive ahead of bulk, anti-starvation aging every
 ///      (aging_period + 1)-th slot) with per-lane in-flight caps
@@ -51,8 +52,8 @@ class Changelog;
 ///   4. **Planning.** Each claimed query is planned onto its method —
 ///      online / lp / l2p / mbcc. kL2pBcc without an index degrades to
 ///      LP-BCC (same model, no index).
-///   5. **Execution.** The worker pins its epoch slot's state (a shared_ptr
-///      copy — the state outlives any concurrent update publish), stamps
+///   5. **Execution.** The worker reads its ticket's epoch slot (a
+///      shared_ptr — the state outlives any concurrent update publish), stamps
 ///      its QueryWorkspace with the request's deadline and runs the search;
 ///      an expired deadline yields the best valid partial answer with
 ///      SearchStats::timed_out set.
@@ -65,15 +66,16 @@ class Changelog;
 ///      published with a single swap; queries admitted after the update
 ///      become runnable and observe it. A rejected batch publishes the
 ///      unchanged state (epoch not incremented) and reports the reason in
-///      its UpdateOutcome. Old epoch states are released as soon as their
-///      last pinned query completes.
+///      its UpdateOutcome. A slot is reference-counted by the tickets that
+///      need it, so an old epoch state is released as soon as its last
+///      pinned query completes.
 ///   7. **Reporting.** Every item is submitted with a CompletionFn and
 ///      reports exactly once, to it, on the worker that ran it: the answer,
 ///      stats and timings of a query, the UpdateOutcome of an update, and
 ///      the epoch either executed in. Until a worker pops it, the item lives
 ///      only in its admission ticket; after the callback it is gone, so a
 ///      long-lived stream (the socket server's) keeps nothing per item but
-///      one sojourn sample per query, and one epoch-history slot per update.
+///      one sojourn sample per query.
 ///      Stream::Finish() returns a StreamSummary folded from the same
 ///      completions. RunStream/Serve collect their per-item BatchResult
 ///      through CollectInto's completions.
@@ -137,7 +139,6 @@ struct ItemCompletion {
   std::uint64_t epoch = 0;
   double seconds = 0;          // execution / preparation duration
   double sojourn_seconds = 0;  // admission -> completion
-  bool is_update = false;
   // Queries (null for updates):
   Community* community = nullptr;
   const SearchStats* stats = nullptr;
@@ -150,14 +151,22 @@ struct ItemCompletion {
 /// different workers concurrently.
 using CompletionFn = std::function<void(const ItemCompletion&)>;
 
+/// One epoch slot of a stream: the (graph, index) state a run of admitted
+/// queries executes against. Defined in serve_engine.cc; tickets share it,
+/// and it is freed with the last ticket that needs it.
+struct EpochSlot;
+
 /// What an admitted item carries in its AdmissionQueue ticket from
 /// Stream::Submit to the worker that pops it. The queue ticket adds the
-/// item's admission index and epoch slot (or update ordinal).
+/// item's admission index and gating position.
 struct AdmittedItem {
   ServeItem request;
   CompletionFn done;
   std::uint64_t request_id = 0;
   double admit_seconds = 0;  // on the stream's clock
+  /// Queries: the slot that was newest at admission. Updates: the slot the
+  /// update publishes (empty until it resolves).
+  std::shared_ptr<EpochSlot> slot;
 };
 
 /// Sizes `out`'s per-item vectors for `items` and returns one collecting
@@ -291,9 +300,11 @@ class ServeEngine {
 
  private:
   friend struct StreamState;
+  friend struct EpochSlot;
 
   /// One published epoch: an immutable (graph, index) pair. Queries pin the
-  /// state of their admission-time slot; updates build slot u+1 from slot u.
+  /// state of their admission-time slot; an update builds its slot's state
+  /// from the engine head.
   struct EpochState {
     std::shared_ptr<const LabeledGraph> graph;
     std::shared_ptr<const BcIndex> index;

@@ -217,7 +217,7 @@ std::string FormatCompletionResponse(std::uint64_t client_id, const ItemCompleti
   // The wire id is the client's when one was supplied, else the
   // engine-assigned one — either way the id the response must echo.
   const std::uint64_t id = client_id != 0 ? client_id : done.request_id;
-  if (done.is_update) return FormatUpdateResponse(id, *done.outcome);
+  if (done.outcome != nullptr) return FormatUpdateResponse(id, *done.outcome);
   return FormatQueryResponse(id, done.epoch, *done.community);
 }
 

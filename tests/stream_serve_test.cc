@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <thread>
 #include <variant>
@@ -112,7 +113,7 @@ TEST(AdmissionQueueTest, PopDrainsAfterCloseAndReturnsFalse) {
 TEST(AdmissionQueueTest, UpdateGatesLaterQueriesButNotEarlierOnes) {
   IntQueue queue(0, {});
   queue.AdmitQuery(Lane::kInteractive, 0);  // index 0, epoch slot 0
-  queue.AdmitUpdate(1);                     // index 1, ordinal 0
+  queue.AdmitUpdate(1);                     // index 1
   queue.AdmitQuery(Lane::kInteractive, 2);  // index 2, epoch slot 1
   queue.Close();
 
@@ -121,7 +122,6 @@ TEST(AdmissionQueueTest, UpdateGatesLaterQueriesButNotEarlierOnes) {
   ASSERT_EQ(t.kind, IntQueue::Ticket::Kind::kUpdate);
   EXPECT_EQ(t.index, 1u);
   EXPECT_EQ(t.item, 1u);
-  EXPECT_EQ(t.update_ordinal, 0u);
 
   // With the update unresolved, only the pre-update query is runnable.
   ASSERT_TRUE(queue.Pop(&t));
@@ -583,35 +583,63 @@ TEST(StreamServeTest, IndexedStreamRepairsAndPinsEpochs) {
 }
 
 // Copy-on-write release while the stream stays open, as the socket
-// server's does: once the update built on the base epoch and the query
-// pinned to it have completed, nothing but its owner holds the base graph.
+// server's does: through a chain of updates, each followed by a query, every
+// epoch but the newest is freed once the items pinned to it have completed,
+// and the newest stays alive. Each item completes before the next is
+// submitted.
 TEST(StreamServeTest, OldEpochIsReleasedWhileTheStreamStaysOpen) {
   PlantedGraph pg = MakeGraph();
   std::vector<BccQuery> queries = SampleQueries(pg, 2);
   ASSERT_FALSE(queries.empty());
-  const Edge edge = pg.graph.AllEdges()[0];
+  constexpr std::size_t kUpdates = 5;
+  const std::vector<Edge> edges = pg.graph.AllEdges();
+  ASSERT_GE(edges.size(), kUpdates);
   auto base = std::make_shared<const LabeledGraph>(std::move(pg.graph));
+  std::vector<std::weak_ptr<const LabeledGraph>> epochs = {base};
 
   BatchRunner runner(2);
-  ServeEngine engine(runner, base, nullptr);
+  ServeEngine engine(runner, std::move(base), nullptr);
   ServeEngine::Stream stream = engine.OpenStream();
   std::atomic<int> done{0};
   auto count = [&done](const ItemCompletion&) { done.fetch_add(1); };
+  // Poll with a bound: the checks must not depend on whether a worker drops
+  // an item's pins before or after its callback.
+  auto wait_for = [](auto&& ready) {
+    for (int spin = 0; spin < 10000 && !ready(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  int submitted = 0;
+  auto submit_and_wait = [&](ServeItem item) {
+    stream.Submit(std::move(item), count);
+    ++submitted;
+    wait_for([&] { return done.load() == submitted; });
+    ASSERT_EQ(done.load(), submitted);
+  };
+  auto older_released = [&epochs] {
+    for (std::size_t e = 0; e + 1 < epochs.size(); ++e) {
+      if (!epochs[e].expired()) return false;
+    }
+    return true;
+  };
+
   QueryRequest q;
   q.query = queries[0];
-  UpdateRequest del;
-  del.updates.push_back({EdgeUpdateKind::kDelete, edge});
-  stream.Submit(q, count);  // pinned to the base epoch
-  stream.Submit(del, count);
-  stream.Submit(q, count);  // pinned to the updated epoch
-  // A worker drops an item's pins right after its callback returns.
-  for (int spin = 0; spin < 10000 && (done.load() < 3 || base.use_count() > 1); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  submit_and_wait(q);  // pinned to the base epoch
+  for (std::size_t k = 0; k < kUpdates; ++k) {
+    UpdateRequest del;
+    del.updates.push_back({EdgeUpdateKind::kDelete, edges[k]});
+    submit_and_wait(del);
+    epochs.push_back(engine.graph_ptr());
+    submit_and_wait(q);  // pinned to the epoch just published
+    wait_for(older_released);
+    for (std::size_t e = 0; e + 1 < epochs.size(); ++e) {
+      EXPECT_TRUE(epochs[e].expired()) << "epoch " << e + 1 << " after update " << k;
+    }
+    EXPECT_FALSE(epochs.back().expired()) << "newest epoch after update " << k;
   }
-  EXPECT_EQ(done.load(), 3);
-  EXPECT_EQ(base.use_count(), 1);
-  EXPECT_EQ(engine.epoch(), 2u);
-  EXPECT_EQ(stream.Finish().updates_applied, 1u);
+  EXPECT_EQ(engine.epoch(), kUpdates + 1);
+  EXPECT_EQ(stream.Finish().updates_applied, kUpdates);
 }
 
 // A rejected batch publishes the unchanged epoch; the stream keeps serving.

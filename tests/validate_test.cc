@@ -299,65 +299,5 @@ TEST_F(ValidateChangelogTest, ToleratesTornTail) {
   EXPECT_TRUE(r.ok) << r.reason;
 }
 
-// ---------------------------------------------------------------------------
-// Epoch-history audits.
-// ---------------------------------------------------------------------------
-
-EpochHistoryView CleanHistory() {
-  // Three slots: slot 0 drained and released, slots 1-2 published with
-  // state, one update still admitted for slot 3 (unpublished).
-  EpochHistoryView h;
-  h.slots = {{0, 0, false}, {2, 1, true}, {3, 0, true}, {0, 2, false}};
-  h.published = 3;
-  h.release_cursor = 1;
-  h.updates_admitted = 3;
-  return h;
-}
-
-TEST(ValidateEpochHistoryTest, AcceptsCleanHistory) {
-  const ValidationResult r = ValidateEpochHistory(CleanHistory());
-  EXPECT_TRUE(r.ok) << r.reason;
-}
-
-TEST(ValidateEpochHistoryTest, RejectsPinnedReleasedSlot) {
-  EpochHistoryView h = CleanHistory();
-  h.slots[0].pending = 1;
-  const ValidationResult r = ValidateEpochHistory(h);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.reason.find("released slot 0"), std::string::npos) << r.reason;
-}
-
-TEST(ValidateEpochHistoryTest, RejectsDroppedPublishedState) {
-  EpochHistoryView h = CleanHistory();
-  h.slots[2].has_state = false;
-  const ValidationResult r = ValidateEpochHistory(h);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.reason.find("lost its epoch state"), std::string::npos) << r.reason;
-}
-
-TEST(ValidateEpochHistoryTest, RejectsNonMonotoneEpochs) {
-  EpochHistoryView h = CleanHistory();
-  h.slots[2].epoch = 1;  // behind slot 1's epoch 2
-  const ValidationResult r = ValidateEpochHistory(h);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.reason.find("not monotone"), std::string::npos) << r.reason;
-}
-
-TEST(ValidateEpochHistoryTest, RejectsSlotCountMismatch) {
-  EpochHistoryView h = CleanHistory();
-  h.updates_admitted = 5;
-  const ValidationResult r = ValidateEpochHistory(h);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.reason.find("one per admitted"), std::string::npos) << r.reason;
-}
-
-TEST(ValidateEpochHistoryTest, RejectsStateInUnpublishedSlot) {
-  EpochHistoryView h = CleanHistory();
-  h.slots[3].has_state = true;
-  const ValidationResult r = ValidateEpochHistory(h);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.reason.find("unpublished slot 3"), std::string::npos) << r.reason;
-}
-
 }  // namespace
 }  // namespace bccs
